@@ -328,7 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_quotient)
 
     p = sub.add_parser("subst", help="substitute a number for the formal parameter")
-    p.add_argument("--alpha", type=_fraction, required=True, help="rational value, e.g. 1/2")
+    p.add_argument(
+        "--alpha",
+        type=_fraction,
+        required=True,
+        help="rational value, e.g. 1/2; write a negative one as --alpha=-3/5",
+    )
     io_flags(p, "element JSON")
     p.set_defaults(handler=_cmd_subst)
 

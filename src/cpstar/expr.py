@@ -13,7 +13,8 @@ Grammar, with ``*`` the star product and ``.`` the pointwise product::
 
 Products are left-associative, ``^`` is the star power, and scalars are
 (optionally signed) rational literals.  Parsing is recursive descent over
-a token list; errors carry the character position.  Evaluation dispatches
+a token list, at most :data:`MAX_NESTING` parentheses or bodies deep;
+errors carry the character position.  Evaluation dispatches
 on the runtime types of the operands: symbols are lifted into the
 filtered algebra before starring, scalars multiply anything, and the
 torus and disk values use their own products.
@@ -30,11 +31,12 @@ from .models.disk import DiskElement, disk_product
 from .models.torus import FourierSum, moyal_product
 from .nupoly import NU, NU_ONE, NuRationalFunction
 from .quotient import QuotientOperator, quotient_map, substitute
-from .scalars import GaussRational, to_gauss
+from .scalars import GaussRational
 from .star import StarElement, star_elements
 from .symbols import SymbolTensor, pointwise_mul, symbol_of_matrix
 
 __all__ = [
+    "MAX_NESTING",
     "ParseError",
     "EvalError",
     "parse",
@@ -109,6 +111,9 @@ Expression = Union[Name, Sigma, Scalar, Star, Pointwise, Power, Subst, Quot]
 
 # -- tokens ------------------------------------------------------------
 
+MAX_NESTING = 100
+"""Deepest nesting of parentheses and subst/quot bodies the parser accepts."""
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<punct>[*.^()/-]))"
 )
@@ -142,6 +147,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def _peek(self) -> Optional[_Token]:
         if self.index < len(self.tokens):
@@ -182,6 +188,17 @@ class _Parser:
             right = self._term()
             node = Star(node, right) if token.text == "*" else Pointwise(node, right)
 
+    def _nested_expr(self) -> Expression:
+        """An expression one nesting level down, within :data:`MAX_NESTING`."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", self._next_position()
+            )
+        self.depth += 1
+        node = self._expr()
+        self.depth -= 1
+        return node
+
     def _term(self) -> Expression:
         node = self._factor()
         token = self._peek()
@@ -212,6 +229,8 @@ class _Parser:
             if den is None or den.kind != "int":
                 raise ParseError("expected a denominator", self._next_position())
             self._advance()
+            if not int(den.text):
+                raise ParseError("zero denominator", den.position)
             return Fraction(sign * numerator, int(den.text))
         return Fraction(sign * numerator)
 
@@ -234,7 +253,7 @@ class _Parser:
                 alpha = self._scalar()
                 self._expect(")", "')'")
                 self._expect("(", "'(' before the substitution body")
-                body = self._expr()
+                body = self._nested_expr()
                 self._expect(")", "')'")
                 return Subst(alpha, body)
             if token.text == "quot":
@@ -245,13 +264,13 @@ class _Parser:
                 self._advance()
                 self._expect(")", "')'")
                 self._expect("(", "'(' before the quotient body")
-                body = self._expr()
+                body = self._nested_expr()
                 self._expect(")", "')'")
                 return Quot(int(value.text), body)
             return Name(token.text)
         if token.text == "(":
             self._advance()
-            node = self._expr()
+            node = self._nested_expr()
             self._expect(")", "')'")
             return node
         if token.kind == "int" or token.text == "-":
@@ -442,10 +461,17 @@ def evaluate(node: Expression, session: Session) -> Value:
         return symbol_of_matrix(matrix)
     if isinstance(node, Scalar):
         return GaussRational(node.value)
-    if isinstance(node, Star):
-        return _star(evaluate(node.left, session), evaluate(node.right, session))
-    if isinstance(node, Pointwise):
-        return _pointwise(evaluate(node.left, session), evaluate(node.right, session))
+    if isinstance(node, (Star, Pointwise)):
+        # walk the left spine of a product chain iteratively, however long it is
+        chain = []
+        while isinstance(node, (Star, Pointwise)):
+            chain.append(node)
+            node = node.left
+        value = evaluate(node, session)
+        for link in reversed(chain):
+            right = evaluate(link.right, session)
+            value = _star(value, right) if isinstance(link, Star) else _pointwise(value, right)
+        return value
     if isinstance(node, Power):
         return _power(evaluate(node.base, session), node.exponent)
     if isinstance(node, Subst):

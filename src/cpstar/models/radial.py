@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 from ..nupoly import NU_ONE, NU_ZERO, NuPolynomial
 from ..scalars import GaussRational
 from ..zpoly import ZPoly
+from .flat import _as_lambda_poly
 
 __all__ = [
     "RadialPolynomial",
@@ -46,12 +47,6 @@ __all__ = [
     "closed_exponential_series",
     "check_star_exponential",
 ]
-
-
-def _as_lambda_poly(value) -> NuPolynomial:
-    if isinstance(value, NuPolynomial):
-        return value
-    return NuPolynomial.constant(value)
 
 
 class RadialPolynomial:

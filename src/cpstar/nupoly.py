@@ -26,7 +26,6 @@ __all__ = [
     "NuPolynomial",
     "NuRationalFunction",
     "nu_pochhammer",
-    "poly_eval",
 ]
 
 
@@ -122,9 +121,6 @@ class NuPolynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, value: ScalarLike) -> "NuPolynomial":
-        return self * value
-
     def shift(self, j: int) -> "NuPolynomial":
         """Multiply by ``nu**j``."""
         if not self.coeffs:
@@ -211,11 +207,6 @@ def nu_pochhammer(k: int) -> NuPolynomial:
     if k <= 1:
         return NU_ONE
     return nu_pochhammer(k - 1) * NuPolynomial((GAUSS_ONE, GaussRational(-(k - 1))))
-
-
-def poly_eval(poly: NuPolynomial, alpha: ScalarLike) -> GaussRational:
-    """Evaluate a nu-polynomial at an exact scalar value."""
-    return poly.evaluate(alpha)
 
 
 def _poly_gcd(a: NuPolynomial, b: NuPolynomial) -> NuPolynomial:

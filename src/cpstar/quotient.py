@@ -12,23 +12,24 @@ very differently depending on ``alpha``:
   operators on degree-K holomorphic polynomials, of dimension C(n+K, K)^2,
   and the induced representation of u(n+1) on it is irreducible.
 
-Both factorization branches are implemented constructively (synthetic
-division of the expanded series followed by structure extraction) so every
-result can be re-multiplied and compared exactly.
+Everything works on the components ``phi_r`` of the element, weighted by
+``nu^{level-r} nu^(r)``: substitution is one weighted sum of embedded
+components, and both factorization branches solve ``tail = (nu - alpha) *
+cofactor`` by a forward recurrence on the components, so every result can be
+re-multiplied and compared exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Sequence
+from math import comb
 
 from .linalg import nullspace
-from .multiindex import index_space_size, sorted_tuples
-from .nupoly import nu_pochhammer, poly_eval
-from .scalars import GAUSS_I, GAUSS_ONE, GaussRational, ScalarLike, to_gauss
-from .star import RawNuSeries, StarElement, extract_structure
+from .multiindex import sorted_tuples
+from .nupoly import nu_pochhammer
+from .scalars import GAUSS_I, GAUSS_ONE, GaussRational
+from .star import StarElement, _star_coefficient
 from .symbols import (
     SymbolTensor,
     embed,
@@ -87,19 +88,28 @@ class AlphaValue:
         return cls(value, "generic")
 
 
+def _weighted_sum(element: StarElement, alpha: Fraction, degree: int | None = None) -> SymbolTensor:
+    """The element at nu = alpha: sum_r nu^(r)(alpha) alpha^{level-r} phi_r.
+
+    Each component is embedded at ``degree``; by default that is the highest
+    component whose weight is nonzero.
+    """
+    weights = {}
+    for r in element.components:
+        weight = nu_pochhammer(r).evaluate(alpha) * alpha ** (element.level - r)
+        if weight:
+            weights[r] = weight
+    if degree is None:
+        degree = max(weights, default=0)
+    total = SymbolTensor.zero(element.n, degree)
+    for r, weight in weights.items():
+        total = total + embed(element.components[r], degree - r).scale(weight)
+    return total
+
+
 def substitute(element: StarElement, alpha: Fraction | int | str) -> SymbolTensor:
     """Evaluate a filtered element at nu = alpha, reduced to minimal degree."""
-    point = AlphaValue.of(alpha)
-    total = SymbolTensor.zero(element.n, element.level)
-    for r, tensor in element.components.items():
-        weight = poly_eval(nu_pochhammer(r), point.value)
-        if not weight:
-            continue
-        power = Fraction(1)
-        for _ in range(element.level - r):
-            power *= point.value
-        total = total + embed(tensor, element.level - r).scale(weight * power)
-    return reduce_to_min(total)
+    return reduce_to_min(_weighted_sum(element, AlphaValue.of(alpha).value))
 
 
 def ideal_member(element: StarElement, alpha: Fraction | int | str) -> bool:
@@ -135,31 +145,32 @@ class IdealFactorization:
 def ideal_factorize(element: StarElement, alpha: Fraction | int | str) -> IdealFactorization:
     """Factor an ideal member per its kind; raises NotInIdealError otherwise."""
     point = AlphaValue.of(alpha)
-    if not ideal_member(element, point.value):
-        raise NotInIdealError(f"element does not vanish at nu = {point.value}")
     n, level = element.n, element.level
-    if element.is_zero() or level == 0:
-        # only the zero element vanishes at level 0; keep the level so the
-        # reconstruction reproduces the input exactly
+    if element.is_zero():
+        # keep the level so the reconstruction reproduces the input exactly
         return IdealFactorization(
             point.value, StarElement(n, level), StarElement(n, max(level - 1, 0))
         )
-    if point.kind == "inverse_integer" and level > point.K:
-        head = StarElement(
-            n, level, {r: t for r, t in element.components.items() if r > point.K}
-        )
-        tail = element - head
-    else:
-        head = StarElement(n, level)
-        tail = element
-    series = tail.expand()
-    quotient_series, remainder = series.synthetic_divide(point.value)
-    if not remainder.is_zero():  # cannot happen for members; defensive
-        raise NotInIdealError(f"nonzero remainder at nu = {point.value}")
-    cofactor = extract_structure(quotient_series, level - 1)
-    if cofactor is None:
-        raise AssertionError("ideal member with non-structured cofactor")
-    return IdealFactorization(point.value, head, cofactor)
+    alpha = point.value
+    # the weights nu^(r) with r > K vanish at 1/K: those components form the head
+    top = point.K if point.kind == "inverse_integer" and level > point.K else level
+    head = StarElement(n, level, {r: t for r, t in element.components.items() if r > top})
+    # tail = (nu - alpha) * cofactor reads t_r = (1 - alpha r) c_r - alpha embed(c_{r-1})
+    # on components; solve upward, with c_r = 0 from r = top on.  What is left
+    # at component top is the tail's value at alpha up to the nonzero factor
+    # nu^(top)(alpha) alpha^{level-top}, so it vanishes exactly for members.
+    cofactor: dict[int, SymbolTensor] = {}
+    carry = SymbolTensor.zero(n, 0)  # alpha embed(c_{r-1})
+    for r in range(top):
+        c_r = (element.component(r) + carry).scale(1 / (1 - alpha * r))
+        if not c_r.is_zero():
+            cofactor[r] = c_r
+        carry = embed(c_r).scale(alpha)
+    if not (element.component(top) + carry).is_zero():
+        raise NotInIdealError(f"element does not vanish at nu = {point.value}")
+    if not cofactor:
+        return IdealFactorization(point.value, head, StarElement.zero(n))
+    return IdealFactorization(point.value, head, StarElement(n, level - 1, cofactor))
 
 
 def star_at(f: SymbolTensor, g: SymbolTensor, alpha: Fraction | int | str) -> SymbolTensor:
@@ -172,24 +183,15 @@ def star_at(f: SymbolTensor, g: SymbolTensor, alpha: Fraction | int | str) -> Sy
         raise ValueError("star product needs matching n")
     point = AlphaValue.of(alpha)
     k, l = f.k, g.k
-    weight_k = poly_eval(nu_pochhammer(k), point.value)
-    weight_l = poly_eval(nu_pochhammer(l), point.value)
-    if not weight_k or not weight_l:
+    if not nu_pochhammer(k).evaluate(point.value) * nu_pochhammer(l).evaluate(point.value):
         raise StarUndefinedError(
             f"star product undefined at nu = {point.value} for degrees ({k}, {l})"
         )
-    denominator = weight_k * weight_l
     total = SymbolTensor.zero(f.n, k + l)
     for r in range(min(k, l) + 1):
-        numerator = poly_eval(nu_pochhammer(k + l - r), point.value)
-        if not numerator:
-            continue
-        scalar = Fraction(1, factorial(r)) * numerator.re / denominator.re
-        power = Fraction(1)
-        for _ in range(r):
-            power *= point.value
-        piece = wick_contraction(f, g, r).scale(scalar * power)
-        total = total + embed(piece, r)
+        coefficient = _star_coefficient(k, l, r).evaluate(point.value)
+        if coefficient:
+            total = total + embed(wick_contraction(f, g, r).scale(coefficient), r)
     return reduce_to_min(total)
 
 
@@ -234,22 +236,19 @@ class QuotientOperator:
 def quotient_map(element: StarElement, K: int) -> QuotientOperator:
     """Project a filtered element onto the matrix algebra at nu = 1/K.
 
-    Substitution at 1/K kills every component above K, so the value is a
-    symbol of degree at most K; re-embedded at degree exactly K it is the
+    Substitution at 1/K kills every component above K, so the value is the
+    sum of the remaining components embedded at degree exactly K: the
     operator representing the class of the element.  The map is an algebra
     homomorphism onto operators with the Einstein composition product.
     """
     if K < 1:
         raise ValueError("K must be a positive integer")
-    value = substitute(element, Fraction(1, K))
-    if value.k > K:
-        raise AssertionError("substitution exceeded the quotient degree bound")
-    return QuotientOperator(K, embed(value, K - value.k))
+    return QuotientOperator(K, _weighted_sum(element, Fraction(1, K), K))
 
 
 def representative_element(operator: QuotientOperator) -> StarElement:
     """Section of :func:`quotient_map`: a level-K element mapping to the operator."""
-    weight = poly_eval(nu_pochhammer(operator.K), Fraction(1, operator.K))
+    weight = nu_pochhammer(operator.K).evaluate(Fraction(1, operator.K))
     tensor = operator.tensor.scale(GAUSS_ONE / weight)
     return StarElement(operator.n, operator.K, {operator.K: tensor})
 

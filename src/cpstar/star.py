@@ -15,13 +15,15 @@ returned term by term (:class:`StarProductTerms`).
 Clearing denominators leads to the filtered subalgebra whose level-``k``
 elements are
 
-    Phi(nu) = sum_{r=0}^{k} nu^(k-r) ... more precisely nu^{k-r} nu^(r) phi_r,
-    phi_r a degree-r symbol,
+    Phi(nu) = sum_{r=0}^{k} nu^{k-r} nu^(r) phi_r,   phi_r a degree-r symbol,
 
-on which the product is polynomial in nu (:func:`star_elements`).  Expansion
-into a raw power series in nu (:class:`RawNuSeries`) and the converse
-structure extraction (:func:`extract_structure`) decide membership and make
-all identity checks exact polynomial comparisons.
+on which the product is polynomial in nu (:func:`star_elements`).  Elements
+are kept in this component basis: raising the level (:meth:`StarElement.relevel`)
+and finding the least one (:meth:`StarElement.minimized`) are triangular
+recurrences on the components.  Expansion into a raw power series in nu
+(:class:`RawNuSeries`) and the converse structure extraction
+(:func:`extract_structure`) are the plain-series view of the same elements,
+used for the ``series`` wire type and as an independent reference.
 """
 
 from __future__ import annotations
@@ -30,18 +32,13 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, Optional, Sequence
 
-from .nupoly import (
-    NRF_ZERO,
-    NU_ONE,
-    NuPolynomial,
-    NuRationalFunction,
-    nu_pochhammer,
-)
+from .nupoly import NuPolynomial, NuRationalFunction, nu_pochhammer
 from .scalars import GAUSS_I, GaussRational, ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
     embed,
     pointwise_mul,
+    reduce_degree,
     reduce_to_min,
     symbol_of_matrix,
     wick_contraction,
@@ -335,49 +332,11 @@ class RawNuSeries:
                 out[key] = contrib if current is None else current + contrib
         return RawNuSeries(self.n, self.degree, out)
 
-    def times_linear(self, alpha: ScalarLike) -> "RawNuSeries":
-        """Multiply by (nu - alpha)."""
-        return self.times_nupoly(NuPolynomial((-to_gauss(alpha), to_gauss(1))))
-
     def shift_down(self) -> "RawNuSeries":
         """Divide by nu; requires a vanishing constant coefficient."""
         if 0 in self.powers:
             raise ValueError("series is not divisible by nu")
         return RawNuSeries(self.n, self.degree, {p - 1: t for p, t in self.powers.items()})
-
-    def evaluate(self, alpha: ScalarLike) -> SymbolTensor:
-        alpha = to_gauss(alpha)
-        total = SymbolTensor.zero(self.n, self.degree)
-        for power, tensor in self.powers.items():
-            scalar = to_gauss(1)
-            for _ in range(power):
-                scalar = scalar * alpha
-            total = total + tensor.scale(scalar)
-        return total
-
-    def synthetic_divide(self, alpha: ScalarLike) -> tuple["RawNuSeries", SymbolTensor]:
-        """Division by (nu - alpha): returns (quotient, remainder tensor)."""
-        alpha = to_gauss(alpha)
-        if self.is_zero():
-            return RawNuSeries.zero(self.n, self.degree), SymbolTensor.zero(self.n, self.degree)
-        top = max(self.powers)
-        carry = SymbolTensor.zero(self.n, self.degree)
-        quotient: dict[int, SymbolTensor] = {}
-        for power in range(top, 0, -1):
-            carry = self.coefficient(power) + carry.scale(alpha)
-            if not carry.is_zero():
-                quotient[power - 1] = carry
-        remainder = self.coefficient(0) + carry.scale(alpha)
-        return RawNuSeries(self.n, self.degree, quotient), remainder
-
-    def to_json(self) -> dict:
-        from .serialize import symbol_to_json
-
-        return {
-            "n": self.n,
-            "degree": self.degree,
-            "powers": {str(p): symbol_to_json(t) for p, t in sorted(self.powers.items())},
-        }
 
 
 class StarElement:
@@ -512,21 +471,27 @@ class StarElement:
         return series
 
     def minimized(self) -> "StarElement":
-        """Canonical representative with the least possible level."""
-        if self.is_zero():
-            return StarElement.zero(self.n)
-        series = self.expand()
-        floor = reduce_to_min(series.coefficient(0)).k
-        for level in range(floor, self.level):
-            candidate = extract_structure(series, level)
-            if candidate is not None:
-                return candidate
-        return self
+        """Canonical representative with the least possible level.
 
-    def to_json(self) -> dict:
-        from .serialize import element_to_json
-
-        return element_to_json(self)
+        Inverts :meth:`relevel` one level at a time, from the top component
+        down: level L - 1 represents the element exactly when component 0
+        is empty and every ``psi_{r+1} - (r+1) phi_{r+1}`` is divisible by x,
+        the quotient being ``phi_r``.  The representation at each level is
+        unique, so the first failure marks the least level.
+        """
+        current = self
+        while current.level > 0 and 0 not in current.components:
+            lowered: dict[int, SymbolTensor] = {}
+            above = SymbolTensor.zero(self.n, current.level)
+            for r in range(current.level - 1, -1, -1):
+                phi = reduce_degree(current.component(r + 1) - above.scale(r + 1))
+                if phi is None:
+                    return current
+                if not phi.is_zero():
+                    lowered[r] = phi
+                above = phi
+            current = StarElement(self.n, current.level - 1, lowered)
+        return current
 
 
 def star_elements(left: StarElement, right: StarElement) -> StarElement:

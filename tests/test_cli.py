@@ -175,6 +175,26 @@ def test_eval_unbound_name(capsys):
     assert "missing" in err
 
 
+def test_eval_zero_denominator_is_a_syntax_error(capsys):
+    code, out, err = _run(capsys, ["eval", "subst(1/0)(unit)"])
+    assert code == 2
+    assert out == ""
+    assert "zero denominator" in err and "Traceback" not in err
+
+
+def test_eval_rejects_deep_nesting(capsys):
+    code, out, err = _run(capsys, ["eval", "(" * 3000 + "unit" + ")" * 3000])
+    assert code == 2
+    assert out == ""
+    assert "nested deeper than" in err and "Traceback" not in err
+
+
+def test_eval_long_product_chain(capsys):
+    code, out, _ = _run(capsys, ["eval", " * ".join(["1"] * 3000) + " * unit"])
+    assert code == 0
+    assert json.loads(out)["result"] == value_to_tagged(StarElement.unit(1))
+
+
 # ---------------------------------------------------------------------------
 # quotient / subst
 # ---------------------------------------------------------------------------
@@ -208,6 +228,14 @@ def test_subst_command(tmp_path, capsys):
     code, out, _ = _run(capsys, ["subst", "--alpha", "1/3", "--input", path])
     assert code == 0
     assert json.loads(out) == value_to_tagged(substitute(element, Fraction(1, 3)))
+
+
+def test_subst_accepts_negative_alpha_in_equals_form(tmp_path, capsys):
+    element = StarElement.lift(symbol_of_matrix(MATRIX_A))
+    path = _write(tmp_path, "elem.json", element_to_json(element))
+    code, out, _ = _run(capsys, ["subst", "--alpha=-3/5", "--input", path])
+    assert code == 0
+    assert json.loads(out) == value_to_tagged(substitute(element, Fraction(-3, 5)))
 
 
 def test_subst_rejects_nonrational_alpha(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpstar.expr import (
+    MAX_NESTING,
     EvalError,
     ParseError,
     Session,
@@ -92,6 +93,19 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse("")
     assert err.value.position == 0
+    with pytest.raises(ParseError) as err:
+        parse("subst(1/0)(A)")
+    assert err.value.position == 8
+
+
+def test_nesting_is_bounded():
+    for wrap in ("({})", "subst(1/2)({})", "quot(1)({})"):
+        text = "A"
+        for _ in range(MAX_NESTING):
+            text = wrap.format(text)
+        parse(text)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(wrap.format(text))
 
 
 def test_render_round_trip_examples():

@@ -16,7 +16,6 @@ from cpstar.nupoly import (
     NuPolynomial,
     NuRationalFunction,
     nu_pochhammer,
-    poly_eval,
 )
 from cpstar.scalars import GaussRational
 
@@ -65,7 +64,7 @@ def test_evaluate_horner():
     assert p.evaluate(Fraction(1, 2)) == GaussRational(0)
     assert p.evaluate(0) == GaussRational(1)
     assert p.evaluate(GaussRational(0, 1)) == GaussRational(-1, -3)
-    assert poly_eval(p, 1) == GaussRational(0)
+    assert p.evaluate(1) == GaussRational(0)
 
 
 def test_monic_normalization():
@@ -111,7 +110,7 @@ def test_pochhammer_vanishing_at_reciprocal_integers():
     for K in range(1, 6):
         alpha = Fraction(1, K)
         for k in range(0, K + 4):
-            value = poly_eval(nu_pochhammer(k), alpha)
+            value = nu_pochhammer(k).evaluate(alpha)
             if k >= K + 1:
                 assert not value, (K, k)
             else:
@@ -122,7 +121,7 @@ def test_pochhammer_top_value_at_reciprocal():
     # at nu = 1/K the weight of the top level equals K!/K^K
     for K in range(1, 7):
         expected = GaussRational(Fraction(factorial(K), K**K))
-        assert poly_eval(nu_pochhammer(K), Fraction(1, K)) == expected
+        assert nu_pochhammer(K).evaluate(Fraction(1, K)) == expected
 
 
 def test_rational_function_normalizes_common_factors():

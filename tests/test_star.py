@@ -176,17 +176,6 @@ def test_series_shape_validation():
         RawNuSeries(1, 1, {-1: tensor})
 
 
-def test_series_arithmetic_and_division():
-    tensor = SymbolTensor.basis_entry(1, 1, (0,), (1,))
-    series = RawNuSeries(1, 1, {0: tensor, 2: tensor.scale(3)})
-    alpha = Fraction(2, 3)
-    quotient, remainder = series.synthetic_divide(alpha)
-    rebuilt = quotient.times_linear(alpha)
-    rebuilt = RawNuSeries(1, 1, {0: remainder}) + rebuilt
-    assert rebuilt == series
-    assert series.evaluate(alpha) == remainder
-
-
 def test_series_shift_down_requires_divisibility():
     tensor = SymbolTensor.basis_entry(1, 1, (0,), (1,))
     with pytest.raises(ValueError):
