@@ -71,11 +71,9 @@ _LOADERS = {
 
 
 def _scalar_from_json(data) -> GaussRational | NuRationalFunction:
-    if isinstance(data, str):
-        return GaussRational(Fraction(data))
     if isinstance(data, dict) and "num" in data:
         return NuRationalFunction.from_json(data)
-    if isinstance(data, dict) and "re" in data:
+    if isinstance(data, str) or (isinstance(data, dict) and "re" in data):
         return GaussRational.from_json(data)
     raise UsageError(f"unrecognized scalar payload: {data!r}")
 
@@ -160,7 +158,7 @@ def _read_json(path: str):
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"invalid JSON in {path!r}: {exc}") from exc
 
 
@@ -216,7 +214,10 @@ def _cmd_eval(args) -> int:
             n=int(data.get("n", 1)),
             seed=int(data.get("seed", 0)),
         )
-        for name, payload in data.get("bindings", {}).items():
+        bindings = data.get("bindings", {})
+        if not isinstance(bindings, dict):
+            raise UsageError('"bindings" must be a JSON object of name: value pairs')
+        for name, payload in bindings.items():
             session.bind(name, tagged_to_value(payload))
     result = evaluate(tree, session)
     _write_output(

@@ -284,19 +284,28 @@ def parse(text: str) -> Expression:
 
 
 def expression_to_text(node: Expression) -> str:
-    """Render an abstract syntax tree back to parseable text."""
+    """Render an abstract syntax tree back to parseable text; a product chain
+    renders flat, in a loop, with parentheses only where parsing needs them."""
     if isinstance(node, Name):
         return node.identifier
     if isinstance(node, Sigma):
         return f"sigma({node.identifier})"
     if isinstance(node, Scalar):
         return str(node.value)
-    if isinstance(node, Star):
-        return f"({expression_to_text(node.left)} * {expression_to_text(node.right)})"
-    if isinstance(node, Pointwise):
-        return f"({expression_to_text(node.left)} . {expression_to_text(node.right)})"
+    if isinstance(node, (Star, Pointwise)):
+        links = []
+        while isinstance(node, (Star, Pointwise)):
+            right = expression_to_text(node.right)
+            if isinstance(node.right, (Star, Pointwise)):
+                right = f"({right})"
+            links.append(f" {'*' if isinstance(node, Star) else '.'} {right}")
+            node = node.left
+        return expression_to_text(node) + "".join(reversed(links))
     if isinstance(node, Power):
-        return f"{expression_to_text(node.base)}^{node.exponent}"
+        base = expression_to_text(node.base)
+        if isinstance(node.base, (Star, Pointwise, Power)):
+            base = f"({base})"
+        return f"{base}^{node.exponent}"
     if isinstance(node, Subst):
         return f"subst({node.alpha})({expression_to_text(node.body)})"
     if isinstance(node, Quot):

@@ -1,9 +1,8 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Plain Gaussian elimination with exact pivoting: any nonzero pivot is a valid
-pivot, so no numerical considerations apply.  Used for degree reduction of
-symbols, for rank/spanning checks on quotient images, and for commutant
-computations.
+pivot, so no numerical considerations apply.  Used for rank/spanning checks
+on quotient images and for commutant computations.
 """
 
 from __future__ import annotations

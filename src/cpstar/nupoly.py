@@ -249,7 +249,10 @@ class NuRationalFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> "NuRationalFunction":
-        return cls(NuPolynomial.from_json(data["num"]), NuPolynomial.from_json(data["den"]))
+        num, den = NuPolynomial.from_json(data["num"]), NuPolynomial.from_json(data["den"])
+        if den.is_zero():
+            raise ValueError("rational function with zero denominator")
+        return cls(num, den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -24,8 +24,13 @@ __all__ = [
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` (or ``"p"``) into a Fraction."""
-    return Fraction(text.strip())
+    """Parse ``"p/q"`` (or ``"p"``) into a Fraction; anything else is a ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f'rational must be a "p/q" string, got {text!r}')
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
 def format_rational(value: RationalLike) -> str:

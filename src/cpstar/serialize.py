@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .models.disk import DiskElement
 from .models.torus import FourierSum, PhaseSum
-from .nupoly import NuPolynomial, NuRationalFunction
+from .nupoly import NuRationalFunction
 from .quotient import QuotientOperator
 from .scalars import GaussRational, format_rational, parse_rational
 from .star import RawNuSeries, StarElement
@@ -202,9 +202,7 @@ def disk_to_json(element: DiskElement) -> dict:
 def disk_from_json(data: dict) -> DiskElement:
     coeffs = {}
     for item in data.get("coeffs", ()):
-        value = NuRationalFunction(
-            NuPolynomial.from_json(item["num"]), NuPolynomial.from_json(item["den"])
-        )
+        value = NuRationalFunction.from_json(item)
         if value:
             coeffs[(int(item["p"]), int(item["q"]))] = value
     return DiskElement(coeffs)

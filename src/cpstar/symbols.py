@@ -25,17 +25,16 @@ package trusts the combinatorial prefactor without that cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import linear_solve
 from .multiindex import (
     Index,
     merge_indices,
     multiplicity,
     sorted_tuples,
     submultiset_splits,
-    subtract_indices,
 )
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, to_gauss
 from .zpoly import ZPoly
@@ -306,56 +305,40 @@ def embed(tensor: SymbolTensor, times: int = 1) -> SymbolTensor:
     return current
 
 
-def _difference_blocks(tensor: SymbolTensor):
-    """Group polynomial coefficients by the signed difference of index groups."""
-    blocks: dict[EntryKey, dict[Index, GaussRational]] = {}
-    for (left, right), coeff in tensor.poly_items():
-        common = []
-        rest = list(right)
-        for a in left:
-            if a in rest:
-                rest.remove(a)
-                common.append(a)
-        common_t = tuple(sorted(common))
-        key = (subtract_indices(left, common_t), tuple(rest))
-        blocks.setdefault(key, {})[common_t] = coeff
-    return blocks
-
-
 def reduce_degree(tensor: SymbolTensor) -> Optional[SymbolTensor]:
     """Divide sigma_tilde by x exactly, or return None when not divisible.
 
-    The division decouples into independent small linear systems, one per
-    signed difference of the index groups; each is solved exactly.
+    Long division in the lex order zbar_0 > ... > zbar_n > z_0 > ... > z_n,
+    which ranks a monomial zbar^L z^R higher the smaller its sorted pair
+    ``(L, R)`` is, so x leads with zbar_0 z_0.  {x} is a Groebner basis, so
+    the quotient is unique, and the result is None as soon as the leading
+    monomial left lacks the letter 0 in either group.
     """
     if tensor.k == 0:
         raise ValueError("cannot reduce a degree-0 symbol")
-    if tensor.is_zero():
-        return SymbolTensor.zero(tensor.n, tensor.k - 1)
-    n = tensor.n
-    result_poly: dict[EntryKey, GaussRational] = {}
-    for (pos, neg), data in _difference_blocks(tensor).items():
-        m = tensor.k - len(pos)
-        if m == 0:
-            return None  # no shared letter between index groups: not divisible
-        rows_index = sorted_tuples(n, m)
-        cols_index = sorted_tuples(n, m - 1)
-        col_of = {index: c for c, index in enumerate(cols_index)}
-        matrix = []
-        rhs = []
-        for common in rows_index:
-            row = [GAUSS_ZERO] * len(cols_index)
-            for a in set(common):
-                row[col_of[subtract_indices(common, (a,))]] = GAUSS_ONE
-            matrix.append(row)
-            rhs.append(data.get(common, GAUSS_ZERO))
-        solved = linear_solve(matrix, rhs)
-        if not solved.solvable:
+    remainder = dict(tensor.poly_items())
+    heap = list(remainder)
+    heapify(heap)
+    quotient: dict[EntryKey, GaussRational] = {}
+    while heap:
+        left, right = key = heappop(heap)
+        coeff = remainder.pop(key)
+        if not coeff:
+            continue
+        if left[0] != 0 or right[0] != 0:
             return None
-        for common, value in zip(cols_index, solved.solution):
-            if value:
-                result_poly[(merge_indices(common, pos), merge_indices(common, neg))] = value
-    return SymbolTensor.from_poly(n, tensor.k - 1, result_poly)
+        left, right = left[1:], right[1:]
+        quotient[(left, right)] = coeff
+        # the a = 0 term of coeff * x is the monomial just taken; the others
+        # rank below it, so each monomial enters the heap once
+        for a in range(1, tensor.n + 1):
+            key = (merge_indices(left, (a,)), merge_indices(right, (a,)))
+            if key in remainder:
+                remainder[key] = remainder[key] - coeff
+            else:
+                remainder[key] = -coeff
+                heappush(heap, key)
+    return SymbolTensor.from_poly(tensor.n, tensor.k - 1, quotient)
 
 
 def reduce_to_min(tensor: SymbolTensor) -> SymbolTensor:

@@ -195,6 +195,41 @@ def test_eval_long_product_chain(capsys):
     assert json.loads(out)["result"] == value_to_tagged(StarElement.unit(1))
 
 
+def test_eval_rejects_bindings_that_are_not_an_object(tmp_path, capsys):
+    session = _write(tmp_path, "session.json", {"bindings": []})
+    code, out, err = _run(capsys, ["eval", "unit", "--input", session])
+    assert code == 2
+    assert out == ""
+    assert '"bindings" must be a JSON object' in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"type": "scalar", "value": "1/0"}, "zero denominator"),
+        ({"re": "1/0"}, "zero denominator"),
+        ({"type": "scalar", "value": {"num": [{"re": "1", "im": "0"}], "den": []}}, "zero denominator"),
+        ({"re": 5}, '"p/q" string'),
+    ],
+    ids=["rational-string", "re-im-binding", "empty-den-polynomial", "non-string-part"],
+)
+def test_eval_rejects_malformed_scalar_bindings(tmp_path, capsys, payload, message):
+    session = _write(tmp_path, "session.json", {"bindings": {"c": payload}})
+    code, out, err = _run(capsys, ["eval", "c", "--input", session])
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    code, out, err = _run(capsys, ["star", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "invalid JSON" in err and "recursion depth" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # quotient / subst
 # ---------------------------------------------------------------------------

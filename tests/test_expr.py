@@ -116,10 +116,36 @@ def test_render_round_trip_examples():
         "(sigma(A) . sigma(B))",
         "subst(-1/3)((A * unit))",
         "quot(3)(sigma(A))^2",
+        "(A^2)^3",
+        "A . B * (sigma(A) . B) . -1/2",
         "-5/7",
     ):
         tree = parse(text)
         assert parse(expression_to_text(tree)) == tree
+
+
+def _chain(node):
+    """A product chain as its first operand and its (kind, right operand)
+    links, so chains too long for recursive == still compare."""
+    links = []
+    while isinstance(node, (Star, Pointwise)):
+        links.append((type(node), node.right))
+        node = node.left
+    return node, links
+
+
+def test_render_keeps_product_chains_flat():
+    tree = parse(" * ".join(["A"] * 150))
+    text = expression_to_text(tree)
+    assert "(" not in text
+    assert parse(text) == tree
+    tree = parse(" * ".join(["1"] * 3000))
+    text = expression_to_text(tree)
+    assert "(" not in text
+    assert _chain(parse(text)) == _chain(tree)
+    tree = parse("a * (b * c)")
+    assert expression_to_text(tree) == "a * (b * c)"
+    assert parse(expression_to_text(tree)) == tree
 
 
 _names = st.sampled_from(["A", "B", "f1", "x_2"])

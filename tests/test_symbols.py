@@ -6,9 +6,10 @@ from math import factorial
 
 import pytest
 
+from cpstar.linalg import linear_solve
 from cpstar.multiindex import sorted_tuples
 from cpstar.randgen import random_symbol
-from cpstar.scalars import GAUSS_I, GaussRational
+from cpstar.scalars import GAUSS_I, GAUSS_ZERO, GaussRational
 from cpstar.symbols import (
     SymbolTensor,
     embed,
@@ -203,6 +204,51 @@ def test_reduce_degree_returns_none_off_image():
     tensor = SymbolTensor.basis_entry(1, 1, (0,), (0,))
     assert reduce_degree(tensor) is None
     assert reduce_to_min(tensor) == tensor
+
+
+def _dense_reduce_degree(tensor):
+    """Oracle for reduce_degree: solve embed(q) == tensor for q over the whole
+    degree-(k-1) basis with the general dense solver."""
+    n, k = tensor.n, tensor.k
+    rows = [(left, right) for left in sorted_tuples(n, k) for right in sorted_tuples(n, k)]
+    cols = [(left, right) for left in sorted_tuples(n, k - 1) for right in sorted_tuples(n, k - 1)]
+    images = [embed(SymbolTensor(n, k - 1, {col: 1})).entries for col in cols]
+    matrix = [[image.get(row, GAUSS_ZERO) for image in images] for row in rows]
+    solved = linear_solve(matrix, [tensor.entries.get(row, GAUSS_ZERO) for row in rows])
+    if not solved.solvable:
+        return None
+    assert solved.kind == "unique"  # multiplying by x is injective
+    return SymbolTensor(n, k - 1, dict(zip(cols, solved.solution)))
+
+
+def test_reduce_degree_matches_dense_oracle():
+    # the dense system has C(n+k, k)**2 rows, so CP^2 stops at degree 4 and
+    # CP^3 at degree 3 to keep the oracle within seconds
+    rng = random.Random(16)
+    for n, top in [(1, 5), (2, 4), (3, 3)]:
+        # x with its term zbar_0 z_0 turned into zbar_0 z_1: in the order of
+        # reduce_degree the lead monomial lacks 0 in its holomorphic group (in
+        # its antiholomorphic group after conjugate_swap), and subtracting
+        # the rest of x would cancel everything else
+        skewed_x = SymbolTensor(n, 1, {((0,), (1,)): 1, **{((a,), (a,)): 1 for a in range(1, n + 1)}})
+        for k in range(1, top + 1):
+            times = rng.randint(1, k)
+            base = random_symbol(rng, n, k - times, density=0.6)
+            divisible = embed(base, times)
+            padding = SymbolTensor.basis_entry(n, k - 1, (n,) * (k - 1), (n,) * (k - 1))
+            skewed = pointwise_mul(padding, skewed_x)
+            cases = [
+                divisible,
+                divisible + SymbolTensor.basis_entry(n, k, (n,) * k, (n,) * k),
+                skewed,
+                skewed.conjugate_swap(),
+                SymbolTensor.zero(n, k),
+            ]
+            expected = [_dense_reduce_degree(tensor) for tensor in cases]
+            assert expected[0] == embed(base, times - 1)
+            assert expected[1:4] == [None] * 3
+            for tensor, quotient in zip(cases, expected):
+                assert reduce_degree(tensor) == quotient, (n, k, tensor.entries)
 
 
 def test_same_function_ignores_embedding_degree():
