@@ -329,13 +329,11 @@ Value = Union[
 
 @dataclass
 class Session:
-    """Named inputs plus the knobs recorded in every output."""
+    """Named inputs, the dimension n, and the seed echoed in ``eval`` output."""
 
     bindings: dict[str, Value] = field(default_factory=dict)
     n: int = 1
     seed: int = 0
-    max_level: int = 12
-    exponential_order: int = 8
 
     def __post_init__(self) -> None:
         self.bindings.setdefault("unit", StarElement.unit(self.n))

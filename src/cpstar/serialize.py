@@ -136,10 +136,10 @@ def series_to_json(series: RawNuSeries) -> dict:
 def series_from_json(data: dict) -> RawNuSeries:
     n = int(data["n"])
     degree = int(data["degree"])
-    powers = {
-        int(power): symbol_from_json(payload)
-        for power, payload in data.get("powers", {}).items()
-    }
+    listed = data.get("powers", {})
+    if not isinstance(listed, dict):
+        raise ValueError(f'series "powers" must be an object of power: symbol pairs, got {listed!r}')
+    powers = {int(power): symbol_from_json(payload) for power, payload in listed.items()}
     return RawNuSeries(n, degree, powers)
 
 
@@ -181,6 +181,8 @@ def fourier_from_json(data: dict) -> FourierSum:
         mode = tuple(int(c) for c in item["k"])
         merged: dict[Fraction, Fraction] = {}
         for term in item.get("terms", ()):
+            if not isinstance(term, dict):
+                raise ValueError(f'Fourier term must be an object with "amp" and "phase", got {term!r}')
             phase = parse_rational(term.get("phase", "0"))
             merged[phase] = merged.get(phase, Fraction(0)) + parse_rational(term["amp"])
         value = PhaseSum(merged)

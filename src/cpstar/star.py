@@ -508,22 +508,19 @@ def star_elements(left: StarElement, right: StarElement) -> StarElement:
     if left.n != right.n:
         raise ValueError("star product needs matching n")
     level = left.level + right.level
-    components: dict[int, SymbolTensor] = {}
+    sums: dict[int, dict] = {}
     for r, phi in left.components.items():
         for s, psi in right.components.items():
             for t in range(min(r, s) + 1):
-                piece = wick_contraction(phi, psi, t)
-                if t:
-                    piece = piece.scale(Fraction(1, factorial(t)))
-                if piece.is_zero():
-                    continue
-                index = r + s - t
-                existing = components.get(index)
-                total = piece if existing is None else existing + piece
-                if total.is_zero():
-                    components.pop(index, None)
-                else:
-                    components[index] = total
+                total = sums.setdefault(r + s - t, {})
+                weight = factorial(t)
+                for key, value in wick_contraction(phi, psi, t).entries.items():
+                    if weight > 1:
+                        value = value / weight
+                    existing = total.get(key)
+                    total[key] = value if existing is None else existing + value
+    # SymbolTensor drops the entries, StarElement the components, that cancel
+    components = {index: SymbolTensor(left.n, index, total) for index, total in sums.items()}
     return StarElement(left.n, level, components)
 
 

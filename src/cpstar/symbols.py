@@ -14,7 +14,10 @@ of each group (see :mod:`cpstar.multiindex`).
 Two independent implementations of the degree-lowering contraction operator
 live here on purpose:
 
-* :func:`wick_contraction` — combinatorial fast path on stored entries;
+* :func:`wick_contraction` — combinatorial fast path on stored entries,
+  an integer kernel: each factor is brought over its common denominator,
+  the products are summed as Gaussian-integer pairs, and each output entry
+  is normalised to a fraction once;
 * :func:`wick_contraction_reference` — literal differentiation of the
   expanded polynomials via :mod:`cpstar.zpoly`.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .multiindex import (
@@ -360,6 +364,17 @@ def same_function(left: SymbolTensor, right: SymbolTensor) -> bool:
     return embed(left, degree - left.k) == embed(right, degree - right.k)
 
 
+def _gauss_integers(tensor: SymbolTensor) -> tuple[int, dict[EntryKey, tuple[int, int]]]:
+    """Common denominator ``D`` of every entry part, and each entry times ``D``
+    as a pair of ints (real, imaginary)."""
+    values = tensor.entries.values()
+    d = lcm(*(v.re.denominator for v in values), *(v.im.denominator for v in values))
+    return d, {
+        key: (v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator))
+        for key, v in tensor.entries.items()
+    }
+
+
 def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:
     """Contract ``r`` holomorphic indices of ``left`` against ``r``
     antiholomorphic indices of ``right``.
@@ -370,6 +385,12 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
     directions.  On stored entries that amounts to an Einstein contraction
     followed by symmetrization, with the combinatorial prefactor
     ``k!/(k-r)! * l!/(l-r)!`` from choosing which factors to differentiate.
+
+    The sums run over ints: with ``D_left`` and ``D_right`` the lcm of every
+    entry-part denominator of each factor, an entry times its factor's ``D``
+    (and its multiplicity weights) is a pair of ints, every output cell adds
+    up int products, and the cell becomes one Fraction per part,
+    ``c * prefactor / (mult(u) mult(v) D_left D_right)``, at the end.
     """
     if left.n != right.n:
         raise ValueError("contraction needs matching n")
@@ -377,37 +398,47 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
     if not 0 <= r <= min(k, l):
         raise ValueError(f"contraction order r={r} outside 0..min({k}, {l})")
     n = left.n
+    # Every entry becomes a Gaussian-integer numerator over its factor's
+    # common denominator; multiplicity weights are folded into the ints.
+    d_left, left_ints = _gauss_integers(left)
+    d_right, right_ints = _gauss_integers(right)
     # Index the right factor by the contracted submultiset of its
-    # antiholomorphic group; weights fold in the ordering multiplicities.
-    right_split: dict[Index, list[tuple[Index, Index, Fraction, Fraction]]] = {}
-    for (pb, qb), vb in right.entries.items():
+    # antiholomorphic group.
+    right_split: dict[Index, list[tuple[Index, Index, int, int]]] = {}
+    for (pb, qb), (b_re, b_im) in right_ints.items():
+        w_q = multiplicity(qb)
         for alpha, i2 in submultiset_splits(pb, r):
-            w = multiplicity(i2) * multiplicity(qb)
-            right_split.setdefault(alpha, []).append((i2, qb, vb.re * w, vb.im * w))
-    accum: dict[EntryKey, list[Fraction]] = {}
-    for (ia, ja), va in left.entries.items():
+            w = multiplicity(i2) * w_q
+            right_split.setdefault(alpha, []).append((i2, qb, b_re * w, b_im * w))
+    accum: dict[EntryKey, list[int]] = {}
+    for (ia, ja), (va_re, va_im) in left_ints.items():
         w_left = multiplicity(ia)
         for alpha, j2 in submultiset_splits(ja, r):
             matches = right_split.get(alpha)
             if not matches:
                 continue
             w = w_left * multiplicity(j2) * multiplicity(alpha)
-            a_re = va.re * w
-            a_im = va.im * w
+            a_re = va_re * w
+            a_im = va_im * w
             for i2, qb, b_re, b_im in matches:
                 key = (merge_indices(ia, i2), merge_indices(j2, qb))
+                c_re = a_re * b_re - a_im * b_im
+                c_im = a_re * b_im + a_im * b_re
                 cell = accum.get(key)
                 if cell is None:
-                    cell = accum[key] = [Fraction(0), Fraction(0)]
-                cell[0] += a_re * b_re - a_im * b_im
-                cell[1] += a_re * b_im + a_im * b_re
+                    accum[key] = [c_re, c_im]
+                else:
+                    cell[0] += c_re
+                    cell[1] += c_im
     prefactor = _falling(k, r) * _falling(l, r)
+    d_both = d_left * d_right
     entries: dict[EntryKey, GaussRational] = {}
     for (u, v), (c_re, c_im) in accum.items():
-        denom = multiplicity(u) * multiplicity(v)
-        value = GaussRational(c_re * prefactor / denom, c_im * prefactor / denom)
-        if value:
-            entries[(u, v)] = value
+        if c_re or c_im:
+            denom = multiplicity(u) * multiplicity(v) * d_both
+            entries[(u, v)] = GaussRational(
+                Fraction(c_re * prefactor, denom), Fraction(c_im * prefactor, denom)
+            )
     return SymbolTensor(n, k + l - r, entries)
 
 

@@ -221,6 +221,52 @@ def test_eval_rejects_malformed_scalar_bindings(tmp_path, capsys, payload, messa
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 1.9), ("n", True), ("n", "2"), ("seed", 0.5), ("seed", False), ("seed", None)],
+    ids=["n-float", "n-bool", "n-string", "seed-float", "seed-bool", "seed-null"],
+)
+def test_eval_session_n_and_seed_must_be_json_integers(tmp_path, capsys, field, value):
+    session = _write(tmp_path, "session.json", {field: value})
+    code, out, err = _run(capsys, ["eval", "unit", "--input", session])
+    assert code == 2
+    assert out == ""
+    assert f'"{field}" must be a JSON integer' in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"type": "series", "value": {"n": 1, "degree": 1, "powers": [1]}}, 'series "powers"'),
+        (
+            {
+                "type": "fourier",
+                "value": {
+                    "dim": 2,
+                    "Lambda": SYMPLECTIC,
+                    "lambda": "1",
+                    "coeffs": [{"k": [0, 0], "terms": [5]}],
+                },
+            },
+            "Fourier term must be an object",
+        ),
+    ],
+    ids=["series-powers-list", "fourier-term-int"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["quotient", "--K", "1"], ["subst", "--alpha=1/2"], ["star"]],
+    ids=["quotient", "subst", "star"],
+)
+def test_malformed_loader_payloads_are_usage_errors(tmp_path, capsys, payload, message, argv):
+    data = {"left": payload, "right": payload} if argv == ["star"] else payload
+    path = _write(tmp_path, "input.json", data)
+    code, out, err = _run(capsys, argv + ["--input", path])
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000, encoding="utf-8")

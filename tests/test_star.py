@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -19,7 +20,14 @@ from cpstar.star import (
     star_elements,
     star_symbols,
 )
-from cpstar.symbols import SymbolTensor, embed, pointwise_mul, symbol_of_matrix
+from cpstar.multiindex import sorted_tuples
+from cpstar.symbols import (
+    SymbolTensor,
+    embed,
+    pointwise_mul,
+    symbol_of_matrix,
+    wick_contraction_reference,
+)
 
 
 def g(re, im=0):
@@ -185,6 +193,67 @@ def test_series_shift_down_requires_divisibility():
 
 
 # -- filtered elements -------------------------------------------------
+
+
+def _prime_denominator_element(rng, n, level, primes, size=5):
+    """Element with ``size`` entries per component, each part over a prime
+    drawn from ``primes``."""
+    components = {}
+    for r in range(level + 1):
+        slots = [(i, j) for i in sorted_tuples(n, r) for j in sorted_tuples(n, r)]
+        components[r] = SymbolTensor(
+            n,
+            r,
+            {
+                key: g(Fraction(rng.choice([-2, -1, 1, 3]), rng.choice(primes)),
+                       Fraction(rng.randint(-2, 2), rng.choice(primes)))
+                for key in rng.sample(slots, min(size, len(slots)))
+            },
+        )
+    return StarElement(n, level, components)
+
+
+def _star_elements_oracle(left, right):
+    """The closed formula summed with the literal contraction and tensor addition."""
+    components = {}
+    for r, phi in left.components.items():
+        for s, psi in right.components.items():
+            for t in range(min(r, s) + 1):
+                piece = wick_contraction_reference(phi, psi, t).scale(Fraction(1, factorial(t)))
+                index = r + s - t
+                components[index] = components.get(index, SymbolTensor.zero(left.n, index)) + piece
+    return StarElement(left.n, left.level + right.level, components)
+
+
+def test_element_product_matches_contraction_oracle():
+    rng = random.Random(22)
+    for n, la, lb in [(1, 3, 2), (1, 2, 3), (2, 2, 2), (2, 1, 3), (3, 2, 1), (3, 2, 2)]:
+        a = _prime_denominator_element(rng, n, la, (1, 2, 3, 5))
+        b = _prime_denominator_element(rng, n, lb, (1, 7, 11))
+        assert star_elements(a, b) == _star_elements_oracle(a, b), (n, la, lb)
+        assert star_elements(b, a) == _star_elements_oracle(b, a), (n, lb, la)
+
+
+def test_element_product_drops_cancelled_terms():
+    rng = random.Random(23)
+    a = _prime_denominator_element(rng, 2, 2, (1, 2, 3))
+    b = _prime_denominator_element(rng, 2, 2, (1, 5, 7))
+    c = b.scale(g(-1))
+    nothing = star_elements(a, b + c)
+    assert nothing.is_zero() and nothing.components == {}
+    # sigma(A) * (sigma(1 + B) - 1): the degree-1 part C_1 = sigma(A + AB)
+    # loses sigma(A) to the constant's term, which cancels entry (0, 0) only
+    matrix_a = [[g(1), g(Fraction(1, 2), 2)], [g(0), g(Fraction(3, 5))]]
+    one_plus_b = [[g(1), g(0)], [g(0), g(Fraction(4, 3))]]
+    product = [[g(0), g(Fraction(1, 6), Fraction(2, 3))], [g(0), g(Fraction(1, 5))]]  # A B
+    left = StarElement.lift(symbol_of_matrix(matrix_a))
+    right = StarElement(
+        1, 1, {1: symbol_of_matrix(one_plus_b), 0: SymbolTensor.constant(1, -1)}
+    )
+    result = star_elements(left, right)
+    assert result == _star_elements_oracle(left, right)
+    assert result.components[1] == symbol_of_matrix(product)
+    assert sorted(result.components) == [1, 2]
 
 
 def test_element_component_validation():

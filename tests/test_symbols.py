@@ -166,6 +166,35 @@ def test_contraction_against_reference_oracle():
                     assert fast == slow, (n, k, l, r)
 
 
+def _prime_denominator_symbol(rng, n, k, re_primes, im_primes, size=6):
+    """``size`` random entries whose parts have denominators drawn from
+    the given primes, so the common denominator of the tensor is their lcm."""
+    slots = [(i, j) for i in sorted_tuples(n, k) for j in sorted_tuples(n, k)]
+    entries = {}
+    for key in rng.sample(slots, min(size, len(slots))):
+        entries[key] = g(
+            Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(re_primes)),
+            Fraction(rng.randint(-3, 3), rng.choice(im_primes)),
+        )
+    return SymbolTensor(n, k, entries)
+
+
+def test_integer_kernel_matches_oracle_with_distinct_denominators():
+    # the two factors get different common denominators (lcm 2*3*5*7 and
+    # 3*11*13), each smaller than the product of its entries' denominators
+    rng = random.Random(21)
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            for l in (1, 2, 3):
+                a = _prime_denominator_symbol(rng, n, k, (1, 2, 3, 5), (1, 3, 7))
+                b = _prime_denominator_symbol(rng, n, l, (1, 3, 11), (1, 13))
+                for r in range(min(k, l) + 1):
+                    fast = wick_contraction(a, b, r)
+                    slow = wick_contraction_reference(a, b, r)
+                    assert fast == slow, (n, k, l, r)
+                    assert wick_contraction(b, a, r) == wick_contraction_reference(b, a, r), (n, l, k, r)
+
+
 def test_contraction_degenerate_orders():
     a = SymbolTensor.basis_entry(1, 1, (0,), (0,))
     b = SymbolTensor.basis_entry(1, 1, (1,), (1,))
