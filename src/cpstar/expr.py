@@ -484,7 +484,10 @@ def evaluate(node: Expression, session: Session) -> Value:
     if isinstance(node, Subst):
         value = evaluate(node.body, session)
         if isinstance(value, NuRationalFunction):
-            return value.evaluate(node.alpha)
+            try:
+                return value.evaluate(node.alpha)
+            except ZeroDivisionError as exc:
+                raise EvalError(f"cannot substitute: {exc}") from None
         if isinstance(value, SymbolTensor):
             value = StarElement.lift(value)
         if isinstance(value, StarElement):

@@ -127,8 +127,9 @@ def disk_basis_coefficient(q: int, r: int, s: int, m: int) -> NuRationalFunction
         factorial(q) * factorial(r),
         factorial(m) * factorial(q - m) * factorial(r - m),
     )
-    denominator = neg_nu_pochhammer(q) * neg_nu_pochhammer(s)
-    return NuRationalFunction(numerator * scale, denominator)
+    # poch(q at -nu) poch(s at -nu) is the product of 1 + j nu = 1 - (-j) nu
+    factors = (*range(-1, -q, -1), *range(-1, -s, -1))
+    return NuRationalFunction.over_factors(numerator * scale, factors)
 
 
 def disk_product(left: DiskElement, right: DiskElement) -> DiskElement:

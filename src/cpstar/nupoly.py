@@ -6,6 +6,14 @@ degree first and no trailing zeros.  Rational functions keep numerator and
 denominator coprime with a monic denominator, so structural equality is
 semantic equality.
 
+Every denominator the star products build is a product of linear factors
+``1 - j nu`` (see :func:`cpstar.star._star_coefficient` and
+:func:`cpstar.models.disk.disk_basis_coefficient`).  A rational function
+built from such factors (:meth:`NuRationalFunction.over_factors`) carries
+them, and its sums and products cancel by synthetic division at the known
+roots ``1/j``.  A Euclidean gcd runs only for generic denominators, such as
+those read from JSON.
+
 The central special family is the nu-Pochhammer product
 
     nu^(0) = nu^(1) = 1,     nu^(k) = (1 - nu)(1 - 2 nu) ... (1 - (k-1) nu)
@@ -16,8 +24,10 @@ it vanishes exactly when ``k >= K + 1``.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Sequence, Union
 
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, to_gauss
@@ -217,28 +227,101 @@ def _poly_gcd(a: NuPolynomial, b: NuPolynomial) -> NuPolynomial:
     return a.monic()
 
 
+@lru_cache(maxsize=1024)
+def _linear_product(js: tuple[int, ...]) -> NuPolynomial:
+    """The product of ``1 - j nu`` over the multiset ``js``."""
+    out = NU_ONE
+    for j in js:
+        out = out * NuPolynomial((GAUSS_ONE, GaussRational(-j)))
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _monic_product(js: tuple[int, ...]) -> NuPolynomial:
+    """The product of ``nu - 1/j`` over ``js``: ``_linear_product(js)`` made monic."""
+    return _linear_product(js).monic()
+
+
+def _divide_root(coeffs: tuple[GaussRational, ...], root: Fraction):
+    """Synthetic division by ``nu - root``: the quotient's coefficients and the remainder."""
+    quotient = [GAUSS_ZERO] * (len(coeffs) - 1)
+    acc = coeffs[-1]
+    for m in range(len(coeffs) - 2, -1, -1):
+        quotient[m] = acc
+        acc = coeffs[m] + acc * root
+    return quotient, acc
+
+
+def _cancel_roots(num: NuPolynomial, js: tuple[int, ...]) -> tuple[NuPolynomial, tuple[int, ...]]:
+    """Divide ``num`` by each ``nu - 1/j`` it vanishes on; ``js`` sorted, ``num`` nonzero.
+
+    Returns the quotient and the factors that stay in the denominator.
+    """
+    coeffs = num.coeffs
+    kept: list[int] = []
+    for j in js:
+        if kept and kept[-1] == j:  # num does not vanish at 1/j: no copy of j cancels
+            kept.append(j)
+            continue
+        quotient, remainder = _divide_root(coeffs, Fraction(1, j))
+        if remainder:
+            kept.append(j)
+        else:
+            coeffs = quotient
+    if len(kept) < len(js):
+        num = NuPolynomial(coeffs)
+    return num, tuple(kept)
+
+
+def _multiset_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted((Counter(a) | Counter(b)).elements()))
+
+
+def _multiset_minus(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted((Counter(a) - Counter(b)).elements()))
+
+
 class NuRationalFunction:
-    """Quotient of two nu-polynomials in lowest terms with a monic denominator."""
+    """Quotient of two nu-polynomials in lowest terms with a monic denominator.
 
-    __slots__ = ("num", "den")
+    ``js`` records the denominator's linear factors when they are known: a
+    sorted tuple of nonzero integers with ``den == prod(nu - 1/j)``, which is
+    ``prod(1 - j nu)`` made monic (``()`` for the denominator 1).  It is
+    ``None`` for a denominator that was never factored, such as one read from
+    JSON.  Sums and products of two factored operands cancel by synthetic
+    division at the roots ``1/j``; any other operand goes through a Euclidean
+    gcd over Q(i).  Both routes give the same canonical ``num`` and ``den``.
+    """
 
-    def __init__(self, num: NuPolynomial, den: NuPolynomial = NU_ONE) -> None:
-        if den.is_zero():
+    __slots__ = ("num", "den", "js")
+
+    def __init__(
+        self, num: NuPolynomial, den: Union[NuPolynomial, tuple[int, ...]] = NU_ONE
+    ) -> None:
+        """``num / den``; ``den`` is a polynomial, or a sorted tuple of nonzero
+        integers ``js`` that stands for the monic ``prod(nu - 1/j)``."""
+        if isinstance(den, NuPolynomial) and den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = NU_ZERO, NU_ONE
+            num, den, js = NU_ZERO, NU_ONE, ()
+        elif isinstance(den, tuple):
+            num, js = _cancel_roots(num, den)
+            den = _monic_product(js)
         else:
-            common = _poly_gcd(num, den)
-            if common.degree > 0:
-                num = divmod(num, common)[0]
-                den = divmod(den, common)[0]
+            if den.degree > 0:
+                common = _poly_gcd(num, den)
+                if common.degree > 0:
+                    num = divmod(num, common)[0]
+                    den = divmod(den, common)[0]
             lead = den.leading()
             if lead != GAUSS_ONE:
                 inv = GAUSS_ONE / lead
                 num = num * inv
                 den = den * inv
+            js = () if den.degree == 0 else None
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "js", js)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NuRationalFunction is immutable")
@@ -248,11 +331,34 @@ class NuRationalFunction:
         return cls(NuPolynomial.constant(value))
 
     @classmethod
+    def over_factors(cls, num: NuPolynomial, js: Iterable[int]) -> "NuRationalFunction":
+        """``num / prod(1 - j nu)`` over a multiset ``js`` of nonzero integers."""
+        js = tuple(sorted(js))
+        lead = prod(-j for j in js)  # the leading coefficient of prod(1 - j nu)
+        return cls(num * Fraction(1, lead), js)
+
+    @classmethod
     def from_json(cls, data: dict) -> "NuRationalFunction":
         num, den = NuPolynomial.from_json(data["num"]), NuPolynomial.from_json(data["den"])
         if den.is_zero():
             raise ValueError("rational function with zero denominator")
         return cls(num, den)
+
+    def numerator_over(self, js: Iterable[int]) -> NuPolynomial:
+        """The ``N`` with ``self == over_factors(N, js)``.
+
+        ``prod(1 - j nu)`` over ``js`` must be a multiple of ``self.den``.
+        """
+        js = tuple(sorted(js))
+        quotient, remainder = divmod(_linear_product(js), self.den)
+        if remainder:
+            raise ValueError(f"{self.den} does not divide the product of 1 - j nu over {js}")
+        return self.num * quotient
+
+    @property
+    def _denominator(self) -> Union[NuPolynomial, tuple[int, ...]]:
+        """The denominator as the constructor takes it, factored when known."""
+        return self.den if self.js is None else self.js
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -263,8 +369,21 @@ class NuRationalFunction:
     def __add__(self, other: "NuRationalFunction") -> "NuRationalFunction":
         if not isinstance(other, NuRationalFunction):
             return NotImplemented
+        if self.js is None or other.js is None:
+            return NuRationalFunction(
+                self.num * other.den + other.num * self.den, self.den * other.den
+            )
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.js == other.js:
+            return NuRationalFunction(self.num + other.num, self.js)
+        js = _multiset_lcm(self.js, other.js)
         return NuRationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            self.num * _monic_product(_multiset_minus(js, self.js))
+            + other.num * _monic_product(_multiset_minus(js, other.js)),
+            js,
         )
 
     def __sub__(self, other: "NuRationalFunction") -> "NuRationalFunction":
@@ -273,15 +392,15 @@ class NuRationalFunction:
         return self + (-other)
 
     def __neg__(self) -> "NuRationalFunction":
-        return NuRationalFunction(-self.num, self.den)
+        return NuRationalFunction(-self.num, self._denominator)
 
     def __mul__(self, other: Union["NuRationalFunction", NuPolynomial, ScalarLike]) -> "NuRationalFunction":
         if isinstance(other, NuRationalFunction):
-            return NuRationalFunction(self.num * other.num, self.den * other.den)
-        if isinstance(other, NuPolynomial):
-            return NuRationalFunction(self.num * other, self.den)
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return NuRationalFunction(self.num * other, self.den)
+            if self.js is None or other.js is None:
+                return NuRationalFunction(self.num * other.num, self.den * other.den)
+            return NuRationalFunction(self.num * other.num, tuple(sorted(self.js + other.js)))
+        if isinstance(other, (NuPolynomial, int, Fraction, GaussRational)):
+            return NuRationalFunction(self.num * other, self._denominator)
         return NotImplemented
 
     __rmul__ = __mul__

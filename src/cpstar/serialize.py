@@ -201,10 +201,18 @@ def disk_to_json(element: DiskElement) -> dict:
     return {"coeffs": coeffs}
 
 
+def _json_index(item: dict, name: str) -> int:
+    value = item[name]
+    if type(value) is not int:  # rejects bool, float and "2" alike
+        raise ValueError(f'disk index "{name}" must be a JSON integer, got {value!r}')
+    return value
+
+
 def disk_from_json(data: dict) -> DiskElement:
-    coeffs = {}
+    """Load a disk element; repeated ``(p, q)`` items add up."""
+    coeffs: dict[tuple[int, int], NuRationalFunction] = {}
     for item in data.get("coeffs", ()):
+        key = (_json_index(item, "p"), _json_index(item, "q"))
         value = NuRationalFunction.from_json(item)
-        if value:
-            coeffs[(int(item["p"]), int(item["q"]))] = value
+        coeffs[key] = coeffs[key] + value if key in coeffs else value
     return DiskElement(coeffs)

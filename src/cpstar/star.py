@@ -29,11 +29,12 @@ used for the ``series`` wire type and as an independent reference.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Mapping, Optional, Sequence
 
 from .nupoly import NuPolynomial, NuRationalFunction, nu_pochhammer
-from .scalars import GAUSS_I, GaussRational, ScalarLike, to_gauss
+from .scalars import GAUSS_I, GAUSS_ZERO, GaussRational, ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
     embed,
@@ -111,19 +112,32 @@ class StarProductTerms:
         )
 
     def nrf_map(self, degree: Optional[int] = None) -> dict:
-        """Entry-wise rational functions of nu at a common embedded degree."""
+        """Entry-wise rational functions of nu at a common embedded degree.
+
+        Every term's coefficient lies over ``nu^(k) nu^(l)``, so each entry
+        sums its numerator polynomials over that denominator and is reduced
+        once.
+        """
         if degree is None:
             degree = self.k + self.l
-        out: dict = {}
-        for term in self.terms:
+        js = (*range(1, self.k), *range(1, self.l))  # the factors of nu^(k) nu^(l)
+        numerators = [term.coefficient.numerator_over(js).coeffs for term in self.terms]
+        width = max(map(len, numerators), default=0)
+        sums: dict = {}
+        for term, numerator in zip(self.terms, numerators):
             tensor = embed(term.tensor, degree - term.tensor.k)
             for key, value in tensor.entries.items():
-                contrib = term.coefficient * value
-                if key in out:
-                    out[key] = out[key] + contrib
-                else:
-                    out[key] = contrib
-        return {key: value for key, value in out.items() if not value.is_zero()}
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = [GAUSS_ZERO] * width
+                for m, c in enumerate(numerator):
+                    acc[m] = acc[m] + value * c
+        out = {}
+        for key, acc in sums.items():
+            value = NuRationalFunction.over_factors(NuPolynomial(acc), js)
+            if value:
+                out[key] = value
+        return out
 
     def is_zero(self) -> bool:
         return all(term.tensor.is_zero() for term in self.terms)
@@ -132,9 +146,11 @@ class StarProductTerms:
         return f"StarProductTerms(n={self.n}, k={self.k}, l={self.l}, {len(self.terms)} terms)"
 
 
+@lru_cache(maxsize=None)
 def _star_coefficient(k: int, l: int, r: int) -> NuRationalFunction:
+    """``nu^r / r! * nu^(k+l-r) / (nu^(k) nu^(l))``, with its denominator factored."""
     numerator = (nu_pochhammer(k + l - r) * Fraction(1, factorial(r))).shift(r)
-    return NuRationalFunction(numerator, nu_pochhammer(k) * nu_pochhammer(l))
+    return NuRationalFunction.over_factors(numerator, (*range(1, k), *range(1, l)))
 
 
 def star_symbols(f: SymbolTensor, g: SymbolTensor) -> StarProductTerms:

@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cpstar
 from cpstar.checks import CheckReport
 from cpstar.cli import main, tagged_to_value, value_to_tagged
 from cpstar.models.disk import DiskElement, disk_product
@@ -221,6 +225,17 @@ def test_eval_rejects_malformed_scalar_bindings(tmp_path, capsys, payload, messa
     assert message in err and "Traceback" not in err
 
 
+def test_eval_substitution_at_a_pole_is_a_usage_error(tmp_path, capsys):
+    session = _write(tmp_path, "session.json", {"bindings": {"X": {"num": [1], "den": [1, -1]}}})
+    code, out, err = _run(capsys, ["eval", "subst(1)(X)", "--input", session])
+    assert code == 2
+    assert out == ""
+    assert "denominator vanishes at nu = 1" in err and "Traceback" not in err
+    code, out, _ = _run(capsys, ["eval", "subst(1/2)(X)", "--input", session])
+    assert code == 0
+    assert json.loads(out)["result"] == value_to_tagged(g(2))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("n", 1.9), ("n", True), ("n", "2"), ("seed", 0.5), ("seed", False), ("seed", None)],
@@ -386,6 +401,29 @@ def test_disk_command(tmp_path, capsys):
     assert json.loads(out) == value_to_tagged(disk_product(left, right))
 
 
+def _disk_item(p, q, value):
+    return {"p": p, "q": q, "num": [value], "den": [1]}
+
+
+def test_disk_repeated_items_add_up(tmp_path, capsys):
+    left = {"coeffs": [_disk_item(0, 1, 1), _disk_item(0, 1, 2), _disk_item(1, 0, 5), _disk_item(1, 0, -5)]}
+    path = _write(tmp_path, "pair.json", {"left": left, "right": disk_to_json(DiskElement.basis(1, 0))})
+    code, out, _ = _run(capsys, ["disk", "--input", path])
+    assert code == 0
+    expected = disk_product(DiskElement.basis(0, 1, 3), DiskElement.basis(1, 0))
+    assert json.loads(out) == value_to_tagged(expected)
+
+
+@pytest.mark.parametrize("index", [1.5, True, "1", None], ids=["float", "bool", "string", "null"])
+def test_disk_indices_must_be_json_integers(tmp_path, capsys, index):
+    left = {"coeffs": [{"p": index, "q": 0, "num": [1], "den": [1]}]}
+    path = _write(tmp_path, "pair.json", {"left": left, "right": disk_to_json(DiskElement.unit())})
+    code, out, err = _run(capsys, ["disk", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert 'disk index "p" must be a JSON integer' in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -453,3 +491,14 @@ def test_tagged_round_trip_every_kind(tmp_path):
         assert tagged == value
         bare = tagged_to_value(value_to_tagged(value)["value"])
         assert bare == value
+
+
+def test_python_dash_m_runs_the_command_line():
+    source = str(Path(cpstar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cpstar", "eval", "unit"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"] == value_to_tagged(StarElement.unit(1))
