@@ -385,7 +385,7 @@ def _scale(scalar: Value, value: Value) -> Value:
     if isinstance(value, DiskElement):
         return value.scale(scalar)
     if isinstance(value, FourierSum):
-        if isinstance(scalar, GaussRational) and scalar.is_real():
+        if isinstance(scalar, GaussRational) and scalar.is_real:
             return value.scale(scalar.re)
         raise EvalError("torus sums scale by real rationals only")
     if _is_matrix(value) and isinstance(scalar, GaussRational):

@@ -17,13 +17,19 @@ Everything works on the components ``phi_r`` of the element, weighted by
 components, and both factorization branches solve ``tail = (nu - alpha) *
 cofactor`` by a forward recurrence on the components, so every result can be
 re-multiplied and compared exactly.
+
+The weighted sum behind :func:`substitute` and :func:`quotient_map` runs in
+Horner order, from the lowest component up: ``total = x * total + w_r *
+phi_r``, with real rational weights ``w_r``.  Each component is scaled at its
+own degree, and the whole sum is taken over Gaussian-integer polynomial
+coefficients with one common denominator, normalised once per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .linalg import nullspace
 from .multiindex import sorted_tuples
@@ -32,6 +38,9 @@ from .scalars import GAUSS_I, GAUSS_ONE, GaussRational
 from .star import StarElement, _star_coefficient
 from .symbols import (
     SymbolTensor,
+    _from_poly_ints,
+    _poly_ints,
+    _times_x,
     embed,
     identity_symbol,
     operator_product,
@@ -88,23 +97,54 @@ class AlphaValue:
         return cls(value, "generic")
 
 
+def _pochhammer_at(r: int, alpha: Fraction) -> Fraction:
+    """nu^(r) at a rational point: (1 - alpha)(1 - 2 alpha) ... (1 - (r-1) alpha)."""
+    value = Fraction(1)
+    for j in range(1, r):
+        value *= 1 - j * alpha
+    return value
+
+
 def _weighted_sum(element: StarElement, alpha: Fraction, degree: int | None = None) -> SymbolTensor:
     """The element at nu = alpha: sum_r nu^(r)(alpha) alpha^{level-r} phi_r.
 
-    Each component is embedded at ``degree``; by default that is the highest
-    component whose weight is nonzero.
+    The sum is taken at ``degree``; by default that is the highest component
+    whose weight is nonzero.  It runs in Horner order from the lowest
+    component up, ``total = x * total + w_r * phi_r``, so each component is
+    scaled at its own degree and a missing component costs one step of
+    multiplication by x.  All of it is over Gaussian-integer polynomial
+    coefficients with one common denominator, lcm_r(D_r den(w_r)), which is
+    normalised once per entry at the end.
     """
     weights = {}
     for r in element.components:
-        weight = nu_pochhammer(r).evaluate(alpha) * alpha ** (element.level - r)
+        weight = _pochhammer_at(r, alpha) * alpha ** (element.level - r)
         if weight:
             weights[r] = weight
+    top = max(weights, default=0)
     if degree is None:
-        degree = max(weights, default=0)
-    total = SymbolTensor.zero(element.n, degree)
-    for r, weight in weights.items():
-        total = total + embed(element.components[r], degree - r).scale(weight)
-    return total
+        degree = top
+    elif degree < top:
+        raise ValueError(f"weighted component {top} lies above degree {degree}")
+    parts = {r: _poly_ints(element.components[r]) for r in weights}
+    d = lcm(*(d_r * weights[r].denominator for r, (d_r, _) in parts.items()))
+    total: dict = {}
+    for r in range(min(weights, default=degree), degree + 1):
+        if total:
+            total = _times_x(element.n, total)
+        if r not in parts:
+            continue
+        d_r, cells = parts[r]
+        weight = weights[r]
+        factor = weight.numerator * (d // (d_r * weight.denominator))
+        for key, (c_re, c_im) in cells.items():
+            cell = total.get(key)
+            if cell is None:
+                total[key] = [c_re * factor, c_im * factor]
+            else:
+                cell[0] += c_re * factor
+                cell[1] += c_im * factor
+    return _from_poly_ints(element.n, degree, d, total)
 
 
 def substitute(element: StarElement, alpha: Fraction | int | str) -> SymbolTensor:

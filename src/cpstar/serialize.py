@@ -8,6 +8,9 @@ Conventions, shared across all formats:
 - polynomial coefficient arrays run from the lowest degree up;
 - symbol tensors list entries at sorted multi-indices; the loader sorts
   and accumulates, so arbitrarily-ordered input is accepted;
+- sizes, degrees, levels, indices and mode entries are JSON integers only
+  (a float, a boolean or a string is a ``ValueError``), and ``powers`` keys
+  are plain decimal strings;
 - ``canonical_dumps`` sorts keys and uses compact separators, making the
   output byte-stable for golden-file comparisons.
 """
@@ -15,6 +18,7 @@ Conventions, shared across all formats:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .models.disk import DiskElement
@@ -49,6 +53,12 @@ def canonical_dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # rejects bool, float and "2" alike
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 # -- symbols -----------------------------------------------------------
 
 
@@ -67,13 +77,13 @@ def symbol_to_json(tensor: SymbolTensor) -> dict:
 
 
 def symbol_from_json(data: dict) -> SymbolTensor:
-    n = int(data["n"])
-    k = int(data["k"])
+    n = _json_int(data["n"], 'symbol "n"')
+    k = _json_int(data["k"], 'symbol "k"')
     accum: dict[tuple[tuple[int, ...], tuple[int, ...]], GaussRational] = {}
     for entry in data.get("entries", ()):
         key = (
-            tuple(sorted(int(a) for a in entry["I"])),
-            tuple(sorted(int(a) for a in entry["J"])),
+            tuple(sorted(_json_int(a, 'index letter in "I"') for a in entry["I"])),
+            tuple(sorted(_json_int(a, 'index letter in "J"') for a in entry["J"])),
         )
         value = GaussRational(
             parse_rational(entry.get("re", "0")), parse_rational(entry.get("im", "0"))
@@ -108,8 +118,8 @@ def element_to_json(element: StarElement) -> dict:
 
 
 def element_from_json(data: dict) -> StarElement:
-    n = int(data["n"])
-    level = int(data["level"])
+    n = _json_int(data["n"], 'element "n"')
+    level = _json_int(data["level"], 'element "level"')
     components: dict[int, SymbolTensor] = {}
     listed = data.get("components", [])
     if len(listed) != level + 1:
@@ -133,13 +143,19 @@ def series_to_json(series: RawNuSeries) -> dict:
     }
 
 
+def _json_power(key: str) -> int:
+    if not re.fullmatch(r"-?[0-9]+", key):
+        raise ValueError(f'series power must be a decimal integer string, got {key!r}')
+    return int(key)
+
+
 def series_from_json(data: dict) -> RawNuSeries:
-    n = int(data["n"])
-    degree = int(data["degree"])
+    n = _json_int(data["n"], 'series "n"')
+    degree = _json_int(data["degree"], 'series "degree"')
     listed = data.get("powers", {})
     if not isinstance(listed, dict):
         raise ValueError(f'series "powers" must be an object of power: symbol pairs, got {listed!r}')
-    powers = {int(power): symbol_from_json(payload) for power, payload in listed.items()}
+    powers = {_json_power(power): symbol_from_json(payload) for power, payload in listed.items()}
     return RawNuSeries(n, degree, powers)
 
 
@@ -150,7 +166,7 @@ def quotient_operator_to_json(operator: QuotientOperator) -> dict:
 
 
 def quotient_operator_from_json(data: dict) -> QuotientOperator:
-    return QuotientOperator(int(data["K"]), symbol_from_json(data))
+    return QuotientOperator(_json_int(data["K"], 'operator "K"'), symbol_from_json(data))
 
 
 # -- companion models --------------------------------------------------
@@ -173,12 +189,12 @@ def fourier_to_json(func: FourierSum) -> dict:
 
 
 def fourier_from_json(data: dict) -> FourierSum:
-    dim = int(data["dim"])
-    matrix = [[int(entry) for entry in row] for row in data["Lambda"]]
+    dim = _json_int(data["dim"], 'Fourier "dim"')
+    matrix = [[_json_int(entry, 'Fourier "Lambda" cell') for entry in row] for row in data["Lambda"]]
     parameter = parse_rational(data["lambda"])
     coeffs = {}
     for item in data.get("coeffs", ()):
-        mode = tuple(int(c) for c in item["k"])
+        mode = tuple(_json_int(c, 'Fourier mode entry in "k"') for c in item["k"])
         merged: dict[Fraction, Fraction] = {}
         for term in item.get("terms", ()):
             if not isinstance(term, dict):
@@ -201,18 +217,11 @@ def disk_to_json(element: DiskElement) -> dict:
     return {"coeffs": coeffs}
 
 
-def _json_index(item: dict, name: str) -> int:
-    value = item[name]
-    if type(value) is not int:  # rejects bool, float and "2" alike
-        raise ValueError(f'disk index "{name}" must be a JSON integer, got {value!r}')
-    return value
-
-
 def disk_from_json(data: dict) -> DiskElement:
     """Load a disk element; repeated ``(p, q)`` items add up."""
     coeffs: dict[tuple[int, int], NuRationalFunction] = {}
     for item in data.get("coeffs", ()):
-        key = (_json_index(item, "p"), _json_index(item, "q"))
+        key = (_json_int(item["p"], 'disk index "p"'), _json_int(item["q"], 'disk index "q"'))
         value = NuRationalFunction.from_json(item)
         coeffs[key] = coeffs[key] + value if key in coeffs else value
     return DiskElement(coeffs)

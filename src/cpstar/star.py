@@ -34,7 +34,7 @@ from math import factorial
 from typing import Mapping, Optional, Sequence
 
 from .nupoly import NuPolynomial, NuRationalFunction, nu_pochhammer
-from .scalars import GAUSS_I, GAUSS_ZERO, GaussRational, ScalarLike, to_gauss
+from .scalars import GAUSS_I, GAUSS_ZERO, ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
     embed,
@@ -320,7 +320,7 @@ class RawNuSeries:
 
     def __sub__(self, other: "RawNuSeries") -> "RawNuSeries":
         self._check_same_shape(other)
-        return self + other.scale(GaussRational(-1))
+        return self + other.scale(-1)
 
     def scale(self, factor: ScalarLike) -> "RawNuSeries":
         return RawNuSeries(
@@ -470,10 +470,13 @@ class StarElement:
                 components[r] = total
         return StarElement(self.n, level, components)
 
+    def __neg__(self) -> "StarElement":
+        return StarElement(self.n, self.level, {r: -t for r, t in self.components.items()})
+
     def __sub__(self, other: "StarElement") -> "StarElement":
         if not isinstance(other, StarElement):
             return NotImplemented
-        return self + other.scale(GaussRational(-1))
+        return self + (-other)
 
     # -- expansion and canonical form ---------------------------------
 
@@ -535,8 +538,11 @@ def star_elements(left: StarElement, right: StarElement) -> StarElement:
                         value = value / weight
                     existing = total.get(key)
                     total[key] = value if existing is None else existing + value
-    # SymbolTensor drops the entries, StarElement the components, that cancel
-    components = {index: SymbolTensor(left.n, index, total) for index, total in sums.items()}
+    # drop the entries that cancel; StarElement drops the components left empty
+    components = {
+        index: SymbolTensor._trusted(left.n, index, {key: value for key, value in total.items() if value})
+        for index, total in sums.items()
+    }
     return StarElement(left.n, level, components)
 
 

@@ -23,6 +23,14 @@ live here on purpose:
 
 The first is validated against the second in the test suite; nothing in the
 package trusts the combinatorial prefactor without that cross-check.
+
+:func:`embed` (multiplication of sigma_tilde by x) and :func:`reduce_degree`
+(exact division by x) are integer kernels too.  Both take the polynomial
+coefficients of a tensor as Gaussian-integer pairs over one common
+denominator, do all of their sums on ints, and normalise each output entry
+once.  Results the kernels and the linear operations build are canonical by
+construction and skip the validation of the public constructor; the
+constructor and the JSON loaders check everything they are given.
 """
 
 from __future__ import annotations
@@ -101,6 +109,17 @@ class SymbolTensor:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _trusted(cls, n: int, k: int, entries: dict[EntryKey, GaussRational]) -> "SymbolTensor":
+        """Wrap entries that are already canonical: sorted keys of length ``k``
+        over letters ``0..n``, nonzero GaussRational values.  No check runs;
+        the dict is taken over, not copied."""
+        tensor = object.__new__(cls)
+        tensor.n = n
+        tensor.k = k
+        tensor.entries = entries
+        return tensor
+
+    @classmethod
     def zero(cls, n: int, k: int) -> "SymbolTensor":
         return cls(n, k)
 
@@ -142,12 +161,16 @@ class SymbolTensor:
         self._require_compatible(other)
         out = dict(self.entries)
         for key, value in other.entries.items():
-            total = out.get(key, GAUSS_ZERO) + value
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-        return SymbolTensor(self.n, self.k, out)
+            current = out.get(key)
+            if current is None:
+                out[key] = value
+            else:
+                total = current + value
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        return SymbolTensor._trusted(self.n, self.k, out)
 
     def __sub__(self, other: "SymbolTensor") -> "SymbolTensor":
         if not isinstance(other, SymbolTensor):
@@ -155,13 +178,22 @@ class SymbolTensor:
         return self + (-other)
 
     def __neg__(self) -> "SymbolTensor":
-        return SymbolTensor(self.n, self.k, {key: -value for key, value in self.entries.items()})
+        return SymbolTensor._trusted(self.n, self.k, {key: -value for key, value in self.entries.items()})
 
     def scale(self, factor: ScalarLike) -> "SymbolTensor":
-        factor = to_gauss(factor)
-        if not factor:
-            return SymbolTensor.zero(self.n, self.k)
-        return SymbolTensor(self.n, self.k, {key: value * factor for key, value in self.entries.items()})
+        if isinstance(factor, GaussRational) and not factor.im:
+            factor = factor.re
+        if isinstance(factor, GaussRational):
+            entries = {key: value * factor for key, value in self.entries.items()}
+        elif factor:
+            # a real factor scales both Fraction parts directly
+            entries = {
+                key: GaussRational(value.re * factor, value.im * factor)
+                for key, value in self.entries.items()
+            }
+        else:
+            entries = {}
+        return SymbolTensor._trusted(self.n, self.k, entries)
 
     def conjugate_swap(self) -> "SymbolTensor":
         """Tensor of the complex-conjugated symbol (swap index groups, conjugate)."""
@@ -293,20 +325,74 @@ def pointwise_mul(left: SymbolTensor, right: SymbolTensor) -> SymbolTensor:
     return SymbolTensor.from_poly(left.n, left.k + right.k, poly)
 
 
+def _poly_ints(tensor: SymbolTensor, weighted: bool = True) -> tuple[int, dict[EntryKey, list[int]]]:
+    """Integer view of a tensor: the common denominator ``D`` of every entry
+    part, and each cell times ``D`` as a list ``[re, im]`` of ints.
+
+    A cell is the polynomial coefficient ``entry * mult(L) * mult(R)`` of
+    sigma_tilde, or the bare entry when ``weighted`` is false.  Every list is
+    fresh, so kernels may update the cells in place.
+    """
+    values = tensor.entries.values()
+    d = lcm(*(v.re.denominator for v in values), *(v.im.denominator for v in values))
+    cells = {}
+    for (left, right), v in tensor.entries.items():
+        w = d * multiplicity(left) * multiplicity(right) if weighted else d
+        cells[(left, right)] = [
+            v.re.numerator * (w // v.re.denominator),
+            v.im.numerator * (w // v.im.denominator),
+        ]
+    return d, cells
+
+
+def _from_poly_ints(n: int, k: int, d: int, cells: Mapping[EntryKey, Sequence[int]]) -> SymbolTensor:
+    """Inverse of :func:`_poly_ints`: polynomial-coefficient cells over the
+    common denominator ``d`` back to a tensor, one Fraction per part of each
+    nonzero cell with denominator ``mult(L) * mult(R) * d``."""
+    entries: dict[EntryKey, GaussRational] = {}
+    for (left, right), (c_re, c_im) in cells.items():
+        if c_re or c_im:
+            denom = multiplicity(left) * multiplicity(right) * d
+            entries[(left, right)] = GaussRational(Fraction(c_re, denom), Fraction(c_im, denom))
+    return SymbolTensor._trusted(n, k, entries)
+
+
+def _times_x(n: int, cells: Mapping[EntryKey, Sequence[int]]) -> dict[EntryKey, list[int]]:
+    """Polynomial-coefficient cells of sigma_tilde multiplied by
+    x = sum_a zbar_a z_a."""
+    grown: dict[EntryKey, list[int]] = {}
+    raised: dict[Index, list[Index]] = {}  # index -> index + (a,) for every letter a
+    for (left, right), (c_re, c_im) in cells.items():
+        lefts = raised.get(left)
+        if lefts is None:
+            lefts = raised[left] = [merge_indices(left, (a,)) for a in range(n + 1)]
+        rights = raised.get(right)
+        if rights is None:
+            rights = raised[right] = [merge_indices(right, (a,)) for a in range(n + 1)]
+        for key in zip(lefts, rights):
+            cell = grown.get(key)
+            if cell is None:
+                grown[key] = [c_re, c_im]
+            else:
+                cell[0] += c_re
+                cell[1] += c_im
+    return grown
+
+
 def embed(tensor: SymbolTensor, times: int = 1) -> SymbolTensor:
-    """Raise the degree by multiplying sigma_tilde with x**times (same symbol)."""
+    """Raise the degree by multiplying sigma_tilde with x**times (same symbol).
+
+    An integer kernel: the polynomial coefficients are multiplied by x over
+    one common denominator and normalised once at the end.
+    """
     if times < 0:
         raise ValueError("embed requires times >= 0")
-    current = tensor
+    if not times:
+        return tensor
+    d, cells = _poly_ints(tensor)
     for _ in range(times):
-        poly: dict[EntryKey, GaussRational] = {}
-        for (left, right), coeff in current.poly_items():
-            for a in range(current.n + 1):
-                key = (merge_indices(left, (a,)), merge_indices(right, (a,)))
-                existing = poly.get(key)
-                poly[key] = coeff if existing is None else existing + coeff
-        current = SymbolTensor.from_poly(current.n, current.k + 1, poly)
-    return current
+        cells = _times_x(tensor.n, cells)
+    return _from_poly_ints(tensor.n, tensor.k + times, d, cells)
 
 
 def reduce_degree(tensor: SymbolTensor) -> Optional[SymbolTensor]:
@@ -317,32 +403,39 @@ def reduce_degree(tensor: SymbolTensor) -> Optional[SymbolTensor]:
     ``(L, R)`` is, so x leads with zbar_0 z_0.  {x} is a Groebner basis, so
     the quotient is unique, and the result is None as soon as the leading
     monomial left lacks the letter 0 in either group.
+
+    An integer kernel: x is monic in its lead monomial, so the division
+    runs on the Gaussian-integer polynomial coefficients over the tensor's
+    common denominator, and the quotient stays integral over it.
     """
     if tensor.k == 0:
         raise ValueError("cannot reduce a degree-0 symbol")
-    remainder = dict(tensor.poly_items())
+    d, remainder = _poly_ints(tensor)
     heap = list(remainder)
     heapify(heap)
-    quotient: dict[EntryKey, GaussRational] = {}
+    quotient: dict[EntryKey, list[int]] = {}
     while heap:
-        left, right = key = heappop(heap)
-        coeff = remainder.pop(key)
-        if not coeff:
+        key = heappop(heap)
+        c_re, c_im = cell = remainder.pop(key)
+        if not (c_re or c_im):
             continue
+        left, right = key
         if left[0] != 0 or right[0] != 0:
             return None
         left, right = left[1:], right[1:]
-        quotient[(left, right)] = coeff
+        quotient[(left, right)] = cell
         # the a = 0 term of coeff * x is the monomial just taken; the others
         # rank below it, so each monomial enters the heap once
         for a in range(1, tensor.n + 1):
             key = (merge_indices(left, (a,)), merge_indices(right, (a,)))
-            if key in remainder:
-                remainder[key] = remainder[key] - coeff
-            else:
-                remainder[key] = -coeff
+            existing = remainder.get(key)
+            if existing is None:
+                remainder[key] = [-c_re, -c_im]
                 heappush(heap, key)
-    return SymbolTensor.from_poly(tensor.n, tensor.k - 1, quotient)
+            else:
+                existing[0] -= c_re
+                existing[1] -= c_im
+    return _from_poly_ints(tensor.n, tensor.k - 1, d, quotient)
 
 
 def reduce_to_min(tensor: SymbolTensor) -> SymbolTensor:
@@ -364,17 +457,6 @@ def same_function(left: SymbolTensor, right: SymbolTensor) -> bool:
     return embed(left, degree - left.k) == embed(right, degree - right.k)
 
 
-def _gauss_integers(tensor: SymbolTensor) -> tuple[int, dict[EntryKey, tuple[int, int]]]:
-    """Common denominator ``D`` of every entry part, and each entry times ``D``
-    as a pair of ints (real, imaginary)."""
-    values = tensor.entries.values()
-    d = lcm(*(v.re.denominator for v in values), *(v.im.denominator for v in values))
-    return d, {
-        key: (v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator))
-        for key, v in tensor.entries.items()
-    }
-
-
 def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:
     """Contract ``r`` holomorphic indices of ``left`` against ``r``
     antiholomorphic indices of ``right``.
@@ -388,9 +470,10 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
 
     The sums run over ints: with ``D_left`` and ``D_right`` the lcm of every
     entry-part denominator of each factor, an entry times its factor's ``D``
-    (and its multiplicity weights) is a pair of ints, every output cell adds
-    up int products, and the cell becomes one Fraction per part,
-    ``c * prefactor / (mult(u) mult(v) D_left D_right)``, at the end.
+    (and its multiplicity weights, and on the left the prefactor) is a pair
+    of ints, every output cell adds up int products, and the cell becomes
+    one Fraction per part, ``c / (mult(u) mult(v) D_left D_right)``, at the
+    end.
     """
     if left.n != right.n:
         raise ValueError("contraction needs matching n")
@@ -399,9 +482,11 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
         raise ValueError(f"contraction order r={r} outside 0..min({k}, {l})")
     n = left.n
     # Every entry becomes a Gaussian-integer numerator over its factor's
-    # common denominator; multiplicity weights are folded into the ints.
-    d_left, left_ints = _gauss_integers(left)
-    d_right, right_ints = _gauss_integers(right)
+    # common denominator; multiplicity weights and the prefactor are folded
+    # into the ints.
+    prefactor = _falling(k, r) * _falling(l, r)
+    d_left, left_ints = _poly_ints(left, weighted=False)
+    d_right, right_ints = _poly_ints(right, weighted=False)
     # Index the right factor by the contracted submultiset of its
     # antiholomorphic group.
     right_split: dict[Index, list[tuple[Index, Index, int, int]]] = {}
@@ -417,7 +502,7 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
             matches = right_split.get(alpha)
             if not matches:
                 continue
-            w = w_left * multiplicity(j2) * multiplicity(alpha)
+            w = w_left * multiplicity(j2) * multiplicity(alpha) * prefactor
             a_re = va_re * w
             a_im = va_im * w
             for i2, qb, b_re, b_im in matches:
@@ -430,16 +515,7 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
                 else:
                     cell[0] += c_re
                     cell[1] += c_im
-    prefactor = _falling(k, r) * _falling(l, r)
-    d_both = d_left * d_right
-    entries: dict[EntryKey, GaussRational] = {}
-    for (u, v), (c_re, c_im) in accum.items():
-        if c_re or c_im:
-            denom = multiplicity(u) * multiplicity(v) * d_both
-            entries[(u, v)] = GaussRational(
-                Fraction(c_re * prefactor, denom), Fraction(c_im * prefactor, denom)
-            )
-    return SymbolTensor(n, k + l - r, entries)
+    return _from_poly_ints(n, k + l - r, d_left * d_right, accum)
 
 
 def wick_contraction_reference(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:

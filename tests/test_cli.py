@@ -20,6 +20,7 @@ from cpstar.scalars import GaussRational
 from cpstar.serialize import (
     disk_to_json,
     element_to_json,
+    fourier_from_json,
     fourier_to_json,
     matrix_to_json,
 )
@@ -280,6 +281,88 @@ def test_malformed_loader_payloads_are_usage_errors(tmp_path, capsys, payload, m
     assert code == 2
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+def test_eval_scales_a_torus_binding(tmp_path, capsys):
+    torus = FourierSum.mode(2, SYMPLECTIC, Fraction(1, 3), (1, 0), Fraction(3, 2), Fraction(1, 4))
+    bindings = {"T": value_to_tagged(torus), "c": {"re": "0", "im": "1"}}
+    session = _write(tmp_path, "session.json", {"bindings": bindings})
+    for expression, factor in (("2 * T", 2), ("T * (1/3)", Fraction(1, 3))):
+        code, out, err = _run(capsys, ["eval", expression, "--input", session])
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result == value_to_tagged(torus.scale(factor))
+        assert fourier_from_json(result["value"]) == torus.scale(factor)
+    code, out, err = _run(capsys, ["eval", "c * T", "--input", session])
+    assert code == 2 and out == ""
+    assert "real rationals only" in err
+
+
+_LOADER_PAYLOADS = {
+    "symbol": {"n": 1, "k": 1, "entries": [{"I": [1], "J": [1], "re": "1", "im": "0"}]},
+    "element": {
+        "n": 1,
+        "level": 1,
+        "components": [{"n": 1, "k": 1, "entries": [{"I": [0], "J": [1], "re": "1", "im": "0"}]}, None],
+    },
+    "series": {"n": 1, "degree": 1, "powers": {"1": {"n": 1, "k": 1, "entries": []}}},
+    "operator": {"K": 1, "n": 1, "k": 1, "entries": []},
+    "fourier": {
+        "dim": 2,
+        "Lambda": [[0, 1], [-1, 0]],
+        "lambda": "1/3",
+        "coeffs": [{"k": [1, 0], "terms": [{"amp": "1", "phase": "0"}]}],
+    },
+    "disk": {"coeffs": [{"p": 1, "q": 0, "num": [1], "den": [1]}]},
+}
+
+# (value type, path to a field whose valid value is the integer 1)
+_INTEGER_FIELDS = [
+    ("symbol", ("n",)),
+    ("symbol", ("k",)),
+    ("symbol", ("entries", 0, "I", 0)),
+    ("symbol", ("entries", 0, "J", 0)),
+    ("element", ("n",)),
+    ("element", ("level",)),
+    ("element", ("components", 0, "entries", 0, "J", 0)),
+    ("series", ("n",)),
+    ("series", ("degree",)),
+    ("operator", ("K",)),
+    ("fourier", ("Lambda", 0, 1)),
+    ("fourier", ("coeffs", 0, "k", 0)),
+    ("disk", ("coeffs", 0, "p")),
+]
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize(
+    "kind, field", _INTEGER_FIELDS, ids=[f"{kind}-{'.'.join(map(str, f))}" for kind, f in _INTEGER_FIELDS]
+)
+def test_loader_integer_fields_must_be_json_integers(tmp_path, capsys, kind, field, value):
+    payload = json.loads(json.dumps(_LOADER_PAYLOADS[kind]))
+    session = _write(tmp_path, "session.json", {"bindings": {"X": {"type": kind, "value": payload}}})
+    code, out, err = _run(capsys, ["eval", "X", "--input", session])
+    assert code == 0, err  # the untouched payload loads
+    target = payload
+    for step in field[:-1]:
+        target = target[step]
+    assert target[field[-1]] == 1
+    target[field[-1]] = value
+    session = _write(tmp_path, "session.json", {"bindings": {"X": {"type": kind, "value": payload}}})
+    code, out, err = _run(capsys, ["eval", "X", "--input", session])
+    assert code == 2
+    assert out == ""
+    assert "must be a JSON integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["1.5", "true", " 1", "+1", "1_0"])
+def test_series_power_keys_must_be_plain_decimal(tmp_path, capsys, key):
+    payload = {"n": 1, "degree": 1, "powers": {key: _LOADER_PAYLOADS["series"]["powers"]["1"]}}
+    session = _write(tmp_path, "session.json", {"bindings": {"X": {"type": "series", "value": payload}}})
+    code, out, err = _run(capsys, ["eval", "X", "--input", session])
+    assert code == 2
+    assert out == ""
+    assert "series power must be a decimal integer string" in err and "Traceback" not in err
 
 
 def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):

@@ -12,9 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from cpstar.nupoly import NuPolynomial
+from cpstar.multiindex import sorted_tuples
+from cpstar.nupoly import NuPolynomial, nu_pochhammer
 from cpstar.quotient import (
     NotInIdealError,
+    _weighted_sum,
     ideal_factorize,
     ideal_member,
     quotient_map,
@@ -24,7 +26,7 @@ from cpstar.quotient import (
 from cpstar.randgen import random_element, random_symbol
 from cpstar.scalars import GaussRational
 from cpstar.star import StarElement, extract_structure
-from cpstar.symbols import embed
+from cpstar.symbols import SymbolTensor, embed
 
 # (n, level, extra levels added by relevel); every element stays at level <= 5
 SHAPES = [(1, 0, 2), (1, 1, 2), (1, 2, 3), (1, 3, 2), (1, 5, 0), (2, 1, 2), (2, 2, 1), (2, 3, 0)]
@@ -123,3 +125,81 @@ def test_ideal_factorize_rejects_exactly_the_non_members():
                     else:
                         with pytest.raises(NotInIdealError):
                             ideal_factorize(candidate, alpha)
+
+
+# denominators of the real and imaginary parts, one pair of prime sets per
+# component degree, so every component has its own common denominator
+_PRIMES = [((1, 2), (1, 3)), ((1, 5), (1, 7)), ((1, 11), (1, 2)), ((1, 13), (1, 3)), ((1, 17), (1, 5))]
+
+
+def _fraction_element(rng, n, level, gaps=()):
+    """Components with complex parts over distinct prime denominators; the
+    degrees in ``gaps`` are left out."""
+    components = {}
+    for r in range(level + 1):
+        if r in gaps:
+            continue
+        re_primes, im_primes = _PRIMES[r]
+        slots = [(i, j) for i in sorted_tuples(n, r) for j in sorted_tuples(n, r)]
+        components[r] = SymbolTensor(n, r, {
+            key: GaussRational(
+                Fraction(rng.choice([-3, -1, 1, 2]), rng.choice(re_primes)),
+                Fraction(rng.randint(-2, 2), rng.choice(im_primes)),
+            )
+            for key in rng.sample(slots, min(4, len(slots)))
+        })
+    return StarElement(n, level, components)
+
+
+def _naive_weighted_sum(element, alpha, degree=None):
+    """sum_r nu^(r)(alpha) alpha^(level-r) embed(phi_r, degree - r), one
+    component at a time with public tensor arithmetic."""
+    weights = {}
+    for r in element.components:
+        weight = nu_pochhammer(r).evaluate(alpha) * alpha ** (element.level - r)
+        if weight:
+            weights[r] = weight
+    if degree is None:
+        degree = max(weights, default=0)
+    total = SymbolTensor.zero(element.n, degree)
+    for r, weight in weights.items():
+        total = total + embed(element.components[r], degree - r).scale(weight)
+    return total
+
+
+_ALPHAS = [Fraction(2, 7), Fraction(-3, 5), Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(3, 2)]
+
+
+def _weighted_sum_cases(seed):
+    rng = random.Random(seed)
+    for n, level, gaps in [(1, 3, ()), (1, 4, (1, 2)), (2, 3, (1,)), (2, 2, (0,)), (3, 2, (1,)), (1, 4, (0, 3))]:
+        yield _fraction_element(rng, n, level, gaps)
+    yield StarElement.zero(2)
+    yield StarElement(1, 4)
+
+
+@pytest.mark.parametrize("seed", [40, 41])
+def test_weighted_sum_matches_naive_sum(seed):
+    for element in _weighted_sum_cases(seed):
+        for alpha in _ALPHAS:
+            assert _weighted_sum(element, alpha) == _naive_weighted_sum(element, alpha), (element, alpha)
+        for K in range(1, element.level + 3):
+            expected = _naive_weighted_sum(element, Fraction(1, K), K)
+            assert _weighted_sum(element, Fraction(1, K), K) == expected, (element, K)
+
+
+@pytest.mark.parametrize("seed", [42, 43])
+def test_weighted_sum_of_members_cancels_to_zero(seed):
+    for element in _weighted_sum_cases(seed):
+        n = element.n
+        for K in (1, 2, 3):
+            member = element - representative_element(quotient_map(element, K))
+            value = _weighted_sum(member, Fraction(1, K), K)
+            assert value.is_zero() and value == _naive_weighted_sum(member, Fraction(1, K), K)
+            # only components above K: every weight vanishes at 1/K
+            head = StarElement(n, element.level, {r: t for r, t in element.components.items() if r > K})
+            assert _weighted_sum(head, Fraction(1, K), K) == SymbolTensor.zero(n, K)
+        for alpha in _ALPHAS:
+            member = _times_nu_minus_alpha(element, alpha)
+            value = _weighted_sum(member, alpha)
+            assert value.is_zero() and value == _naive_weighted_sum(member, alpha)

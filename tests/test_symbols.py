@@ -8,8 +8,10 @@ import pytest
 
 from cpstar.linalg import linear_solve
 from cpstar.multiindex import sorted_tuples
-from cpstar.randgen import random_symbol
+from cpstar.quotient import quotient_map, representative_element, substitute
+from cpstar.randgen import random_element, random_symbol
 from cpstar.scalars import GAUSS_I, GAUSS_ZERO, GaussRational
+from cpstar.star import StarElement, star_elements
 from cpstar.symbols import (
     SymbolTensor,
     embed,
@@ -25,6 +27,7 @@ from cpstar.symbols import (
     wick_contraction,
     wick_contraction_reference,
 )
+from cpstar.zpoly import ZPoly
 
 
 def g(re, im=0):
@@ -278,6 +281,118 @@ def test_reduce_degree_matches_dense_oracle():
             assert expected[1:4] == [None] * 3
             for tensor, quotient in zip(cases, expected):
                 assert reduce_degree(tensor) == quotient, (n, k, tensor.entries)
+
+
+def _radius_power(n, m):
+    """x**m as an explicit polynomial, x = sum_a zbar_a z_a."""
+    x = ZPoly(n)
+    for a in range(n + 1):
+        unit = tuple(int(b == a) for b in range(n + 1))
+        x.add_term((unit, unit), GaussRational(1))
+    out = ZPoly(n, {((0,) * (n + 1), (0,) * (n + 1)): GaussRational(1)})
+    for _ in range(m):
+        out = out * x
+    return out
+
+
+def _kernel_inputs(rng, n, k):
+    """Tensors for the integer kernels: complex parts over distinct prime
+    denominators (two draws with different lcms), a tensor whose first
+    entries cancel in x * sigma_tilde, and the zero tensor."""
+    cases = [
+        _prime_denominator_symbol(rng, n, k, (1, 2, 3, 5), (1, 3, 7)),
+        _prime_denominator_symbol(rng, n, k, (1, 11), (1, 13), size=9),
+    ]
+    if k:
+        # zbar_0 z_0 - zbar_1 z_1 (padded to degree k): times x, the cells
+        # zbar_0 zbar_1 z_0 z_1 of the two terms cancel
+        pad = (n,) * (k - 1)
+        cases.append(
+            SymbolTensor(n, k, {
+                (tuple(sorted((0,) + pad)), tuple(sorted((0,) + pad))): Fraction(1, 5),
+                (tuple(sorted((1,) + pad)), tuple(sorted((1,) + pad))): Fraction(-1, 5),
+            })
+        )
+    cases.append(SymbolTensor.zero(n, k))
+    return cases
+
+
+def test_embed_matches_zpoly_oracle():
+    rng = random.Random(31)
+    for n, top in [(1, 3), (2, 3), (3, 2)]:
+        for k in range(top + 1):
+            for tensor in _kernel_inputs(rng, n, k):
+                for m in (1, 2, 3):
+                    expected = SymbolTensor.from_zpoly(n, k + m, tensor.to_zpoly() * _radius_power(n, m))
+                    assert embed(tensor, m) == expected, (n, k, m, tensor.entries)
+
+
+def test_reduce_degree_matches_dense_oracle_with_fractions():
+    # the integer division runs over the tensor's common denominator; the
+    # dense oracle solves over GaussRational directly
+    rng = random.Random(32)
+    for n, top in [(1, 4), (2, 3), (3, 2)]:
+        for k in range(1, top + 1):
+            for base in _kernel_inputs(rng, n, k - 1):
+                divisible = embed(base, 1)
+                cases = [
+                    divisible,
+                    divisible + _prime_denominator_symbol(rng, n, k, (7,), (11,), size=1),
+                    _prime_denominator_symbol(rng, n, k, (2, 5), (3,)),
+                ]
+                for tensor in cases:
+                    expected = _dense_reduce_degree(tensor)
+                    assert reduce_degree(tensor) == expected, (n, k, tensor.entries)
+                assert reduce_degree(divisible) == base
+
+
+def _assert_canonical(tensor):
+    assert SymbolTensor(tensor.n, tensor.k, tensor.entries) == tensor
+    for (left, right), value in tensor.entries.items():
+        assert isinstance(value, GaussRational) and value
+        assert len(left) == len(right) == tensor.k
+        assert list(left) == sorted(left) and list(right) == sorted(right)
+        assert all(0 <= a <= tensor.n for a in left + right)
+        assert type(left) is tuple and type(right) is tuple
+
+
+def test_trusted_results_are_canonical():
+    # every producer that builds its result without validation, on seeded
+    # inputs that include cancellations and the zero tensor
+    rng = random.Random(33)
+    for n, k in [(1, 1), (1, 3), (2, 2), (3, 2)]:
+        a, b, c, zero = _kernel_inputs(rng, n, k)
+        for t in (a, b, c, zero):
+            for u in (a, b, c, zero):
+                _assert_canonical(t + u)
+                _assert_canonical(t - u)
+                for r in range(k + 1):
+                    _assert_canonical(wick_contraction(t, u, r))
+            _assert_canonical(-t)
+            _assert_canonical(t + (-t))
+            for factor in (0, 3, Fraction(-2, 9), GaussRational(Fraction(1, 2)), GaussRational(1, -1), GAUSS_I):
+                _assert_canonical(t.scale(factor))
+            for m in (0, 1, 2):
+                grown = embed(t, m)
+                _assert_canonical(grown)
+                if grown.k:
+                    lowered = reduce_degree(grown)
+                    if lowered is not None:
+                        _assert_canonical(lowered)
+        for level in (1, 2, 3):
+            x = random_element(rng, n, level, density=0.6)
+            y = random_element(rng, n, 2, density=0.6)
+            for product in (star_elements(x, y), star_elements(x, y - y), star_elements(x - x, y)):
+                for t in product.components.values():
+                    _assert_canonical(t)
+            member = x - representative_element(quotient_map(x, 2))
+            for element in (x, x.relevel(level + 2), member, StarElement.zero(n)):
+                for alpha in (Fraction(2, 7), Fraction(1, 2), Fraction(-3, 5)):
+                    _assert_canonical(substitute(element, alpha))
+                for K in (1, 2, 3):
+                    _assert_canonical(quotient_map(element, K).tensor)
+                for t in element.minimized().components.values():
+                    _assert_canonical(t)
 
 
 def test_same_function_ignores_embedding_degree():
