@@ -17,7 +17,10 @@ a token list, at most :data:`MAX_NESTING` parentheses or bodies deep;
 errors carry the character position.  Evaluation dispatches
 on the runtime types of the operands: symbols are lifted into the
 filtered algebra before starring, scalars multiply anything, and the
-torus and disk values use their own products.
+torus and disk values use their own products.  A power is refused before
+any product runs when its exponent exceeds :data:`MAX_EXPONENT`, or, for a
+symbol or filtered element, when its top component would exceed
+:data:`MAX_POWER_ENTRIES` entries.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Optional, Union
 
 from .models.disk import DiskElement, disk_product
@@ -36,7 +40,9 @@ from .star import StarElement, star_elements
 from .symbols import SymbolTensor, pointwise_mul, symbol_of_matrix
 
 __all__ = [
+    "MAX_EXPONENT",
     "MAX_NESTING",
+    "MAX_POWER_ENTRIES",
     "ParseError",
     "EvalError",
     "parse",
@@ -113,6 +119,17 @@ Expression = Union[Name, Sigma, Scalar, Star, Pointwise, Power, Subst, Quot]
 
 MAX_NESTING = 100
 """Deepest nesting of parentheses and subst/quot bodies the parser accepts."""
+
+MAX_EXPONENT = 8
+"""Largest ``^`` exponent :func:`evaluate` computes, for every base.  A power
+repeats its product that many times, and disk powers grow fastest: the 8th
+power of a disk element with 16 terms of degree up to 3 takes seconds, its
+16th over a minute."""
+
+MAX_POWER_ENTRIES = 10_000
+"""Largest top component a star power of a symbol or filtered element may
+reach, in entries: ``e`` factors of level ``L`` on CP^n land at level
+``e L``, whose top component has up to ``C(n + e L, n) ** 2`` entries."""
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<punct>[*.^()/-]))"
@@ -428,6 +445,8 @@ def _pointwise(left: Value, right: Value) -> Value:
 def _power(base: Value, exponent: int) -> Value:
     if exponent < 0:
         raise EvalError("negative powers are not defined")
+    if exponent > MAX_EXPONENT:
+        raise EvalError(f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}")
     if _is_scalar(base):
         result: Value = GaussRational(1)
         for _ in range(exponent):
@@ -435,6 +454,12 @@ def _power(base: Value, exponent: int) -> Value:
         return result
     if isinstance(base, (SymbolTensor, StarElement)):
         lifted = _lift(base)
+        entries = comb(lifted.n + exponent * lifted.level, lifted.n) ** 2
+        if entries > MAX_POWER_ENTRIES:
+            raise EvalError(
+                f"power {exponent} of a level-{lifted.level} element on CP^{lifted.n} has up to "
+                f"{entries} entries in its top component, over the limit of {MAX_POWER_ENTRIES}"
+            )
         result = StarElement.unit(lifted.n)
         for _ in range(exponent):
             result = star_elements(result, lifted)

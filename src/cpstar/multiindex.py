@@ -51,8 +51,13 @@ def index_space_size(n: int, k: int) -> int:
     return comb(n + k, k)
 
 
+@lru_cache(maxsize=1 << 14)
 def merge_indices(left: Index, right: Index) -> Index:
-    """Sorted union (with repetitions) of two sorted tuples."""
+    """Sorted union (with repetitions) of two sorted tuples.
+
+    Cached: the contraction, ``x``-multiplication and division kernels merge
+    the same few hundred index pairs over and over.  The bound keeps the
+    cache small however many shapes a process sees."""
     return tuple(sorted(left + right))
 
 

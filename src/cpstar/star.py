@@ -30,13 +30,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping, Optional, Sequence
 
 from .nupoly import NuPolynomial, NuRationalFunction, nu_pochhammer
-from .scalars import GAUSS_I, GAUSS_ZERO, ScalarLike, to_gauss
+from .scalars import GAUSS_ZERO, ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
+    _contract_into,
+    _from_poly_ints,
+    _poly_ints,
     embed,
     pointwise_mul,
     reduce_degree,
@@ -54,7 +57,6 @@ __all__ = [
     "check_strong_invariance",
     "extract_structure",
     "pointwise_power",
-    "poisson_bracket_deg1",
     "star_commutator",
     "star_elements",
     "star_symbols",
@@ -173,19 +175,6 @@ def star_commutator(f: SymbolTensor, g: SymbolTensor) -> StarProductTerms:
         for a, b in zip(forward.terms, backward.terms)
     ]
     return StarProductTerms(f.n, f.k, g.k, terms)
-
-
-def poisson_bracket_deg1(f: SymbolTensor, g: SymbolTensor) -> SymbolTensor:
-    """Poisson bracket of a degree-1 symbol with any symbol.
-
-    Normalized so that the first-order star commutator is (i/2) nu times the
-    bracket of the corresponding quantum momentum generators; concretely
-    ``-2i (C_1(f, g) - C_1(g, f))`` at degree ``g.k``.
-    """
-    if f.k != 1:
-        raise ValueError("first argument must be a degree-1 symbol")
-    difference = wick_contraction(f, g, 1) - wick_contraction(g, f, 1)
-    return difference.scale(GAUSS_I.conjugate() * 2)  # -2i
 
 
 def check_strong_invariance(matrix: Sequence[Sequence[ScalarLike]], phi: SymbolTensor) -> bool:
@@ -513,6 +502,23 @@ class StarElement:
         return current
 
 
+def _common_cells(element: StarElement) -> tuple[int, dict[int, dict]]:
+    """Integer view of every component over one common denominator: the lcm
+    ``D`` of the components' own denominators, and each component's bare
+    entries times ``D`` as ``[re, im]`` ints."""
+    views = {r: _poly_ints(tensor, weighted=False) for r, tensor in element.components.items()}
+    d = lcm(*(d_r for d_r, _ in views.values()))
+    components = {}
+    for r, (d_r, cells) in views.items():
+        factor = d // d_r
+        if factor > 1:
+            for cell in cells.values():
+                cell[0] *= factor
+                cell[1] *= factor
+        components[r] = cells
+    return d, components
+
+
 def star_elements(left: StarElement, right: StarElement) -> StarElement:
     """Star product inside the filtered subalgebra: polynomial in nu.
 
@@ -523,27 +529,33 @@ def star_elements(left: StarElement, right: StarElement) -> StarElement:
     summed over component degrees r, s and contraction orders t.  The result
     is returned at level k + l; call :meth:`StarElement.minimized` for the
     canonical representative.
+
+    One integer pass: each component is converted once, the left factor's
+    over one common denominator ``D_L`` and the right factor's over ``D_R``.
+    With ``T`` the smaller of the two top component degrees, 1/t! enters as
+    the integer weight ``T!/t!``, every contraction adds into one int-cell
+    dict per output degree, and each output entry is normalised once over
+    ``D_L D_R T!``.
     """
     if left.n != right.n:
         raise ValueError("star product needs matching n")
+    n = left.n
     level = left.level + right.level
+    if not (left.components and right.components):
+        return StarElement(n, level)
+    d_left, left_cells = _common_cells(left)
+    d_right, right_cells = _common_cells(right)
+    top = factorial(min(max(left_cells), max(right_cells)))
     sums: dict[int, dict] = {}
-    for r, phi in left.components.items():
-        for s, psi in right.components.items():
+    for r, phi in left_cells.items():
+        for s, psi in right_cells.items():
             for t in range(min(r, s) + 1):
-                total = sums.setdefault(r + s - t, {})
-                weight = factorial(t)
-                for key, value in wick_contraction(phi, psi, t).entries.items():
-                    if weight > 1:
-                        value = value / weight
-                    existing = total.get(key)
-                    total[key] = value if existing is None else existing + value
-    # drop the entries that cancel; StarElement drops the components left empty
-    components = {
-        index: SymbolTensor._trusted(left.n, index, {key: value for key, value in total.items() if value})
-        for index, total in sums.items()
-    }
-    return StarElement(left.n, level, components)
+                _contract_into(sums.setdefault(r + s - t, {}), phi, psi, r, s, t, top // factorial(t))
+    d = d_left * d_right * top
+    # StarElement drops the components whose entries all cancel
+    return StarElement(
+        n, level, {degree: _from_poly_ints(n, degree, d, cells) for degree, cells in sums.items()}
+    )
 
 
 def extract_structure(series: RawNuSeries, level: int) -> Optional[StarElement]:

@@ -22,7 +22,12 @@ live here on purpose:
   expanded polynomials via :mod:`cpstar.zpoly`.
 
 The first is validated against the second in the test suite; nothing in the
-package trusts the combinatorial prefactor without that cross-check.
+package trusts the combinatorial prefactor without that cross-check.  Its
+sums live in one private accumulator, ``_contract_into``, which adds a
+weighted contraction into int cells in place; :func:`wick_contraction` and
+:func:`pointwise_mul` (the order-0 contraction) wrap it for one pair of
+tensors, and :func:`cpstar.star.star_elements` runs every contraction of an
+element product through it in one integer pass.
 
 :func:`embed` (multiplication of sigma_tilde by x) and :func:`reduce_degree`
 (exact division by x) are integer kernels too.  Both take the polynomial
@@ -311,18 +316,11 @@ def eval_symbol(tensor: SymbolTensor, z: Sequence[ScalarLike]) -> GaussRational:
 
 
 def pointwise_mul(left: SymbolTensor, right: SymbolTensor) -> SymbolTensor:
-    """Symmetrized tensor of the pointwise product of two symbols."""
+    """Symmetrized tensor of the pointwise product of two symbols: the
+    order-0 contraction."""
     if left.n != right.n:
         raise ValueError("pointwise product needs matching n")
-    poly: dict[EntryKey, GaussRational] = {}
-    right_items = list(right.poly_items())
-    for (la, ra), va in left.poly_items():
-        for (lb, rb), vb in right_items:
-            key = (merge_indices(la, lb), merge_indices(ra, rb))
-            current = poly.get(key)
-            contrib = va * vb
-            poly[key] = contrib if current is None else current + contrib
-    return SymbolTensor.from_poly(left.n, left.k + right.k, poly)
+    return wick_contraction(left, right, 0)
 
 
 def _poly_ints(tensor: SymbolTensor, weighted: bool = True) -> tuple[int, dict[EntryKey, list[int]]]:
@@ -457,46 +455,37 @@ def same_function(left: SymbolTensor, right: SymbolTensor) -> bool:
     return embed(left, degree - left.k) == embed(right, degree - right.k)
 
 
-def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:
-    """Contract ``r`` holomorphic indices of ``left`` against ``r``
-    antiholomorphic indices of ``right``.
+def _contract_into(
+    accum: dict[EntryKey, list[int]],
+    left_cells: Mapping[EntryKey, Sequence[int]],
+    right_cells: Mapping[EntryKey, Sequence[int]],
+    k: int,
+    l: int,
+    r: int,
+    scale: int,
+) -> None:
+    """Add ``scale`` times the r-th contraction of two integer views into
+    ``accum``.
 
-    This is the degree-(k + l - r) tensor of the r-th bidifferential operator
-    of the star product: differentiate the first factor holomorphically and
-    the second antiholomorphically, r times each, and contract the derivative
-    directions.  On stored entries that amounts to an Einstein contraction
-    followed by symmetrization, with the combinatorial prefactor
-    ``k!/(k-r)! * l!/(l-r)!`` from choosing which factors to differentiate.
-
-    The sums run over ints: with ``D_left`` and ``D_right`` the lcm of every
-    entry-part denominator of each factor, an entry times its factor's ``D``
-    (and its multiplicity weights, and on the left the prefactor) is a pair
-    of ints, every output cell adds up int products, and the cell becomes
-    one Fraction per part, ``c / (mult(u) mult(v) D_left D_right)``, at the
-    end.
+    ``left_cells`` and ``right_cells`` are the bare entries of a degree-``k``
+    and a degree-``l`` tensor as ``[re, im]`` ints (``_poly_ints`` with
+    ``weighted=False``, possibly rescaled to a larger common denominator).
+    ``accum`` collects polynomial-coefficient cells of degree ``k + l - r``
+    in place: multiplicity weights, the combinatorial prefactor and
+    ``scale`` are folded into the ints, so any number of contractions over
+    the same denominators can add up in one dict and be normalised once
+    with :func:`_from_poly_ints`.
     """
-    if left.n != right.n:
-        raise ValueError("contraction needs matching n")
-    k, l = left.k, right.k
-    if not 0 <= r <= min(k, l):
-        raise ValueError(f"contraction order r={r} outside 0..min({k}, {l})")
-    n = left.n
-    # Every entry becomes a Gaussian-integer numerator over its factor's
-    # common denominator; multiplicity weights and the prefactor are folded
-    # into the ints.
-    prefactor = _falling(k, r) * _falling(l, r)
-    d_left, left_ints = _poly_ints(left, weighted=False)
-    d_right, right_ints = _poly_ints(right, weighted=False)
+    prefactor = _falling(k, r) * _falling(l, r) * scale
     # Index the right factor by the contracted submultiset of its
     # antiholomorphic group.
     right_split: dict[Index, list[tuple[Index, Index, int, int]]] = {}
-    for (pb, qb), (b_re, b_im) in right_ints.items():
+    for (pb, qb), (b_re, b_im) in right_cells.items():
         w_q = multiplicity(qb)
         for alpha, i2 in submultiset_splits(pb, r):
             w = multiplicity(i2) * w_q
             right_split.setdefault(alpha, []).append((i2, qb, b_re * w, b_im * w))
-    accum: dict[EntryKey, list[int]] = {}
-    for (ia, ja), (va_re, va_im) in left_ints.items():
+    for (ia, ja), (va_re, va_im) in left_cells.items():
         w_left = multiplicity(ia)
         for alpha, j2 in submultiset_splits(ja, r):
             matches = right_split.get(alpha)
@@ -515,7 +504,36 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
                 else:
                     cell[0] += c_re
                     cell[1] += c_im
-    return _from_poly_ints(n, k + l - r, d_left * d_right, accum)
+
+
+def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:
+    """Contract ``r`` holomorphic indices of ``left`` against ``r``
+    antiholomorphic indices of ``right``.
+
+    This is the degree-(k + l - r) tensor of the r-th bidifferential operator
+    of the star product: differentiate the first factor holomorphically and
+    the second antiholomorphically, r times each, and contract the derivative
+    directions.  On stored entries that amounts to an Einstein contraction
+    followed by symmetrization, with the combinatorial prefactor
+    ``k!/(k-r)! * l!/(l-r)!`` from choosing which factors to differentiate.
+
+    A thin wrapper over the integer accumulator :func:`_contract_into`:
+    each factor is brought over the lcm ``D`` of its entry-part denominators,
+    every output cell adds up int products, and the cell becomes one
+    Fraction per part, ``c / (mult(u) mult(v) D_left D_right)``, at the end.
+    :func:`cpstar.star.star_elements` runs the same accumulator over all of
+    its contractions at once.
+    """
+    if left.n != right.n:
+        raise ValueError("contraction needs matching n")
+    k, l = left.k, right.k
+    if not 0 <= r <= min(k, l):
+        raise ValueError(f"contraction order r={r} outside 0..min({k}, {l})")
+    d_left, left_cells = _poly_ints(left, weighted=False)
+    d_right, right_cells = _poly_ints(right, weighted=False)
+    accum: dict[EntryKey, list[int]] = {}
+    _contract_into(accum, left_cells, right_cells, k, l, r, 1)
+    return _from_poly_ints(left.n, k + l - r, d_left * d_right, accum)
 
 
 def wick_contraction_reference(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:

@@ -194,6 +194,14 @@ def test_eval_rejects_deep_nesting(capsys):
     assert "nested deeper than" in err and "Traceback" not in err
 
 
+def test_eval_refuses_large_powers_up_front(capsys):
+    for expression in ("2^200000", "unit^9", "(nu * unit)^9"):
+        code, out, err = _run(capsys, ["eval", expression])
+        assert code == 2
+        assert out == ""
+        assert "exceeds the limit" in err and "Traceback" not in err
+
+
 def test_eval_long_product_chain(capsys):
     code, out, _ = _run(capsys, ["eval", " * ".join(["1"] * 3000) + " * unit"])
     assert code == 0

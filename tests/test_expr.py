@@ -1,13 +1,17 @@
 """Expression language: parsing, rendering, and evaluation."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cpstar import expr
 from cpstar.expr import (
+    MAX_EXPONENT,
     MAX_NESTING,
+    MAX_POWER_ENTRIES,
     EvalError,
     ParseError,
     Session,
@@ -16,6 +20,8 @@ from cpstar.expr import (
     parse,
 )
 from cpstar.expr import Name, Pointwise, Power, Quot, Scalar, Sigma, Star, Subst
+from cpstar.models.disk import DiskElement
+from cpstar.models.torus import FourierSum
 from cpstar.nupoly import NU, NuRationalFunction
 from cpstar.quotient import QuotientOperator, quotient_map, substitute
 from cpstar.scalars import GaussRational
@@ -269,6 +275,41 @@ def test_evaluation_errors():
         evaluate(parse("quot(2)(nu)"), session)
     with pytest.raises(EvalError):
         evaluate(parse("unit^2 . unit"), session)
+
+
+def _refuse(*args):
+    raise AssertionError("a refused power ran a product")
+
+
+def test_powers_over_the_exponent_limit_are_refused(monkeypatch):
+    torus = FourierSum.mode(2, [[0, 1], [-1, 0]], Fraction(1, 3), (1, 0), Fraction(3, 2))
+    session = _session(A=MATRIX_A, D=DiskElement.unit(), T=torus)
+    assert evaluate(parse(f"2^{MAX_EXPONENT}"), session) == g(2**MAX_EXPONENT)
+    assert evaluate(parse(f"(1/2)^{MAX_EXPONENT}"), session) == g(Fraction(1, 2**MAX_EXPONENT))
+    for name in ("star_elements", "moyal_product", "disk_product"):
+        monkeypatch.setattr(expr, name, _refuse)
+    for base in ("2", "nu", "D", "T", "sigma(A)", "unit"):
+        with pytest.raises(EvalError, match=f"exceeds the limit of {MAX_EXPONENT}"):
+            evaluate(parse(f"{base}^{MAX_EXPONENT + 1}"), session)
+
+
+def test_star_powers_over_the_entry_budget_are_refused(monkeypatch):
+    # a level-1 factor on CP^3: the 6th power's top component has up to
+    # C(9, 3)^2 entries, the 7th power's C(10, 3)^2
+    assert comb(9, 3) ** 2 <= MAX_POWER_ENTRIES < comb(10, 3) ** 2
+    matrix = [[g(i - j, (i * j) % 3) for j in range(4)] for i in range(4)]
+    session = Session(n=3)
+    session.bind("A", matrix)
+    lifted = StarElement.lift(symbol_of_matrix(matrix))
+    session.bind("E", lifted)
+    expected = StarElement.unit(3)
+    for _ in range(6):
+        expected = star_elements(expected, lifted)
+    assert evaluate(parse("sigma(A)^6"), session) == expected
+    monkeypatch.setattr(expr, "star_elements", _refuse)
+    for text in ("sigma(A)^7", "E^7"):
+        with pytest.raises(EvalError, match=f"over the limit of {MAX_POWER_ENTRIES}"):
+            evaluate(parse(text), session)
 
 
 def test_evaluation_is_deterministic():

@@ -195,18 +195,22 @@ def test_series_shift_down_requires_divisibility():
 # -- filtered elements -------------------------------------------------
 
 
-def _prime_denominator_element(rng, n, level, primes, size=5):
+def _prime_denominator_element(rng, n, level, primes, size=5, missing=()):
     """Element with ``size`` entries per component, each part over a prime
-    drawn from ``primes``."""
+    drawn from ``primes``, or from ``primes[r]`` for component r when
+    ``primes`` is a dict; the components in ``missing`` stay empty."""
     components = {}
     for r in range(level + 1):
+        if r in missing:
+            continue
+        choices = primes[r] if isinstance(primes, dict) else primes
         slots = [(i, j) for i in sorted_tuples(n, r) for j in sorted_tuples(n, r)]
         components[r] = SymbolTensor(
             n,
             r,
             {
-                key: g(Fraction(rng.choice([-2, -1, 1, 3]), rng.choice(primes)),
-                       Fraction(rng.randint(-2, 2), rng.choice(primes)))
+                key: g(Fraction(rng.choice([-2, -1, 1, 3]), rng.choice(choices)),
+                       Fraction(rng.randint(-2, 2), rng.choice(choices)))
                 for key in rng.sample(slots, min(size, len(slots)))
             },
         )
@@ -227,11 +231,25 @@ def _star_elements_oracle(left, right):
 
 def test_element_product_matches_contraction_oracle():
     rng = random.Random(22)
-    for n, la, lb in [(1, 3, 2), (1, 2, 3), (2, 2, 2), (2, 1, 3), (3, 2, 1), (3, 2, 2)]:
+    # level 3 x level 3 runs t up to 3, where the weights T!/t! are 6, 6, 3, 1
+    shapes = [(1, 3, 2), (1, 2, 3), (2, 2, 2), (2, 1, 3), (3, 2, 1), (3, 2, 2), (1, 3, 3), (2, 3, 3)]
+    for n, la, lb in shapes:
         a = _prime_denominator_element(rng, n, la, (1, 2, 3, 5))
         b = _prime_denominator_element(rng, n, lb, (1, 7, 11))
         assert star_elements(a, b) == _star_elements_oracle(a, b), (n, la, lb)
         assert star_elements(b, a) == _star_elements_oracle(b, a), (n, lb, la)
+    # one prime per component, so every component of a factor has its own
+    # denominator and must be brought over the factor's common one; and a
+    # factor whose middle component is missing
+    for n in (1, 2):
+        a = _prime_denominator_element(rng, n, 3, {0: (2,), 1: (3,), 2: (5,), 3: (7,)})
+        b = _prime_denominator_element(rng, n, 3, {0: (11,), 1: (13,), 2: (17,), 3: (19,)}, missing=(1,))
+        assert sorted(b.components) == [0, 2, 3]
+        assert star_elements(a, b) == _star_elements_oracle(a, b), n
+        assert star_elements(b, a) == _star_elements_oracle(b, a), n
+    zero = StarElement(2, 2)
+    assert star_elements(a, zero) == _star_elements_oracle(a, zero) == StarElement(2, 5)
+    assert star_elements(zero, a) == StarElement(2, 5)
 
 
 def test_element_product_drops_cancelled_terms():

@@ -140,10 +140,16 @@ def test_operator_product_matches_matrix_product():
 
 
 def test_contraction_order_zero_is_pointwise():
+    # the oracle multiplies the expanded polynomials, apart from the kernel
     rng = random.Random(7)
-    a = random_symbol(rng, 1, 2, density=0.9)
-    b = random_symbol(rng, 1, 1, density=0.9)
-    assert wick_contraction(a, b, 0) == pointwise_mul(a, b)
+    for n, k, l in [(1, 2, 1), (1, 0, 2), (2, 2, 2), (2, 1, 3), (3, 1, 2)]:
+        a = _prime_denominator_symbol(rng, n, k, (1, 2, 3, 5), (1, 3, 7))
+        b = _prime_denominator_symbol(rng, n, l, (1, 3, 11), (1, 13))
+        expected = SymbolTensor.from_zpoly(n, k + l, a.to_zpoly() * b.to_zpoly())
+        assert pointwise_mul(a, b) == expected, (n, k, l)
+        assert pointwise_mul(b, a) == expected, (n, l, k)
+        assert wick_contraction(a, b, 0) == expected, (n, k, l)
+    assert pointwise_mul(a, SymbolTensor.zero(3, 1)) == SymbolTensor.zero(3, 2)
 
 
 def test_full_contraction_is_scaled_composition():
