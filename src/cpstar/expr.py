@@ -122,9 +122,9 @@ MAX_NESTING = 100
 
 MAX_EXPONENT = 8
 """Largest ``^`` exponent :func:`evaluate` computes, for every base.  A power
-repeats its product that many times, and disk powers grow fastest: the 8th
-power of a disk element with 16 terms of degree up to 3 takes seconds, its
-16th over a minute."""
+repeats its product that many times, and disk powers grow fastest: on a
+2-core x86-64 VM with Python 3.11, the 8th power of a disk element with 16
+terms of degree up to 3 took 3.6 s and its 16th 95 s."""
 
 MAX_POWER_ENTRIES = 10_000
 """Largest top component a star power of a symbol or filtered element may
