@@ -18,7 +18,6 @@ from .quotient import (
     StarUndefinedError,
     check_irreducible,
     ideal_factorize,
-    ideal_member,
     quotient_dimension,
     quotient_map,
     representative_element,
@@ -42,7 +41,6 @@ from .symbols import (
     operator_product,
     pointwise_mul,
     reduce_to_min,
-    same_function,
     symbol_of_matrix,
     wick_contraction,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "StarUndefinedError",
     "check_irreducible",
     "ideal_factorize",
-    "ideal_member",
     "quotient_dimension",
     "quotient_map",
     "representative_element",
@@ -81,7 +78,6 @@ __all__ = [
     "operator_product",
     "pointwise_mul",
     "reduce_to_min",
-    "same_function",
     "symbol_of_matrix",
     "wick_contraction",
     "__version__",

@@ -160,8 +160,8 @@ def _suite_quotient(report: CheckReport, rng: random.Random, params: dict) -> No
     for left in indices:
         for right in indices:
             basis = SymbolTensor.basis_entry(n, K, left, right)
-            tensor = quotient_map(StarElement.lift(basis), K).tensor
-            rows.append([tensor.entries.get(slot, GAUSS_ZERO) for slot in slots])
+            entries = quotient_map(StarElement.lift(basis), K).tensor.entries
+            rows.append([entries.get(slot, GAUSS_ZERO) for slot in slots])
     rank = matrix_rank(rows)
     report.details["dimension"] = quotient_dimension(n, K)
     report.details["rank"] = rank

@@ -13,7 +13,8 @@ Grammar, with ``*`` the star product and ``.`` the pointwise product::
 
 Products are left-associative, ``^`` is the star power, and scalars are
 (optionally signed) rational literals.  Parsing is recursive descent over
-a token list, at most :data:`MAX_NESTING` parentheses or bodies deep;
+a token list, at most :data:`MAX_NESTING` parentheses or bodies deep and
+with integer literals of at most :data:`MAX_LITERAL_DIGITS` digits;
 errors carry the character position.  Evaluation dispatches
 on the runtime types of the operands: symbols are lifted into the
 filtered algebra before starring, scalars multiply anything, and the
@@ -41,6 +42,7 @@ from .symbols import SymbolTensor, pointwise_mul, symbol_of_matrix
 
 __all__ = [
     "MAX_EXPONENT",
+    "MAX_LITERAL_DIGITS",
     "MAX_NESTING",
     "MAX_POWER_ENTRIES",
     "ParseError",
@@ -120,6 +122,11 @@ Expression = Union[Name, Sigma, Scalar, Star, Pointwise, Power, Subst, Quot]
 MAX_NESTING = 100
 """Deepest nesting of parentheses and subst/quot bodies the parser accepts."""
 
+MAX_LITERAL_DIGITS = 4300
+"""Longest integer literal (numerator, denominator, exponent or quotient
+level) the parser accepts, in decimal digits: CPython's default limit for
+converting a digit string to an int."""
+
 MAX_EXPONENT = 8
 """Largest ``^`` exponent :func:`evaluate` computes, for every base.  A power
 repeats its product that many times, and disk powers grow fastest: on a
@@ -188,6 +195,13 @@ class _Parser:
             raise ParseError(f"expected {description}", self._next_position())
         return self._advance()
 
+    def _integer(self, token: _Token) -> int:
+        """The value of an integer token, refused over :data:`MAX_LITERAL_DIGITS` digits."""
+        if len(token.text) > MAX_LITERAL_DIGITS:
+            message = f"integer literal of {len(token.text)} digits exceeds the limit of {MAX_LITERAL_DIGITS}"
+            raise ParseError(message, token.position)
+        return int(token.text)
+
     def parse(self) -> Expression:
         node = self._expr()
         token = self._peek()
@@ -225,7 +239,7 @@ class _Parser:
             if value is None or value.kind != "int":
                 raise ParseError("expected an integer exponent", self._next_position())
             self._advance()
-            node = Power(node, int(value.text))
+            node = Power(node, self._integer(value))
         return node
 
     def _scalar(self) -> Fraction:
@@ -238,7 +252,7 @@ class _Parser:
         if token is None or token.kind != "int":
             raise ParseError("expected a rational scalar", self._next_position())
         self._advance()
-        numerator = int(token.text)
+        numerator = self._integer(token)
         nxt = self._peek()
         if nxt is not None and nxt.text == "/":
             self._advance()
@@ -246,9 +260,10 @@ class _Parser:
             if den is None or den.kind != "int":
                 raise ParseError("expected a denominator", self._next_position())
             self._advance()
-            if not int(den.text):
+            denominator = self._integer(den)
+            if not denominator:
                 raise ParseError("zero denominator", den.position)
-            return Fraction(sign * numerator, int(den.text))
+            return Fraction(sign * numerator, denominator)
         return Fraction(sign * numerator)
 
     def _factor(self) -> Expression:
@@ -283,7 +298,7 @@ class _Parser:
                 self._expect("(", "'(' before the quotient body")
                 body = self._nested_expr()
                 self._expect(")", "')'")
-                return Quot(int(value.text), body)
+                return Quot(self._integer(value), body)
             return Name(token.text)
         if token.text == "(":
             self._advance()

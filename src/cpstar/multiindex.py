@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import factorial
 
 __all__ = [
-    "index_space_size",
     "merge_indices",
     "multiplicity",
     "sorted_tuples",
@@ -44,11 +43,6 @@ def multiplicity(index: Index) -> int:
 def sorted_tuples(n: int, k: int) -> tuple[Index, ...]:
     """All nondecreasing k-tuples over the alphabet {0, ..., n}."""
     return tuple(combinations_with_replacement(range(n + 1), k))
-
-
-def index_space_size(n: int, k: int) -> int:
-    """Number of sorted k-tuples over {0, ..., n}: C(n + k, k)."""
-    return comb(n + k, k)
 
 
 @lru_cache(maxsize=1 << 14)

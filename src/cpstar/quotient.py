@@ -21,8 +21,10 @@ re-multiplied and compared exactly.
 The weighted sum behind :func:`substitute` and :func:`quotient_map` runs in
 Horner order, from the lowest component up: ``total = x * total + w_r *
 phi_r``, with real rational weights ``w_r``.  Each component is scaled at its
-own degree, and the whole sum is taken over Gaussian-integer polynomial
-coefficients with one common denominator, normalised once per entry.
+own degree, and the whole sum is taken on the components' Gaussian-integer
+cells over one common denominator and normalised once.  :func:`star_at`,
+the numeric product of two plain symbols, is that sum applied to the
+:func:`cpstar.star.star_elements` product of their lifts.
 """
 
 from __future__ import annotations
@@ -33,20 +35,16 @@ from math import comb, lcm
 
 from .linalg import nullspace
 from .multiindex import sorted_tuples
-from .nupoly import nu_pochhammer
 from .scalars import GAUSS_I, GAUSS_ONE, GaussRational
-from .star import StarElement, _star_coefficient
+from .star import StarElement, star_elements
 from .symbols import (
     SymbolTensor,
-    _from_poly_ints,
-    _poly_ints,
     _times_x,
     embed,
     identity_symbol,
     operator_product,
     reduce_to_min,
     symbol_of_matrix,
-    wick_contraction,
 )
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "StarUndefinedError",
     "check_irreducible",
     "ideal_factorize",
-    "ideal_member",
     "quotient_dimension",
     "quotient_map",
     "representative_element",
@@ -112,9 +109,8 @@ def _weighted_sum(element: StarElement, alpha: Fraction, degree: int | None = No
     whose weight is nonzero.  It runs in Horner order from the lowest
     component up, ``total = x * total + w_r * phi_r``, so each component is
     scaled at its own degree and a missing component costs one step of
-    multiplication by x.  All of it is over Gaussian-integer polynomial
-    coefficients with one common denominator, lcm_r(D_r den(w_r)), which is
-    normalised once per entry at the end.
+    multiplication by x.  All of it is on the components' cells over one
+    common denominator, lcm_r(D_r den(w_r)), normalised once at the end.
     """
     weights = {}
     for r in element.components:
@@ -126,35 +122,29 @@ def _weighted_sum(element: StarElement, alpha: Fraction, degree: int | None = No
         degree = top
     elif degree < top:
         raise ValueError(f"weighted component {top} lies above degree {degree}")
-    parts = {r: _poly_ints(element.components[r]) for r in weights}
-    d = lcm(*(d_r * weights[r].denominator for r, (d_r, _) in parts.items()))
+    d = lcm(*(element.components[r].den * weight.denominator for r, weight in weights.items()))
     total: dict = {}
     for r in range(min(weights, default=degree), degree + 1):
         if total:
             total = _times_x(element.n, total)
-        if r not in parts:
+        weight = weights.get(r)
+        if weight is None:
             continue
-        d_r, cells = parts[r]
-        weight = weights[r]
-        factor = weight.numerator * (d // (d_r * weight.denominator))
-        for key, (c_re, c_im) in cells.items():
+        tensor = element.components[r]
+        factor = weight.numerator * (d // (tensor.den * weight.denominator))
+        for key, (c_re, c_im) in tensor.cells.items():
             cell = total.get(key)
             if cell is None:
                 total[key] = [c_re * factor, c_im * factor]
             else:
                 cell[0] += c_re * factor
                 cell[1] += c_im * factor
-    return _from_poly_ints(element.n, degree, d, total)
+    return SymbolTensor._from_cells(element.n, degree, d, total)
 
 
 def substitute(element: StarElement, alpha: Fraction | int | str) -> SymbolTensor:
     """Evaluate a filtered element at nu = alpha, reduced to minimal degree."""
     return reduce_to_min(_weighted_sum(element, AlphaValue.of(alpha).value))
-
-
-def ideal_member(element: StarElement, alpha: Fraction | int | str) -> bool:
-    """Membership in the substitution ideal: does the element vanish at alpha?"""
-    return substitute(element, alpha).is_zero()
 
 
 @dataclass(frozen=True)
@@ -216,23 +206,21 @@ def ideal_factorize(element: StarElement, alpha: Fraction | int | str) -> IdealF
 def star_at(f: SymbolTensor, g: SymbolTensor, alpha: Fraction | int | str) -> SymbolTensor:
     """Numeric star product of plain symbols at nu = alpha.
 
-    Defined whenever the Pochhammer weights of both degrees are nonzero at
-    alpha; otherwise raises :class:`StarUndefinedError`.
+    The lifts of f and g carry the Pochhammer weights nu^(k) and nu^(l), so
+    their product in the filtered algebra, substituted at alpha, is the
+    numeric product times nu^(k)(alpha) nu^(l)(alpha).  Defined whenever
+    that weight is nonzero; otherwise raises :class:`StarUndefinedError`.
     """
     if f.n != g.n:
         raise ValueError("star product needs matching n")
     point = AlphaValue.of(alpha)
-    k, l = f.k, g.k
-    if not nu_pochhammer(k).evaluate(point.value) * nu_pochhammer(l).evaluate(point.value):
+    weight = _pochhammer_at(f.k, point.value) * _pochhammer_at(g.k, point.value)
+    if not weight:
         raise StarUndefinedError(
-            f"star product undefined at nu = {point.value} for degrees ({k}, {l})"
+            f"star product undefined at nu = {point.value} for degrees ({f.k}, {g.k})"
         )
-    total = SymbolTensor.zero(f.n, k + l)
-    for r in range(min(k, l) + 1):
-        coefficient = _star_coefficient(k, l, r).evaluate(point.value)
-        if coefficient:
-            total = total + embed(wick_contraction(f, g, r).scale(coefficient), r)
-    return reduce_to_min(total)
+    product = star_elements(StarElement.lift(f), StarElement.lift(g))
+    return substitute(product, point.value).scale(1 / weight)
 
 
 class QuotientOperator:
@@ -288,8 +276,8 @@ def quotient_map(element: StarElement, K: int) -> QuotientOperator:
 
 def representative_element(operator: QuotientOperator) -> StarElement:
     """Section of :func:`quotient_map`: a level-K element mapping to the operator."""
-    weight = nu_pochhammer(operator.K).evaluate(Fraction(1, operator.K))
-    tensor = operator.tensor.scale(GAUSS_ONE / weight)
+    weight = _pochhammer_at(operator.K, Fraction(1, operator.K))
+    tensor = operator.tensor.scale(1 / weight)
     return StarElement(operator.n, operator.K, {operator.K: tensor})
 
 
@@ -357,8 +345,8 @@ def check_irreducible(n: int, K: int) -> bool:
         n, K, {pair: value for pair, value in zip(pairs, vector) if value}
     )
     identity = identity_symbol(n, K)
-    lead_pair = next(iter(identity.entries))
+    lead_pair, lead = next(iter(identity.entries.items()))
     scale = candidate.entries.get(lead_pair)
     if not scale:
         return False
-    return candidate == identity.scale(scale / identity.entries[lead_pair])
+    return candidate == identity.scale(scale / lead)

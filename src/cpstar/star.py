@@ -38,8 +38,6 @@ from .scalars import GAUSS_ZERO, ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
     _contract_into,
-    _from_poly_ints,
-    _poly_ints,
     embed,
     pointwise_mul,
     reduce_degree,
@@ -502,23 +500,6 @@ class StarElement:
         return current
 
 
-def _common_cells(element: StarElement) -> tuple[int, dict[int, dict]]:
-    """Integer view of every component over one common denominator: the lcm
-    ``D`` of the components' own denominators, and each component's bare
-    entries times ``D`` as ``[re, im]`` ints."""
-    views = {r: _poly_ints(tensor, weighted=False) for r, tensor in element.components.items()}
-    d = lcm(*(d_r for d_r, _ in views.values()))
-    components = {}
-    for r, (d_r, cells) in views.items():
-        factor = d // d_r
-        if factor > 1:
-            for cell in cells.values():
-                cell[0] *= factor
-                cell[1] *= factor
-        components[r] = cells
-    return d, components
-
-
 def star_elements(left: StarElement, right: StarElement) -> StarElement:
     """Star product inside the filtered subalgebra: polynomial in nu.
 
@@ -530,11 +511,12 @@ def star_elements(left: StarElement, right: StarElement) -> StarElement:
     is returned at level k + l; call :meth:`StarElement.minimized` for the
     canonical representative.
 
-    One integer pass: each component is converted once, the left factor's
-    over one common denominator ``D_L`` and the right factor's over ``D_R``.
+    One integer pass over the components' cells: the left factor's
+    components are brought over the lcm ``D_L`` of their denominators and
+    the right factor's over ``D_R``, by the rescale each contraction gets.
     With ``T`` the smaller of the two top component degrees, 1/t! enters as
     the integer weight ``T!/t!``, every contraction adds into one int-cell
-    dict per output degree, and each output entry is normalised once over
+    dict per output degree, and each output tensor is normalised once over
     ``D_L D_R T!``.
     """
     if left.n != right.n:
@@ -543,18 +525,20 @@ def star_elements(left: StarElement, right: StarElement) -> StarElement:
     level = left.level + right.level
     if not (left.components and right.components):
         return StarElement(n, level)
-    d_left, left_cells = _common_cells(left)
-    d_right, right_cells = _common_cells(right)
-    top = factorial(min(max(left_cells), max(right_cells)))
+    d_left = lcm(*(phi.den for phi in left.components.values()))
+    d_right = lcm(*(psi.den for psi in right.components.values()))
+    top = factorial(min(max(left.components), max(right.components)))
     sums: dict[int, dict] = {}
-    for r, phi in left_cells.items():
-        for s, psi in right_cells.items():
+    for r, phi in left.components.items():
+        for s, psi in right.components.items():
+            rescale = d_left // phi.den * (d_right // psi.den)
             for t in range(min(r, s) + 1):
-                _contract_into(sums.setdefault(r + s - t, {}), phi, psi, r, s, t, top // factorial(t))
+                weight = rescale * (top // factorial(t))
+                _contract_into(sums.setdefault(r + s - t, {}), phi.cells, psi.cells, r, s, t, weight)
     d = d_left * d_right * top
     # StarElement drops the components whose entries all cancel
     return StarElement(
-        n, level, {degree: _from_poly_ints(n, degree, d, cells) for degree, cells in sums.items()}
+        n, level, {degree: SymbolTensor._from_cells(n, degree, d, cells) for degree, cells in sums.items()}
     )
 
 

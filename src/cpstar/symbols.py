@@ -6,36 +6,38 @@ A degree-``k`` symbol on CP^n is the function
 
 where ``sigma_tilde(A)`` is the bihomogeneous polynomial obtained by fully
 contracting a tensor ``A`` — symmetric separately in its ``k`` antiholomorphic
-and ``k`` holomorphic indices — with conjugated and plain coordinates.  The
-tensor is stored on sorted index representatives; an unrestricted sum over
-index tuples equals the stored entry times the number of distinct orderings
-of each group (see :mod:`cpstar.multiindex`).
+and ``k`` holomorphic indices — with conjugated and plain coordinates.  An
+unrestricted sum over index tuples equals the entry at the sorted
+representative times the number of distinct orderings of each group (see
+:mod:`cpstar.multiindex`).
 
-Two independent implementations of the degree-lowering contraction operator
-live here on purpose:
+A :class:`SymbolTensor` has one number format: the polynomial coefficients
+of sigma_tilde (entry times mult(I) times mult(J)) as Gaussian-integer cells
+over one least tensor-wide denominator.  Every operation reads and writes
+those cells with int arithmetic and builds its result through one
+normalising constructor, ``SymbolTensor._from_cells``:
 
-* :func:`wick_contraction` — combinatorial fast path on stored entries,
-  an integer kernel: each factor is brought over its common denominator,
-  the products are summed as Gaussian-integer pairs, and each output entry
-  is normalised to a fraction once;
-* :func:`wick_contraction_reference` — literal differentiation of the
-  expanded polynomials via :mod:`cpstar.zpoly`.
+* ``+``, ``-``, :meth:`SymbolTensor.scale` and
+  :meth:`SymbolTensor.conjugate_swap`;
+* :func:`embed` (multiplication of sigma_tilde by x) and
+  :func:`reduce_degree` (exact division by x);
+* :func:`wick_contraction`, the degree-lowering contraction operator, and
+  :func:`pointwise_mul`, its order 0.  Both wrap one accumulator,
+  ``_contract_into``, which adds a weighted contraction into int cells in
+  place; :func:`cpstar.star.star_elements` runs every contraction of an
+  element product through it in one pass.
 
-The first is validated against the second in the test suite; nothing in the
-package trusts the combinatorial prefactor without that cross-check.  Its
-sums live in one private accumulator, ``_contract_into``, which adds a
-weighted contraction into int cells in place; :func:`wick_contraction` and
-:func:`pointwise_mul` (the order-0 contraction) wrap it for one pair of
-tensors, and :func:`cpstar.star.star_elements` runs every contraction of an
-element product through it in one integer pass.
+The Gaussian-rational tensor entries are a computed view,
+:attr:`SymbolTensor.entries`, for JSON, checks and tests.  The public
+constructor and the JSON loaders take entries and check everything they
+are given.
 
-:func:`embed` (multiplication of sigma_tilde by x) and :func:`reduce_degree`
-(exact division by x) are integer kernels too.  Both take the polynomial
-coefficients of a tensor as Gaussian-integer pairs over one common
-denominator, do all of their sums on ints, and normalise each output entry
-once.  Results the kernels and the linear operations build are canonical by
-construction and skip the validation of the public constructor; the
-constructor and the JSON loaders check everything they are given.
+:func:`wick_contraction_reference` is an independent implementation of the
+contraction on purpose: literal differentiation of the expanded polynomials
+via :mod:`cpstar.zpoly`.  The test suite validates the fast path against it;
+nothing in the package trusts the combinatorial weights without that
+cross-check.  :func:`operator_product` works on the entries view and is the
+independent reference for the full contraction.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .multiindex import (
@@ -65,14 +67,13 @@ __all__ = [
     "pointwise_mul",
     "reduce_degree",
     "reduce_to_min",
-    "same_function",
     "symbol_of_matrix",
-    "symmetrize",
     "wick_contraction",
     "wick_contraction_reference",
 ]
 
 EntryKey = tuple[Index, Index]
+Cells = dict[EntryKey, tuple[int, int]]
 
 
 def _falling(k: int, r: int) -> int:
@@ -82,46 +83,84 @@ def _falling(k: int, r: int) -> int:
     return out
 
 
+def _over_lcm(parts: Mapping[EntryKey, tuple[int, int, int, int, int]]) -> tuple[int, Cells]:
+    """Cells of nonzero weighted Gaussian rationals ``w * (a/b + c/d i)``,
+    given as ``(a, b, c, d, w)``, over their least common denominator."""
+    den = lcm(*(b for _, b, _, _, _ in parts.values()), *(d for _, _, _, d, _ in parts.values()))
+    if den == 1:  # integral and nonzero already
+        return 1, {key: (a * w, c * w) for key, (a, _, c, _, w) in parts.items()}
+    cells = {}
+    for key, (a, b, c, d, w) in parts.items():
+        w *= den
+        cells[key] = (a * (w // b), c * (w // d))
+    return _normalised(den, cells)
+
+
+def _normalised(den: int, cells: Mapping[EntryKey, Sequence[int]]) -> tuple[int, Cells]:
+    """The same cells without zeros, over the least denominator: ``den`` and
+    every part divided by their gcd.  The zero tensor gets denominator 1."""
+    out = {}
+    common = den
+    for key, (re, im) in cells.items():
+        if re or im:
+            out[key] = (re, im)
+            if common != 1:
+                common = gcd(common, re, im)
+    if not out:
+        return 1, out
+    if common == 1:
+        return den, out
+    return den // common, {key: (re // common, im // common) for key, (re, im) in out.items()}
+
+
 class SymbolTensor:
     """Symmetric tensor of a degree-``k`` symbol on CP^n.
 
-    ``entries`` maps sorted index pairs ``(I, J)`` — antiholomorphic group
-    first — to nonzero Gaussian-rational values.
+    ``cells`` maps sorted index pairs ``(I, J)`` — antiholomorphic group
+    first — to the coefficient of zbar^I z^J in sigma_tilde times ``den``, a
+    nonzero pair ``(re, im)`` of ints.  ``den`` is the least positive common
+    denominator: gcd(den, every part) = 1, and the zero tensor has den 1.
+    The tensor entry at ``(I, J)`` is the coefficient over mult(I) mult(J);
+    :attr:`entries` computes all of them as ``GaussRational`` values.
     """
 
-    __slots__ = ("n", "k", "entries")
+    __slots__ = ("n", "k", "den", "cells")
 
     def __init__(self, n: int, k: int, entries: Mapping[EntryKey, ScalarLike] | None = None) -> None:
         if n < 0 or k < 0:
             raise ValueError("need n >= 0 and k >= 0")
-        self.n = n
-        self.k = k
-        store: dict[EntryKey, GaussRational] = {}
+        parts: dict[EntryKey, tuple[int, int, int, int, int]] = {}
         if entries:
             for (left, right), value in entries.items():
                 value = to_gauss(value)
-                if not value:
+                a, b = value.re.as_integer_ratio()
+                c, d = value.im.as_integer_ratio()
+                if not (a or c):
                     continue
                 if len(left) != k or len(right) != k:
                     raise ValueError(f"index length mismatch for degree {k}: {(left, right)}")
-                if any(not (0 <= a <= n) for a in left + right):
+                ordered = tuple(sorted(left)), tuple(sorted(right))
+                if k and (min(ordered[0][0], ordered[1][0]) < 0 or max(ordered[0][-1], ordered[1][-1]) > n):
                     raise ValueError(f"index letter out of range for n={n}")
-                if tuple(sorted(left)) != tuple(left) or tuple(sorted(right)) != tuple(right):
+                key = tuple(left), tuple(right)
+                if key != ordered:
                     raise ValueError("entries must use sorted index representatives")
-                store[(tuple(left), tuple(right))] = value
-        self.entries = store
+                parts[key] = (a, b, c, d, multiplicity(key[0]) * multiplicity(key[1]))
+        self.n = n
+        self.k = k
+        self.den, self.cells = _over_lcm(parts)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, n: int, k: int, entries: dict[EntryKey, GaussRational]) -> "SymbolTensor":
-        """Wrap entries that are already canonical: sorted keys of length ``k``
-        over letters ``0..n``, nonzero GaussRational values.  No check runs;
-        the dict is taken over, not copied."""
+    def _from_cells(cls, n: int, k: int, den: int, cells: Mapping[EntryKey, Sequence[int]]) -> "SymbolTensor":
+        """Wrap polynomial-coefficient cells over ``den`` (positive), with
+        keys that are already sorted of length ``k`` over letters ``0..n``;
+        zero cells are dropped and the denominator is made least."""
         tensor = object.__new__(cls)
         tensor.n = n
         tensor.k = k
-        tensor.entries = entries
+        tensor.den, tensor.cells = _normalised(den, cells)
         return tensor
 
     @classmethod
@@ -130,27 +169,52 @@ class SymbolTensor:
 
     @classmethod
     def constant(cls, n: int, value: ScalarLike) -> "SymbolTensor":
-        return cls(n, 0, {((), ()): to_gauss(value)})
+        return cls(n, 0, {((), ()): value})
 
     @classmethod
     def basis_entry(cls, n: int, k: int, left: Index, right: Index, value: ScalarLike = 1) -> "SymbolTensor":
-        return cls(n, k, {(tuple(sorted(left)), tuple(sorted(right))): to_gauss(value)})
+        return cls(n, k, {(tuple(sorted(left)), tuple(sorted(right))): value})
+
+    # -- views ----------------------------------------------------------
+
+    @property
+    def entries(self) -> dict[EntryKey, GaussRational]:
+        """The nonzero tensor entries, ``cells[I, J] / (den mult(I) mult(J))``.
+
+        Built afresh on every access: read it once into a local."""
+        den = self.den
+        out = {}
+        for (left, right), (re, im) in self.cells.items():
+            d = den * multiplicity(left) * multiplicity(right)
+            out[(left, right)] = GaussRational(Fraction(re, d), Fraction(im, d))
+        return out
+
+    def poly_items(self) -> Iterable[tuple[EntryKey, GaussRational]]:
+        """Coefficients of sigma_tilde on sorted monomial representatives."""
+        den = self.den
+        for key, (re, im) in self.cells.items():
+            yield key, GaussRational(Fraction(re, den), Fraction(im, den))
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.cells
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return bool(self.cells)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolTensor):
             return NotImplemented
-        return self.n == other.n and self.k == other.k and self.entries == other.entries
+        return (
+            self.n == other.n
+            and self.k == other.k
+            and self.den == other.den
+            and self.cells == other.cells
+        )
 
     def __repr__(self) -> str:
-        return f"SymbolTensor(n={self.n}, k={self.k}, {len(self.entries)} entries)"
+        return f"SymbolTensor(n={self.n}, k={self.k}, {len(self.cells)} entries)"
 
     # -- linear structure ---------------------------------------------
 
@@ -164,18 +228,13 @@ class SymbolTensor:
         if not isinstance(other, SymbolTensor):
             return NotImplemented
         self._require_compatible(other)
-        out = dict(self.entries)
-        for key, value in other.entries.items():
-            current = out.get(key)
-            if current is None:
-                out[key] = value
-            else:
-                total = current + value
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return SymbolTensor._trusted(self.n, self.k, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {key: (re * a, im * a) for key, (re, im) in self.cells.items()}
+        for key, (re, im) in other.cells.items():
+            cell = out.get(key)
+            out[key] = (re * b, im * b) if cell is None else (cell[0] + re * b, cell[1] + im * b)
+        return SymbolTensor._from_cells(self.n, self.k, den, out)
 
     def __sub__(self, other: "SymbolTensor") -> "SymbolTensor":
         if not isinstance(other, SymbolTensor):
@@ -183,45 +242,25 @@ class SymbolTensor:
         return self + (-other)
 
     def __neg__(self) -> "SymbolTensor":
-        return SymbolTensor._trusted(self.n, self.k, {key: -value for key, value in self.entries.items()})
+        cells = {key: (-re, -im) for key, (re, im) in self.cells.items()}
+        return SymbolTensor._from_cells(self.n, self.k, self.den, cells)
 
     def scale(self, factor: ScalarLike) -> "SymbolTensor":
-        if isinstance(factor, GaussRational) and not factor.im:
-            factor = factor.re
-        if isinstance(factor, GaussRational):
-            entries = {key: value * factor for key, value in self.entries.items()}
-        elif factor:
-            # a real factor scales both Fraction parts directly
-            entries = {
-                key: GaussRational(value.re * factor, value.im * factor)
-                for key, value in self.entries.items()
-            }
-        else:
-            entries = {}
-        return SymbolTensor._trusted(self.n, self.k, entries)
+        """Multiply by ``factor = (p + q i) / m`` as the Gaussian integer
+        ``p + q i`` over the denominator ``den * m``."""
+        re, im = (factor.re, factor.im) if isinstance(factor, GaussRational) else (factor, 0)
+        m = lcm(re.denominator, im.denominator)
+        p = re.numerator * (m // re.denominator)
+        q = im.numerator * (m // im.denominator)
+        cells = {key: (a * p - b * q, a * q + b * p) for key, (a, b) in self.cells.items()}
+        return SymbolTensor._from_cells(self.n, self.k, self.den * m, cells)
 
     def conjugate_swap(self) -> "SymbolTensor":
         """Tensor of the complex-conjugated symbol (swap index groups, conjugate)."""
-        return SymbolTensor(
-            self.n,
-            self.k,
-            {(right, left): value.conjugate() for (left, right), value in self.entries.items()},
-        )
+        cells = {(right, left): (re, -im) for (left, right), (re, im) in self.cells.items()}
+        return SymbolTensor._from_cells(self.n, self.k, self.den, cells)
 
     # -- polynomial view ----------------------------------------------
-
-    def poly_items(self) -> Iterable[tuple[EntryKey, GaussRational]]:
-        """Coefficients of sigma_tilde on sorted monomial representatives."""
-        for (left, right), value in self.entries.items():
-            yield (left, right), value * (multiplicity(left) * multiplicity(right))
-
-    @classmethod
-    def from_poly(cls, n: int, k: int, poly: Mapping[EntryKey, GaussRational]) -> "SymbolTensor":
-        entries = {}
-        for (left, right), coeff in poly.items():
-            if coeff:
-                entries[(left, right)] = coeff / (multiplicity(left) * multiplicity(right))
-        return cls(n, k, entries)
 
     def to_zpoly(self) -> ZPoly:
         """Expand sigma_tilde into an explicit polynomial in z and z-bar."""
@@ -239,55 +278,34 @@ class SymbolTensor:
 
     @classmethod
     def from_zpoly(cls, n: int, k: int, poly: ZPoly) -> "SymbolTensor":
-        entries: dict[EntryKey, GaussRational] = {}
+        parts: dict[EntryKey, tuple[int, int, int, int, int]] = {}
         for (bar, hol), coeff in poly.terms.items():
             if sum(bar) != k or sum(hol) != k:
                 raise ValueError(f"polynomial is not bihomogeneous of degree ({k}, {k})")
             left = tuple(a for a in range(n + 1) for _ in range(bar[a]))
             right = tuple(a for a in range(n + 1) for _ in range(hol[a]))
-            entries[(left, right)] = coeff / (multiplicity(left) * multiplicity(right))
-        return cls(n, k, entries)
-
-
-def symmetrize(raw: Mapping[EntryKey, ScalarLike], n: int, k: int) -> SymbolTensor:
-    """Average an arbitrarily-ordered coefficient map over both index groups."""
-    accum: dict[EntryKey, GaussRational] = {}
-    for (left, right), value in raw.items():
-        value = to_gauss(value)
-        if len(left) != k or len(right) != k:
-            raise ValueError("raw entry with wrong index length")
-        key = (tuple(sorted(left)), tuple(sorted(right)))
-        accum[key] = accum.get(key, GAUSS_ZERO) + value
-    entries = {
-        key: value / (multiplicity(key[0]) * multiplicity(key[1]))
-        for key, value in accum.items()
-        if value
-    }
-    return SymbolTensor(n, k, entries)
+            coeff = to_gauss(coeff)
+            parts[(left, right)] = (*coeff.re.as_integer_ratio(), *coeff.im.as_integer_ratio(), 1)
+        return cls._from_cells(n, k, *_over_lcm(parts))
 
 
 def symbol_of_matrix(matrix: Sequence[Sequence[ScalarLike]]) -> SymbolTensor:
     """Degree-1 symbol tensor of an (n+1) x (n+1) matrix."""
     n = len(matrix) - 1
-    entries: dict[EntryKey, GaussRational] = {}
+    entries: dict[EntryKey, ScalarLike] = {}
     for i, row in enumerate(matrix):
         if len(row) != n + 1:
             raise ValueError("matrix must be square")
         for j, value in enumerate(row):
-            value = to_gauss(value)
-            if value:
-                entries[((i,), (j,))] = value
+            entries[((i,), (j,))] = value
     return SymbolTensor(n, 1, entries)
 
 
 def identity_symbol(n: int, k: int) -> SymbolTensor:
     """Tensor with sigma_tilde = x**k; unit for the pointwise product and the
     identity operator under :func:`operator_product`."""
-    entries = {
-        (index, index): GaussRational(Fraction(1, multiplicity(index)))
-        for index in sorted_tuples(n, k)
-    }
-    return SymbolTensor(n, k, entries)
+    cells = {(index, index): (multiplicity(index), 0) for index in sorted_tuples(n, k)}
+    return SymbolTensor._from_cells(n, k, 1, cells)
 
 
 def eval_symbol(tensor: SymbolTensor, z: Sequence[ScalarLike]) -> GaussRational:
@@ -323,41 +341,9 @@ def pointwise_mul(left: SymbolTensor, right: SymbolTensor) -> SymbolTensor:
     return wick_contraction(left, right, 0)
 
 
-def _poly_ints(tensor: SymbolTensor, weighted: bool = True) -> tuple[int, dict[EntryKey, list[int]]]:
-    """Integer view of a tensor: the common denominator ``D`` of every entry
-    part, and each cell times ``D`` as a list ``[re, im]`` of ints.
-
-    A cell is the polynomial coefficient ``entry * mult(L) * mult(R)`` of
-    sigma_tilde, or the bare entry when ``weighted`` is false.  Every list is
-    fresh, so kernels may update the cells in place.
-    """
-    values = tensor.entries.values()
-    d = lcm(*(v.re.denominator for v in values), *(v.im.denominator for v in values))
-    cells = {}
-    for (left, right), v in tensor.entries.items():
-        w = d * multiplicity(left) * multiplicity(right) if weighted else d
-        cells[(left, right)] = [
-            v.re.numerator * (w // v.re.denominator),
-            v.im.numerator * (w // v.im.denominator),
-        ]
-    return d, cells
-
-
-def _from_poly_ints(n: int, k: int, d: int, cells: Mapping[EntryKey, Sequence[int]]) -> SymbolTensor:
-    """Inverse of :func:`_poly_ints`: polynomial-coefficient cells over the
-    common denominator ``d`` back to a tensor, one Fraction per part of each
-    nonzero cell with denominator ``mult(L) * mult(R) * d``."""
-    entries: dict[EntryKey, GaussRational] = {}
-    for (left, right), (c_re, c_im) in cells.items():
-        if c_re or c_im:
-            denom = multiplicity(left) * multiplicity(right) * d
-            entries[(left, right)] = GaussRational(Fraction(c_re, denom), Fraction(c_im, denom))
-    return SymbolTensor._trusted(n, k, entries)
-
-
 def _times_x(n: int, cells: Mapping[EntryKey, Sequence[int]]) -> dict[EntryKey, list[int]]:
     """Polynomial-coefficient cells of sigma_tilde multiplied by
-    x = sum_a zbar_a z_a."""
+    x = sum_a zbar_a z_a, as fresh ``[re, im]`` lists."""
     grown: dict[EntryKey, list[int]] = {}
     raised: dict[Index, list[Index]] = {}  # index -> index + (a,) for every letter a
     for (left, right), (c_re, c_im) in cells.items():
@@ -380,17 +366,15 @@ def _times_x(n: int, cells: Mapping[EntryKey, Sequence[int]]) -> dict[EntryKey, 
 def embed(tensor: SymbolTensor, times: int = 1) -> SymbolTensor:
     """Raise the degree by multiplying sigma_tilde with x**times (same symbol).
 
-    An integer kernel: the polynomial coefficients are multiplied by x over
-    one common denominator and normalised once at the end.
-    """
+    The cells are multiplied by x over the tensor's own denominator."""
     if times < 0:
         raise ValueError("embed requires times >= 0")
     if not times:
         return tensor
-    d, cells = _poly_ints(tensor)
+    cells = tensor.cells
     for _ in range(times):
         cells = _times_x(tensor.n, cells)
-    return _from_poly_ints(tensor.n, tensor.k + times, d, cells)
+    return SymbolTensor._from_cells(tensor.n, tensor.k + times, tensor.den, cells)
 
 
 def reduce_degree(tensor: SymbolTensor) -> Optional[SymbolTensor]:
@@ -402,13 +386,12 @@ def reduce_degree(tensor: SymbolTensor) -> Optional[SymbolTensor]:
     the quotient is unique, and the result is None as soon as the leading
     monomial left lacks the letter 0 in either group.
 
-    An integer kernel: x is monic in its lead monomial, so the division
-    runs on the Gaussian-integer polynomial coefficients over the tensor's
-    common denominator, and the quotient stays integral over it.
+    x is monic in its lead monomial, so the division runs on the cells and
+    the quotient stays integral over the tensor's denominator.
     """
     if tensor.k == 0:
         raise ValueError("cannot reduce a degree-0 symbol")
-    d, remainder = _poly_ints(tensor)
+    remainder = {key: list(cell) for key, cell in tensor.cells.items()}
     heap = list(remainder)
     heapify(heap)
     quotient: dict[EntryKey, list[int]] = {}
@@ -433,7 +416,7 @@ def reduce_degree(tensor: SymbolTensor) -> Optional[SymbolTensor]:
             else:
                 existing[0] -= c_re
                 existing[1] -= c_im
-    return _from_poly_ints(tensor.n, tensor.k - 1, d, quotient)
+    return SymbolTensor._from_cells(tensor.n, tensor.k - 1, tensor.den, quotient)
 
 
 def reduce_to_min(tensor: SymbolTensor) -> SymbolTensor:
@@ -447,14 +430,6 @@ def reduce_to_min(tensor: SymbolTensor) -> SymbolTensor:
     return current
 
 
-def same_function(left: SymbolTensor, right: SymbolTensor) -> bool:
-    """Equality as functions on CP^n (compare at a common embedded degree)."""
-    if left.n != right.n:
-        return False
-    degree = max(left.k, right.k)
-    return embed(left, degree - left.k) == embed(right, degree - right.k)
-
-
 def _contract_into(
     accum: dict[EntryKey, list[int]],
     left_cells: Mapping[EntryKey, Sequence[int]],
@@ -464,34 +439,36 @@ def _contract_into(
     r: int,
     scale: int,
 ) -> None:
-    """Add ``scale`` times the r-th contraction of two integer views into
+    """Add ``scale`` times the r-th contraction of two cell maps into
     ``accum``.
 
-    ``left_cells`` and ``right_cells`` are the bare entries of a degree-``k``
-    and a degree-``l`` tensor as ``[re, im]`` ints (``_poly_ints`` with
-    ``weighted=False``, possibly rescaled to a larger common denominator).
-    ``accum`` collects polynomial-coefficient cells of degree ``k + l - r``
-    in place: multiplicity weights, the combinatorial prefactor and
-    ``scale`` are folded into the ints, so any number of contractions over
-    the same denominators can add up in one dict and be normalised once
-    with :func:`_from_poly_ints`.
+    ``left_cells`` and ``right_cells`` are the polynomial-coefficient cells
+    of a degree-``k`` and a degree-``l`` tensor, and ``accum`` collects the
+    cells of degree ``k + l - r`` in place, over the product of the two
+    denominators.  Differentiating z^J in the r directions of a multiset
+    alpha, in any of its mult(alpha) orders, gives
+    ``k!/(k-r)! mult(J - alpha) / mult(J)`` times z^(J - alpha), an integer;
+    zbar^I of the right factor likewise.  So every weight is an int, and any
+    number of contractions over the same denominators can add up in one
+    dict and be normalised once.
     """
-    prefactor = _falling(k, r) * _falling(l, r) * scale
+    fall_k = _falling(k, r) * scale
+    fall_l = _falling(l, r)
     # Index the right factor by the contracted submultiset of its
     # antiholomorphic group.
     right_split: dict[Index, list[tuple[Index, Index, int, int]]] = {}
     for (pb, qb), (b_re, b_im) in right_cells.items():
-        w_q = multiplicity(qb)
+        m_p = multiplicity(pb)
         for alpha, i2 in submultiset_splits(pb, r):
-            w = multiplicity(i2) * w_q
+            w = fall_l * multiplicity(i2) // m_p
             right_split.setdefault(alpha, []).append((i2, qb, b_re * w, b_im * w))
     for (ia, ja), (va_re, va_im) in left_cells.items():
-        w_left = multiplicity(ia)
+        m_j = multiplicity(ja)
         for alpha, j2 in submultiset_splits(ja, r):
             matches = right_split.get(alpha)
             if not matches:
                 continue
-            w = w_left * multiplicity(j2) * multiplicity(alpha) * prefactor
+            w = fall_k * multiplicity(j2) // m_j * multiplicity(alpha)
             a_re = va_re * w
             a_im = va_im * w
             for i2, qb, b_re, b_im in matches:
@@ -517,23 +494,17 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
     followed by symmetrization, with the combinatorial prefactor
     ``k!/(k-r)! * l!/(l-r)!`` from choosing which factors to differentiate.
 
-    A thin wrapper over the integer accumulator :func:`_contract_into`:
-    each factor is brought over the lcm ``D`` of its entry-part denominators,
-    every output cell adds up int products, and the cell becomes one
-    Fraction per part, ``c / (mult(u) mult(v) D_left D_right)``, at the end.
-    :func:`cpstar.star.star_elements` runs the same accumulator over all of
-    its contractions at once.
+    A thin wrapper over the accumulator :func:`_contract_into`, over the
+    product of the two denominators.
     """
     if left.n != right.n:
         raise ValueError("contraction needs matching n")
     k, l = left.k, right.k
     if not 0 <= r <= min(k, l):
         raise ValueError(f"contraction order r={r} outside 0..min({k}, {l})")
-    d_left, left_cells = _poly_ints(left, weighted=False)
-    d_right, right_cells = _poly_ints(right, weighted=False)
     accum: dict[EntryKey, list[int]] = {}
-    _contract_into(accum, left_cells, right_cells, k, l, r, 1)
-    return _from_poly_ints(left.n, k + l - r, d_left * d_right, accum)
+    _contract_into(accum, left.cells, right.cells, k, l, r, 1)
+    return SymbolTensor._from_cells(left.n, k + l - r, left.den * right.den, accum)
 
 
 def wick_contraction_reference(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:

@@ -23,9 +23,9 @@ from cpstar.models.torus import (
 from cpstar.multiindex import sorted_tuples
 from cpstar.quotient import (
     ideal_factorize,
-    ideal_member,
     quotient_dimension,
     quotient_map,
+    substitute,
 )
 from cpstar.randgen import (
     random_antihermitean,
@@ -108,8 +108,8 @@ def test_quotients_are_full_matrix_algebras():
         for left in indices:
             for right in indices:
                 basis = SymbolTensor.basis_entry(n, K, left, right)
-                tensor = quotient_map(StarElement.lift(basis), K).tensor
-                rows.append([tensor.entries.get(slot, GAUSS_ZERO) for slot in slots])
+                entries = quotient_map(StarElement.lift(basis), K).tensor.entries
+                rows.append([entries.get(slot, GAUSS_ZERO) for slot in slots])
         assert matrix_rank(rows) == expected_dim
     print("[PASS] quotient map: multiplicative (20 pairs each), unital, and "
           "surjective onto matrix algebras of dimensions 4, 9, 16, 9, 36")
@@ -143,7 +143,7 @@ def test_substitution_ideals_are_two_sided_and_factor():
             member = member + StarElement.lift(random_symbol(rng, 1, K + 1))
         other = random_element(rng, 1, rng.randint(0, 2))
         for product in (star_elements(member, other), star_elements(other, member)):
-            assert ideal_member(product, alpha)
+            assert substitute(product, alpha).is_zero()
             assert ideal_factorize(product, alpha).reconstruction() == product
         assert ideal_factorize(member, alpha).reconstruction() == member
         instances += 1

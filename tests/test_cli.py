@@ -202,6 +202,26 @@ def test_eval_refuses_large_powers_up_front(capsys):
         assert "exceeds the limit" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "template",
+    ["{}", "unit * -{}/3", "1/{}", "2^{}", "quot({})(unit)", "subst({})(unit)"],
+    ids=["literal", "numerator", "denominator", "exponent", "quot", "subst"],
+)
+def test_eval_refuses_long_integer_literals(capsys, template):
+    code, out, err = _run(capsys, ["eval", template.format("7" * 5000)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cpstar: syntax error")
+    assert "integer literal of 5000 digits exceeds the limit of 4300" in err
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+
+def test_eval_accepts_literals_at_the_digit_limit(capsys):
+    code, out, _ = _run(capsys, ["eval", "7" * 4300])
+    assert code == 0
+    assert json.loads(out)["result"]["value"]["re"] == "7" * 4300
+
+
 def test_eval_long_product_chain(capsys):
     code, out, _ = _run(capsys, ["eval", " * ".join(["1"] * 3000) + " * unit"])
     assert code == 0
@@ -553,6 +573,22 @@ def test_check_rejects_inapplicable_override(capsys):
     code, _, err = _run(capsys, ["check", "--suite", "disk", "--K", "2"])
     assert code == 2
     assert "K" in err
+
+
+# ---------------------------------------------------------------------------
+# golden output
+# ---------------------------------------------------------------------------
+
+
+def test_cli_output_matches_golden(capsys, monkeypatch):
+    # stdout and exit code of seeded star, subst, quotient and eval requests
+    # and of every check suite, recorded by tests/make_cli_golden.py
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+    assert {case["argv"][0] for case in golden} == {"star", "subst", "quotient", "eval", "check"}
+    for case in golden:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
+        code, out, _ = _run(capsys, case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["name"]
 
 
 # ---------------------------------------------------------------------------

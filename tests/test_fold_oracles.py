@@ -18,7 +18,6 @@ from cpstar.quotient import (
     NotInIdealError,
     _weighted_sum,
     ideal_factorize,
-    ideal_member,
     quotient_map,
     representative_element,
     substitute,
@@ -120,7 +119,7 @@ def test_ideal_factorize_rejects_exactly_the_non_members():
             member = element - representative_element(quotient_map(element, K))
             for candidate in (element, member, member + StarElement.unit(element.n)):
                 for alpha in (Fraction(1, K), Fraction(2, 7)):
-                    if ideal_member(candidate, alpha):
+                    if substitute(candidate, alpha).is_zero():
                         _check_factorization(candidate, alpha)
                     else:
                         with pytest.raises(NotInIdealError):

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpstar.multiindex import (
-    index_space_size,
     merge_indices,
     multiplicity,
     sorted_tuples,
@@ -41,7 +40,7 @@ def test_sorted_tuples_enumeration():
     for n in range(3):
         for k in range(5):
             tuples = sorted_tuples(n, k)
-            assert len(tuples) == index_space_size(n, k) == comb(n + k, k)
+            assert len(tuples) == comb(n + k, k)
             assert all(t == tuple(sorted(t)) for t in tuples)
             assert len(set(tuples)) == len(tuples)
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -21,9 +21,7 @@ from cpstar.symbols import (
     pointwise_mul,
     reduce_degree,
     reduce_to_min,
-    same_function,
     symbol_of_matrix,
-    symmetrize,
     wick_contraction,
     wick_contraction_reference,
 )
@@ -42,6 +40,33 @@ def test_constructor_validates_entries():
     with pytest.raises(ValueError):
         SymbolTensor(1, 2, {((1, 0), (0, 0)): g(1)})  # unsorted representative
     assert SymbolTensor(1, 1, {((0,), (0,)): g(0)}).is_zero()  # zeros dropped
+
+
+def test_constructor_cells_over_least_denominator():
+    # the multiplicity weights cancel entry denominators: 1/2 at (01, 00)
+    # is the coefficient 1/2 * 2 * 1 = 1
+    tensor = SymbolTensor(1, 2, {((0, 1), (0, 0)): Fraction(1, 2)})
+    assert (tensor.den, tensor.cells) == (1, {((0, 1), (0, 0)): (1, 0)})
+    # mult((0, 0, 1)) mult((0, 1, 2)) = 3 * 6 cancels the 9 and the 2
+    tensor = SymbolTensor(2, 3, {((0, 0, 1), (0, 1, 2)): g(Fraction(1, 9), Fraction(-1, 2))})
+    assert (tensor.den, tensor.cells) == (1, {((0, 0, 1), (0, 1, 2)): (2, -9)})
+    # complex parts over distinct primes: the coefficients are 2/3 + 4/5 i
+    # (weight 2) and -3/7 + 1/2 i, over lcm(3, 5, 7, 2) = 210
+    entries = {
+        ((0, 0), (0, 1)): g(Fraction(1, 3), Fraction(2, 5)),
+        ((1, 1), (1, 1)): g(Fraction(-3, 7), Fraction(1, 2)),
+    }
+    tensor = SymbolTensor(1, 2, entries)
+    assert (tensor.den, tensor.cells) == (210, {((0, 0), (0, 1)): (140, 168), ((1, 1), (1, 1)): (-90, 105)})
+    assert tensor.entries == entries
+    _assert_canonical(tensor)
+    # a common factor of every part and the lcm is divided out
+    tensor = SymbolTensor(1, 1, {((0,), (0,)): Fraction(2, 3), ((0,), (1,)): g(0, Fraction(4, 3))})
+    assert (tensor.den, tensor.cells) == (3, {((0,), (0,)): (2, 0), ((0,), (1,)): (0, 4)})
+    tensor = SymbolTensor(1, 2, {((0, 1), (0, 1)): Fraction(3, 4), ((0, 0), (1, 1)): g(0, Fraction(1, 2))})
+    assert (tensor.den, tensor.cells) == (2, {((0, 1), (0, 1)): (6, 0), ((0, 0), (1, 1)): (0, 1)})
+    zero = SymbolTensor(2, 2, {((0, 0), (1, 1)): g(0)})
+    assert (zero.den, zero.cells) == (1, {})
 
 
 def test_linear_structure():
@@ -68,20 +93,7 @@ def test_multiplicity_convention_round_trip():
     tensor = SymbolTensor(1, 2, {((0, 1), (0, 1)): g(1, 0)})
     poly = dict(tensor.poly_items())
     assert poly == {((0, 1), (0, 1)): g(4)}
-    assert SymbolTensor.from_poly(1, 2, poly) == tensor
-    back = SymbolTensor.from_zpoly(1, 2, tensor.to_zpoly())
-    assert back == tensor
-
-
-def test_symmetrize_accumulates_orderings():
-    raw = {
-        ((0, 1), (0, 0)): g(1),
-        ((1, 0), (0, 0)): g(3),
-    }
-    tensor = symmetrize(raw, 1, 2)
-    # both orderings collapse onto (0,1); the average divides by the
-    # multiplicities of each group: (1+3) / (2 * 1)
-    assert tensor.entries == {((0, 1), (0, 0)): g(2)}
+    assert SymbolTensor.from_zpoly(1, 2, tensor.to_zpoly()) == tensor
 
 
 def test_symbol_of_matrix():
@@ -252,7 +264,8 @@ def _dense_reduce_degree(tensor):
     cols = [(left, right) for left in sorted_tuples(n, k - 1) for right in sorted_tuples(n, k - 1)]
     images = [embed(SymbolTensor(n, k - 1, {col: 1})).entries for col in cols]
     matrix = [[image.get(row, GAUSS_ZERO) for image in images] for row in rows]
-    solved = linear_solve(matrix, [tensor.entries.get(row, GAUSS_ZERO) for row in rows])
+    entries = tensor.entries
+    solved = linear_solve(matrix, [entries.get(row, GAUSS_ZERO) for row in rows])
     if not solved.solvable:
         return None
     assert solved.kind == "unique"  # multiplying by x is injective
@@ -353,22 +366,34 @@ def test_reduce_degree_matches_dense_oracle_with_fractions():
 
 
 def _assert_canonical(tensor):
-    assert SymbolTensor(tensor.n, tensor.k, tensor.entries) == tensor
-    for (left, right), value in tensor.entries.items():
+    entries = tensor.entries
+    assert SymbolTensor(tensor.n, tensor.k, entries) == tensor
+    for (left, right), value in entries.items():
         assert isinstance(value, GaussRational) and value
         assert len(left) == len(right) == tensor.k
         assert list(left) == sorted(left) and list(right) == sorted(right)
         assert all(0 <= a <= tensor.n for a in left + right)
         assert type(left) is tuple and type(right) is tuple
+    # the cells: nonzero int pairs over the least positive denominator
+    assert type(tensor.den) is int and tensor.den >= 1
+    assert tensor.cells.keys() == entries.keys()
+    for re, im in tensor.cells.values():
+        assert type(re) is int and type(im) is int and (re or im)
+    assert gcd(tensor.den, *(part for cell in tensor.cells.values() for part in cell)) == 1
+    if tensor.is_zero():
+        assert tensor.den == 1
 
 
-def test_trusted_results_are_canonical():
-    # every producer that builds its result without validation, on seeded
+def test_from_cells_results_are_canonical():
+    # every producer that builds its result through _from_cells, on seeded
     # inputs that include cancellations and the zero tensor
     rng = random.Random(33)
     for n, k in [(1, 1), (1, 3), (2, 2), (3, 2)]:
         a, b, c, zero = _kernel_inputs(rng, n, k)
+        _assert_canonical(identity_symbol(n, k))
         for t in (a, b, c, zero):
+            _assert_canonical(t.conjugate_swap())
+            _assert_canonical(SymbolTensor.from_zpoly(n, k, t.to_zpoly()))
             for u in (a, b, c, zero):
                 _assert_canonical(t + u)
                 _assert_canonical(t - u)
@@ -404,8 +429,8 @@ def test_trusted_results_are_canonical():
 def test_same_function_ignores_embedding_degree():
     rng = random.Random(15)
     tensor = random_symbol(rng, 2, 1, density=0.8)
-    assert same_function(tensor, embed(tensor, 2))
-    assert not same_function(tensor, embed(tensor).scale(2))
+    assert reduce_to_min(tensor) == reduce_to_min(embed(tensor, 2))
+    assert reduce_to_min(tensor) != reduce_to_min(embed(tensor).scale(2))
 
 
 def test_contraction_respects_hermitean_conjugation():
