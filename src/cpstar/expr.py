@@ -19,9 +19,11 @@ errors carry the character position.  Evaluation dispatches
 on the runtime types of the operands: symbols are lifted into the
 filtered algebra before starring, scalars multiply anything, and the
 torus and disk values use their own products.  A power is refused before
-any product runs when its exponent exceeds :data:`MAX_EXPONENT`, or, for a
+any product runs when its exponent exceeds :data:`MAX_EXPONENT`; for a
 symbol or filtered element, when its top component would exceed
-:data:`MAX_POWER_ENTRIES` entries.
+:data:`MAX_POWER_ENTRIES` entries; for a disk element, when it would reach
+a basis index over :data:`MAX_DISK_INDEX`; and for a Fourier sum, when it
+could hold more than :data:`MAX_POWER_MODES` modes.
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ from .star import StarElement, star_elements
 from .symbols import SymbolTensor, pointwise_mul, symbol_of_matrix
 
 __all__ = [
+    "MAX_DISK_INDEX",
     "MAX_EXPONENT",
     "MAX_LITERAL_DIGITS",
     "MAX_NESTING",
     "MAX_POWER_ENTRIES",
+    "MAX_POWER_MODES",
     "ParseError",
     "EvalError",
     "parse",
@@ -130,13 +134,26 @@ converting a digit string to an int."""
 MAX_EXPONENT = 8
 """Largest ``^`` exponent :func:`evaluate` computes, for every base.  A power
 repeats its product that many times, and disk powers grow fastest: on a
-2-core x86-64 VM with Python 3.11, the 8th power of a disk element with 16
-terms of degree up to 3 took 3.6 s and its 16th 95 s."""
+2-core x86-64 VM with Python 3.11, the 8th power of the sum of the 16 disk
+basis functions of index up to 3 took 4.0 s."""
 
 MAX_POWER_ENTRIES = 10_000
 """Largest top component a star power of a symbol or filtered element may
 reach, in entries: ``e`` factors of level ``L`` on CP^n land at level
 ``e L``, whose top component has up to ``C(n + e L, n) ** 2`` entries."""
+
+MAX_DISK_INDEX = 24
+"""Largest basis index a star power of a disk element may reach: ``e``
+factors whose largest index (``p`` or ``q``) is ``P`` reach index ``e P``,
+with up to ``(e P + 1) ** 2`` basis functions.  On the VM above, powers of
+elements with every basis function up to index ``P`` that reach index 24
+took 4 to 8.4 s, and index 20 at most 3.1 s."""
+
+MAX_POWER_MODES = 2_000
+"""Largest number of modes a star power of a Fourier sum may reach: the
+modes of the ``e``-th power of ``T`` modes are sums of ``e`` of them, at most
+``C(T + e - 1, e)``.  On the VM above, the 8th power of 6 modes (1287 modes)
+took 3.1 s."""
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<punct>[*.^()/-]))"
@@ -480,6 +497,12 @@ def _power(base: Value, exponent: int) -> Value:
             result = star_elements(result, lifted)
         return result
     if isinstance(base, FourierSum):
+        modes = comb(len(base.coeffs) + exponent - 1, exponent) if base.coeffs else 0
+        if modes > MAX_POWER_MODES:
+            raise EvalError(
+                f"power {exponent} of a Fourier sum of {len(base.coeffs)} modes has up to "
+                f"{modes} modes, over the limit of {MAX_POWER_MODES}"
+            )
         result = FourierSum.mode(
             base.dim, base.matrix, base.parameter, (0,) * base.dim
         )
@@ -487,6 +510,12 @@ def _power(base: Value, exponent: int) -> Value:
             result = moyal_product(result, base)
         return result
     if isinstance(base, DiskElement):
+        largest = max((max(key) for key in base.coeffs), default=0)
+        if exponent * largest > MAX_DISK_INDEX:
+            raise EvalError(
+                f"power {exponent} of a disk element of largest basis index {largest} reaches "
+                f"index {exponent * largest}, over the limit of {MAX_DISK_INDEX}"
+            )
         result = DiskElement.unit()
         for _ in range(exponent):
             result = disk_product(result, base)

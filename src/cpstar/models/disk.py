@@ -12,7 +12,12 @@ Pochhammer products at negated parameter,
         * f_{p+r-m, q+s-m},
 
 where ``poch(k at -nu)`` is the usual product (1 - nu)(1 - 2 nu)... with
-nu replaced by -nu.  Coefficients are exact rational functions of nu.
+nu replaced by -nu.  Coefficients are exact rational functions of nu whose
+denominators are products of ``1 + j nu``.  :func:`disk_product` multiplies
+them in integer form (Gaussian-integer numerators over an int and those
+linear factors), sums the contributions to each output basis function over
+one common denominator and reduces each sum once, in
+``NuRationalFunction._from_ints``.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ from math import factorial
 from typing import Mapping
 
 from ..nupoly import (
-    NRF_ONE,
+    NRF_ZERO,
+    IntForm,
     NuPolynomial,
     NuRationalFunction,
+    _sum,
+    _times,
     nu_pochhammer,
 )
 
@@ -132,19 +140,40 @@ def disk_basis_coefficient(q: int, r: int, s: int, m: int) -> NuRationalFunction
     return NuRationalFunction.over_factors(numerator * scale, factors)
 
 
+@lru_cache(maxsize=None)
+def _basis_ints(q: int, r: int, s: int, m: int) -> IntForm:
+    """:func:`disk_basis_coefficient` in integer form, beside its cache."""
+    return disk_basis_coefficient(q, r, s, m)._ints()
+
+
 def disk_product(left: DiskElement, right: DiskElement) -> DiskElement:
-    """Bilinear extension of the basis product, exact over nu-rationals."""
-    zero = NuRationalFunction.constant(0)
-    out: dict[tuple[int, int], NuRationalFunction] = {}
+    """Bilinear extension of the basis product, exact over nu-rationals.
+
+    The contributions are grouped by output basis function.  When every
+    coefficient of a group has factored denominators, each contribution is
+    the integer product of the two coefficients and the basis weight, and
+    the group is summed over the lcm of their denominators and reduced once
+    (``nupoly._sum``).  A group that meets a coefficient whose denominator
+    was never factored, such as one read from JSON, adds its contributions
+    in ``NuRationalFunction`` arithmetic in turn, whose Euclidean route
+    handles any denominator.
+    """
+    rights = [(r, s, b, b._ints()) for (r, s), b in right.coeffs.items()]
+    groups: dict[tuple[int, int], list] = {}
     for (p, q), a in left.coeffs.items():
-        for (r, s), b in right.coeffs.items():
-            pair = a * b
+        a_ints = a._ints()
+        for r, s, b, b_ints in rights:
+            pair = None if a_ints is None or b_ints is None else _times(a_ints, b_ints)
             for m in range(min(q, r) + 1):
-                weight = disk_basis_coefficient(q, r, s, m)
-                key = (p + r - m, q + s - m)
-                merged = out.get(key, zero) + pair * weight
-                if merged:
-                    out[key] = merged
-                elif key in out:
-                    del out[key]
+                groups.setdefault((p + r - m, q + s - m), []).append((pair, a, b, (q, r, s, m)))
+    out: dict[tuple[int, int], NuRationalFunction] = {}
+    for key, group in groups.items():
+        if all(pair is not None for pair, _, _, _ in group):
+            value = _sum(_times(pair, _basis_ints(*qrsm)) for pair, _, _, qrsm in group)
+        else:
+            value = NRF_ZERO
+            for _, a, b, qrsm in group:
+                value = value + a * b * disk_basis_coefficient(*qrsm)
+        if value:
+            out[key] = value
     return DiskElement(out)

@@ -10,9 +10,15 @@ Every denominator the star products build is a product of linear factors
 ``1 - j nu`` (see :func:`cpstar.star._star_coefficient` and
 :func:`cpstar.models.disk.disk_basis_coefficient`).  A rational function
 built from such factors (:meth:`NuRationalFunction.over_factors`) carries
-them, and its sums and products cancel by synthetic division at the known
-roots ``1/j``.  A Euclidean gcd runs only for generic denominators, such as
-those read from JSON.
+them, and is reduced in one place, over the integers: a value
+``nums / (den prod(1 - j nu))`` with Gaussian-integer coefficients ``nums``
+and a positive int ``den`` (``NuRationalFunction._from_ints``) cancels each
+root ``1/j`` by integer synthetic division and only then becomes
+``GaussRational`` coefficients.  Sums and products of factored values, the
+per-entry sums of :meth:`cpstar.star.StarProductTerms.nrf_map` and the
+per-key sums of :func:`cpstar.models.disk.disk_product` are all built in
+that integer form and reduced once.  A Euclidean gcd over Q(i) runs only
+for generic denominators, such as those read from JSON.
 
 The central special family is the nu-Pochhammer product
 
@@ -27,10 +33,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
-from typing import Iterable, Sequence, Union
+from math import lcm, prod
+from typing import Iterable, Optional, Sequence, Union
 
-from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, to_gauss
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _over_lcm, to_gauss
 
 __all__ = [
     "NuPolynomial",
@@ -227,13 +233,33 @@ def _poly_gcd(a: NuPolynomial, b: NuPolynomial) -> NuPolynomial:
     return a.monic()
 
 
+_FRACTION_ZERO = Fraction(0)
+
+GaussInts = Sequence[Sequence[int]]
+"""A polynomial over the Gaussian integers: ``(re, im)`` pairs, lowest first."""
+
+
+def _poly_ints(coeffs: Sequence[GaussRational], weight: int = 1) -> tuple[int, list[tuple[int, int]]]:
+    """``weight`` times a coefficient tuple as Gaussian integers over their
+    least common denominator: ``(den, nums)``, lowest first."""
+    den, cells = _over_lcm(
+        {m: (*c.re.as_integer_ratio(), *c.im.as_integer_ratio(), weight) for m, c in enumerate(coeffs) if c}
+    )
+    return den, [cells.get(m, (0, 0)) for m in range(len(coeffs))]
+
+
 @lru_cache(maxsize=1024)
+def _linear_ints(js: tuple[int, ...]) -> tuple[int, ...]:
+    """The integer coefficients of the product of ``1 - j nu`` over ``js``."""
+    out = [1]
+    for j in js:
+        out = [a - j * b for a, b in zip(out + [0], [0] + out)]
+    return tuple(out)
+
+
 def _linear_product(js: tuple[int, ...]) -> NuPolynomial:
     """The product of ``1 - j nu`` over the multiset ``js``."""
-    out = NU_ONE
-    for j in js:
-        out = out * NuPolynomial((GAUSS_ONE, GaussRational(-j)))
-    return out
+    return NuPolynomial(_linear_ints(js))
 
 
 @lru_cache(maxsize=1024)
@@ -242,43 +268,100 @@ def _monic_product(js: tuple[int, ...]) -> NuPolynomial:
     return _linear_product(js).monic()
 
 
-def _divide_root(coeffs: tuple[GaussRational, ...], root: Fraction):
-    """Synthetic division by ``nu - root``: the quotient's coefficients and the remainder."""
-    quotient = [GAUSS_ZERO] * (len(coeffs) - 1)
-    acc = coeffs[-1]
-    for m in range(len(coeffs) - 2, -1, -1):
-        quotient[m] = acc
-        acc = coeffs[m] + acc * root
-    return quotient, acc
+def _gauss_mul(a: GaussInts, b: GaussInts) -> list[list[int]]:
+    """The product of two polynomials over the Gaussian integers."""
+    out = [[0, 0] for _ in range(len(a) + len(b) - 1)]
+    for i, (a_re, a_im) in enumerate(a):
+        if not (a_re or a_im):
+            continue
+        for m, (b_re, b_im) in enumerate(b, i):
+            cell = out[m]
+            cell[0] += a_re * b_re - a_im * b_im
+            cell[1] += a_re * b_im + a_im * b_re
+    return out
 
 
-def _cancel_roots(num: NuPolynomial, js: tuple[int, ...]) -> tuple[NuPolynomial, tuple[int, ...]]:
-    """Divide ``num`` by each ``nu - 1/j`` it vanishes on; ``js`` sorted, ``num`` nonzero.
+IntForm = tuple[GaussInts, int, tuple[int, ...]]
+"""``(nums, den, js)``: the value ``nums / (den prod(1 - j nu))``, with
+``nums`` over the Gaussian integers, ``den`` a positive int and ``js`` a
+multiset of nonzero ints, in any order."""
 
-    Returns the quotient and the factors that stay in the denominator.
+
+def _times(a: IntForm, b: IntForm) -> IntForm:
+    """The product of two integer forms."""
+    return _gauss_mul(a[0], b[0]), a[1] * b[1], a[2] + b[2]
+
+
+def _widen_into(total: list[list[int]], nums: GaussInts, scale: int, js: Iterable[int]) -> None:
+    """Add ``scale`` times ``nums`` times the product of ``1 - j nu`` over
+    ``js`` into ``total``, long enough to hold it, in place."""
+    extra = _linear_ints(tuple(sorted(js)))
+    for i, (re, im) in enumerate(nums):
+        if not (re or im):
+            continue
+        re *= scale
+        im *= scale
+        for m, c in enumerate(extra, i):
+            cell = total[m]
+            cell[0] += re * c
+            cell[1] += im * c
+
+
+def _sum(terms: Iterable[IntForm]) -> "NuRationalFunction":
+    """The sum of integer forms, reduced once: every term is brought over the
+    lcm of the ``den`` and the multiset lcm of the ``js``, by integer
+    multiples and integer linear products."""
+    terms = list(terms)
+    common: Counter = Counter()
+    for _, _, js in terms:
+        common |= Counter(js)
+    den = lcm(*(d for _, d, _ in terms))
+    size = sum(common.values())
+    total = [[0, 0] for _ in range(max(len(nums) + size - len(js) for nums, _, js in terms))]
+    for nums, d, js in terms:
+        _widen_into(total, nums, den // d, (common - Counter(js)).elements())
+    return NuRationalFunction._from_ints(total, den, tuple(common.elements()))
+
+
+def _reduced(
+    nums: GaussInts, den: int, js: Iterable[int]
+) -> tuple[NuPolynomial, NuPolynomial, tuple[int, ...]]:
+    """The canonical ``(num, den, js)`` of ``nums / (den prod(1 - j nu))``.
+
+    This is the one place where linear factors cancel.  ``nums`` vanishes
+    at ``1/j`` exactly when ``sum_m nums[m] j^(d-m)`` does, d its degree,
+    and then its quotient by ``1 - j nu`` has the integer coefficients
+    ``Q_m = nums[m] + j Q_(m-1)`` (Gauss's lemma), the last of which is
+    that sum.  The factors left over are made monic: their product is
+    ``prod(-j)`` times ``prod(nu - 1/j)``.
     """
-    coeffs = num.coeffs
+    nums = list(nums)
+    while nums and not (nums[-1][0] or nums[-1][1]):
+        nums.pop()
+    if not nums:
+        return NU_ZERO, NU_ONE, ()
     kept: list[int] = []
-    for j in js:
-        if kept and kept[-1] == j:  # num does not vanish at 1/j: no copy of j cancels
+    for j in sorted(js):
+        if kept and kept[-1] == j:  # nums does not vanish at 1/j: no copy of j cancels
             kept.append(j)
             continue
-        quotient, remainder = _divide_root(coeffs, Fraction(1, j))
-        if remainder:
+        quotient = []
+        q_re = q_im = 0
+        for re, im in nums:
+            q_re = re + j * q_re
+            q_im = im + j * q_im
+            quotient.append((q_re, q_im))
+        if q_re or q_im:
             kept.append(j)
         else:
-            coeffs = quotient
-    if len(kept) < len(js):
-        num = NuPolynomial(coeffs)
-    return num, tuple(kept)
-
-
-def _multiset_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((Counter(a) | Counter(b)).elements()))
-
-
-def _multiset_minus(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((Counter(a) - Counter(b)).elements()))
+            quotient.pop()
+            nums = quotient
+    js = tuple(kept)
+    lead = den * prod(-j for j in js)
+    num = NuPolynomial(
+        GaussRational(Fraction(re, lead), Fraction(im, lead) if im else _FRACTION_ZERO) for re, im in nums
+    )
+    return num, _monic_product(js), js
 
 
 class NuRationalFunction:
@@ -288,9 +371,12 @@ class NuRationalFunction:
     sorted tuple of nonzero integers with ``den == prod(nu - 1/j)``, which is
     ``prod(1 - j nu)`` made monic (``()`` for the denominator 1).  It is
     ``None`` for a denominator that was never factored, such as one read from
-    JSON.  Sums and products of two factored operands cancel by synthetic
-    division at the roots ``1/j``; any other operand goes through a Euclidean
-    gcd over Q(i).  Both routes give the same canonical ``num`` and ``den``.
+    JSON.  A factored value is reduced by :func:`_reduced`, over the Gaussian
+    integers: sums and products of two factored operands, and the
+    constructor given a tuple of factors, bring their numerators to integer
+    form and cancel at the roots ``1/j`` there.  Any other operand goes
+    through a Euclidean gcd over Q(i).  Both routes give the same canonical
+    ``num`` and ``den``.
     """
 
     __slots__ = ("num", "den", "js")
@@ -305,8 +391,9 @@ class NuRationalFunction:
         if num.is_zero():
             num, den, js = NU_ZERO, NU_ONE, ()
         elif isinstance(den, tuple):
-            num, js = _cancel_roots(num, den)
-            den = _monic_product(js)
+            # prod(nu - 1/j) is prod(1 - j nu) over prod(-j)
+            d, nums = _poly_ints(num.coeffs, prod(-j for j in den))
+            num, den, js = _reduced(nums, d, den)
         else:
             if den.degree > 0:
                 common = _poly_gcd(num, den)
@@ -333,9 +420,29 @@ class NuRationalFunction:
     @classmethod
     def over_factors(cls, num: NuPolynomial, js: Iterable[int]) -> "NuRationalFunction":
         """``num / prod(1 - j nu)`` over a multiset ``js`` of nonzero integers."""
-        js = tuple(sorted(js))
-        lead = prod(-j for j in js)  # the leading coefficient of prod(1 - j nu)
-        return cls(num * Fraction(1, lead), js)
+        den, nums = _poly_ints(num.coeffs)
+        return cls._from_ints(nums, den, js)
+
+    @classmethod
+    def _from_ints(cls, nums: GaussInts, den: int, js: Iterable[int]) -> "NuRationalFunction":
+        """``nums / (den prod(1 - j nu))``: Gaussian-integer coefficients
+        ``nums`` (lowest first), a positive int ``den`` and a multiset ``js``
+        of nonzero integers, reduced by :func:`_reduced`."""
+        value = object.__new__(cls)
+        value_num, value_den, value_js = _reduced(nums, den, js)
+        object.__setattr__(value, "num", value_num)
+        object.__setattr__(value, "den", value_den)
+        object.__setattr__(value, "js", value_js)
+        return value
+
+    def _ints(self) -> Optional[IntForm]:
+        """The value as ``(nums, den, js)``, ``nums / (den prod(1 - j nu))``
+        over the Gaussian integers; None when the denominator was never
+        factored."""
+        if self.js is None:
+            return None
+        den, nums = _poly_ints(self.num.coeffs, prod(-j for j in self.js))
+        return nums, den, self.js
 
     @classmethod
     def from_json(cls, data: dict) -> "NuRationalFunction":
@@ -354,6 +461,21 @@ class NuRationalFunction:
         if remainder:
             raise ValueError(f"{self.den} does not divide the product of 1 - j nu over {js}")
         return self.num * quotient
+
+    def _numerator_ints(self, js: tuple[int, ...]) -> tuple[int, GaussInts]:
+        """:meth:`numerator_over` as Gaussian integers over a positive
+        denominator, ``(den, nums)``; by integer linear products when the
+        factors are known."""
+        form = self._ints()
+        extra = Counter(js)
+        if form is not None:
+            extra.subtract(form[2])
+        if form is None or min(extra.values(), default=0) < 0:
+            return _poly_ints(self.numerator_over(js).coeffs)
+        nums, den, _ = form
+        total = [[0, 0] for _ in range(len(nums) + extra.total())]
+        _widen_into(total, nums, 1, extra.elements())
+        return den, total
 
     @property
     def _denominator(self) -> Union[NuPolynomial, tuple[int, ...]]:
@@ -377,14 +499,7 @@ class NuRationalFunction:
             return self
         if not self.num:
             return other
-        if self.js == other.js:
-            return NuRationalFunction(self.num + other.num, self.js)
-        js = _multiset_lcm(self.js, other.js)
-        return NuRationalFunction(
-            self.num * _monic_product(_multiset_minus(js, self.js))
-            + other.num * _monic_product(_multiset_minus(js, other.js)),
-            js,
-        )
+        return _sum((self._ints(), other._ints()))
 
     def __sub__(self, other: "NuRationalFunction") -> "NuRationalFunction":
         if not isinstance(other, NuRationalFunction):
@@ -398,7 +513,7 @@ class NuRationalFunction:
         if isinstance(other, NuRationalFunction):
             if self.js is None or other.js is None:
                 return NuRationalFunction(self.num * other.num, self.den * other.den)
-            return NuRationalFunction(self.num * other.num, tuple(sorted(self.js + other.js)))
+            return NuRationalFunction._from_ints(*_times(self._ints(), other._ints()))
         if isinstance(other, (NuPolynomial, int, Fraction, GaussRational)):
             return NuRationalFunction(self.num * other, self._denominator)
         return NotImplemented

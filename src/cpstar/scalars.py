@@ -8,11 +8,14 @@ floating point enters any code path in this package.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Hashable, Mapping, Sequence, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussRational"]
+Key = TypeVar("Key", bound=Hashable)
 
 __all__ = [
     "Fraction",
@@ -33,9 +36,38 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
+def _decimal_digits(value: int) -> int:
+    """The number of decimal digits of ``abs(value)`` (0 has one), from its
+    bit length: ``10**(d - 1) <= 2**(bits - 1)`` for the first guess ``d``,
+    as 0.301029995 is below log10(2)."""
+    value = abs(value)
+    digits = (max(value.bit_length(), 1) - 1) * 301029995 // 10**9 + 1
+    power = 10**digits
+    while value >= power:
+        digits += 1
+        power *= 10
+    return digits
+
+
+def _check_digits(value: int) -> None:
+    """Refuse an int that ``str()`` would not convert under the
+    interpreter's digit limit (CPython's ``sys.get_int_max_str_digits``)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # under 3 bits a digit, a number has fewer digits than the limit
+    if limit and value.bit_length() > 3 * limit:
+        digits = _decimal_digits(value)
+        if digits > limit:
+            raise ValueError(f"result has a number of {digits} digits, over the limit of {limit}")
+
+
 def format_rational(value: RationalLike) -> str:
-    """Render a rational as ``p/q``, omitting ``/q`` when the denominator is 1."""
+    """Render a rational as ``p/q``, omitting ``/q`` when the denominator is 1.
+
+    A numerator or denominator with more decimal digits than the
+    interpreter converts is a ValueError with the digit count."""
     value = Fraction(value)
+    _check_digits(value.numerator)
+    _check_digits(value.denominator)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -181,3 +213,38 @@ def to_gauss(value: ScalarLike) -> GaussRational:
     if isinstance(value, GaussRational):
         return value
     return GaussRational(value)
+
+
+def _over_lcm(parts: Mapping[Key, tuple[int, int, int, int, int]]) -> tuple[int, dict[Key, tuple[int, int]]]:
+    """Gaussian rationals as Gaussian integers over one least denominator.
+
+    ``parts`` maps keys to nonzero weighted values ``w * (a/b + c/d i)``,
+    given as ``(a, b, c, d, w)``; the result is ``(den, cells)`` with each
+    value equal to ``cells[key] / den``, normalised as by :func:`_normalised`.
+    This is the one place where rationals become integer cells: symbol
+    tensors and nu-polynomial coefficients both go through it."""
+    den = lcm(*(b for _, b, _, _, _ in parts.values()), *(d for _, _, _, d, _ in parts.values()))
+    if den == 1:  # integral and nonzero already
+        return 1, {key: (a * w, c * w) for key, (a, _, c, _, w) in parts.items()}
+    cells = {}
+    for key, (a, b, c, d, w) in parts.items():
+        w *= den
+        cells[key] = (a * (w // b), c * (w // d))
+    return _normalised(den, cells)
+
+
+def _normalised(den: int, cells: Mapping[Key, Sequence[int]]) -> tuple[int, dict[Key, tuple[int, int]]]:
+    """The same cells without zeros, over the least denominator: ``den`` and
+    every part divided by their gcd.  No cells get denominator 1."""
+    out = {}
+    common = den
+    for key, (re, im) in cells.items():
+        if re or im:
+            out[key] = (re, im)
+            if common != 1:
+                common = gcd(common, re, im)
+    if not out:
+        return 1, out
+    if common == 1:
+        return den, out
+    return den // common, {key: (re // common, im // common) for key, (re, im) in out.items()}

@@ -33,8 +33,9 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Mapping, Optional, Sequence
 
+from .multiindex import multiplicity
 from .nupoly import NuPolynomial, NuRationalFunction, nu_pochhammer
-from .scalars import GAUSS_ZERO, ScalarLike, to_gauss
+from .scalars import ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
     _contract_into,
@@ -114,27 +115,40 @@ class StarProductTerms:
     def nrf_map(self, degree: Optional[int] = None) -> dict:
         """Entry-wise rational functions of nu at a common embedded degree.
 
-        Every term's coefficient lies over ``nu^(k) nu^(l)``, so each entry
-        sums its numerator polynomials over that denominator and is reduced
-        once.
+        One integer pass, reduced once per entry.  Every term's coefficient
+        lies over ``nu^(k) nu^(l)``, the product of ``1 - j nu`` over ``js``;
+        its numerator over that product is cleared to Gaussian integers
+        over ``D_t``, and the term's embedded tensor is read as its cells
+        over ``den_t``.  Each entry sums the products of the two over the lcm
+        ``D`` of every ``D_t den_t``, and ``NuRationalFunction._from_ints``
+        reduces the sum over ``D mult(I) mult(J)`` and ``js`` once.
         """
         if degree is None:
             degree = self.k + self.l
         js = (*range(1, self.k), *range(1, self.l))  # the factors of nu^(k) nu^(l)
-        numerators = [term.coefficient.numerator_over(js).coeffs for term in self.terms]
-        width = max(map(len, numerators), default=0)
-        sums: dict = {}
-        for term, numerator in zip(self.terms, numerators):
+        parts = []
+        for term in self.terms:
             tensor = embed(term.tensor, degree - term.tensor.k)
-            for key, value in tensor.entries.items():
+            if tensor:
+                den, nums = term.coefficient._numerator_ints(js)
+                parts.append((den * tensor.den, nums, tensor.cells))
+        den = lcm(*(d for d, _, _ in parts))
+        width = max((len(nums) for _, nums, _ in parts), default=0)
+        sums: dict = {}
+        for d, nums, cells in parts:
+            scale = den // d
+            nums = [(m, re * scale, im * scale) for m, (re, im) in enumerate(nums) if re or im]
+            for key, (c_re, c_im) in cells.items():
                 acc = sums.get(key)
                 if acc is None:
-                    acc = sums[key] = [GAUSS_ZERO] * width
-                for m, c in enumerate(numerator):
-                    acc[m] = acc[m] + value * c
+                    acc = sums[key] = [[0, 0] for _ in range(width)]
+                for m, n_re, n_im in nums:
+                    cell = acc[m]
+                    cell[0] += n_re * c_re - n_im * c_im
+                    cell[1] += n_re * c_im + n_im * c_re
         out = {}
         for key, acc in sums.items():
-            value = NuRationalFunction.over_factors(NuPolynomial(acc), js)
+            value = NuRationalFunction._from_ints(acc, den * multiplicity(key[0]) * multiplicity(key[1]), js)
             if value:
                 out[key] = value
         return out

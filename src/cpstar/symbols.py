@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .multiindex import (
@@ -55,7 +55,7 @@ from .multiindex import (
     sorted_tuples,
     submultiset_splits,
 )
-from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, to_gauss
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _normalised, _over_lcm, to_gauss
 from .zpoly import ZPoly
 
 __all__ = [
@@ -81,36 +81,6 @@ def _falling(k: int, r: int) -> int:
     for j in range(r):
         out *= k - j
     return out
-
-
-def _over_lcm(parts: Mapping[EntryKey, tuple[int, int, int, int, int]]) -> tuple[int, Cells]:
-    """Cells of nonzero weighted Gaussian rationals ``w * (a/b + c/d i)``,
-    given as ``(a, b, c, d, w)``, over their least common denominator."""
-    den = lcm(*(b for _, b, _, _, _ in parts.values()), *(d for _, _, _, d, _ in parts.values()))
-    if den == 1:  # integral and nonzero already
-        return 1, {key: (a * w, c * w) for key, (a, _, c, _, w) in parts.items()}
-    cells = {}
-    for key, (a, b, c, d, w) in parts.items():
-        w *= den
-        cells[key] = (a * (w // b), c * (w // d))
-    return _normalised(den, cells)
-
-
-def _normalised(den: int, cells: Mapping[EntryKey, Sequence[int]]) -> tuple[int, Cells]:
-    """The same cells without zeros, over the least denominator: ``den`` and
-    every part divided by their gcd.  The zero tensor gets denominator 1."""
-    out = {}
-    common = den
-    for key, (re, im) in cells.items():
-        if re or im:
-            out[key] = (re, im)
-            if common != 1:
-                common = gcd(common, re, im)
-    if not out:
-        return 1, out
-    if common == 1:
-        return den, out
-    return den // common, {key: (re // common, im // common) for key, (re, im) in out.items()}
 
 
 class SymbolTensor:

@@ -202,6 +202,34 @@ def test_eval_refuses_large_powers_up_front(capsys):
         assert "exceeds the limit" in err and "Traceback" not in err
 
 
+def test_eval_refuses_disk_and_torus_powers_over_budget(tmp_path, capsys):
+    disk = {"coeffs": [{"p": 4, "q": 0, "num": [1], "den": [1]}, {"p": 0, "q": 1, "num": [2], "den": [1]}]}
+    modes = {(a, 1 - a % 2): 1 for a in range(7)}
+    torus = FourierSum(2, SYMPLECTIC, Fraction(1, 3), modes)
+    bindings = {"D": {"type": "disk", "value": disk}, "T": value_to_tagged(torus)}
+    session = _write(tmp_path, "session.json", {"bindings": bindings})
+    for expression, message in [
+        ("D^7", "reaches index 28, over the limit of 24"),
+        ("T^8", "has up to 3003 modes, over the limit of 2000"),
+    ]:
+        code, out, err = _run(capsys, ["eval", expression, "--input", session])
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+    # under the budgets, the same bindings evaluate
+    for expression in ("D^6", "T^2"):
+        code, out, err = _run(capsys, ["eval", expression, "--input", session])
+        assert code == 0, err
+        assert json.loads(out)["result"]
+
+
+def test_eval_refuses_results_over_the_digit_limit(capsys):
+    code, out, err = _run(capsys, ["eval", "7" * 4000 + "^2"])
+    assert code == 2
+    assert out == ""
+    assert err == "cpstar: result has a number of 8000 digits, over the limit of 4300\n"
+
+
 @pytest.mark.parametrize(
     "template",
     ["{}", "unit * -{}/3", "1/{}", "2^{}", "quot({})(unit)", "subst({})(unit)"],

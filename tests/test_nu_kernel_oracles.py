@@ -1,0 +1,220 @@
+"""The integer nu-coefficient kernel against the paths it replaced.
+
+``StarProductTerms.nrf_map`` and ``disk_product`` sum Gaussian-integer
+numerators over one common denominator and reduce each output entry once,
+through ``NuRationalFunction._from_ints``.  The oracles here are the
+summations they replaced, kept on purpose: the per-entry ``GaussRational``
+sum of coefficient times entry, and the pairwise ``NuRationalFunction``
+fold of the disk product.  Results must agree structurally: numerator,
+monic denominator and the factors carried.  ``_from_ints`` itself is
+checked against the Euclidean constructor.
+"""
+
+import random
+from fractions import Fraction
+
+from cpstar.models.disk import DiskElement, disk_basis_coefficient, disk_product
+from cpstar.nupoly import NU_ONE, NU_ZERO, NuPolynomial, NuRationalFunction
+from cpstar.randgen import random_scalar, random_symbol
+from cpstar.scalars import GAUSS_ZERO, GaussRational
+from cpstar.star import StarProductTerms, StarTerm, star_commutator, star_symbols
+from cpstar.symbols import embed
+
+I = GaussRational(0, 1)
+
+
+def linear(j: int) -> NuPolynomial:
+    return NuPolynomial((1, -j))  # 1 - j nu
+
+
+def expanded(js) -> NuPolynomial:
+    out = NU_ONE
+    for j in js:
+        out = out * linear(j)
+    return out
+
+
+def assert_same(value: NuRationalFunction, expected: NuRationalFunction) -> None:
+    assert (value.num, value.den, value.js) == (expected.num, expected.den, expected.js)
+
+
+def reference_nrf_map(terms: StarProductTerms, degree: int) -> dict:
+    """Coefficient numerators times the ``entries`` view, summed entry by
+    entry in ``GaussRational`` arithmetic over ``nu^(k) nu^(l)``."""
+    js = (*range(1, terms.k), *range(1, terms.l))
+    numerators = [term.coefficient.numerator_over(js).coeffs for term in terms]
+    width = max(map(len, numerators), default=0)
+    sums: dict = {}
+    for term, numerator in zip(terms, numerators):
+        tensor = embed(term.tensor, degree - term.tensor.k)
+        for key, value in tensor.entries.items():
+            acc = sums.setdefault(key, [GAUSS_ZERO] * width)
+            for m, c in enumerate(numerator):
+                acc[m] = acc[m] + value * c
+    out = {}
+    for key, acc in sums.items():
+        value = NuRationalFunction.over_factors(NuPolynomial(acc), js)
+        if value:
+            out[key] = value
+    return out
+
+
+def assert_nrf_map_matches(terms: StarProductTerms, degree: int) -> dict:
+    result = terms.nrf_map(degree)
+    expected = reference_nrf_map(terms, degree)
+    assert result.keys() == expected.keys()
+    for key, value in result.items():
+        assert_same(value, expected[key])
+    return result
+
+
+def test_nrf_map_matches_the_gauss_rational_sum():
+    rng = random.Random(31)
+    for _ in range(12):
+        n, k, l = rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2)
+        f = random_symbol(rng, n, k, density=0.5)
+        g = random_symbol(rng, n, l, density=0.5)
+        for terms in (star_symbols(f, g), star_commutator(f, g)):
+            assert_nrf_map_matches(terms, k + l + rng.randint(0, 1))
+
+
+def test_nrf_map_with_a_complex_coefficient():
+    rng = random.Random(32)
+    f = random_symbol(rng, 2, 2, density=0.6)
+    g = random_symbol(rng, 2, 1, density=0.6)
+    terms = list(star_symbols(f, g))
+    # a complex multiple of one coefficient, and a coefficient over part of nu^(2) nu^(1)
+    twisted = StarTerm(terms[0].r, terms[0].coefficient * GaussRational(Fraction(2, 3), -1), terms[0].tensor)
+    partial = NuRationalFunction.over_factors(NuPolynomial((I, Fraction(1, 5))), (1,))
+    extra = StarTerm(1, partial, terms[1].tensor.scale(GaussRational(1, 2)))
+    built = StarProductTerms(2, 2, 1, [twisted, *terms[1:], extra])
+    result = assert_nrf_map_matches(built, 3)
+    assert any(not c.is_real for value in result.values() for c in value.num.coeffs)
+    assert_nrf_map_matches(built, 4)
+
+
+def test_nrf_map_entries_that_cancel_to_zero():
+    f = random_symbol(random.Random(33), 1, 2, density=0.8)
+    terms = list(star_symbols(f, f))
+    # i times the coefficient, i times the tensor: minus the term
+    negated = [StarTerm(t.r, t.coefficient * I, t.tensor.scale(I)) for t in terms]
+    everything = StarProductTerms(1, 2, 2, terms + negated)
+    assert everything.nrf_map() == {} and reference_nrf_map(everything, 4) == {}
+    partial = StarProductTerms(1, 2, 2, terms + negated[:-1])
+    assert assert_nrf_map_matches(partial, 4)
+
+
+def reference_disk_product(left: DiskElement, right: DiskElement) -> DiskElement:
+    """The pairwise fold: every contribution added into its key in turn."""
+    zero = NuRationalFunction.constant(0)
+    out: dict = {}
+    for (p, q), a in left.coeffs.items():
+        for (r, s), b in right.coeffs.items():
+            pair = a * b
+            for m in range(min(q, r) + 1):
+                key = (p + r - m, q + s - m)
+                merged = out.get(key, zero) + pair * disk_basis_coefficient(q, r, s, m)
+                if merged:
+                    out[key] = merged
+                else:
+                    out.pop(key, None)
+    return DiskElement(out)
+
+
+def assert_disk_matches(left: DiskElement, right: DiskElement) -> DiskElement:
+    product = disk_product(left, right)
+    expected = reference_disk_product(left, right)
+    assert product.coeffs.keys() == expected.coeffs.keys()
+    for key, value in product.coeffs.items():
+        assert_same(value, expected.coeffs[key])
+    return product
+
+
+def from_json(value: NuRationalFunction) -> NuRationalFunction:
+    """The same value as loaded from JSON: its denominator never factored."""
+    return NuRationalFunction.from_json(value.to_json())
+
+
+def random_factored(rng: random.Random, factors: int) -> NuRationalFunction:
+    """Over ``factors`` linear factors, at most one of which cancels."""
+    num = NuPolynomial((random_scalar(rng) or 1, random_scalar(rng) * Fraction(1, rng.randint(1, 3))))
+    return NuRationalFunction.over_factors(num, [rng.choice((-3, -2, -1, 1, 2)) for _ in range(factors)])
+
+
+def random_coefficient(rng: random.Random) -> NuRationalFunction:
+    kind = rng.randrange(5)
+    if kind == 0:  # a complex Gaussian constant
+        return NuRationalFunction.constant(random_scalar(rng) or I)
+    if kind == 1:  # a rational weight
+        return NuRationalFunction.constant(Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 6)))
+    if kind == 2:  # a basis weight times a complex scalar
+        weight = disk_basis_coefficient(rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3), 1)
+        return weight * (random_scalar(rng) or I)
+    factored = random_factored(rng, rng.randint(1, 3))
+    return factored if kind == 3 else from_json(factored)
+
+
+def random_disk_element(rng: random.Random, coefficient=random_coefficient) -> DiskElement:
+    return DiskElement({(rng.randint(0, 3), rng.randint(0, 3)): coefficient(rng) for _ in range(rng.randint(1, 4))})
+
+
+def test_disk_product_matches_the_pairwise_fold():
+    rng = random.Random(34)
+    mixed = 0
+    for _ in range(40):
+        left, right = random_disk_element(rng), random_disk_element(rng)
+        assert_disk_matches(left, right)
+        generic = [c.js is None for c in (*left.coeffs.values(), *right.coeffs.values())]
+        mixed += any(generic) and not all(generic)
+    assert mixed > 5
+
+
+def test_disk_product_of_unfactored_coefficients_alone():
+    rng = random.Random(35)
+    for _ in range(8):
+        left, right = (random_disk_element(rng, lambda rng: from_json(random_factored(rng, 2))) for _ in range(2))
+        assert all(c.js is None for c in (*left.coeffs.values(), *right.coeffs.values()))
+        assert_disk_matches(left, right)
+
+
+def test_disk_product_cancels_a_key_to_zero():
+    for c1, c2 in [
+        (NuRationalFunction.constant(GaussRational(2, -1)), disk_basis_coefficient(2, 1, 1, 1) * I),
+        (from_json(NuRationalFunction.over_factors(NuPolynomial((1, 3)), (-2, 1))), NuRationalFunction.constant(Fraction(3, 7))),
+    ]:
+        # f01 f10 reaches (0, 0) once contracted; f00 with the opposite weight cancels it
+        c3 = -(c1 * c2 * disk_basis_coefficient(1, 1, 0, 1))
+        left = DiskElement({(0, 1): c1, (0, 0): c3})
+        right = DiskElement({(1, 0): c2, (0, 0): 1})
+        product = assert_disk_matches(left, right)
+        assert (0, 0) not in product.coeffs and (1, 1) in product.coeffs
+
+
+def test_from_ints_is_canonical():
+    rng = random.Random(36)
+    cancelled = 0
+    cases = [((), 1, (2,)), (((0, 0), (0, 0)), 3, (-1, 1))]
+    for _ in range(200):
+        js = tuple(rng.choice((-3, -2, -2, -1, 1, 1, 2, 3)) for _ in range(rng.randint(0, 5)))
+        base = NuPolynomial(random_scalar(rng) for _ in range(rng.randint(1, 3)))
+        for j in js:
+            if rng.random() < 0.5:
+                base = base * linear(j)
+        den, nums = rng.randint(1, 12), []
+        for c in base.coeffs:
+            nums.append((int(c.re), int(c.im)))
+        cases.append((nums, den, js))
+    for nums, den, js in cases:
+        value = NuRationalFunction._from_ints(nums, den, js)
+        num = NuPolynomial(GaussRational(re, im) for re, im in nums)
+        expected = NuRationalFunction(num, expanded(js) * den)
+        assert (value.num, value.den) == (expected.num, expected.den)
+        assert list(value.js) == sorted(value.js) and 0 not in value.js
+        assert value.den == expanded(value.js).monic()
+        if value:
+            for j in set(value.js):
+                assert value.num.evaluate(Fraction(1, j))  # no kept root divides the numerator
+        else:
+            assert value.num == NU_ZERO and value.js == ()
+        cancelled += len(value.js) < len(js)
+    assert cancelled > 50
