@@ -2,8 +2,8 @@
 
 The basis functions are indexed by pairs (p, q) of nonnegative integers,
 standing for ``v**p (vbar / (1 - |v|^2))**q`` on the unit disk.  Their
-star product closes on the basis with coefficients built from the
-Pochhammer products at negated parameter,
+star product closes on the basis with the weights of the CP^n product
+(:func:`cpstar.star._star_coefficient`) at negated parameter,
 
     f_{p,q} * f_{r,s} = sum over m from 0 to min(q, r) of
         nu^m / m!
@@ -11,20 +11,20 @@ Pochhammer products at negated parameter,
         * q!/(q-m)! * r!/(r-m)!
         * f_{p+r-m, q+s-m},
 
-where ``poch(k at -nu)`` is the usual product (1 - nu)(1 - 2 nu)... with
-nu replaced by -nu.  Coefficients are exact rational functions of nu whose
-denominators are products of ``1 + j nu``.  :func:`disk_product` multiplies
-them in integer form (Gaussian-integer numerators over an int and those
-linear factors), sums the contributions to each output basis function over
-one common denominator and reduces each sum once, in
+where ``poch(k at -nu)`` is the nu-Pochhammer product with nu replaced by
+-nu: the CP^n weight at ``(k, l, t) = (q, s, m)`` and ``-nu``, times an
+integer, built by the same ``nupoly._weight_ints``.  Its denominators are
+products of ``1 + j nu``.  :func:`disk_product` multiplies coefficients in
+integer form (Gaussian-integer numerators over an int and those linear
+factors), sums the contributions to each output basis function over one
+common denominator and reduces each sum once, in
 ``NuRationalFunction._from_ints``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import perm
 from typing import Mapping
 
 from ..nupoly import (
@@ -32,9 +32,11 @@ from ..nupoly import (
     IntForm,
     NuPolynomial,
     NuRationalFunction,
+    _linear_ints,
+    _pochhammer_js,
     _sum,
     _times,
-    nu_pochhammer,
+    _weight_ints,
 )
 
 __all__ = [
@@ -48,10 +50,7 @@ __all__ = [
 @lru_cache(maxsize=None)
 def neg_nu_pochhammer(k: int) -> NuPolynomial:
     """The Pochhammer product with the parameter negated: (1 + nu)(1 + 2 nu)..."""
-    base = nu_pochhammer(k)
-    return NuPolynomial(
-        (-1) ** j * c for j, c in enumerate(base.coeffs)
-    )
+    return NuPolynomial(_linear_ints(_pochhammer_js(k, -1)))
 
 
 def _as_coefficient(value) -> NuRationalFunction:
@@ -130,19 +129,13 @@ class DiskElement:
 @lru_cache(maxsize=None)
 def disk_basis_coefficient(q: int, r: int, s: int, m: int) -> NuRationalFunction:
     """Weight of the m-th contraction in a product of two basis functions."""
-    numerator = NuPolynomial.nu_power(m) * neg_nu_pochhammer(q + s - m)
-    scale = Fraction(
-        factorial(q) * factorial(r),
-        factorial(m) * factorial(q - m) * factorial(r - m),
-    )
-    # poch(q at -nu) poch(s at -nu) is the product of 1 + j nu = 1 - (-j) nu
-    factors = (*range(-1, -q, -1), *range(-1, -s, -1))
-    return NuRationalFunction.over_factors(numerator * scale, factors)
+    return NuRationalFunction._from_ints(*_weight_ints(q, s, m, -1, perm(q, m) * perm(r, m)))
 
 
 @lru_cache(maxsize=None)
 def _basis_ints(q: int, r: int, s: int, m: int) -> IntForm:
-    """:func:`disk_basis_coefficient` in integer form, beside its cache."""
+    """:func:`disk_basis_coefficient` in reduced integer form, beside its
+    cache: :func:`disk_product` widens every product by its ``js``."""
     return disk_basis_coefficient(q, r, s, m)._ints()
 
 

@@ -6,26 +6,25 @@ degree first and no trailing zeros.  Rational functions keep numerator and
 denominator coprime with a monic denominator, so structural equality is
 semantic equality.
 
-Every denominator the star products build is a product of linear factors
-``1 - j nu`` (see :func:`cpstar.star._star_coefficient` and
-:func:`cpstar.models.disk.disk_basis_coefficient`).  A rational function
-built from such factors (:meth:`NuRationalFunction.over_factors`) carries
-them, and is reduced in one place, over the integers: a value
-``nums / (den prod(1 - j nu))`` with Gaussian-integer coefficients ``nums``
-and a positive int ``den`` (``NuRationalFunction._from_ints``) cancels each
-root ``1/j`` by integer synthetic division and only then becomes
-``GaussRational`` coefficients.  Sums and products of factored values, the
-per-entry sums of :meth:`cpstar.star.StarProductTerms.nrf_map` and the
-per-key sums of :func:`cpstar.models.disk.disk_product` are all built in
-that integer form and reduced once.  A Euclidean gcd over Q(i) runs only
-for generic denominators, such as those read from JSON.
-
 The central special family is the nu-Pochhammer product
 
     nu^(0) = nu^(1) = 1,     nu^(k) = (1 - nu)(1 - 2 nu) ... (1 - (k-1) nu)
 
 with the recurrence ``nu^(k+1) = (1 - k nu) nu^(k)``; evaluated at ``1/K``
-it vanishes exactly when ``k >= K + 1``.
+it vanishes exactly when ``k >= K + 1``.  Every coefficient the star
+products build is ``nu^t / t! nu^(k+l-t) / (nu^(k) nu^(l))`` at ``nu`` or,
+on the disk, at ``-nu`` (:func:`_weight_ints`), and every product of factors
+``1 - j nu`` is multiplied out by one routine, :func:`_linear_ints`.  A
+rational function over such factors carries them, and is reduced in one
+place, over the integers: ``nums / (den prod(1 - j nu))`` with
+Gaussian-integer ``nums`` and a positive int ``den``
+(``NuRationalFunction._from_ints``) cancels each root ``1/j`` by integer
+synthetic division and only then becomes ``GaussRational`` coefficients.
+Sums, products and scalar multiples of factored values, the per-entry sums
+of :meth:`cpstar.star.StarProductTerms.nrf_map` and the per-key sums of
+:func:`cpstar.models.disk.disk_product` are all built in that integer form
+and reduced once.  A Euclidean gcd over Q(i) runs only for generic
+denominators, such as those read from JSON.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import factorial, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _over_lcm, to_gauss
@@ -215,16 +214,6 @@ NU_ONE = NuPolynomial((GAUSS_ONE,))
 NU = NuPolynomial((GAUSS_ZERO, GAUSS_ONE))
 
 
-@lru_cache(maxsize=None)
-def nu_pochhammer(k: int) -> NuPolynomial:
-    """The product ``(1 - nu)(1 - 2 nu) ... (1 - (k-1) nu)``, empty for k in {0, 1}."""
-    if k < 0:
-        raise ValueError("nu_pochhammer requires k >= 0")
-    if k <= 1:
-        return NU_ONE
-    return nu_pochhammer(k - 1) * NuPolynomial((GAUSS_ONE, GaussRational(-(k - 1))))
-
-
 def _poly_gcd(a: NuPolynomial, b: NuPolynomial) -> NuPolynomial:
     while not b.is_zero():
         a, b = b, divmod(a, b)[1]
@@ -257,15 +246,32 @@ def _linear_ints(js: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _linear_product(js: tuple[int, ...]) -> NuPolynomial:
-    """The product of ``1 - j nu`` over the multiset ``js``."""
-    return NuPolynomial(_linear_ints(js))
+def _pochhammer_js(k: int, sign: int = 1) -> tuple[int, ...]:
+    """The ``js`` whose product of ``1 - j nu`` is ``nu^(k)`` at ``sign nu``."""
+    if k < 0:
+        raise ValueError("the nu-Pochhammer product requires k >= 0")
+    return tuple(range(sign, sign * k, sign))
+
+
+@lru_cache(maxsize=None)
+def nu_pochhammer(k: int) -> NuPolynomial:
+    """The product ``(1 - nu)(1 - 2 nu) ... (1 - (k-1) nu)``, empty for k in {0, 1}."""
+    return NuPolynomial(_linear_ints(_pochhammer_js(k)))
+
+
+def _weight_ints(k: int, l: int, t: int, sign: int = 1, scale: int = 1) -> IntForm:
+    """``scale nu^t / t! nu^(k+l-t) / (nu^(k) nu^(l))`` at ``sign nu`` in
+    integer form, unreduced: the CP^n weight at ``sign = 1``, the disk
+    weight at ``sign = -1``."""
+    top = _linear_ints(_pochhammer_js(k + l - t, sign))
+    nums = ((0, 0),) * t + tuple((scale * c, 0) for c in top)
+    return nums, factorial(t), _pochhammer_js(k, sign) + _pochhammer_js(l, sign)
 
 
 @lru_cache(maxsize=1024)
 def _monic_product(js: tuple[int, ...]) -> NuPolynomial:
-    """The product of ``nu - 1/j`` over ``js``: ``_linear_product(js)`` made monic."""
-    return _linear_product(js).monic()
+    """The product of ``nu - 1/j`` over ``js``: that of ``1 - j nu`` made monic."""
+    return NuPolynomial(_linear_ints(js)).monic()
 
 
 def _gauss_mul(a: GaussInts, b: GaussInts) -> list[list[int]]:
@@ -371,29 +377,21 @@ class NuRationalFunction:
     sorted tuple of nonzero integers with ``den == prod(nu - 1/j)``, which is
     ``prod(1 - j nu)`` made monic (``()`` for the denominator 1).  It is
     ``None`` for a denominator that was never factored, such as one read from
-    JSON.  A factored value is reduced by :func:`_reduced`, over the Gaussian
-    integers: sums and products of two factored operands, and the
-    constructor given a tuple of factors, bring their numerators to integer
-    form and cancel at the roots ``1/j`` there.  Any other operand goes
-    through a Euclidean gcd over Q(i).  Both routes give the same canonical
-    ``num`` and ``den``.
+    JSON.  A factored value is built by :meth:`_from_ints` and reduced by
+    :func:`_reduced`, over the Gaussian integers; so are sums and products
+    of factored values and their multiples by a polynomial or a scalar.
+    The constructor, and any operation on an unfactored value, reduces by
+    a Euclidean gcd over Q(i).  Both routes give the same canonical ``num``
+    and ``den``.
     """
 
     __slots__ = ("num", "den", "js")
 
-    def __init__(
-        self, num: NuPolynomial, den: Union[NuPolynomial, tuple[int, ...]] = NU_ONE
-    ) -> None:
-        """``num / den``; ``den`` is a polynomial, or a sorted tuple of nonzero
-        integers ``js`` that stands for the monic ``prod(nu - 1/j)``."""
-        if isinstance(den, NuPolynomial) and den.is_zero():
+    def __init__(self, num: NuPolynomial, den: NuPolynomial = NU_ONE) -> None:
+        if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             num, den, js = NU_ZERO, NU_ONE, ()
-        elif isinstance(den, tuple):
-            # prod(nu - 1/j) is prod(1 - j nu) over prod(-j)
-            d, nums = _poly_ints(num.coeffs, prod(-j for j in den))
-            num, den, js = _reduced(nums, d, den)
         else:
             if den.degree > 0:
                 common = _poly_gcd(num, den)
@@ -457,7 +455,7 @@ class NuRationalFunction:
         ``prod(1 - j nu)`` over ``js`` must be a multiple of ``self.den``.
         """
         js = tuple(sorted(js))
-        quotient, remainder = divmod(_linear_product(js), self.den)
+        quotient, remainder = divmod(NuPolynomial(_linear_ints(js)), self.den)
         if remainder:
             raise ValueError(f"{self.den} does not divide the product of 1 - j nu over {js}")
         return self.num * quotient
@@ -476,11 +474,6 @@ class NuRationalFunction:
         total = [[0, 0] for _ in range(len(nums) + extra.total())]
         _widen_into(total, nums, 1, extra.elements())
         return den, total
-
-    @property
-    def _denominator(self) -> Union[NuPolynomial, tuple[int, ...]]:
-        """The denominator as the constructor takes it, factored when known."""
-        return self.den if self.js is None else self.js
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -507,16 +500,18 @@ class NuRationalFunction:
         return self + (-other)
 
     def __neg__(self) -> "NuRationalFunction":
-        return NuRationalFunction(-self.num, self._denominator)
+        return self * -1
 
     def __mul__(self, other: Union["NuRationalFunction", NuPolynomial, ScalarLike]) -> "NuRationalFunction":
-        if isinstance(other, NuRationalFunction):
-            if self.js is None or other.js is None:
-                return NuRationalFunction(self.num * other.num, self.den * other.den)
-            return NuRationalFunction._from_ints(*_times(self._ints(), other._ints()))
-        if isinstance(other, (NuPolynomial, int, Fraction, GaussRational)):
-            return NuRationalFunction(self.num * other, self._denominator)
-        return NotImplemented
+        if isinstance(other, (int, Fraction, GaussRational)):
+            other = NuPolynomial.constant(other)
+        if isinstance(other, NuPolynomial):
+            other = NuRationalFunction(other)
+        if not isinstance(other, NuRationalFunction):
+            return NotImplemented
+        if self.js is None or other.js is None:
+            return NuRationalFunction(self.num * other.num, self.den * other.den)
+        return NuRationalFunction._from_ints(*_times(self._ints(), other._ints()))
 
     __rmul__ = __mul__
 

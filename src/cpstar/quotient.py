@@ -35,6 +35,7 @@ from math import comb, lcm
 
 from .linalg import nullspace
 from .multiindex import sorted_tuples
+from .nupoly import _linear_ints, _pochhammer_js
 from .scalars import GAUSS_I, GAUSS_ONE, GaussRational
 from .star import StarElement, star_elements
 from .symbols import (
@@ -95,11 +96,13 @@ class AlphaValue:
 
 
 def _pochhammer_at(r: int, alpha: Fraction) -> Fraction:
-    """nu^(r) at a rational point: (1 - alpha)(1 - 2 alpha) ... (1 - (r-1) alpha)."""
-    value = Fraction(1)
-    for j in range(1, r):
-        value *= 1 - j * alpha
-    return value
+    """nu^(r) at ``alpha = p/q``: its integer coefficients in homogeneous
+    Horner order, ``sum_m c_m p^m q^(d-m)`` over ``q^d``, d its degree."""
+    p, q = alpha.numerator, alpha.denominator
+    num, power = 0, 1
+    for c in reversed(_linear_ints(_pochhammer_js(r))):
+        num, power = num * p + c * power, power * q
+    return Fraction(num, power // q)
 
 
 def _weighted_sum(element: StarElement, alpha: Fraction, degree: int | None = None) -> SymbolTensor:

@@ -34,7 +34,7 @@ from math import factorial, lcm
 from typing import Mapping, Optional, Sequence
 
 from .multiindex import multiplicity
-from .nupoly import NuPolynomial, NuRationalFunction, nu_pochhammer
+from .nupoly import NuPolynomial, NuRationalFunction, _pochhammer_js, _weight_ints, nu_pochhammer
 from .scalars import ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
@@ -125,7 +125,7 @@ class StarProductTerms:
         """
         if degree is None:
             degree = self.k + self.l
-        js = (*range(1, self.k), *range(1, self.l))  # the factors of nu^(k) nu^(l)
+        js = _pochhammer_js(self.k) + _pochhammer_js(self.l)  # the factors of nu^(k) nu^(l)
         parts = []
         for term in self.terms:
             tensor = embed(term.tensor, degree - term.tensor.k)
@@ -163,8 +163,7 @@ class StarProductTerms:
 @lru_cache(maxsize=None)
 def _star_coefficient(k: int, l: int, r: int) -> NuRationalFunction:
     """``nu^r / r! * nu^(k+l-r) / (nu^(k) nu^(l))``, with its denominator factored."""
-    numerator = (nu_pochhammer(k + l - r) * Fraction(1, factorial(r))).shift(r)
-    return NuRationalFunction.over_factors(numerator, (*range(1, k), *range(1, l)))
+    return NuRationalFunction._from_ints(*_weight_ints(k, l, r))
 
 
 def star_symbols(f: SymbolTensor, g: SymbolTensor) -> StarProductTerms:
