@@ -23,7 +23,10 @@ any product runs when its exponent exceeds :data:`MAX_EXPONENT`; for a
 symbol or filtered element, when its top component would exceed
 :data:`MAX_POWER_ENTRIES` entries; for a disk element, when it would reach
 a basis index over :data:`MAX_DISK_INDEX`; and for a Fourier sum, when it
-could hold more than :data:`MAX_POWER_MODES` modes.
+could hold more than :data:`MAX_POWER_MODES` modes.  Every ``*`` of two
+symbols, elements or disk elements is refused before it runs by the same
+entry and index bounds, so a chain of products cannot outgrow the powers;
+chains of Fourier sums are not budgeted.
 """
 
 from __future__ import annotations
@@ -138,14 +141,16 @@ repeats its product that many times, and disk powers grow fastest: on a
 basis functions of index up to 3 took 4.0 s."""
 
 MAX_POWER_ENTRIES = 10_000
-"""Largest top component a star power of a symbol or filtered element may
-reach, in entries: ``e`` factors of level ``L`` on CP^n land at level
-``e L``, whose top component has up to ``C(n + e L, n) ** 2`` entries."""
+"""Largest top component a star power or product of symbols or filtered
+elements may reach, in entries: ``e`` factors of level ``L`` on CP^n land
+at level ``e L``, whose top component has up to ``C(n + e L, n) ** 2``
+entries, and two of levels ``k`` and ``l`` land at level ``k + l``."""
 
 MAX_DISK_INDEX = 24
-"""Largest basis index a star power of a disk element may reach: ``e``
-factors whose largest index (``p`` or ``q``) is ``P`` reach index ``e P``,
-with up to ``(e P + 1) ** 2`` basis functions.  On the VM above, powers of
+"""Largest basis index a star power or product of disk elements may reach:
+``e`` factors whose largest index (``p`` or ``q``) is ``P`` reach index
+``e P``, with up to ``(e P + 1) ** 2`` basis functions, and two of largest
+indices ``P`` and ``Q`` reach ``P + Q``.  On the VM above, powers of
 elements with every basis function up to index ``P`` that reach index 24
 took 4 to 8.4 s, and index 20 at most 3.1 s."""
 
@@ -444,6 +449,25 @@ def _scale(scalar: Value, value: Value) -> Value:
     )
 
 
+def _check_entries(n: int, level: int, what: str) -> None:
+    """Refuse a product of level ``level`` on CP^n over :data:`MAX_POWER_ENTRIES`."""
+    entries = comb(n + level, n) ** 2
+    if entries > MAX_POWER_ENTRIES:
+        raise EvalError(
+            f"{what} has up to {entries} entries in its top component, over the limit of {MAX_POWER_ENTRIES}"
+        )
+
+
+def _largest_index(element: DiskElement) -> int:
+    return max((max(key) for key in element.coeffs), default=0)
+
+
+def _check_disk_index(index: int, what: str) -> None:
+    """Refuse a disk product reaching basis index ``index`` over :data:`MAX_DISK_INDEX`."""
+    if index > MAX_DISK_INDEX:
+        raise EvalError(f"{what} reaches index {index}, over the limit of {MAX_DISK_INDEX}")
+
+
 def _star(left: Value, right: Value) -> Value:
     if _is_scalar(left):
         return _scale(left, right)
@@ -452,11 +476,16 @@ def _star(left: Value, right: Value) -> Value:
     if isinstance(left, FourierSum) and isinstance(right, FourierSum):
         return moyal_product(left, right)
     if isinstance(left, DiskElement) and isinstance(right, DiskElement):
+        a, b = _largest_index(left), _largest_index(right)
+        _check_disk_index(a + b, f"the star product of disk elements of largest basis indices {a} and {b}")
         return disk_product(left, right)
     if isinstance(left, (SymbolTensor, StarElement)) and isinstance(
         right, (SymbolTensor, StarElement)
     ):
-        return star_elements(_lift(left), _lift(right))
+        left, right = _lift(left), _lift(right)
+        what = f"the star product of levels {left.level} and {right.level} on CP^{left.n}"
+        _check_entries(left.n, left.level + right.level, what)
+        return star_elements(left, right)
     raise EvalError(
         f"no star product between {type(left).__name__} and {type(right).__name__}"
     )
@@ -486,12 +515,9 @@ def _power(base: Value, exponent: int) -> Value:
         return result
     if isinstance(base, (SymbolTensor, StarElement)):
         lifted = _lift(base)
-        entries = comb(lifted.n + exponent * lifted.level, lifted.n) ** 2
-        if entries > MAX_POWER_ENTRIES:
-            raise EvalError(
-                f"power {exponent} of a level-{lifted.level} element on CP^{lifted.n} has up to "
-                f"{entries} entries in its top component, over the limit of {MAX_POWER_ENTRIES}"
-            )
+        _check_entries(
+            lifted.n, exponent * lifted.level, f"power {exponent} of a level-{lifted.level} element on CP^{lifted.n}"
+        )
         result = StarElement.unit(lifted.n)
         for _ in range(exponent):
             result = star_elements(result, lifted)
@@ -510,12 +536,10 @@ def _power(base: Value, exponent: int) -> Value:
             result = moyal_product(result, base)
         return result
     if isinstance(base, DiskElement):
-        largest = max((max(key) for key in base.coeffs), default=0)
-        if exponent * largest > MAX_DISK_INDEX:
-            raise EvalError(
-                f"power {exponent} of a disk element of largest basis index {largest} reaches "
-                f"index {exponent * largest}, over the limit of {MAX_DISK_INDEX}"
-            )
+        largest = _largest_index(base)
+        _check_disk_index(
+            exponent * largest, f"power {exponent} of a disk element of largest basis index {largest}"
+        )
         result = DiskElement.unit()
         for _ in range(exponent):
             result = disk_product(result, base)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cpstar
+from cpstar import expr
 from cpstar.checks import CheckReport
 from cpstar.cli import main, tagged_to_value, value_to_tagged
 from cpstar.models.disk import DiskElement, disk_product
@@ -221,6 +222,45 @@ def test_eval_refuses_disk_and_torus_powers_over_budget(tmp_path, capsys):
         code, out, err = _run(capsys, ["eval", expression, "--input", session])
         assert code == 0, err
         assert json.loads(out)["result"]
+
+
+def test_eval_refuses_star_chains_over_budget(tmp_path, capsys, monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a product ran past the budget")
+
+    monkeypatch.setattr(expr, "star_elements", no_product)
+    monkeypatch.setattr(expr, "disk_product", no_product)
+    wide = {"coeffs": [{"p": 13, "q": 0, "num": [1], "den": [1]}, {"p": 0, "q": 1, "num": [2], "den": [1]}]}
+    sigma = StarElement.lift(symbol_of_matrix([[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 4], [5, 0, 0, 1]]))
+    bindings = {
+        "D": {"type": "disk", "value": wide},
+        "A": value_to_tagged(sigma.relevel(4)),
+        "B": value_to_tagged(sigma.relevel(3)),
+    }
+    session = _write(tmp_path, "session.json", {"bindings": bindings})
+    for expression, message in [
+        ("D*D", "of largest basis indices 13 and 13 reaches index 26, over the limit of 24"),
+        ("D*D*D", "reaches index 26, over the limit of 24"),
+        ("A*B", "of levels 4 and 3 on CP^3 has up to 14400 entries in its top component, over the limit of 10000"),
+        ("B*A*A", "of levels 3 and 4 on CP^3 has up to 14400 entries"),
+    ]:
+        code, out, err = _run(capsys, ["eval", expression, "--input", session])
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+
+def test_eval_star_chains_under_budget_match_powers(tmp_path, capsys):
+    disk = {"coeffs": [{"p": 4, "q": 0, "num": [1], "den": [1]}, {"p": 0, "q": 1, "num": [2], "den": [1]}]}
+    sigma = StarElement.lift(symbol_of_matrix([[1, 2, 0], [0, 1, 3], [4, 0, 1]]))
+    bindings = {"D": {"type": "disk", "value": disk}, "S": value_to_tagged(sigma)}
+    session = _write(tmp_path, "session.json", {"bindings": bindings})
+    for chain, power in [("D*D*D*D*D*D", "D^6"), ("S*S*S", "S^3")]:
+        code, chained, err = _run(capsys, ["eval", chain, "--input", session])
+        assert code == 0, err
+        code, powered, err = _run(capsys, ["eval", power, "--input", session])
+        assert code == 0, err
+        assert json.loads(chained)["result"] == json.loads(powered)["result"]
 
 
 def test_eval_refuses_results_over_the_digit_limit(capsys):
