@@ -152,14 +152,26 @@ class FourierSum:
             mode = tuple(mode)
             if len(mode) != dim:
                 raise ValueError("mode vectors must match the dimension")
-            if not isinstance(value, PhaseSum):
-                value = PhaseSum.of(value)
-            if value:
-                cleaned[mode] = value
+            cleaned[mode] = value if isinstance(value, PhaseSum) else PhaseSum.of(value)
+        self._fill(dim, rows, Fraction(parameter), cleaned)
+
+    def _fill(
+        self, dim: int, matrix: IntMatrix, parameter: Fraction, coeffs: Mapping[Mode, PhaseSum]
+    ) -> None:
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "parameter", Fraction(parameter))
-        object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "parameter", parameter)
+        object.__setattr__(self, "coeffs", {mode: value for mode, value in coeffs.items() if value})
+
+    @classmethod
+    def _trusted(
+        cls, dim: int, matrix: IntMatrix, parameter: Fraction, coeffs: Mapping[Mode, PhaseSum]
+    ) -> "FourierSum":
+        """The sum of ``coeffs``, less its zeros: the trusted path for computed
+        results, whose matrix is checked already."""
+        value = object.__new__(cls)
+        value._fill(dim, matrix, parameter, coeffs)
+        return value
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FourierSum is immutable")
@@ -201,24 +213,20 @@ class FourierSum:
         out = dict(self.coeffs)
         for mode, value in other.coeffs.items():
             out[mode] = out.get(mode, PHASE_ZERO) + value
-        return FourierSum(self.dim, self.matrix, self.parameter, out)
+        return FourierSum._trusted(self.dim, self.matrix, self.parameter, out)
 
     def __sub__(self, other: "FourierSum") -> "FourierSum":
         self._compatible(other)
         out = dict(self.coeffs)
         for mode, value in other.coeffs.items():
             out[mode] = out.get(mode, PHASE_ZERO) - value
-        return FourierSum(self.dim, self.matrix, self.parameter, out)
+        return FourierSum._trusted(self.dim, self.matrix, self.parameter, out)
 
     def scale(self, value: PhaseSum | Fraction | int) -> "FourierSum":
         if not isinstance(value, PhaseSum):
             value = PhaseSum.of(value)
-        return FourierSum(
-            self.dim,
-            self.matrix,
-            self.parameter,
-            {mode: coeff * value for mode, coeff in self.coeffs.items()},
-        )
+        coeffs = {mode: coeff * value for mode, coeff in self.coeffs.items()}
+        return FourierSum._trusted(self.dim, self.matrix, self.parameter, coeffs)
 
     def __repr__(self) -> str:
         return (
@@ -261,7 +269,7 @@ def moyal_product(left: FourierSum, right: FourierSum) -> FourierSum:
                 out[mode] = merged
             elif mode in out:
                 del out[mode]
-    return FourierSum(left.dim, left.matrix, left.parameter, out)
+    return FourierSum._trusted(left.dim, left.matrix, left.parameter, out)
 
 
 def torus_quotient_dimension(dim: int, K: int) -> int:
@@ -282,9 +290,11 @@ class TorusQuotientElement:
     ) -> None:
         if K < 1:
             raise ValueError("fold order must be positive")
-        rows = _check_matrix(matrix, dim)
+        self._fill(dim, _check_matrix(matrix, dim), K, coeffs or {})
+
+    def _fill(self, dim: int, matrix: IntMatrix, K: int, coeffs: Mapping[Mode, PhaseSum]) -> None:
         cleaned: dict[Mode, PhaseSum] = {}
-        for mode, value in (coeffs or {}).items():
+        for mode, value in coeffs.items():
             folded = tuple(c % K for c in mode)
             if value:
                 merged = cleaned.get(folded, PHASE_ZERO) + value
@@ -293,9 +303,19 @@ class TorusQuotientElement:
                 elif folded in cleaned:
                     del cleaned[folded]
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "coeffs", cleaned)
+
+    @classmethod
+    def _trusted(
+        cls, dim: int, matrix: IntMatrix, K: int, coeffs: Mapping[Mode, PhaseSum]
+    ) -> "TorusQuotientElement":
+        """The fold of ``coeffs`` modulo ``K``, less its zeros: the trusted
+        path for computed results, whose matrix and ``K`` are checked already."""
+        value = object.__new__(cls)
+        value._fill(dim, matrix, K, coeffs)
+        return value
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TorusQuotientElement is immutable")
@@ -325,14 +345,14 @@ class TorusQuotientElement:
         out = dict(self.coeffs)
         for mode, value in other.coeffs.items():
             out[mode] = out.get(mode, PHASE_ZERO) + value
-        return TorusQuotientElement(self.dim, self.matrix, self.K, out)
+        return TorusQuotientElement._trusted(self.dim, self.matrix, self.K, out)
 
     def __sub__(self, other: "TorusQuotientElement") -> "TorusQuotientElement":
         self._compatible(other)
         out = dict(self.coeffs)
         for mode, value in other.coeffs.items():
             out[mode] = out.get(mode, PHASE_ZERO) - value
-        return TorusQuotientElement(self.dim, self.matrix, self.K, out)
+        return TorusQuotientElement._trusted(self.dim, self.matrix, self.K, out)
 
     def product(self, other: "TorusQuotientElement") -> "TorusQuotientElement":
         """Induced product, computed on the canonical representatives."""
@@ -349,7 +369,7 @@ class TorusQuotientElement:
                     out[folded] = merged
                 elif folded in out:
                     del out[folded]
-        return TorusQuotientElement(self.dim, self.matrix, self.K, out)
+        return TorusQuotientElement._trusted(self.dim, self.matrix, self.K, out)
 
     def __repr__(self) -> str:
         return (
@@ -383,7 +403,7 @@ def torus_quotient(func: FourierSum, K: int) -> TorusQuotientElement:
         )
     if _entry_gcd(func.matrix) != 1:
         raise ValueError("coefficient matrix entries must have gcd 1")
-    return TorusQuotientElement(func.dim, func.matrix, K, func.coeffs)
+    return TorusQuotientElement._trusted(func.dim, func.matrix, K, func.coeffs)
 
 
 def check_quotient_ideal(
