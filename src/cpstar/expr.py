@@ -477,7 +477,8 @@ def _star(left: Value, right: Value) -> Value:
         return moyal_product(left, right)
     if isinstance(left, DiskElement) and isinstance(right, DiskElement):
         a, b = _largest_index(left), _largest_index(right)
-        _check_disk_index(a + b, f"the star product of disk elements of largest basis indices {a} and {b}")
+        what = f"the star product of disk elements of largest basis indices {a} and {b}"
+        _check_disk_index(a + b, what)
         return disk_product(left, right)
     if isinstance(left, (SymbolTensor, StarElement)) and isinstance(
         right, (SymbolTensor, StarElement)
@@ -515,9 +516,8 @@ def _power(base: Value, exponent: int) -> Value:
         return result
     if isinstance(base, (SymbolTensor, StarElement)):
         lifted = _lift(base)
-        _check_entries(
-            lifted.n, exponent * lifted.level, f"power {exponent} of a level-{lifted.level} element on CP^{lifted.n}"
-        )
+        what = f"power {exponent} of a level-{lifted.level} element on CP^{lifted.n}"
+        _check_entries(lifted.n, exponent * lifted.level, what)
         result = StarElement.unit(lifted.n)
         for _ in range(exponent):
             result = star_elements(result, lifted)
@@ -537,9 +537,8 @@ def _power(base: Value, exponent: int) -> Value:
         return result
     if isinstance(base, DiskElement):
         largest = _largest_index(base)
-        _check_disk_index(
-            exponent * largest, f"power {exponent} of a disk element of largest basis index {largest}"
-        )
+        what = f"power {exponent} of a disk element of largest basis index {largest}"
+        _check_disk_index(exponent * largest, what)
         result = DiskElement.unit()
         for _ in range(exponent):
             result = disk_product(result, base)

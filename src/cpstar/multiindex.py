@@ -19,7 +19,6 @@ __all__ = [
     "multiplicity",
     "sorted_tuples",
     "submultiset_splits",
-    "subtract_indices",
 ]
 
 Index = tuple[int, ...]
@@ -55,7 +54,7 @@ def merge_indices(left: Index, right: Index) -> Index:
     return tuple(sorted(left + right))
 
 
-def subtract_indices(whole: Index, part: Index) -> Index:
+def _subtract_indices(whole: Index, part: Index) -> Index:
     """Remove the multiset ``part`` from ``whole`` (both sorted); assumes containment."""
     out = list(whole)
     for a in part:
@@ -77,7 +76,7 @@ def submultiset_splits(index: Index, r: int) -> tuple[tuple[Index, Index], ...]:
     def walk(pos: int, remaining: int, chosen: list[int]) -> None:
         if remaining == 0:
             alpha = tuple(chosen)
-            splits.append((alpha, subtract_indices(index, alpha)))
+            splits.append((alpha, _subtract_indices(index, alpha)))
             return
         if pos == len(letters):
             return

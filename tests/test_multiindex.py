@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpstar.multiindex import (
+    _subtract_indices,
     merge_indices,
     multiplicity,
     sorted_tuples,
     submultiset_splits,
-    subtract_indices,
 )
 
 indices = st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(
@@ -47,14 +47,14 @@ def test_sorted_tuples_enumeration():
 
 def test_merge_and_subtract():
     assert merge_indices((0, 2), (1, 2)) == (0, 1, 2, 2)
-    assert subtract_indices((0, 1, 2, 2), (1, 2)) == (0, 2)
+    assert _subtract_indices((0, 1, 2, 2), (1, 2)) == (0, 2)
     assert merge_indices((), (1,)) == (1,)
-    assert subtract_indices((1,), (1,)) == ()
+    assert _subtract_indices((1,), (1,)) == ()
 
 
 @given(indices, indices)
 def test_subtract_inverts_merge(left, right):
-    assert subtract_indices(merge_indices(left, right), right) == left
+    assert _subtract_indices(merge_indices(left, right), right) == left
 
 
 def test_submultiset_splits_examples():
