@@ -1,0 +1,138 @@
+"""The one integer weight formula against the polynomial builds it replaced.
+
+``star._star_coefficient`` and ``models.disk.disk_basis_coefficient`` are
+both ``nupoly._weight_ints`` reduced by ``NuRationalFunction._from_ints``,
+and ``nu_pochhammer``, ``neg_nu_pochhammer`` and ``quotient._pochhammer_at``
+all read the integer product of ``nupoly._linear_ints``.  The oracles here
+are the builds they replaced, kept on purpose: the recursive
+``NuPolynomial`` product for the Pochhammer polynomials, and a
+``NuPolynomial`` numerator over its factors (``over_factors``) for the two
+weights.  Results must agree structurally: numerator, monic denominator and
+the factors carried.  Negation and multiples by a scalar or a polynomial of
+a factored value are checked against the Euclidean constructor.
+"""
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+import pytest
+
+from cpstar.models.disk import disk_basis_coefficient, neg_nu_pochhammer
+from cpstar.nupoly import NU_ONE, NuPolynomial, NuRationalFunction, nu_pochhammer
+from cpstar.quotient import _pochhammer_at
+from cpstar.randgen import random_scalar
+from cpstar.scalars import GaussRational, to_gauss
+from cpstar.star import _star_coefficient
+
+
+@lru_cache(maxsize=None)
+def reference_pochhammer(k: int) -> NuPolynomial:
+    """``nu^(k)`` by the recurrence ``nu^(k+1) = (1 - k nu) nu^(k)``."""
+    if k <= 1:
+        return NU_ONE
+    return reference_pochhammer(k - 1) * NuPolynomial((1, -(k - 1)))
+
+
+def reference_neg_pochhammer(k: int) -> NuPolynomial:
+    return NuPolynomial((-1) ** j * c for j, c in enumerate(reference_pochhammer(k).coeffs))
+
+
+def reference_star_coefficient(k: int, l: int, r: int) -> NuRationalFunction:
+    numerator = (reference_pochhammer(k + l - r) * Fraction(1, factorial(r))).shift(r)
+    return NuRationalFunction.over_factors(numerator, (*range(1, k), *range(1, l)))
+
+
+def reference_disk_coefficient(q: int, r: int, s: int, m: int) -> NuRationalFunction:
+    numerator = NuPolynomial.nu_power(m) * reference_neg_pochhammer(q + s - m)
+    scale = Fraction(factorial(q) * factorial(r), factorial(m) * factorial(q - m) * factorial(r - m))
+    factors = (*range(-1, -q, -1), *range(-1, -s, -1))  # 1 + j nu = 1 - (-j) nu
+    return NuRationalFunction.over_factors(numerator * scale, factors)
+
+
+def assert_same(value: NuRationalFunction, expected: NuRationalFunction) -> None:
+    assert (value.num, value.den, value.js) == (expected.num, expected.den, expected.js)
+
+
+def test_pochhammer_views_match_the_recursive_product():
+    for k in range(14):
+        assert nu_pochhammer(k) == reference_pochhammer(k)
+        assert neg_nu_pochhammer(k) == reference_neg_pochhammer(k)
+    for view in (nu_pochhammer, neg_nu_pochhammer):
+        with pytest.raises(ValueError):
+            view(-1)
+
+
+def test_star_coefficient_matches_the_polynomial_numerator():
+    cancelled = 0
+    for k in range(9):
+        for l in range(9):
+            for r in range(min(k, l) + 1):
+                value = _star_coefficient(k, l, r)
+                assert_same(value, reference_star_coefficient(k, l, r))
+                cancelled += len(value.js) < max(k - 1, 0) + max(l - 1, 0)
+    assert cancelled > 100  # most weights lose factors to the numerator
+
+
+def test_disk_coefficient_matches_the_polynomial_numerator():
+    for q in range(8):
+        for r in range(8):
+            for s in range(8):
+                for m in range(min(q, r) + 1):
+                    assert_same(disk_basis_coefficient(q, r, s, m), reference_disk_coefficient(q, r, s, m))
+
+
+def test_pochhammer_at_matches_polynomial_evaluation():
+    alphas = [Fraction(1, K) for K in range(1, 6)] + [
+        Fraction(2, 7),
+        Fraction(5, 3),
+        Fraction(3),
+        Fraction(-3, 5),
+        Fraction(-1, 2),
+        Fraction(-4),
+    ]
+    for r in range(12):
+        for alpha in alphas:
+            value = _pochhammer_at(r, alpha)
+            assert isinstance(value, Fraction)
+            assert GaussRational(value) == reference_pochhammer(r).evaluate(alpha)
+        for K in range(1, 6):  # nu^(r) vanishes at 1/K exactly from r = K + 1 on
+            assert (_pochhammer_at(r, Fraction(1, K)) == 0) == (r >= K + 1)
+
+
+def euclid(num: NuPolynomial, den: NuPolynomial) -> NuRationalFunction:
+    """The generic constructor: a Euclidean gcd over Q(i), never factored."""
+    return NuRationalFunction(num, den)
+
+
+def expanded(js) -> NuPolynomial:
+    out = NU_ONE
+    for j in js:
+        out = out * NuPolynomial((1, -j))
+    return out
+
+
+def assert_canonical(value: NuRationalFunction, expected: NuRationalFunction) -> None:
+    assert value.num == expected.num and value.den == expected.den
+    assert value.js is not None and value.den == expanded(value.js).monic()
+
+
+def test_negation_and_multiples_of_factored_values_match_euclid():
+    rng = random.Random(16)
+    samples = [_star_coefficient(3, 2, 1), disk_basis_coefficient(2, 3, 3, 1)]
+    for _ in range(40):
+        js = tuple(rng.choice((-3, -2, -1, 1, 2, 2, 3)) for _ in range(rng.randint(0, 4)))
+        num = NuPolynomial(random_scalar(rng) * Fraction(1, rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+        samples.append(NuRationalFunction.over_factors(num, js))
+    for a in samples:
+        assert_canonical(-a, euclid(-a.num, a.den))
+        assert_canonical(-(-a), a)
+        for scale in (0, 3, Fraction(-2, 7), random_scalar(rng), GaussRational(0, 1)):
+            expected = euclid(a.num * to_gauss(scale), a.den)
+            assert_canonical(a * scale, expected)
+            assert_canonical(scale * a, expected)
+        # a polynomial that shares a root with the denominator cancels it
+        poly = NuPolynomial((1, -rng.choice(a.js))) if a.js else NuPolynomial((2, 1))
+        assert_canonical(a * poly, euclid(a.num * poly, a.den))
+        assert_canonical(poly * a, euclid(a.num * poly, a.den))
