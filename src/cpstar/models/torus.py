@@ -416,11 +416,16 @@ def check_quotient_ideal(
     For each pair (k, k'), forms the element T_k - T_{k + K k'}, multiplies
     by the given sum on both sides, and checks the folded images vanish.
     """
+    dim, matrix, parameter = other.dim, other.matrix, other.parameter
     for k, k_shift in func_modes:
+        k, k_shift = tuple(k), tuple(k_shift)
+        if len(k) != dim or len(k_shift) != dim:
+            raise ValueError("mode vectors must match the dimension")
         shifted = tuple(u + K * v for u, v in zip(k, k_shift))
-        diff = FourierSum.mode(
-            other.dim, other.matrix, other.parameter, k
-        ) - FourierSum.mode(other.dim, other.matrix, other.parameter, shifted)
+        # the modes share the matrix ``other`` was checked with
+        diff = FourierSum._trusted(dim, matrix, parameter, {k: PHASE_ONE}) - FourierSum._trusted(
+            dim, matrix, parameter, {shifted: PHASE_ONE}
+        )
         if not torus_quotient(moyal_product(diff, other), K).is_zero():
             return False
         if not torus_quotient(moyal_product(other, diff), K).is_zero():

@@ -6,13 +6,17 @@ orderings of ``I`` (the multinomial ``k! / prod(c_a!)``); it converts between
 stored tensor entries and the coefficients of the associated polynomial, i.e.
 an unrestricted Einstein sum over index tuples equals a sum over sorted
 representatives weighted by their multiplicity.
+
+``_lex_rank`` and ``_lex_unrank`` convert between a sorted k-tuple and its
+position in ``sorted_tuples(n, k)`` by arithmetic, without building the
+enumeration; the contraction kernel keys its cells by these ranks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 
 __all__ = [
     "merge_indices",
@@ -52,6 +56,39 @@ def merge_indices(left: Index, right: Index) -> Index:
     the same few hundred index pairs over and over.  The bound keeps the
     cache small however many shapes a process sees."""
     return tuple(sorted(left + right))
+
+
+def _lex_rank(n: int, index: Index) -> int:
+    """Position of a sorted tuple in ``sorted_tuples(n, len(index))``.
+
+    The tuples before it are those that agree with it up to some position
+    i and have a smaller letter there.  With ``m`` letters from position i
+    on, the ones whose letter at i is v >= the letter before count
+    C(n - v + m - 1, m - 1), and their sum over v is a difference of two
+    binomials."""
+    rank = 0
+    low = 0
+    m = len(index)
+    for letter in index:
+        rank += comb(n - low + m, m) - comb(n - letter + m, m)
+        low = letter
+        m -= 1
+    return rank
+
+
+def _lex_unrank(n: int, k: int, rank: int) -> Index:
+    """The sorted k-tuple at position ``rank`` of ``sorted_tuples(n, k)``."""
+    out = []
+    letter = 0
+    for tail in range(k - 1, -1, -1):
+        # the tuples that go on with this letter and ``tail`` more after it
+        block = comb(n - letter + tail, tail)
+        while rank >= block:
+            rank -= block
+            letter += 1
+            block = comb(n - letter + tail, tail)
+        out.append(letter)
+    return tuple(out)
 
 
 def _subtract_indices(whole: Index, part: Index) -> Index:

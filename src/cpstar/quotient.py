@@ -40,6 +40,7 @@ from .scalars import GAUSS_I, GAUSS_ONE, GaussRational
 from .star import StarElement, star_elements
 from .symbols import (
     SymbolTensor,
+    _add_scaled,
     _times_x,
     embed,
     identity_symbol,
@@ -134,14 +135,7 @@ def _weighted_sum(element: StarElement, alpha: Fraction, degree: int | None = No
         if weight is None:
             continue
         tensor = element.components[r]
-        factor = weight.numerator * (d // (tensor.den * weight.denominator))
-        for key, (c_re, c_im) in tensor.cells.items():
-            cell = total.get(key)
-            if cell is None:
-                total[key] = [c_re * factor, c_im * factor]
-            else:
-                cell[0] += c_re * factor
-                cell[1] += c_im * factor
+        _add_scaled(total, tensor.cells, weight.numerator * (d // (tensor.den * weight.denominator)))
     return SymbolTensor._from_cells(element.n, degree, d, total)
 
 

@@ -38,7 +38,10 @@ from .nupoly import NuPolynomial, NuRationalFunction, _pochhammer_js, _weight_in
 from .scalars import ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
+    _add_scaled,
     _contract_into,
+    _contracted,
+    _times_x,
     embed,
     pointwise_mul,
     reduce_degree,
@@ -355,6 +358,20 @@ class RawNuSeries:
         return RawNuSeries(self.n, self.degree, {p - 1: t for p, t in self.powers.items()})
 
 
+def _relevel_weights(r: int, m: int) -> list[int]:
+    """``h_{m-j}(r, r+1, ..., r+j)`` for j = 0..m, h_p the complete
+    homogeneous symmetric polynomial of degree p; for r = 0 these are the
+    Stirling numbers S(m, j) of the second kind."""
+    h = [r**p for p in range(m + 1)]  # h_p(r)
+    out = [h[m]]
+    for j in range(1, m + 1):
+        # h_p(..., r + j) = h_p(...) + (r + j) h_{p-1}(..., r + j)
+        for p in range(1, m - j + 1):
+            h[p] += (r + j) * h[p - 1]
+        out.append(h[m - j])
+    return out
+
+
 class StarElement:
     """Element of the filtered subalgebra on which the star product closes.
 
@@ -430,27 +447,35 @@ class StarElement:
         return StarElement(self.n, self.level + j, dict(self.components))
 
     def relevel(self, new_level: int) -> "StarElement":
-        """Rewrite at a higher level using nu^(r+1) = (1 - r nu) nu^(r)."""
+        """Rewrite at a higher level using nu^(r+1) = (1 - r nu) nu^(r).
+
+        One step turns phi_r into x phi_r at degree r + 1 plus r phi_r at
+        degree r, so m steps send x^j phi_r to degree r + j with weight
+        h_{m-j}(r, r+1, ..., r+j) (:func:`_relevel_weights`).  The new
+        components add up on int cells over the lcm of the component
+        denominators and are normalised once each.
+        """
         if new_level < self.level:
             raise ValueError("relevel only raises the level")
-        current = self
-        while current.level < new_level:
-            out: dict[int, SymbolTensor] = {}
-
-            def _accumulate(index: int, tensor: SymbolTensor) -> None:
-                existing = out.get(index)
-                total = tensor if existing is None else existing + tensor
-                if total.is_zero():
-                    out.pop(index, None)
-                else:
-                    out[index] = total
-
-            for r, tensor in current.components.items():
-                _accumulate(r + 1, embed(tensor))
-                if r:
-                    _accumulate(r, tensor.scale(r))
-            current = StarElement(current.n, current.level + 1, out)
-        return current
+        m = new_level - self.level
+        if not m:
+            return self
+        n = self.n
+        den = lcm(*(tensor.den for tensor in self.components.values()))
+        sums: dict[int, dict] = {}
+        for r, tensor in self.components.items():
+            rescale = den // tensor.den
+            cells = tensor.cells
+            for j, weight in enumerate(_relevel_weights(r, m)):
+                if j:
+                    cells = _times_x(n, cells)
+                if not weight:
+                    continue
+                _add_scaled(sums.setdefault(r + j, {}), cells, weight * rescale)
+        # StarElement drops the components whose entries all cancel
+        return StarElement(
+            n, new_level, {degree: SymbolTensor._from_cells(n, degree, den, cells) for degree, cells in sums.items()}
+        )
 
     def __add__(self, other: "StarElement") -> "StarElement":
         if not isinstance(other, StarElement):
@@ -547,12 +572,10 @@ def star_elements(left: StarElement, right: StarElement) -> StarElement:
             rescale = d_left // phi.den * (d_right // psi.den)
             for t in range(min(r, s) + 1):
                 weight = rescale * (top // factorial(t))
-                _contract_into(sums.setdefault(r + s - t, {}), phi.cells, psi.cells, r, s, t, weight)
+                _contract_into(sums.setdefault(r + s - t, {}), phi.cells, psi.cells, n, r, s, t, weight)
     d = d_left * d_right * top
     # StarElement drops the components whose entries all cancel
-    return StarElement(
-        n, level, {degree: SymbolTensor._from_cells(n, degree, d, cells) for degree, cells in sums.items()}
-    )
+    return StarElement(n, level, {degree: _contracted(n, degree, d, cells) for degree, cells in sums.items()})
 
 
 def extract_structure(series: RawNuSeries, level: int) -> Optional[StarElement]:

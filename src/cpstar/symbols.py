@@ -25,7 +25,10 @@ normalising constructor, ``SymbolTensor._from_cells``:
   :func:`pointwise_mul`, its order 0.  Both wrap one accumulator,
   ``_contract_into``, which adds a weighted contraction into int cells in
   place; :func:`cpstar.star.star_elements` runs every contraction of an
-  element product through it in one pass.
+  element product through it in one pass.  The accumulator reads a plan per
+  shape (n, k, l, r) — split weights and merged output positions, filled in
+  as cells need them — and keys its cells by lex ranks of the merged index
+  pairs; ``_contracted`` turns the keys back into index pairs once.
 
 The Gaussian-rational tensor entries are a computed view,
 :attr:`SymbolTensor.entries`, for JSON, checks and tests.  The public
@@ -43,13 +46,16 @@ independent reference for the full contraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
-from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from math import comb, lcm
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .multiindex import (
     Index,
+    _lex_rank,
+    _lex_unrank,
     merge_indices,
     multiplicity,
     sorted_tuples,
@@ -333,6 +339,17 @@ def _times_x(n: int, cells: Mapping[EntryKey, Sequence[int]]) -> dict[EntryKey, 
     return grown
 
 
+def _add_scaled(accum: dict[EntryKey, list[int]], cells: Mapping[EntryKey, Sequence[int]], factor: int) -> None:
+    """Add ``factor`` times the int cells ``cells`` into ``accum`` in place."""
+    for key, (c_re, c_im) in cells.items():
+        cell = accum.get(key)
+        if cell is None:
+            accum[key] = [c_re * factor, c_im * factor]
+        else:
+            cell[0] += c_re * factor
+            cell[1] += c_im * factor
+
+
 def embed(tensor: SymbolTensor, times: int = 1) -> SymbolTensor:
     """Raise the degree by multiplying sigma_tilde with x**times (same symbol).
 
@@ -400,10 +417,103 @@ def reduce_to_min(tensor: SymbolTensor) -> SymbolTensor:
     return current
 
 
+class _Lazy(dict):
+    """A dict that fills a missing entry from ``fill(key)`` the first time it
+    is read.  The contraction plans are made of these, so a plan holds only
+    the entries some cell has needed."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+@lru_cache(maxsize=64)
+def _ranks(n: int, k: int) -> _Lazy:
+    """Sorted k-tuple -> its lex rank in ``sorted_tuples(n, k)``."""
+    return _Lazy(partial(_lex_rank, n))
+
+
+@lru_cache(maxsize=64)
+def _indices(n: int, k: int) -> _Lazy:
+    """Lex rank -> the sorted k-tuple there, the inverse of :func:`_ranks`."""
+    return _Lazy(partial(_lex_unrank, n, k))
+
+
+def _merged_rank(n: int, index: Index, others: _Lazy, width: int, other: int) -> int:
+    return width * _lex_rank(n, merge_indices(index, others[other]))
+
+
+def _merge_row(n: int, others: _Lazy, width: int, index: Index) -> tuple[dict[int, int], Callable[[int], int]]:
+    return {}, partial(_merged_rank, n, index, others, width)
+
+
+@lru_cache(maxsize=256)
+def _merge_rows(n: int, a: int, b: int, width: int) -> _Lazy:
+    """Degree-``a`` index I -> its row ``(positions, fill)``: ``positions``
+    maps the rank of a degree-``b`` index I2 to ``width`` times the rank of
+    I + I2 in degree ``a + b``, and ``fill(rank)`` computes a missing entry.
+
+    The rows are plain dicts, which the contraction loop reads fastest, and
+    it fills them itself on a ``KeyError``.  ``width`` is part of the key: a
+    row of output heads (width the number of sorted tuples of the output
+    degree) and a row of output tails (width 1) over the same degrees, as
+    for r = 0, are different tables."""
+    return _Lazy(partial(_merge_row, n, _indices(n, b), width))
+
+
+@lru_cache(maxsize=256)
+def _contraction_plan(n: int, k: int, l: int, r: int) -> tuple[_Lazy, _Lazy, _Lazy, _Lazy]:
+    """The data-independent part of the r-th contraction of a degree-``k``
+    and a degree-``l`` cell map on CP^n, as four lazily filled tables:
+
+    * ``heads``: the left antiholomorphic index I -> its row of
+      ``W rank(I + I2)`` by the rank of I2, W the number of sorted tuples of
+      the output degree ``k + l - r``;
+    * ``left``: the left holomorphic index J -> its splits into (alpha,
+      rest), each as ``(rank of alpha, *row of the rest, weight)``: the row
+      holds ``rank(rest + Q)`` by the rank of Q, and the weight is
+      ``k!/(k-r)! mult(rest) mult(alpha) / mult(J)``;
+    * ``right``: the right antiholomorphic index P -> its splits into (alpha,
+      I2) as ``(rank of alpha, rank of I2, l!/(l-r)! mult(I2) / mult(P))``;
+    * ``tails``: the right holomorphic index Q -> its rank.
+
+    The output key of a left and a right cell is then the int
+    ``heads[I][I2] + row[Q]``.
+    """
+    degree = k + l - r
+    fall_k, fall_l = _falling(k, r), _falling(l, r)
+    alphas, rests = _ranks(n, r), _ranks(n, l - r)
+    rows = _merge_rows(n, k - r, l, 1)
+
+    def left_splits(index: Index) -> list[tuple]:
+        m = multiplicity(index)
+        return [
+            (alphas[alpha], *rows[rest], fall_k * multiplicity(rest) // m * multiplicity(alpha))
+            for alpha, rest in submultiset_splits(index, r)
+        ]
+
+    def right_splits(index: Index) -> list[tuple[int, int, int]]:
+        m = multiplicity(index)
+        return [
+            (alphas[alpha], rests[rest], fall_l * multiplicity(rest) // m)
+            for alpha, rest in submultiset_splits(index, r)
+        ]
+
+    heads = _merge_rows(n, k, l - r, comb(n + degree, degree))
+    return heads, _Lazy(left_splits), _Lazy(right_splits), _ranks(n, l)
+
+
 def _contract_into(
-    accum: dict[EntryKey, list[int]],
+    accum: dict[int, list[int]],
     left_cells: Mapping[EntryKey, Sequence[int]],
     right_cells: Mapping[EntryKey, Sequence[int]],
+    n: int,
     k: int,
     l: int,
     r: int,
@@ -413,36 +523,50 @@ def _contract_into(
     ``accum``.
 
     ``left_cells`` and ``right_cells`` are the polynomial-coefficient cells
-    of a degree-``k`` and a degree-``l`` tensor, and ``accum`` collects the
-    cells of degree ``k + l - r`` in place, over the product of the two
-    denominators.  Differentiating z^J in the r directions of a multiset
-    alpha, in any of its mult(alpha) orders, gives
-    ``k!/(k-r)! mult(J - alpha) / mult(J)`` times z^(J - alpha), an integer;
-    zbar^I of the right factor likewise.  So every weight is an int, and any
-    number of contractions over the same denominators can add up in one
-    dict and be normalised once.
+    of a degree-``k`` and a degree-``l`` tensor on CP^n, and ``accum``
+    collects the cells of degree ``d = k + l - r`` in place, over the product
+    of the two denominators, keyed by the int ``h W + a``: h and a are the
+    lex ranks of the two merged indices and W the number of sorted tuples of
+    degree d.  :func:`_contracted` turns the keys back into index pairs.
+
+    Differentiating z^J in the r directions of a multiset alpha, in any of
+    its mult(alpha) orders, gives ``k!/(k-r)! mult(J - alpha) / mult(J)``
+    times z^(J - alpha), an integer; zbar^I of the right factor likewise.  So
+    every weight is an int, and any number of contractions over the same
+    denominators can add up in one dict and be normalised once.  The splits,
+    weights and merged positions depend only on the shape (n, k, l, r) and
+    come from :func:`_contraction_plan`, whose tables fill in as cells need
+    them, so sparse inputs on a large CP^n stay cheap.
     """
-    fall_k = _falling(k, r) * scale
-    fall_l = _falling(l, r)
+    heads, left_splits, right_splits, tails = _contraction_plan(n, k, l, r)
     # Index the right factor by the contracted submultiset of its
     # antiholomorphic group.
-    right_split: dict[Index, list[tuple[Index, Index, int, int]]] = {}
+    by_alpha: dict[int, list[tuple[int, int, int, int]]] = {}
     for (pb, qb), (b_re, b_im) in right_cells.items():
-        m_p = multiplicity(pb)
-        for alpha, i2 in submultiset_splits(pb, r):
-            w = fall_l * multiplicity(i2) // m_p
-            right_split.setdefault(alpha, []).append((i2, qb, b_re * w, b_im * w))
+        q = tails[qb]
+        for alpha, rest, w in right_splits[pb]:
+            matches = by_alpha.get(alpha)
+            if matches is None:
+                matches = by_alpha[alpha] = []
+            matches.append((rest, q, b_re * w, b_im * w))
     for (ia, ja), (va_re, va_im) in left_cells.items():
-        m_j = multiplicity(ja)
-        for alpha, j2 in submultiset_splits(ja, r):
-            matches = right_split.get(alpha)
-            if not matches:
+        head, fill_head = heads[ia]
+        for alpha, row, fill_row, w in left_splits[ja]:
+            matches = by_alpha.get(alpha)
+            if matches is None:
                 continue
-            w = fall_k * multiplicity(j2) // m_j * multiplicity(alpha)
+            w *= scale
             a_re = va_re * w
             a_im = va_im * w
-            for i2, qb, b_re, b_im in matches:
-                key = (merge_indices(ia, i2), merge_indices(j2, qb))
+            for rest, q, b_re, b_im in matches:
+                try:
+                    key = head[rest] + row[q]
+                except KeyError:
+                    if rest not in head:
+                        head[rest] = fill_head(rest)
+                    if q not in row:
+                        row[q] = fill_row(q)
+                    key = head[rest] + row[q]
                 c_re = a_re * b_re - a_im * b_im
                 c_im = a_re * b_im + a_im * b_re
                 cell = accum.get(key)
@@ -451,6 +575,24 @@ def _contract_into(
                 else:
                     cell[0] += c_re
                     cell[1] += c_im
+
+
+def _key_pair(indices: _Lazy, width: int, key: int) -> EntryKey:
+    head, tail = divmod(key, width)
+    return indices[head], indices[tail]
+
+
+@lru_cache(maxsize=64)
+def _key_pairs(n: int, degree: int) -> _Lazy:
+    """Output key ``h W + a`` of :func:`_contract_into` -> its index pair."""
+    return _Lazy(partial(_key_pair, _indices(n, degree), comb(n + degree, degree)))
+
+
+def _contracted(n: int, degree: int, den: int, accum: Mapping[int, Sequence[int]]) -> SymbolTensor:
+    """The tensor of cells that :func:`_contract_into` collected over ``den``,
+    its int keys turned back into index pairs."""
+    pairs = _key_pairs(n, degree)
+    return SymbolTensor._from_cells(n, degree, den, {pairs[key]: cell for key, cell in accum.items()})
 
 
 def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:
@@ -472,9 +614,9 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
     k, l = left.k, right.k
     if not 0 <= r <= min(k, l):
         raise ValueError(f"contraction order r={r} outside 0..min({k}, {l})")
-    accum: dict[EntryKey, list[int]] = {}
-    _contract_into(accum, left.cells, right.cells, k, l, r, 1)
-    return SymbolTensor._from_cells(left.n, k + l - r, left.den * right.den, accum)
+    accum: dict[int, list[int]] = {}
+    _contract_into(accum, left.cells, right.cells, left.n, k, l, r, 1)
+    return _contracted(left.n, k + l - r, left.den * right.den, accum)
 
 
 def wick_contraction_reference(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:

@@ -4,7 +4,8 @@
 components of a filtered element.  Each is compared here with the plain
 nu-series view of the same element: ``expand`` followed by
 ``extract_structure``, substitution, and multiplication by ``(nu - alpha)``
-through ``times_nupoly``.
+through ``times_nupoly``.  ``relevel``, which raises the level in one pass,
+is compared with the one-level-at-a-time recurrence it replaced.
 """
 
 import random
@@ -25,7 +26,7 @@ from cpstar.quotient import (
 from cpstar.randgen import random_element, random_symbol
 from cpstar.scalars import GaussRational
 from cpstar.star import StarElement, extract_structure
-from cpstar.symbols import SymbolTensor, embed
+from cpstar.symbols import SymbolTensor, embed, identity_symbol
 
 # (n, level, extra levels added by relevel); every element stays at level <= 5
 SHAPES = [(1, 0, 2), (1, 1, 2), (1, 2, 3), (1, 3, 2), (1, 5, 0), (2, 1, 2), (2, 2, 1), (2, 3, 0)]
@@ -148,6 +149,47 @@ def _fraction_element(rng, n, level, gaps=()):
             for key in rng.sample(slots, min(4, len(slots)))
         })
     return StarElement(n, level, components)
+
+
+def relevel_stepwise(element, new_level):
+    """``relevel`` one level at a time: each step sends phi_r to x phi_r at
+    degree r + 1 plus r phi_r at degree r, with public tensor arithmetic."""
+    current = element
+    while current.level < new_level:
+        out = {}
+        for r, tensor in current.components.items():
+            pieces = [(r + 1, embed(tensor))]
+            if r:
+                pieces.append((r, tensor.scale(r)))
+            for index, piece in pieces:
+                out[index] = out[index] + piece if index in out else piece
+        current = StarElement(current.n, current.level + 1, {r: t for r, t in out.items() if not t.is_zero()})
+    return current
+
+
+@pytest.mark.parametrize("seed", [44, 45])
+def test_relevel_matches_stepwise_recurrence(seed):
+    rng = random.Random(seed)
+    shapes = [(1, 3, ()), (1, 2, (1,)), (2, 3, (0, 2)), (2, 1, ()), (3, 2, (0,)), (3, 3, ())]
+    cases = [_fraction_element(rng, n, level, gaps) for n, level, gaps in shapes]
+    cases += [random_element(rng, n, 2) for n in (1, 2, 3)]
+    cases += [StarElement.zero(2), StarElement(1, 3), StarElement.unit(3)]
+    for element in cases:
+        for extra in range(5):
+            new_level = element.level + extra
+            assert element.relevel(new_level) == relevel_stepwise(element, new_level), (element, extra)
+    # phi_r and its x-multiples cancel across degrees: a relevelled
+    # difference of two levels of one element is zero
+    element = cases[0]
+    assert (element.relevel(6) - element.relevel(4)).relevel(6).is_zero()
+
+
+def test_relevel_of_the_unit_has_stirling_components():
+    stirling = {1: [0, 1], 2: [0, 1, 1], 3: [0, 1, 3, 1], 4: [0, 1, 7, 6, 1]}
+    for n in (1, 2):
+        for m, row in stirling.items():
+            expected = {j: identity_symbol(n, j).scale(c) for j, c in enumerate(row) if c}
+            assert StarElement.unit(n).relevel(m) == StarElement(n, m, expected)
 
 
 def _naive_weighted_sum(element, alpha, degree=None):
