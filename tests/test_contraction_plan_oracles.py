@@ -213,6 +213,7 @@ def test_sparse_product_fills_only_what_it_visits():
     visits = [_visits(a.components[r].cells, b.components[s].cells, t) for r, s, t in shapes]
     triples = sum(v for v, _ in visits)
     heads, rows, splits = {}, {}, 0
+    misses = symbols._contraction_plan.cache_info().misses
     for r, s, t in shapes:
         plan_heads, left, right, _ = symbols._contraction_plan(n, r, s, t)
         for row, _ in plan_heads.values():
@@ -221,6 +222,7 @@ def test_sparse_product_fills_only_what_it_visits():
             for _, row, _, _ in split:
                 rows[id(row)] = len(row)
         splits += sum(map(len, left.values())) + sum(map(len, right.values()))
+    assert symbols._contraction_plan.cache_info().misses == misses  # the plans the product filled
     pairs = sum(len(symbols._key_pairs(n, degree)) for degree in range(7))
     assert 0 < sum(heads.values()) <= triples
     assert 0 < sum(rows.values()) <= triples
