@@ -7,11 +7,19 @@ Usage, from the repository root::
 Each case holds the arguments and standard input of one in-process
 ``cpstar.cli.main`` call, with the exit code and standard output it gave.
 ``test_cli.py`` replays every case and compares both byte for byte, so the
-file pins the canonical output of the ``star``, ``subst``, ``quotient`` and
-``eval`` subcommands and of every ``check`` suite.  The inputs are drawn
-from fixed seeds: elements on CP^1-CP^3 with entries over small prime
-denominators (repeated indices included), missing middle components, a zero
-component list, and a few malformed requests that exit 2.
+file pins the canonical output of the ``star``, ``subst``, ``quotient``,
+``eval``, ``torus`` and ``disk`` subcommands and of every ``check`` suite.
+The inputs are drawn from fixed seeds: elements on CP^1-CP^3 with entries
+over small prime denominators (repeated indices included), missing middle
+components, a zero component list, and a few malformed requests that exit 2.
+
+``edge_cases`` appends, from a seed of its own so the earlier cases stay as
+they are, torus and disk products and payloads that only the loaders'
+leniency makes valid: parts written unreduced (``"2/4"``), padded
+(``" 1/2 "``), as decimals (``"0.5"``), signed (``"+3"``, ``"-0"``) or with
+underscores (``"1_0"``); entries with only ``re`` or only ``im``, unsorted
+``I``/``J``, duplicate keys that add up or cancel; and parts that are
+refused (``"1/0"``, a bare number, ``"1 /2"``).
 """
 
 from __future__ import annotations
@@ -26,13 +34,31 @@ from pathlib import Path
 
 from cpstar.checks import SUITES
 from cpstar.cli import main, value_to_tagged
+from cpstar.models.disk import DiskElement
 from cpstar.multiindex import sorted_tuples
+from cpstar.randgen import random_disk, random_fourier
 from cpstar.scalars import GaussRational
 from cpstar.star import StarElement
 from cpstar.symbols import SymbolTensor
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 PRIMES = (1, 1, 2, 3, 5, 7)
+SYMPLECTIC = [[0, 1], [-1, 0]]
+# spellings of rational parts that the loaders accept, and their values
+LENIENT_PARTS = {
+    "2/4": Fraction(1, 2),
+    " 1/2 ": Fraction(1, 2),
+    "0.5": Fraction(1, 2),
+    "+3": Fraction(3),
+    "-0": Fraction(0),
+    "1_0": Fraction(10),
+    "-6/9": Fraction(-2, 3),
+    "\t7\n": Fraction(7),
+    "1.25": Fraction(5, 4),
+    "3e-1": Fraction(3, 10),
+    "-.5": Fraction(-1, 2),
+    "5/1": Fraction(5),
+}
 
 
 def _symbol(rng: random.Random, n: int, k: int, size: int) -> SymbolTensor:
@@ -113,6 +139,108 @@ def cases() -> list[dict]:
     for suite in SUITES:
         for seed in (0, 5):
             add(f"check-{suite}-{seed}", ["check", "--suite", suite, "--seed", str(seed)])
+    return out + edge_cases()
+
+
+def _lenient_symbol(rng: random.Random, n: int, k: int, size: int) -> dict:
+    """A symbol payload in lenient spellings: parts from ``LENIENT_PARTS``,
+    some entries with one part only, letters in random order, and every
+    third key listed twice, the second time either adding to the first or
+    cancelling it."""
+    slots = [(i, j) for i in sorted_tuples(n, k) for j in sorted_tuples(n, k)]
+    spellings = sorted(LENIENT_PARTS)
+    entries = []
+    for number, (left, right) in enumerate(rng.sample(slots, min(size, len(slots)))):
+        entry = {"I": rng.sample(left, k), "J": rng.sample(right, k)}
+        shape = rng.randrange(3)
+        if shape != 1:
+            entry["re"] = rng.choice(spellings)
+        if shape != 2:
+            entry["im"] = rng.choice(spellings)
+        entries.append(entry)
+        if number % 3 == 0:
+            again = {"I": rng.sample(left, k), "J": rng.sample(right, k)}
+            for part in ("re", "im"):
+                if part in entry:
+                    again[part] = rng.choice(spellings) if rng.random() < 0.5 else _negated(entry[part])
+            entries.append(again)
+    rng.shuffle(entries)
+    return {"n": n, "k": k, "entries": entries}
+
+
+def _negated(text: str) -> str:
+    value = -LENIENT_PARTS[text]
+    return f"{value.numerator}/{value.denominator}"
+
+
+def edge_cases() -> list[dict]:
+    """Torus and disk products and lenient or refused loader inputs."""
+    rng = random.Random(2027)
+    out = []
+
+    def add(name, argv, stdin=""):
+        out.append({"name": name, "argv": argv, "stdin": stdin})
+
+    for number, K in enumerate((None, None, 1, 2, 3, 3, 4)):
+        parameter = Fraction(1, K) if K else Fraction(rng.choice([1, 2, 3]), rng.choice([4, 5, 7]))
+        pair = {
+            side: value_to_tagged(random_fourier(rng, 2, SYMPLECTIC, parameter, modes=rng.randint(1, 4)))
+            for side in ("left", "right")
+        }
+        argv = ["torus"] if K is None else ["torus", "--K", str(K)]
+        add(f"torus-{number}-K{K}", argv, json.dumps(pair))
+    wide = {side: value_to_tagged(random_fourier(rng, 2, [[0, 2], [-2, 0]], Fraction(1, 2))) for side in ("left", "right")}
+    add("torus-wide-lattice", ["torus"], json.dumps(wide))
+    add("torus-wide-lattice-K2", ["torus", "--K", "2"], json.dumps(wide))
+    add("torus-parameter-mismatch", ["torus", "--K", "3"], json.dumps(wide))
+    for number in range(5):
+        pair = {side: value_to_tagged(random_disk(rng, max_index=3, terms=rng.randint(2, 4))) for side in ("left", "right")}
+        add(f"disk-{number}", ["disk"], json.dumps(pair))
+    add("disk-zero", ["disk"], json.dumps({"left": {"coeffs": []}, "right": value_to_tagged(DiskElement.basis(1, 2))}))
+    add("disk-not-disk", ["disk"], json.dumps({"left": value_to_tagged(DiskElement.unit()), "right": {"re": "1"}}))
+
+    for number, (n, k, l) in enumerate([(1, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 1)]):
+        pair = {"left": _lenient_symbol(rng, n, k, 6), "right": _lenient_symbol(rng, n, l, 6)}
+        add(f"lenient-star-{number}-CP{n}-{k}x{l}", ["star"], json.dumps(pair))
+    for number, (n, level) in enumerate([(1, 2), (2, 2)]):
+        element = {
+            "n": n,
+            "level": level,
+            "components": [_lenient_symbol(rng, n, r, 5) for r in range(level, -1, -1)],
+        }
+        payload = json.dumps({"type": "element", "value": element})
+        add(f"lenient-subst-{number}", ["subst", "--alpha", " 2/6 "], payload)
+        add(f"lenient-quotient-{number}", ["quotient", "--K", "2"], payload)
+    session = {"n": 2, "bindings": {"A": _lenient_symbol(rng, 2, 1, 5), "B": _lenient_symbol(rng, 2, 2, 7)}}
+    add("lenient-eval", ["eval", "A * B * A", "--input", "-"], json.dumps(session))
+    matrix = [["2/4", {"re": "+3"}, {"im": "-0.5"}], [" 1_0 ", 4, {"re": "-0", "im": "6/9"}], ["0", "1e1", {}]]
+    add("lenient-matrix", ["star"], json.dumps({"left": matrix, "right": matrix}))
+    cancelling = {"n": 1, "k": 1, "entries": [
+        {"I": [0], "J": [1], "re": "1/2", "im": "-1"},
+        {"I": [0], "J": [1], "re": "-0.5", "im": "+1"},
+        {"I": [1], "J": [1], "re": "0"},
+    ]}
+    add("lenient-cancel", ["quotient", "--K", "1"], json.dumps(cancelling))
+    fourier = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": " 1/3 ", "coeffs": [
+        {"k": [1, 0], "terms": [{"amp": "0.5", "phase": "2/4"}, {"amp": "+3", "phase": "1_0/20"}]},
+        {"k": [0, -1], "terms": [{"amp": "-1/2"}, {"amp": "1/2", "phase": "-0"}]},
+    ]}
+    add("lenient-torus", ["torus", "--K", "3"], json.dumps({"left": fourier, "right": fourier}))
+    disk = {"coeffs": [{"p": 1, "q": 0, "num": [{"re": "2/4"}, {"im": "+3"}], "den": [{"re": " 1 "}]}]}
+    add("lenient-disk", ["disk"], json.dumps({"left": disk, "right": disk}))
+
+    for number, bad in enumerate(["1/0", 1, "1 /2", "abc", "1/2/3", None, "", "1/-2"]):
+        payload = {"n": 1, "k": 1, "entries": [{"I": [0], "J": [0], "re": "1"}, {"I": [1], "J": [0], "im": bad}]}
+        add(f"refused-part-{number}", ["star"], json.dumps({"left": payload, "right": payload}))
+    refused = [
+        {"n": 1, "k": 1, "entries": [{"I": [0, 1], "J": [0], "re": "1"}]},
+        {"n": 1, "k": 1, "entries": [{"I": [2], "J": [0], "re": "1"}]},
+        {"n": 1, "k": 1, "entries": [{"I": [0], "J": [0.0], "re": "1"}]},
+        {"n": 1, "k": 1, "entries": [{"J": [0], "re": "1"}]},
+        {"n": 1, "k": -1, "entries": []},
+    ]
+    for number, payload in enumerate(refused):
+        add(f"refused-symbol-{number}", ["subst", "--alpha", "1"], json.dumps(payload))
     return out
 
 

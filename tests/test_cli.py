@@ -649,10 +649,11 @@ def test_check_rejects_inapplicable_override(capsys):
 
 
 def test_cli_output_matches_golden(capsys, monkeypatch):
-    # stdout and exit code of seeded star, subst, quotient and eval requests
-    # and of every check suite, recorded by tests/make_cli_golden.py
+    # stdout and exit code of seeded star, subst, quotient, eval, torus and
+    # disk requests, of lenient and refused loader inputs and of every check
+    # suite, recorded by tests/make_cli_golden.py
     golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
-    assert {case["argv"][0] for case in golden} == {"star", "subst", "quotient", "eval", "check"}
+    assert {case["argv"][0] for case in golden} == {"star", "subst", "quotient", "eval", "torus", "disk", "check"}
     for case in golden:
         monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
         code, out, _ = _run(capsys, case["argv"])
