@@ -29,7 +29,7 @@ from .models.torus import (
 )
 from .nupoly import NuRationalFunction
 from .quotient import QuotientOperator, StarUndefinedError, quotient_map, substitute
-from .scalars import GaussRational, format_rational
+from .scalars import GaussRational, format_rational, parse_rational
 from .serialize import (
     canonical_dumps,
     disk_from_json,
@@ -291,8 +291,8 @@ def _cmd_check(args) -> int:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_rational(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
@@ -363,9 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built once per process: parsing leaves it as it is
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -8,6 +8,7 @@ floating point enters any code path in this package.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -26,14 +27,37 @@ __all__ = [
 ]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` (or ``"p"``) into a Fraction; anything else is a ValueError."""
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _rational_parts(text: str) -> tuple[int, int]:
+    """Parse ``"p/q"`` (or ``"p"``) into ints ``(p, q)`` with ``q > 0``, not
+    necessarily in lowest terms; anything else is a ValueError.
+
+    This is the one parser of rational text.  The plain ASCII form our
+    dumpers write is split directly; every other spelling that ``Fraction``
+    reads (padding, a ``+`` sign, decimals, exponents, underscores) goes
+    through ``Fraction``, so both accept and refuse the same texts with the
+    same messages."""
     if not isinstance(text, str):
         raise ValueError(f'rational must be a "p/q" string, got {text!r}')
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {text!r}") from None
+    if _PLAIN_RATIONAL.fullmatch(text):
+        num, _, den = text.partition("/")
+        p = int(num)
+        q = int(den) if den else 1
+    else:
+        try:
+            p, q = Fraction(text.strip()).as_integer_ratio()
+        except ZeroDivisionError:
+            q = 0
+    if not q:
+        raise ValueError(f"zero denominator in rational {text!r}")
+    return p, q
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``"p/q"`` (or ``"p"``) into a Fraction; anything else is a ValueError."""
+    return Fraction(*_rational_parts(text))
 
 
 def _decimal_digits(value: int) -> int:
@@ -61,16 +85,26 @@ def _check_digits(value: int) -> None:
 
 
 def format_rational(value: RationalLike) -> str:
-    """Render a rational as ``p/q``, omitting ``/q`` when the denominator is 1.
+    """Render a rational as ``p/q``, omitting ``/q`` when the denominator is 1."""
+    value = Fraction(value)
+    return _format_ratio(value.numerator, value.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """Render ``num / den`` (``den > 0``) in lowest terms as ``p/q``,
+    omitting ``/q`` when it is 1: the one number format of the JSON output.
 
     A numerator or denominator with more decimal digits than the
     interpreter converts is a ValueError with the digit count."""
-    value = Fraction(value)
-    _check_digits(value.numerator)
-    _check_digits(value.denominator)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    common = gcd(num, den)
+    if common != 1:
+        num //= common
+        den //= common
+    _check_digits(num)
+    _check_digits(den)
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 class GaussRational:

@@ -23,9 +23,10 @@ from fractions import Fraction
 
 from .models.disk import DiskElement
 from .models.torus import FourierSum, PhaseSum
+from .multiindex import multiplicity
 from .nupoly import NuRationalFunction
 from .quotient import QuotientOperator
-from .scalars import GaussRational, format_rational, parse_rational
+from .scalars import GaussRational, _format_ratio, _rational_parts, format_rational, parse_rational
 from .star import RawNuSeries, StarElement
 from .symbols import SymbolTensor
 
@@ -63,33 +64,38 @@ def _json_int(value, what: str) -> int:
 
 
 def symbol_to_json(tensor: SymbolTensor) -> dict:
+    """Entries at sorted index pairs, each part formatted straight from
+    ``cells[I, J] / (den mult(I) mult(J))``."""
+    den = tensor.den
     entries = []
-    for (left, right), value in sorted(tensor.entries.items()):
+    for (left, right), (real, imag) in sorted(tensor.cells.items()):
+        d = den * multiplicity(left) * multiplicity(right)
         entries.append(
-            {
-                "I": list(left),
-                "J": list(right),
-                "re": format_rational(value.re),
-                "im": format_rational(value.im),
-            }
+            {"I": list(left), "J": list(right), "re": _format_ratio(real, d), "im": _format_ratio(imag, d)}
         )
     return {"n": tensor.n, "k": tensor.k, "entries": entries}
 
 
 def symbol_from_json(data: dict) -> SymbolTensor:
+    """Load a symbol; letters may come in any order, repeated index pairs
+    add up and entries that cancel are dropped.  Each part is read as an
+    int pair, so the tensor is built with one ``lcm`` and no
+    ``GaussRational`` per entry."""
     n = _json_int(data["n"], 'symbol "n"')
     k = _json_int(data["k"], 'symbol "k"')
-    accum: dict[tuple[tuple[int, ...], tuple[int, ...]], GaussRational] = {}
+    parts: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int, int, int]] = {}
     for entry in data.get("entries", ()):
         key = (
             tuple(sorted(_json_int(a, 'index letter in "I"') for a in entry["I"])),
             tuple(sorted(_json_int(a, 'index letter in "J"') for a in entry["J"])),
         )
-        value = GaussRational(
-            parse_rational(entry.get("re", "0")), parse_rational(entry.get("im", "0"))
-        )
-        accum[key] = accum.get(key, GaussRational(0)) + value
-    return SymbolTensor(n, k, {key: v for key, v in accum.items() if v})
+        a, b = _rational_parts(entry.get("re", "0"))
+        c, d = _rational_parts(entry.get("im", "0"))
+        if key in parts:
+            a0, b0, c0, d0 = parts[key]
+            a, b, c, d = a0 * b + a * b0, b0 * b, c0 * d + c * d0, d0 * d
+        parts[key] = (a, b, c, d)
+    return SymbolTensor._from_parts(n, k, parts.items())
 
 
 def matrix_to_json(matrix) -> list:

@@ -31,9 +31,11 @@ normalising constructor, ``SymbolTensor._from_cells``:
   pairs; ``_contracted`` turns the keys back into index pairs once.
 
 The Gaussian-rational tensor entries are a computed view,
-:attr:`SymbolTensor.entries`, for JSON, checks and tests.  The public
-constructor and the JSON loaders take entries and check everything they
-are given.
+:attr:`SymbolTensor.entries`, for checks and tests.  The public
+constructor and the JSON loader take entries and check everything they
+are given in one step, ``_checked_cells``; the loader hands it the int
+parts of each ``"p/q"`` text, and the JSON dumper formats ``cells`` over
+``den`` directly, so neither builds a ``GaussRational`` per entry.
 
 :func:`wick_contraction_reference` is an independent implementation of the
 contraction on purpose: literal differentiation of the expanded polynomials
@@ -89,6 +91,37 @@ def _falling(k: int, r: int) -> int:
     return out
 
 
+def _gauss_parts(entries: Mapping[EntryKey, ScalarLike]) -> Iterable[tuple[EntryKey, tuple[int, int, int, int]]]:
+    for key, value in entries.items():
+        value = to_gauss(value)
+        yield key, (*value.re.as_integer_ratio(), *value.im.as_integer_ratio())
+
+
+def _checked_cells(n: int, k: int, parts: Iterable[tuple[EntryKey, tuple[int, int, int, int]]]) -> tuple[int, Cells]:
+    """The one validating step for tensors given by their entries.
+
+    Each entry comes as int parts ``(a, b, c, d)`` of ``a/b + (c/d) i``
+    with ``b, d > 0``.  Zero entries are dropped unchecked; the others must
+    sit at sorted index pairs of length ``k`` over letters ``0..n``.  The
+    result is ``(den, cells)`` as :class:`SymbolTensor` stores them."""
+    if n < 0 or k < 0:
+        raise ValueError("need n >= 0 and k >= 0")
+    weighted: dict[EntryKey, tuple[int, int, int, int, int]] = {}
+    for (left, right), (a, b, c, d) in parts:
+        if not (a or c):
+            continue
+        if len(left) != k or len(right) != k:
+            raise ValueError(f"index length mismatch for degree {k}: {(left, right)}")
+        ordered = tuple(sorted(left)), tuple(sorted(right))
+        if k and (min(ordered[0][0], ordered[1][0]) < 0 or max(ordered[0][-1], ordered[1][-1]) > n):
+            raise ValueError(f"index letter out of range for n={n}")
+        key = tuple(left), tuple(right)
+        if key != ordered:
+            raise ValueError("entries must use sorted index representatives")
+        weighted[key] = (a, b, c, d, multiplicity(key[0]) * multiplicity(key[1]))
+    return _over_lcm(weighted)
+
+
 class SymbolTensor:
     """Symmetric tensor of a degree-``k`` symbol on CP^n.
 
@@ -103,30 +136,22 @@ class SymbolTensor:
     __slots__ = ("n", "k", "den", "cells")
 
     def __init__(self, n: int, k: int, entries: Mapping[EntryKey, ScalarLike] | None = None) -> None:
-        if n < 0 or k < 0:
-            raise ValueError("need n >= 0 and k >= 0")
-        parts: dict[EntryKey, tuple[int, int, int, int, int]] = {}
-        if entries:
-            for (left, right), value in entries.items():
-                value = to_gauss(value)
-                a, b = value.re.as_integer_ratio()
-                c, d = value.im.as_integer_ratio()
-                if not (a or c):
-                    continue
-                if len(left) != k or len(right) != k:
-                    raise ValueError(f"index length mismatch for degree {k}: {(left, right)}")
-                ordered = tuple(sorted(left)), tuple(sorted(right))
-                if k and (min(ordered[0][0], ordered[1][0]) < 0 or max(ordered[0][-1], ordered[1][-1]) > n):
-                    raise ValueError(f"index letter out of range for n={n}")
-                key = tuple(left), tuple(right)
-                if key != ordered:
-                    raise ValueError("entries must use sorted index representatives")
-                parts[key] = (a, b, c, d, multiplicity(key[0]) * multiplicity(key[1]))
         self.n = n
         self.k = k
-        self.den, self.cells = _over_lcm(parts)
+        self.den, self.cells = _checked_cells(n, k, _gauss_parts(entries or {}))
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _from_parts(cls, n: int, k: int, parts: Iterable[tuple[EntryKey, tuple[int, int, int, int]]]) -> "SymbolTensor":
+        """Build from entries given as int parts ``(a, b, c, d)`` of
+        ``a/b + (c/d) i``, checked as the public constructor checks them;
+        the JSON loader reads its entries straight into such parts."""
+        tensor = object.__new__(cls)
+        tensor.n = n
+        tensor.k = k
+        tensor.den, tensor.cells = _checked_cells(n, k, parts)
+        return tensor
 
     @classmethod
     def _from_cells(cls, n: int, k: int, den: int, cells: Mapping[EntryKey, Sequence[int]]) -> "SymbolTensor":
