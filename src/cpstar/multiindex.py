@@ -28,9 +28,13 @@ __all__ = [
 Index = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def multiplicity(index: Index) -> int:
-    """Number of distinct orderings of a sorted index tuple."""
+    """Number of distinct orderings of a sorted index tuple.
+
+    Cached, like every index cache here, with a bound: far above the few
+    dozen tuples a CP^1-CP^3 computation meets, it keeps a process that
+    sees many shapes from growing without end."""
     result = factorial(len(index))
     run = 1
     for j in range(1, len(index)):
@@ -42,7 +46,7 @@ def multiplicity(index: Index) -> int:
     return result // factorial(run) if index else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def sorted_tuples(n: int, k: int) -> tuple[Index, ...]:
     """All nondecreasing k-tuples over the alphabet {0, ..., n}."""
     return tuple(combinations_with_replacement(range(n + 1), k))
@@ -99,7 +103,7 @@ def _subtract_indices(whole: Index, part: Index) -> Index:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def submultiset_splits(index: Index, r: int) -> tuple[tuple[Index, Index], ...]:
     """All distinct splits of a sorted tuple into (submultiset of size r, rest)."""
     if r < 0 or r > len(index):

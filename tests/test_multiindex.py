@@ -1,5 +1,7 @@
 """Sorted multi-index bookkeeping."""
 
+import random
+from fractions import Fraction
 from itertools import permutations
 from math import comb
 
@@ -13,6 +15,8 @@ from cpstar.multiindex import (
     sorted_tuples,
     submultiset_splits,
 )
+from cpstar.star import StarElement, star_elements
+from cpstar.symbols import SymbolTensor
 
 indices = st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(
     lambda xs: tuple(sorted(xs))
@@ -87,3 +91,32 @@ def test_split_multiplicities_convolve(index):
             for chosen, rest in submultiset_splits(index, r)
         )
         assert total == multiplicity(index)
+
+
+def _sparse_element(rng: random.Random, n: int, level: int, cells: int) -> StarElement:
+    components = {}
+    for r in range(level + 1):
+        entries = {}
+        for _ in range(cells if r else 1):
+            key = (
+                tuple(sorted(rng.randrange(n + 1) for _ in range(r))),
+                tuple(sorted(rng.randrange(n + 1) for _ in range(r))),
+            )
+            entries[key] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        components[r] = SymbolTensor(n, r, entries)
+    return StarElement(n, level, components)
+
+
+def test_index_caches_are_bounded_on_many_shapes():
+    # two level-3 products on CP^16, of 4-cell and of 40-cell components,
+    # meet hundreds of index tuples; every cache keeps within its bound
+    caches = (multiplicity, sorted_tuples, submultiset_splits, merge_indices)
+    for cache in caches:
+        cache.cache_clear()
+    rng = random.Random(34)
+    for cells in (4, 40):
+        star_elements(_sparse_element(rng, 16, 3, cells), _sparse_element(rng, 16, 3, cells))
+    assert submultiset_splits.cache_info().misses > 100
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, (cache.__name__, info)
