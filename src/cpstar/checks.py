@@ -50,7 +50,7 @@ from .symbols import (
     wick_contraction_reference,
 )
 
-__all__ = ["CheckReport", "SUITES", "run_suite"]
+__all__ = ["CheckReport", "MAX_CHECK_WORK", "SUITES", "run_suite"]
 
 STANDARD_SYMPLECTIC = [[0, 1], [-1, 0]]
 
@@ -258,24 +258,76 @@ def _suite_oracle(report: CheckReport, rng: random.Random, params: dict) -> None
                 return
 
 
+MAX_CHECK_WORK = 10**7
+"""Largest estimated work a suite may take, in units of about a microsecond:
+on a 2-core x86-64 VM with Python 3.11, each estimate below was fitted to
+timed runs at growing ``n``, ``K`` and instance counts, and over-estimates
+the largest of them.  A budget of 10**7 is some ten seconds; ``check
+--suite assoc --n 5`` (estimated 1.8 * 10**7) took 18 s."""
+
+
+def _binomial(m: int, k: int) -> int:
+    """C(m, k), or a smaller binomial over :data:`MAX_CHECK_WORK` once the
+    product passes it, so that an estimate of huge parameters is cheap.
+    The estimates only grow with it, so either way they exceed the budget."""
+    k = min(k, m - k)
+    out = 1
+    for j in range(k):
+        out = out * (m - j) // (j + 1)
+        if out > MAX_CHECK_WORK:
+            break
+    return out
+
+
+def _slots(n: int, k: int) -> int:
+    """Entry slots of a degree-``k`` symbol on CP^n."""
+    return _binomial(n + k, k) ** 2
+
+# suite -> (runner, default parameters, work estimate of the parameters)
 _SUITE_RUNNERS = {
-    "assoc": (_suite_assoc, {"n": 1, "degree": 2, "instances": 20}),
-    "powers": (_suite_powers, {"n": 1, "max_power": 3, "instances": 10}),
-    "invariance": (_suite_invariance, {"n": 1, "degree": 3, "instances": 10}),
-    "quotient": (_suite_quotient, {"n": 1, "K": 2, "instances": 10}),
-    "torus": (_suite_torus, {"K": 3, "instances": 10}),
-    "disk": (_suite_disk, {"max_index": 3, "instances": 20}),
-    "starexp": (_suite_starexp, {"order": 8}),
-    "oracle": (_suite_oracle, {}),
+    # three lifts of degree up to d: the widest product is of levels 2d and d
+    "assoc": (
+        _suite_assoc,
+        {"n": 1, "degree": 2, "instances": 20},
+        lambda p: p["instances"] * (300 + _slots(p["n"], 2 * p["degree"]) * _slots(p["n"], p["degree"]) // 8),
+    ),
+    # powers up to the max_power-th of two matrix symbols reach degree 2 max_power
+    "powers": (
+        _suite_powers,
+        {"n": 1, "max_power": 3, "instances": 10},
+        lambda p: p["instances"] * (700 + 12 * _slots(p["n"], 2 * p["max_power"])),
+    ),
+    "invariance": (
+        _suite_invariance,
+        {"n": 1, "degree": 3, "instances": 10},
+        lambda p: p["instances"] * (500 + _binomial(p["n"] + p["degree"], p["degree"]) ** 3 * 2 // 3),
+    ),
+    # products of level-2 elements, then the rank of the C(n + K, K)**2 basis images
+    "quotient": (
+        _suite_quotient,
+        {"n": 1, "K": 2, "instances": 10},
+        lambda p: p["instances"] * (800 + _slots(p["n"], 2) ** 2 // 2) + 16 * _binomial(p["n"] + p["K"], p["K"]) ** 4,
+    ),
+    "torus": (_suite_torus, {"K": 3, "instances": 10}, lambda p: p["instances"] * 8000),
+    "disk": (
+        _suite_disk,
+        {"max_index": 3, "instances": 20},
+        lambda p: p["instances"] * 100 * (p["max_index"] + 1) ** 3,
+    ),
+    "starexp": (_suite_starexp, {"order": 8}, lambda p: 2 * p["order"] ** 4),
+    "oracle": (_suite_oracle, {}, lambda p: 70_000),
 }
 
 SUITES = tuple(sorted(_SUITE_RUNNERS))
 
 
 def run_suite(suite: str, seed: int = 0, **overrides) -> CheckReport:
-    """Run one named suite and return its report."""
+    """Run one named suite and return its report.
+
+    Parameters whose estimated work exceeds :data:`MAX_CHECK_WORK` are a
+    ValueError, raised before any instance runs."""
     try:
-        runner, defaults = _SUITE_RUNNERS[suite]
+        runner, defaults, estimate = _SUITE_RUNNERS[suite]
     except KeyError:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}") from None
     params = dict(defaults)
@@ -285,6 +337,11 @@ def run_suite(suite: str, seed: int = 0, **overrides) -> CheckReport:
         if key not in params:
             raise ValueError(f"suite {suite!r} does not take parameter {key!r}")
         params[key] = value
+    if estimate(params) > MAX_CHECK_WORK:
+        raise ValueError(
+            f"suite {suite!r} with these parameters would exceed the work budget of "
+            f"{MAX_CHECK_WORK} (some ten seconds); lower n, K or instances"
+        )
     report = CheckReport(suite=suite, seed=seed, params=params)
     runner(report, random.Random(seed), params)
     return report

@@ -1,8 +1,13 @@
 """Check suites: every suite passes, reports are stable and informative."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from cpstar.checks import CheckReport, SUITES, run_suite
+from cpstar import checks
+from cpstar.checks import MAX_CHECK_WORK, CheckReport, SUITES, run_suite
+from cpstar.cli import main
 
 
 def test_suite_names_are_sorted_and_complete():
@@ -98,3 +103,57 @@ def test_failure_entries_carry_reproduction_commands():
     assert entry["reason"] == "synthetic"
     assert entry["instance"] == 1
     assert entry["repro"] == "cpstar check --suite assoc --seed 7"
+
+
+def _estimate(suite, **overrides):
+    _, defaults, estimate = checks._SUITE_RUNNERS[suite]
+    return estimate(dict(defaults, **overrides))
+
+
+def test_defaults_and_recorded_requests_fit_the_work_budget():
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+    requests = [case["argv"] for case in golden if case["argv"][0] == "check"]
+    assert {argv[2] for argv in requests} == set(SUITES)
+    for suite in SUITES:
+        assert _estimate(suite) <= MAX_CHECK_WORK
+        if "instances" in checks._SUITE_RUNNERS[suite][1]:
+            # the benchmark's single-instance checks and the overrides tested here
+            assert _estimate(suite, instances=1) <= _estimate(suite, instances=5) <= MAX_CHECK_WORK
+    for argv in requests:
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        overrides = {key: int(flags[f"--{key}"]) for key in ("n", "K", "instances") if f"--{key}" in flags}
+        assert _estimate(flags["--suite"], **overrides) <= MAX_CHECK_WORK, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "assoc", "--n", "40"],
+        ["--suite", "assoc", "--n", "5"],
+        ["--suite", "powers", "--n", "5"],
+        ["--suite", "invariance", "--n", "8"],
+        ["--suite", "quotient", "--n", "9"],
+        ["--suite", "quotient", "--K", "30"],
+        ["--suite", "quotient", "--n", "1" + "0" * 40, "--K", "1" + "0" * 40],
+        ["--suite", "torus", "--K", "2", "--instances", "2000"],
+    ]
+    + [["--suite", suite, "--instances", "100000"] for suite in ("assoc", "powers", "invariance", "quotient", "torus", "disk")],
+)
+def test_check_over_the_work_budget_is_refused_before_it_runs(argv, capsys, monkeypatch):
+    # the refusal is the only way the large cases are tested: none of them runs
+    def never(*args):
+        raise AssertionError("the suite started")
+
+    for suite, (_, defaults, estimate) in list(checks._SUITE_RUNNERS.items()):
+        monkeypatch.setitem(checks._SUITE_RUNNERS, suite, (never, defaults, estimate))
+    code = main(["check", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cpstar: suite ") and "work budget of 10000000" in err and "Traceback" not in err
+
+
+def test_budget_refusal_keeps_the_python_api_message():
+    with pytest.raises(ValueError, match="would exceed the work budget"):
+        run_suite("assoc", n=40)
+    assert _estimate("assoc", n=4) <= MAX_CHECK_WORK < _estimate("assoc", n=5)
