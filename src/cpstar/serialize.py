@@ -225,6 +225,8 @@ def disk_to_json(element: DiskElement) -> dict:
 
 def disk_from_json(data: dict) -> DiskElement:
     """Load a disk element; repeated ``(p, q)`` items add up."""
+    if not isinstance(data, dict):
+        raise ValueError(f'disk element must be an object with "coeffs", got {data!r}')
     coeffs: dict[tuple[int, int], NuRationalFunction] = {}
     for item in data.get("coeffs", ()):
         key = (_json_int(item["p"], 'disk index "p"'), _json_int(item["q"], 'disk index "q"'))
