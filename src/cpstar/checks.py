@@ -283,6 +283,7 @@ def _slots(n: int, k: int) -> int:
     """Entry slots of a degree-``k`` symbol on CP^n."""
     return _binomial(n + k, k) ** 2
 
+
 # suite -> (runner, default parameters, work estimate of the parameters)
 _SUITE_RUNNERS = {
     # three lifts of degree up to d: the widest product is of levels 2d and d

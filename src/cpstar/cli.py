@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .checks import SUITES, run_suite
 from .expr import EvalError, ParseError, Session, evaluate, parse
@@ -363,14 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in the process, built on the
+    first: parsing returns a fresh namespace and leaves the parser as it is."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:  # built once per process: parsing leaves it as it is
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

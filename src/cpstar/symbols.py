@@ -92,6 +92,7 @@ def _falling(k: int, r: int) -> int:
 
 
 def _gauss_parts(entries: Mapping[EntryKey, ScalarLike]) -> Iterable[tuple[EntryKey, tuple[int, int, int, int]]]:
+    """The public constructor's entries as int parts, read lazily."""
     for key, value in entries.items():
         value = to_gauss(value)
         yield key, (*value.re.as_integer_ratio(), *value.im.as_integer_ratio())

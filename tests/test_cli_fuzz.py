@@ -213,10 +213,10 @@ def test_argument_errors_leave_the_shared_parser_as_it_was():
     for argv in refused * 3:
         code, out, err = call(argv)
         assert code == 2 and out == "" and "usage: cpstar" in err, argv
-    parser = cli._parser
+    parser = cli._shared_parser()
     for case in replay:
         assert call(case["argv"], case["stdin"])[:2] == (case["exit"], case["stdout"]), case["name"]
-    assert cli._parser is parser
+    assert cli._shared_parser() is parser
 
 
 def test_main_builds_its_parser_once(monkeypatch):
@@ -227,8 +227,8 @@ def test_main_builds_its_parser_once(monkeypatch):
         return build()
 
     build = cli.build_parser
-    monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
     for argv in (["eval", "unit"], ["eval", "nu * unit"], ["bogus"], ["check", "--suite", "starexp"]):
         call(argv)
     assert built == [True]
