@@ -29,7 +29,6 @@ from typing import Mapping
 
 from ..nupoly import (
     NRF_ZERO,
-    IntForm,
     NuPolynomial,
     NuRationalFunction,
     _linear_ints,
@@ -95,7 +94,7 @@ class DiskElement:
         return not self.coeffs
 
     def coefficient(self, p: int, q: int) -> NuRationalFunction:
-        return self.coeffs.get((p, q), NuRationalFunction.constant(0))
+        return self.coeffs.get((p, q), NRF_ZERO)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiskElement):
@@ -108,13 +107,13 @@ class DiskElement:
     def __add__(self, other: "DiskElement") -> "DiskElement":
         out = dict(self.coeffs)
         for key, coeff in other.coeffs.items():
-            out[key] = out.get(key, NuRationalFunction.constant(0)) + coeff
+            out[key] = out.get(key, NRF_ZERO) + coeff
         return DiskElement(out)
 
     def __sub__(self, other: "DiskElement") -> "DiskElement":
         out = dict(self.coeffs)
         for key, coeff in other.coeffs.items():
-            out[key] = out.get(key, NuRationalFunction.constant(0)) - coeff
+            out[key] = out.get(key, NRF_ZERO) - coeff
         return DiskElement(out)
 
     def scale(self, factor: object) -> "DiskElement":
@@ -130,13 +129,6 @@ class DiskElement:
 def disk_basis_coefficient(q: int, r: int, s: int, m: int) -> NuRationalFunction:
     """Weight of the m-th contraction in a product of two basis functions."""
     return NuRationalFunction._from_ints(*_weight_ints(q, s, m, -1, perm(q, m) * perm(r, m)))
-
-
-@lru_cache(maxsize=None)
-def _basis_ints(q: int, r: int, s: int, m: int) -> IntForm:
-    """:func:`disk_basis_coefficient` in reduced integer form, beside its
-    cache: :func:`disk_product` widens every product by its ``js``."""
-    return disk_basis_coefficient(q, r, s, m)._ints()
 
 
 def disk_product(left: DiskElement, right: DiskElement) -> DiskElement:
@@ -162,7 +154,7 @@ def disk_product(left: DiskElement, right: DiskElement) -> DiskElement:
     out: dict[tuple[int, int], NuRationalFunction] = {}
     for key, group in groups.items():
         if all(pair is not None for pair, _, _, _ in group):
-            value = _sum(_times(pair, _basis_ints(*qrsm)) for pair, _, _, qrsm in group)
+            value = _sum(_times(pair, disk_basis_coefficient(*qrsm)._ints()) for pair, _, _, qrsm in group)
         else:
             value = NRF_ZERO
             for _, a, b, qrsm in group:

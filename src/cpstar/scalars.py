@@ -60,6 +60,34 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*_rational_parts(text))
 
 
+_JSON_KINDS = {
+    type(None): "null",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def _shaped(value, kind: type, what: str):
+    """``value``, which ``what`` names, if it is a JSON list or object as
+    ``kind`` asks; else a ValueError that says what it is instead."""
+    if not isinstance(value, kind):
+        found = _JSON_KINDS.get(type(value), type(value).__name__)
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {found}")
+    return value
+
+
+def _required(data: dict, key: str, what: str):
+    """``data[key]`` of the JSON object ``what``; a ValueError naming the
+    key when it is missing."""
+    if key not in data:
+        raise ValueError(f'{what} is missing "{key}"')
+    return data[key]
+
+
 def _decimal_digits(value: int) -> int:
     """The number of decimal digits of ``abs(value)`` (0 has one), from its
     bit length: ``10**(d - 1) <= 2**(bits - 1)`` for the first guess ``d``,

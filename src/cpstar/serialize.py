@@ -11,6 +11,8 @@ Conventions, shared across all formats:
 - sizes, degrees, levels, indices and mode entries are JSON integers only
   (a float, a boolean or a string is a ``ValueError``), and ``powers`` keys
   are plain decimal strings;
+- a missing field, or a list or object of the wrong kind, is a
+  ``ValueError`` that names the field;
 - ``canonical_dumps`` sorts keys and uses compact separators, making the
   output byte-stable for golden-file comparisons.
 """
@@ -26,7 +28,7 @@ from .models.torus import FourierSum, PhaseSum
 from .multiindex import multiplicity
 from .nupoly import NuRationalFunction
 from .quotient import QuotientOperator
-from .scalars import GaussRational, _format_ratio, _rational_parts, format_rational, parse_rational
+from .scalars import GaussRational, _format_ratio, _rational_parts, _required, _shaped, format_rational, parse_rational
 from .star import RawNuSeries, StarElement
 from .symbols import SymbolTensor
 
@@ -81,13 +83,20 @@ def symbol_from_json(data: dict) -> SymbolTensor:
     add up and entries that cancel are dropped.  Each part is read as an
     int pair, so the tensor is built with one ``lcm`` and no
     ``GaussRational`` per entry."""
-    n = _json_int(data["n"], 'symbol "n"')
-    k = _json_int(data["k"], 'symbol "k"')
+    data = _shaped(data, dict, "symbol")
+    n = _json_int(_required(data, "n", "symbol"), 'symbol "n"')
+    k = _json_int(_required(data, "k", "symbol"), 'symbol "k"')
     parts: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int, int, int]] = {}
-    for entry in data.get("entries", ()):
-        key = (
-            tuple(sorted(_json_int(a, 'index letter in "I"') for a in entry["I"])),
-            tuple(sorted(_json_int(a, 'index letter in "J"') for a in entry["J"])),
+    for entry in _shaped(data.get("entries", []), list, 'symbol "entries"'):
+        entry = _shaped(entry, dict, 'symbol "entries" item')
+        key = tuple(
+            tuple(
+                sorted(
+                    _json_int(a, f'index letter in "{side}"')
+                    for a in _shaped(_required(entry, side, "symbol entry"), list, f'symbol entry "{side}"')
+                )
+            )
+            for side in ("I", "J")
         )
         a, b = _rational_parts(entry.get("re", "0"))
         c, d = _rational_parts(entry.get("im", "0"))
@@ -109,7 +118,10 @@ def matrix_to_json(matrix) -> list:
 
 
 def matrix_from_json(data) -> list[list[GaussRational]]:
-    return [[GaussRational.from_json(cell) for cell in row] for row in data]
+    return [
+        [GaussRational.from_json(cell) for cell in _shaped(row, list, "matrix row")]
+        for row in _shaped(data, list, "matrix")
+    ]
 
 
 # -- filtered elements and raw series ---------------------------------
@@ -124,16 +136,17 @@ def element_to_json(element: StarElement) -> dict:
 
 
 def element_from_json(data: dict) -> StarElement:
-    n = _json_int(data["n"], 'element "n"')
-    level = _json_int(data["level"], 'element "level"')
+    data = _shaped(data, dict, "element")
+    n = _json_int(_required(data, "n", "element"), 'element "n"')
+    level = _json_int(_required(data, "level", "element"), 'element "level"')
     components: dict[int, SymbolTensor] = {}
-    listed = data.get("components", [])
+    listed = _shaped(data.get("components", []), list, 'element "components"')
     if len(listed) != level + 1:
         raise ValueError("component list must run from the level down to zero")
     for offset, payload in enumerate(listed):
         if payload is None:
             continue
-        tensor = symbol_from_json(payload)
+        tensor = symbol_from_json(_shaped(payload, dict, 'element "components" item'))
         if not tensor.is_zero():
             components[level - offset] = tensor
     return StarElement(n, level, components)
@@ -156,12 +169,16 @@ def _json_power(key: str) -> int:
 
 
 def series_from_json(data: dict) -> RawNuSeries:
-    n = _json_int(data["n"], 'series "n"')
-    degree = _json_int(data["degree"], 'series "degree"')
+    data = _shaped(data, dict, "series")
+    n = _json_int(_required(data, "n", "series"), 'series "n"')
+    degree = _json_int(_required(data, "degree", "series"), 'series "degree"')
     listed = data.get("powers", {})
     if not isinstance(listed, dict):
         raise ValueError(f'series "powers" must be an object of power: symbol pairs, got {listed!r}')
-    powers = {_json_power(power): symbol_from_json(payload) for power, payload in listed.items()}
+    powers = {
+        _json_power(power): symbol_from_json(_shaped(payload, dict, 'series "powers" item'))
+        for power, payload in listed.items()
+    }
     return RawNuSeries(n, degree, powers)
 
 
@@ -172,7 +189,8 @@ def quotient_operator_to_json(operator: QuotientOperator) -> dict:
 
 
 def quotient_operator_from_json(data: dict) -> QuotientOperator:
-    return QuotientOperator(_json_int(data["K"], 'operator "K"'), symbol_from_json(data))
+    data = _shaped(data, dict, "operator")
+    return QuotientOperator(_json_int(_required(data, "K", "operator"), 'operator "K"'), symbol_from_json(data))
 
 
 # -- companion models --------------------------------------------------
@@ -195,18 +213,24 @@ def fourier_to_json(func: FourierSum) -> dict:
 
 
 def fourier_from_json(data: dict) -> FourierSum:
-    dim = _json_int(data["dim"], 'Fourier "dim"')
-    matrix = [[_json_int(entry, 'Fourier "Lambda" cell') for entry in row] for row in data["Lambda"]]
-    parameter = parse_rational(data["lambda"])
+    data = _shaped(data, dict, "Fourier sum")
+    dim = _json_int(_required(data, "dim", "Fourier sum"), 'Fourier "dim"')
+    matrix = [
+        [_json_int(entry, 'Fourier "Lambda" cell') for entry in _shaped(row, list, 'Fourier "Lambda" row')]
+        for row in _shaped(_required(data, "Lambda", "Fourier sum"), list, 'Fourier "Lambda"')
+    ]
+    parameter = parse_rational(_required(data, "lambda", "Fourier sum"))
     coeffs = {}
-    for item in data.get("coeffs", ()):
-        mode = tuple(_json_int(c, 'Fourier mode entry in "k"') for c in item["k"])
+    for item in _shaped(data.get("coeffs", []), list, 'Fourier "coeffs"'):
+        item = _shaped(item, dict, 'Fourier "coeffs" item')
+        listed = _shaped(_required(item, "k", 'Fourier "coeffs" item'), list, 'Fourier mode "k"')
+        mode = tuple(_json_int(c, 'Fourier mode entry in "k"') for c in listed)
         merged: dict[Fraction, Fraction] = {}
-        for term in item.get("terms", ()):
+        for term in _shaped(item.get("terms", []), list, 'Fourier "terms"'):
             if not isinstance(term, dict):
                 raise ValueError(f'Fourier term must be an object with "amp" and "phase", got {term!r}')
             phase = parse_rational(term.get("phase", "0"))
-            merged[phase] = merged.get(phase, Fraction(0)) + parse_rational(term["amp"])
+            merged[phase] = merged.get(phase, Fraction(0)) + parse_rational(_required(term, "amp", "Fourier term"))
         value = PhaseSum(merged)
         if value:
             coeffs[mode] = value
@@ -225,11 +249,11 @@ def disk_to_json(element: DiskElement) -> dict:
 
 def disk_from_json(data: dict) -> DiskElement:
     """Load a disk element; repeated ``(p, q)`` items add up."""
-    if not isinstance(data, dict):
-        raise ValueError(f'disk element must be an object with "coeffs", got {data!r}')
+    data = _shaped(data, dict, "disk element")
     coeffs: dict[tuple[int, int], NuRationalFunction] = {}
-    for item in data.get("coeffs", ()):
-        key = (_json_int(item["p"], 'disk index "p"'), _json_int(item["q"], 'disk index "q"'))
+    for item in _shaped(data.get("coeffs", []), list, 'disk "coeffs"'):
+        item = _shaped(item, dict, 'disk "coeffs" item')
+        key = tuple(_json_int(_required(item, index, 'disk "coeffs" item'), f'disk index "{index}"') for index in "pq")
         value = NuRationalFunction.from_json(item)
         coeffs[key] = coeffs[key] + value if key in coeffs else value
     return DiskElement(coeffs)

@@ -128,7 +128,7 @@ class StarProductTerms:
         """
         if degree is None:
             degree = self.k + self.l
-        js = _pochhammer_js(self.k) + _pochhammer_js(self.l)  # the factors of nu^(k) nu^(l)
+        js = tuple(sorted(_pochhammer_js(self.k) + _pochhammer_js(self.l)))  # the factors of nu^(k) nu^(l)
         parts = []
         for term in self.terms:
             tensor = embed(term.tensor, degree - term.tensor.k)

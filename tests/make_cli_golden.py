@@ -2,7 +2,14 @@
 
 Usage, from the repository root::
 
-    PYTHONPATH=src python3 tests/make_cli_golden.py
+    PYTHONPATH=src python3 tests/make_cli_golden.py          # rewrite the file
+    PYTHONPATH=src python3 tests/make_cli_golden.py --check  # compare only
+
+``--check`` rebuilds every case in memory and writes nothing.  It prints
+the name of each case whose exit code or standard output differs from the
+file, or that only one side has, and exits 1 if there is any; else 0.  A
+change that should leave every output byte-identical can show that it does,
+case by case.
 
 Each case holds the arguments and standard input of one in-process
 ``cpstar.cli.main`` call, with the exit code and standard output it gave.
@@ -24,6 +31,7 @@ refused (``"1/0"``, a bare number, ``"1 /2"``).
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -257,10 +265,32 @@ def run(case: dict) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-if __name__ == "__main__":
+def differing(golden: list[dict], recorded: list[dict]) -> list[str]:
+    """Names of the cases whose exit code or stdout differ between the two
+    lists, or that only one of them holds."""
+    old = {case["name"]: (case["exit"], case["stdout"]) for case in recorded}
+    new = {case["name"]: (case["exit"], case["stdout"]) for case in golden}
+    return [name for name in dict.fromkeys([*new, *old]) if old.get(name) != new.get(name)]
+
+
+def make(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write or check tests/data/cli_golden.json.")
+    parser.add_argument("--check", action="store_true", help="compare with the file instead of writing it")
+    args = parser.parse_args(argv)
     golden = []
     for case in cases():
         code, stdout = run(case)
         golden.append({**case, "exit": code, "stdout": stdout})
+    if args.check:
+        names = differing(golden, json.loads(GOLDEN.read_text(encoding="utf-8")))
+        for name in names:
+            print(name)
+        print(f"{len(names)} of {len(golden)} cases differ from {GOLDEN}")
+        return 1 if names else 0
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(golden)} cases to {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(make())

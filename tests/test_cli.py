@@ -451,6 +451,70 @@ def test_loader_integer_fields_must_be_json_integers(tmp_path, capsys, kind, fie
     assert "must be a JSON integer" in err and "Traceback" not in err
 
 
+# (value type, path to a field, what replaces it: None deletes it, message)
+_SHAPE_ERRORS = [
+    ("symbol", (), [], "symbol must be an object, got a list"),
+    ("symbol", ("n",), None, 'symbol is missing "n"'),
+    ("symbol", ("entries",), 1.5, 'symbol "entries" must be a list, got a number'),
+    ("symbol", ("entries", 0), [], 'symbol "entries" item must be an object, got a list'),
+    ("symbol", ("entries", 0, "I"), None, 'symbol entry is missing "I"'),
+    ("symbol", ("entries", 0, "J"), 1.5, 'symbol entry "J" must be a list, got a number'),
+    ("element", ("level",), None, 'element is missing "level"'),
+    ("element", ("components",), 1.5, 'element "components" must be a list, got a number'),
+    ("element", ("components", 0), [], 'element "components" item must be an object, got a list'),
+    ("element", ("components", 0, "entries", 0, "I"), None, 'symbol entry is missing "I"'),
+    ("series", ("degree",), None, 'series is missing "degree"'),
+    ("series", ("powers", "1"), [], 'series "powers" item must be an object, got a list'),
+    ("operator", ("K",), None, 'operator is missing "K"'),
+    ("fourier", ("lambda",), None, 'Fourier sum is missing "lambda"'),
+    ("fourier", ("Lambda",), 1.5, 'Fourier "Lambda" must be a list, got a number'),
+    ("fourier", ("Lambda", 0), 1.5, 'Fourier "Lambda" row must be a list, got a number'),
+    ("fourier", ("coeffs", 0), [], 'Fourier "coeffs" item must be an object, got a list'),
+    ("fourier", ("coeffs", 0, "k"), None, 'Fourier "coeffs" item is missing "k"'),
+    ("fourier", ("coeffs", 0, "k"), 1.5, 'Fourier mode "k" must be a list, got a number'),
+    ("fourier", ("coeffs", 0, "terms"), 1.5, 'Fourier "terms" must be a list, got a number'),
+    ("fourier", ("coeffs", 0, "terms", 0, "amp"), None, 'Fourier term is missing "amp"'),
+    ("disk", (), [], "disk element must be an object, got a list"),
+    ("disk", ("coeffs",), 1.5, 'disk "coeffs" must be a list, got a number'),
+    ("disk", ("coeffs", 0), [], 'disk "coeffs" item must be an object, got a list'),
+    ("disk", ("coeffs", 0, "q"), None, 'disk "coeffs" item is missing "q"'),
+    ("disk", ("coeffs", 0, "num"), None, 'rational function is missing "num"'),
+    ("disk", ("coeffs", 0, "den"), 1.5, 'rational function "den" must be a list, got a number'),
+    ("scalar", ("den",), None, 'rational function is missing "den"'),
+    ("scalar", ("num",), 1.5, 'rational function "num" must be a list, got a number'),
+    ("matrix", (), {}, "matrix must be a list, got an object"),
+    ("matrix", (0,), 1.5, "matrix row must be a list, got a number"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, field, replacement, message",
+    _SHAPE_ERRORS,
+    ids=[f"{kind}-{'.'.join(map(str, f)) or 'payload'}-{r!r}" for kind, f, r, _ in _SHAPE_ERRORS],
+)
+def test_loader_shape_errors_name_the_field(tmp_path, capsys, kind, field, replacement, message):
+    payloads = {**_LOADER_PAYLOADS, "scalar": {"num": [1], "den": [1, -1]}, "matrix": [["1", "0"], ["0", "1"]]}
+    payload = json.loads(json.dumps(payloads[kind]))
+    session = _write(tmp_path, "session.json", {"bindings": {"X": {"type": kind, "value": payload}}})
+    code, out, err = _run(capsys, ["eval", "X", "--input", session])
+    assert code == 0, err  # the untouched payload loads
+    if field:
+        target = payload
+        for step in field[:-1]:
+            target = target[step]
+        if replacement is None:
+            del target[field[-1]]
+        else:
+            target[field[-1]] = replacement
+    else:
+        payload = replacement
+    session = _write(tmp_path, "session.json", {"bindings": {"X": {"type": kind, "value": payload}}})
+    code, out, err = _run(capsys, ["eval", "X", "--input", session])
+    assert code == 2
+    assert out == ""
+    assert f"cpstar: {message}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key", ["1.5", "true", " 1", "+1", "1_0"])
 def test_series_power_keys_must_be_plain_decimal(tmp_path, capsys, key):
     payload = {"n": 1, "degree": 1, "powers": {key: _LOADER_PAYLOADS["series"]["powers"]["1"]}}

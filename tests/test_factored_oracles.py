@@ -15,11 +15,14 @@ from math import factorial
 import pytest
 
 from cpstar.models.disk import DiskElement, disk_basis_coefficient, disk_product, neg_nu_pochhammer
-from cpstar.nupoly import NU_ONE, NuPolynomial, NuRationalFunction
+from cpstar.nupoly import NRF_ZERO, NU_ONE, NuPolynomial, NuRationalFunction
+from cpstar.serialize import disk_from_json, disk_to_json
 from cpstar.randgen import random_scalar, random_symbol
 from cpstar.scalars import GaussRational
 from cpstar.star import StarProductTerms, StarTerm, star_commutator, star_symbols
 from cpstar.symbols import embed
+
+from nu_helpers import over_factors
 
 SPLIT_FREE = NuPolynomial((1, 0, 1))  # 1 + nu^2 has no rational root
 
@@ -67,7 +70,7 @@ def random_factored(rng: random.Random) -> tuple[NuRationalFunction, NuPolynomia
     for j in js:
         if rng.random() < 0.4:
             num = num * linear(j)
-    return NuRationalFunction.over_factors(num, js), num, js
+    return over_factors(num, js), num, js
 
 
 def test_over_factors_matches_the_generic_constructor():
@@ -78,7 +81,7 @@ def test_over_factors_matches_the_generic_constructor():
         assert_canonical(value, euclid(num, expanded(js)))
         cancelled += len(value.js) < len(js)
     assert cancelled > 40  # the seed exercises cancellation, repeated factors included
-    repeated = NuRationalFunction.over_factors(linear(2) * linear(2) * linear(-1), (2, 2, 2, -1, 3))
+    repeated = over_factors(linear(2) * linear(2) * linear(-1), (2, 2, 2, -1, 3))
     assert repeated.js == (2, 3)
     assert_canonical(repeated, euclid(NU_ONE, linear(2) * linear(3)))
 
@@ -99,21 +102,21 @@ def test_factored_sums_and_products_match_euclid():
 
 
 def test_factored_results_that_cancel():
-    a = NuRationalFunction.over_factors(NuPolynomial((3, 1)), (1, 2, 2))
+    a = over_factors(NuPolynomial((3, 1)), (1, 2, 2))
     assert_canonical(a - a, euclid(NuPolynomial(), NU_ONE))
     assert (a - a).js == ()
     # the same value over more factors cancels back to a, and their difference to zero
-    wider = NuRationalFunction.over_factors(NuPolynomial((3, 1)) * linear(5) * linear(-1), (-1, 1, 2, 2, 5))
+    wider = over_factors(NuPolynomial((3, 1)) * linear(5) * linear(-1), (-1, 1, 2, 2, 5))
     assert_canonical(wider, a)
     assert not (a - wider) and (a - wider).js == ()
     # cross cancellation: (1 - 2 nu) / (1 - 3 nu) times its inverse
-    up = NuRationalFunction.over_factors(linear(2), (3,))
-    down = NuRationalFunction.over_factors(linear(3), (2,))
+    up = over_factors(linear(2), (3,))
+    down = over_factors(linear(3), (2,))
     assert_canonical(up * down, euclid(NU_ONE, NU_ONE))
     assert (up * down).js == ()
     # a sum whose numerator gains the root 1/2 twice
-    half = NuRationalFunction.over_factors(NuPolynomial((1,)), (2, 2))
-    rest = NuRationalFunction.over_factors(linear(2) * linear(2) - NU_ONE, (2, 2))
+    half = over_factors(NuPolynomial((1,)), (2, 2))
+    rest = over_factors(linear(2) * linear(2) - NU_ONE, (2, 2))
     assert_canonical(half + rest, euclid(NU_ONE, NU_ONE))
 
 
@@ -141,9 +144,9 @@ def test_numerator_over_inverts_over_factors():
     for _ in range(60):
         value, _, js = random_factored(rng)
         wider = js + tuple(rng.choice((1, 2, -2)) for _ in range(rng.randint(0, 2)))
-        assert_canonical(NuRationalFunction.over_factors(value.numerator_over(wider), wider), value)
+        assert_canonical(over_factors(value.numerator_over(wider), wider), value)
     with pytest.raises(ValueError):
-        NuRationalFunction.over_factors(NU_ONE, (2,)).numerator_over((1, 3))
+        over_factors(NU_ONE, (2,)).numerator_over((1, 3))
     with pytest.raises(ValueError):
         euclid(NU_ONE, SPLIT_FREE).numerator_over((1, 2))
 
@@ -249,3 +252,53 @@ def test_disk_product_matches_euclid_with_unsplit_denominators():
             for s in range(4):
                 for m in range(min(q, r) + 1):
                     assert_canonical(disk_basis_coefficient(q, r, s, m), euclid_disk_weight(q, r, s, m))
+
+
+def test_factored_and_loaded_values_compare_and_hash_alike():
+    rng = random.Random(16)
+    samples = [random_factored(rng)[0] for _ in range(60)]
+    samples += [disk_basis_coefficient(3, 2, 1, 1), NuRationalFunction.constant(GaussRational(2, -3)), NRF_ZERO]
+    unfactored = 0
+    for value in samples:
+        loaded = NuRationalFunction.from_json(value.to_json())
+        unfactored += loaded.js is None
+        assert loaded == value and value == loaded
+        assert hash(loaded) == hash(value)
+        nums, den, js = value._ints()
+        for m in range(len(nums)):
+            for part in (0, 1):
+                changed = list(nums)
+                pair = list(changed[m])
+                pair[part] += den
+                changed[m] = tuple(pair)
+                other = NuRationalFunction._from_ints(changed, den, js)
+                assert other != value and value != other
+                assert other != loaded and loaded != other
+    assert unfactored > 30  # most of the loaded samples take the Euclidean route
+
+
+def test_disk_elements_equal_their_json_round_trip():
+    rng = random.Random(17)
+    for _ in range(12):
+        left, right = (
+            DiskElement({(rng.randint(0, 3), rng.randint(0, 3)): random_disk_coefficient(rng) for _ in range(3)})
+            for _ in range(2)
+        )
+        product = disk_product(left, right)
+        loaded = disk_from_json(disk_to_json(product))
+        assert loaded == product and product == loaded
+        assert hash(loaded) == hash(product)
+
+
+def test_disk_elements_fill_missing_keys_with_the_shared_zero(monkeypatch):
+    a = DiskElement({(0, 1): disk_basis_coefficient(1, 1, 1, 1), (2, 0): 3})
+    b = DiskElement({(1, 1): GaussRational(0, 1), (2, 0): -3})
+
+    def refused(cls, value):
+        raise AssertionError("a fresh zero was built for a missing key")
+
+    monkeypatch.setattr(NuRationalFunction, "constant", classmethod(refused))
+    assert a.coefficient(5, 5) is NRF_ZERO
+    assert (a + b).coeffs.keys() == {(0, 1), (1, 1)}
+    assert (a - b).coefficient(2, 0) == NuRationalFunction(NuPolynomial.constant(6))
+    assert (b - a).coefficient(0, 1) == -a.coefficient(0, 1)

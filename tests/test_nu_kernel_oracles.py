@@ -7,18 +7,35 @@ summations they replaced, kept on purpose: the per-entry ``GaussRational``
 sum of coefficient times entry, and the pairwise ``NuRationalFunction``
 fold of the disk product.  Results must agree structurally: numerator,
 monic denominator and the factors carried.  ``_from_ints`` itself is
-checked against the Euclidean constructor.
+checked against the Euclidean constructor, and its stored integer form
+against the ``GaussRational`` build ``nupoly._reduced`` made before it
+returned that form; the sorted-tuple merge of ``nupoly._sum`` is checked
+against the ``collections.Counter`` arithmetic it replaced.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from cpstar.models.disk import DiskElement, disk_basis_coefficient, disk_product
-from cpstar.nupoly import NU_ONE, NU_ZERO, NuPolynomial, NuRationalFunction
+from cpstar.nupoly import (
+    NU_ONE,
+    NU_ZERO,
+    NuPolynomial,
+    NuRationalFunction,
+    _difference,
+    _monic_product,
+    _sum,
+    _union,
+    _widen_into,
+)
 from cpstar.randgen import random_scalar, random_symbol
 from cpstar.scalars import GAUSS_ZERO, GaussRational
 from cpstar.star import StarProductTerms, StarTerm, star_commutator, star_symbols
 from cpstar.symbols import embed
+
+from nu_helpers import over_factors
 
 I = GaussRational(0, 1)
 
@@ -53,7 +70,7 @@ def reference_nrf_map(terms: StarProductTerms, degree: int) -> dict:
                 acc[m] = acc[m] + value * c
     out = {}
     for key, acc in sums.items():
-        value = NuRationalFunction.over_factors(NuPolynomial(acc), js)
+        value = over_factors(NuPolynomial(acc), js)
         if value:
             out[key] = value
     return out
@@ -85,7 +102,7 @@ def test_nrf_map_with_a_complex_coefficient():
     terms = list(star_symbols(f, g))
     # a complex multiple of one coefficient, and a coefficient over part of nu^(2) nu^(1)
     twisted = StarTerm(terms[0].r, terms[0].coefficient * GaussRational(Fraction(2, 3), -1), terms[0].tensor)
-    partial = NuRationalFunction.over_factors(NuPolynomial((I, Fraction(1, 5))), (1,))
+    partial = over_factors(NuPolynomial((I, Fraction(1, 5))), (1,))
     extra = StarTerm(1, partial, terms[1].tensor.scale(GaussRational(1, 2)))
     built = StarProductTerms(2, 2, 1, [twisted, *terms[1:], extra])
     result = assert_nrf_map_matches(built, 3)
@@ -138,7 +155,7 @@ def from_json(value: NuRationalFunction) -> NuRationalFunction:
 def random_factored(rng: random.Random, factors: int) -> NuRationalFunction:
     """Over ``factors`` linear factors, at most one of which cancels."""
     num = NuPolynomial((random_scalar(rng) or 1, random_scalar(rng) * Fraction(1, rng.randint(1, 3))))
-    return NuRationalFunction.over_factors(num, [rng.choice((-3, -2, -1, 1, 2)) for _ in range(factors)])
+    return over_factors(num, [rng.choice((-3, -2, -1, 1, 2)) for _ in range(factors)])
 
 
 def random_coefficient(rng: random.Random) -> NuRationalFunction:
@@ -180,7 +197,7 @@ def test_disk_product_of_unfactored_coefficients_alone():
 def test_disk_product_cancels_a_key_to_zero():
     for c1, c2 in [
         (NuRationalFunction.constant(GaussRational(2, -1)), disk_basis_coefficient(2, 1, 1, 1) * I),
-        (from_json(NuRationalFunction.over_factors(NuPolynomial((1, 3)), (-2, 1))), NuRationalFunction.constant(Fraction(3, 7))),
+        (from_json(over_factors(NuPolynomial((1, 3)), (-2, 1))), NuRationalFunction.constant(Fraction(3, 7))),
     ]:
         # f01 f10 reaches (0, 0) once contracted; f00 with the opposite weight cancels it
         c3 = -(c1 * c2 * disk_basis_coefficient(1, 1, 0, 1))
@@ -209,6 +226,10 @@ def test_from_ints_is_canonical():
         num = NuPolynomial(GaussRational(re, im) for re, im in nums)
         expected = NuRationalFunction(num, expanded(js) * den)
         assert (value.num, value.den) == (expected.num, expected.den)
+        assert_stored_form(value)
+        if expected.js is not None:  # a constant denominator: the constructor stores the same form
+            assert expected._ints() == value._ints()
+            assert_stored_form(expected)
         assert list(value.js) == sorted(value.js) and 0 not in value.js
         assert value.den == expanded(value.js).monic()
         if value:
@@ -218,3 +239,120 @@ def test_from_ints_is_canonical():
             assert value.num == NU_ZERO and value.js == ()
         cancelled += len(value.js) < len(js)
     assert cancelled > 50
+
+
+def assert_stored_form(value: NuRationalFunction) -> None:
+    """The invariants of a factored value's one stored form: ints only, no
+    trailing zero pair, ``den > 0`` and coprime to every part, sorted ``js``;
+    zero is ``((), 1, ())``."""
+    nums, den, js = value._ints()
+    assert type(nums) is tuple and all(type(pair) is tuple and len(pair) == 2 for pair in nums)
+    assert all(type(part) is int for pair in nums for part in pair)
+    assert type(den) is int and den > 0 and all(type(j) is int for j in js)
+    assert list(js) == sorted(js)
+    if nums:
+        assert nums[-1] != (0, 0)
+        assert gcd(den, *(part for pair in nums for part in pair)) == 1
+    else:
+        assert (den, js) == (1, ())
+
+
+def reduced_oracle(nums, den, js) -> tuple[NuPolynomial, NuPolynomial, tuple[int, ...]]:
+    """The ``GaussRational`` build the form replaced: the same synthetic
+    division, then ``num`` over ``den prod(-j)`` and the monic ``den``."""
+    nums = list(nums)
+    while nums and not (nums[-1][0] or nums[-1][1]):
+        nums.pop()
+    if not nums:
+        return NU_ZERO, NU_ONE, ()
+    kept: list[int] = []
+    for j in sorted(js):
+        if kept and kept[-1] == j:
+            kept.append(j)
+            continue
+        quotient = []
+        q_re = q_im = 0
+        for re, im in nums:
+            q_re = re + j * q_re
+            q_im = im + j * q_im
+            quotient.append((q_re, q_im))
+        if q_re or q_im:
+            kept.append(j)
+        else:
+            quotient.pop()
+            nums = quotient
+    js = tuple(kept)
+    lead = den * prod(-j for j in js)
+    num = NuPolynomial(GaussRational(Fraction(re, lead), Fraction(im, lead)) for re, im in nums)
+    return num, _monic_product(js), js
+
+
+def seeded_forms(rng: random.Random):
+    """Integer forms with complex parts and repeated js of either sign, whose
+    numerators are often multiples of some of their factors: no, some or
+    every factor cancels.  Zero and a padded zero come first."""
+    yield (), 1, (1, 2)
+    yield ((0, 0), (0, 0)), 6, (-1, -1)
+    for _ in range(300):
+        js = tuple(rng.choice((-4, -3, -2, -1, -1, 1, 1, 2, 2, 3)) for _ in range(rng.randint(0, 6)))
+        nums = [(rng.randint(-9, 9), rng.randint(-9, 9) * rng.randint(0, 1)) for _ in range(rng.randint(1, 3))]
+        cancel = rng.random()
+        for j in js:
+            if rng.random() < cancel:
+                nums = [(a - j * b, c - j * d) for (a, c), (b, d) in zip(nums + [(0, 0)], [(0, 0)] + nums)]
+        scale = rng.choice((1, 1, 2, 6, -3))
+        nums = [(a * scale, c * scale) for a, c in nums] + [(0, 0)] * rng.randint(0, 1)
+        yield nums, rng.randint(1, 40), js
+
+
+def test_stored_form_views_match_the_gauss_rational_build():
+    rng = random.Random(37)
+    cancelled = complete = partial = complex_parts = negative = 0
+    for nums, den, js in seeded_forms(rng):
+        value = NuRationalFunction._from_ints(nums, den, js)
+        assert_stored_form(value)
+        num, monic, kept = reduced_oracle(nums, den, js)
+        assert (value.num, value.den, value.js) == (num, monic, kept)
+        if value and len(kept) < len(js):
+            cancelled += 1
+            complete += not kept
+            partial += bool(kept)
+        complex_parts += any(im for _, im in nums)
+        negative += any(j < 0 for j in kept) and len(set(kept)) < len(kept)
+    assert min(cancelled, complete, partial, complex_parts, negative) > 10, (
+        cancelled, complete, partial, complex_parts, negative
+    )
+
+
+def counter_sum(terms) -> NuRationalFunction:
+    """The ``Counter`` multiset arithmetic ``_sum`` used before its merge of
+    sorted tuples."""
+    terms = list(terms)
+    common: Counter = Counter()
+    for _, _, js in terms:
+        common |= Counter(js)
+    den = lcm(*(d for _, d, _ in terms))
+    size = sum(common.values())
+    total = [[0, 0] for _ in range(max(len(nums) + size - len(js) for nums, _, js in terms))]
+    for nums, d, js in terms:
+        _widen_into(total, nums, den // d, tuple(sorted((common - Counter(js)).elements())))
+    return NuRationalFunction._from_ints(total, den, tuple(common.elements()))
+
+
+def test_sorted_merges_match_counter_arithmetic():
+    rng = random.Random(38)
+    for _ in range(400):
+        a, b = (tuple(sorted(rng.choice((-2, -1, 1, 1, 2, 3)) for _ in range(rng.randint(0, 5)))) for _ in range(2))
+        union = _union(a, b)
+        assert Counter(union) == Counter(a) | Counter(b) and list(union) == sorted(union)
+        difference = _difference(a, b)
+        if Counter(b) - Counter(a):
+            assert difference is None
+        else:
+            assert Counter(difference) == Counter(a) - Counter(b) and list(difference) == sorted(difference)
+    forms = [form for form in seeded_forms(rng)]
+    for _ in range(150):
+        terms = [NuRationalFunction._from_ints(*rng.choice(forms))._ints() for _ in range(rng.randint(1, 4))]
+        total = _sum(terms)
+        assert_stored_form(total)
+        assert total == counter_sum(terms)

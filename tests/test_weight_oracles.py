@@ -26,6 +26,8 @@ from cpstar.randgen import random_scalar
 from cpstar.scalars import GaussRational, to_gauss
 from cpstar.star import _star_coefficient
 
+from nu_helpers import over_factors
+
 
 @lru_cache(maxsize=None)
 def reference_pochhammer(k: int) -> NuPolynomial:
@@ -41,14 +43,14 @@ def reference_neg_pochhammer(k: int) -> NuPolynomial:
 
 def reference_star_coefficient(k: int, l: int, r: int) -> NuRationalFunction:
     numerator = (reference_pochhammer(k + l - r) * Fraction(1, factorial(r))).shift(r)
-    return NuRationalFunction.over_factors(numerator, (*range(1, k), *range(1, l)))
+    return over_factors(numerator, (*range(1, k), *range(1, l)))
 
 
 def reference_disk_coefficient(q: int, r: int, s: int, m: int) -> NuRationalFunction:
     numerator = NuPolynomial.nu_power(m) * reference_neg_pochhammer(q + s - m)
     scale = Fraction(factorial(q) * factorial(r), factorial(m) * factorial(q - m) * factorial(r - m))
     factors = (*range(-1, -q, -1), *range(-1, -s, -1))  # 1 + j nu = 1 - (-j) nu
-    return NuRationalFunction.over_factors(numerator * scale, factors)
+    return over_factors(numerator * scale, factors)
 
 
 def assert_same(value: NuRationalFunction, expected: NuRationalFunction) -> None:
@@ -124,7 +126,7 @@ def test_negation_and_multiples_of_factored_values_match_euclid():
     for _ in range(40):
         js = tuple(rng.choice((-3, -2, -1, 1, 2, 2, 3)) for _ in range(rng.randint(0, 4)))
         num = NuPolynomial(random_scalar(rng) * Fraction(1, rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
-        samples.append(NuRationalFunction.over_factors(num, js))
+        samples.append(over_factors(num, js))
     for a in samples:
         assert_canonical(-a, euclid(-a.num, a.den))
         assert_canonical(-(-a), a)
