@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .models.disk import DiskElement
 from .models.torus import FourierSum, PhaseSum
-from .nupoly import NuRationalFunction
+from .nupoly import NRF_ZERO, NuRationalFunction
 from .scalars import GaussRational
 from .star import StarElement
 from .symbols import SymbolTensor
@@ -118,5 +118,5 @@ def random_disk(
         key = (rng.randint(0, max_index), rng.randint(0, max_index))
         value = NuRationalFunction.constant(Fraction(rng.randint(-span, span)))
         if value:
-            coeffs[key] = coeffs.get(key, NuRationalFunction.constant(0)) + value
+            coeffs[key] = coeffs.get(key, NRF_ZERO) + value
     return DiskElement({k: v for k, v in coeffs.items() if v})

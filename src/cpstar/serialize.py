@@ -89,15 +89,10 @@ def symbol_from_json(data: dict) -> SymbolTensor:
     parts: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int, int, int]] = {}
     for entry in _shaped(data.get("entries", []), list, 'symbol "entries"'):
         entry = _shaped(entry, dict, 'symbol "entries" item')
-        key = tuple(
-            tuple(
-                sorted(
-                    _json_int(a, f'index letter in "{side}"')
-                    for a in _shaped(_required(entry, side, "symbol entry"), list, f'symbol entry "{side}"')
-                )
-            )
-            for side in ("I", "J")
-        )
+        left = _shaped(_required(entry, "I", "symbol entry"), list, 'symbol entry "I"')
+        left = tuple(sorted(_json_int(a, 'index letter in "I"') for a in left))
+        right = _shaped(_required(entry, "J", "symbol entry"), list, 'symbol entry "J"')
+        key = (left, tuple(sorted(_json_int(a, 'index letter in "J"') for a in right)))
         a, b = _rational_parts(entry.get("re", "0"))
         c, d = _rational_parts(entry.get("im", "0"))
         if key in parts:
