@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
-from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _over_lcm, _required, _shaped, to_gauss
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _over_lcm, _required, to_gauss
 
 __all__ = [
     "NuPolynomial",
@@ -498,11 +498,7 @@ class NuRationalFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> "NuRationalFunction":
-        data = _shaped(data, dict, "rational function")
-        num, den = (
-            NuPolynomial.from_json(_shaped(_required(data, key, "rational function"), list, f'rational function "{key}"'))
-            for key in ("num", "den")
-        )
+        num, den = (NuPolynomial.from_json(_required(data, key, "rational function", list)) for key in ("num", "den"))
         if den.is_zero():
             raise ValueError("rational function with zero denominator")
         return cls(num, den)

@@ -71,21 +71,31 @@ _JSON_KINDS = {
 }
 
 
+def _shape_error(value, kind: type, what: str) -> ValueError:
+    found = _JSON_KINDS.get(type(value), type(value).__name__)
+    return ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {found}")
+
+
 def _shaped(value, kind: type, what: str):
     """``value``, which ``what`` names, if it is a JSON list or object as
     ``kind`` asks; else a ValueError that says what it is instead."""
     if not isinstance(value, kind):
-        found = _JSON_KINDS.get(type(value), type(value).__name__)
-        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {found}")
+        raise _shape_error(value, kind, what)
     return value
 
 
-def _required(data: dict, key: str, what: str):
-    """``data[key]`` of the JSON object ``what``; a ValueError naming the
-    key when it is missing."""
+def _required(data: dict, key: str, what: str, kind: type = object):
+    """``data[key]`` of the JSON object ``what``: a ValueError that names
+    what is wrong when ``data`` is not an object, lacks ``key``, or holds
+    something other than a ``kind`` (a list or an object) there."""
+    if not isinstance(data, dict):
+        raise _shape_error(data, dict, what)
     if key not in data:
         raise ValueError(f'{what} is missing "{key}"')
-    return data[key]
+    value = data[key]
+    if not isinstance(value, kind):
+        raise _shape_error(value, kind, f'{what} "{key}"')
+    return value
 
 
 def _decimal_digits(value: int) -> int:

@@ -83,15 +83,12 @@ def symbol_from_json(data: dict) -> SymbolTensor:
     add up and entries that cancel are dropped.  Each part is read as an
     int pair, so the tensor is built with one ``lcm`` and no
     ``GaussRational`` per entry."""
-    data = _shaped(data, dict, "symbol")
     n = _json_int(_required(data, "n", "symbol"), 'symbol "n"')
     k = _json_int(_required(data, "k", "symbol"), 'symbol "k"')
     parts: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int, int, int]] = {}
     for entry in _shaped(data.get("entries", []), list, 'symbol "entries"'):
-        entry = _shaped(entry, dict, 'symbol "entries" item')
-        left = _shaped(_required(entry, "I", "symbol entry"), list, 'symbol entry "I"')
-        left = tuple(sorted(_json_int(a, 'index letter in "I"') for a in left))
-        right = _shaped(_required(entry, "J", "symbol entry"), list, 'symbol entry "J"')
+        left = tuple(sorted(_json_int(a, 'index letter in "I"') for a in _required(entry, "I", "symbol entry", list)))
+        right = _required(entry, "J", "symbol entry", list)
         key = (left, tuple(sorted(_json_int(a, 'index letter in "J"') for a in right)))
         a, b = _rational_parts(entry.get("re", "0"))
         c, d = _rational_parts(entry.get("im", "0"))
@@ -131,7 +128,6 @@ def element_to_json(element: StarElement) -> dict:
 
 
 def element_from_json(data: dict) -> StarElement:
-    data = _shaped(data, dict, "element")
     n = _json_int(_required(data, "n", "element"), 'element "n"')
     level = _json_int(_required(data, "level", "element"), 'element "level"')
     components: dict[int, SymbolTensor] = {}
@@ -164,7 +160,6 @@ def _json_power(key: str) -> int:
 
 
 def series_from_json(data: dict) -> RawNuSeries:
-    data = _shaped(data, dict, "series")
     n = _json_int(_required(data, "n", "series"), 'series "n"')
     degree = _json_int(_required(data, "degree", "series"), 'series "degree"')
     listed = data.get("powers", {})
@@ -184,7 +179,6 @@ def quotient_operator_to_json(operator: QuotientOperator) -> dict:
 
 
 def quotient_operator_from_json(data: dict) -> QuotientOperator:
-    data = _shaped(data, dict, "operator")
     return QuotientOperator(_json_int(_required(data, "K", "operator"), 'operator "K"'), symbol_from_json(data))
 
 
@@ -208,17 +202,15 @@ def fourier_to_json(func: FourierSum) -> dict:
 
 
 def fourier_from_json(data: dict) -> FourierSum:
-    data = _shaped(data, dict, "Fourier sum")
     dim = _json_int(_required(data, "dim", "Fourier sum"), 'Fourier "dim"')
     matrix = [
         [_json_int(entry, 'Fourier "Lambda" cell') for entry in _shaped(row, list, 'Fourier "Lambda" row')]
-        for row in _shaped(_required(data, "Lambda", "Fourier sum"), list, 'Fourier "Lambda"')
+        for row in _required(data, "Lambda", "Fourier sum", list)
     ]
     parameter = parse_rational(_required(data, "lambda", "Fourier sum"))
     coeffs = {}
     for item in _shaped(data.get("coeffs", []), list, 'Fourier "coeffs"'):
-        item = _shaped(item, dict, 'Fourier "coeffs" item')
-        listed = _shaped(_required(item, "k", 'Fourier "coeffs" item'), list, 'Fourier mode "k"')
+        listed = _required(item, "k", 'Fourier "coeffs" item', list)
         mode = tuple(_json_int(c, 'Fourier mode entry in "k"') for c in listed)
         merged: dict[Fraction, Fraction] = {}
         for term in _shaped(item.get("terms", []), list, 'Fourier "terms"'):
@@ -247,7 +239,6 @@ def disk_from_json(data: dict) -> DiskElement:
     data = _shaped(data, dict, "disk element")
     coeffs: dict[tuple[int, int], NuRationalFunction] = {}
     for item in _shaped(data.get("coeffs", []), list, 'disk "coeffs"'):
-        item = _shaped(item, dict, 'disk "coeffs" item')
         key = tuple(_json_int(_required(item, index, 'disk "coeffs" item'), f'disk index "{index}"') for index in "pq")
         value = NuRationalFunction.from_json(item)
         coeffs[key] = coeffs[key] + value if key in coeffs else value

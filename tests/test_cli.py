@@ -456,7 +456,7 @@ _SHAPE_ERRORS = [
     ("symbol", (), [], "symbol must be an object, got a list"),
     ("symbol", ("n",), None, 'symbol is missing "n"'),
     ("symbol", ("entries",), 1.5, 'symbol "entries" must be a list, got a number'),
-    ("symbol", ("entries", 0), [], 'symbol "entries" item must be an object, got a list'),
+    ("symbol", ("entries", 0), [], "symbol entry must be an object, got a list"),
     ("symbol", ("entries", 0, "I"), None, 'symbol entry is missing "I"'),
     ("symbol", ("entries", 0, "J"), 1.5, 'symbol entry "J" must be a list, got a number'),
     ("element", ("level",), None, 'element is missing "level"'),
@@ -467,11 +467,11 @@ _SHAPE_ERRORS = [
     ("series", ("powers", "1"), [], 'series "powers" item must be an object, got a list'),
     ("operator", ("K",), None, 'operator is missing "K"'),
     ("fourier", ("lambda",), None, 'Fourier sum is missing "lambda"'),
-    ("fourier", ("Lambda",), 1.5, 'Fourier "Lambda" must be a list, got a number'),
+    ("fourier", ("Lambda",), 1.5, 'Fourier sum "Lambda" must be a list, got a number'),
     ("fourier", ("Lambda", 0), 1.5, 'Fourier "Lambda" row must be a list, got a number'),
     ("fourier", ("coeffs", 0), [], 'Fourier "coeffs" item must be an object, got a list'),
     ("fourier", ("coeffs", 0, "k"), None, 'Fourier "coeffs" item is missing "k"'),
-    ("fourier", ("coeffs", 0, "k"), 1.5, 'Fourier mode "k" must be a list, got a number'),
+    ("fourier", ("coeffs", 0, "k"), 1.5, 'Fourier "coeffs" item "k" must be a list, got a number'),
     ("fourier", ("coeffs", 0, "terms"), 1.5, 'Fourier "terms" must be a list, got a number'),
     ("fourier", ("coeffs", 0, "terms", 0, "amp"), None, 'Fourier term is missing "amp"'),
     ("disk", (), [], "disk element must be an object, got a list"),

@@ -5,7 +5,9 @@ factors ``1 - j nu`` adds and multiplies by cancelling at the roots ``1/j``.
 Every result here is compared with the generic route, which builds the same
 value from expanded polynomials and reduces it by a Euclidean gcd: the two
 must agree structurally (numerator and monic denominator), and the factors a
-result carries must expand to its denominator.
+result carries must expand to its denominator.  A factored value, which
+stores only its integer form, must also equal and hash as the same value
+loaded from JSON, whose denominator is never factored.
 """
 
 import random
@@ -16,9 +18,9 @@ import pytest
 
 from cpstar.models.disk import DiskElement, disk_basis_coefficient, disk_product, neg_nu_pochhammer
 from cpstar.nupoly import NRF_ZERO, NU_ONE, NuPolynomial, NuRationalFunction
-from cpstar.serialize import disk_from_json, disk_to_json
 from cpstar.randgen import random_scalar, random_symbol
 from cpstar.scalars import GaussRational
+from cpstar.serialize import disk_from_json, disk_to_json
 from cpstar.star import StarProductTerms, StarTerm, star_commutator, star_symbols
 from cpstar.symbols import embed
 
