@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
-from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _over_lcm, _required, to_gauss
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _gauss, _over_lcm, _required, to_gauss
 
 __all__ = [
     "NuPolynomial",
@@ -224,8 +224,6 @@ def _poly_gcd(a: NuPolynomial, b: NuPolynomial) -> NuPolynomial:
     return a.monic()
 
 
-_FRACTION_ZERO = Fraction(0)
-
 GaussInts = Sequence[Sequence[int]]
 """A polynomial over the Gaussian integers: ``(re, im)`` pairs, lowest first."""
 
@@ -233,10 +231,13 @@ GaussInts = Sequence[Sequence[int]]
 def _poly_ints(coeffs: Sequence[GaussRational], weight: int = 1) -> tuple[int, list[tuple[int, int]]]:
     """``weight`` times a coefficient tuple as Gaussian integers over their
     least common denominator: ``(den, nums)``, lowest first."""
-    den, cells = _over_lcm(
-        {m: (*c.re.as_integer_ratio(), *c.im.as_integer_ratio(), weight) for m, c in enumerate(coeffs) if c}
-    )
-    return den, [cells.get(m, (0, 0)) for m in range(len(coeffs))]
+    parts = {}
+    for i, c in enumerate(coeffs):
+        if c:
+            p, q, m = c._ints()
+            parts[i] = (p, m, q, m, weight)
+    den, cells = _over_lcm(parts)
+    return den, [cells.get(i, (0, 0)) for i in range(len(coeffs))]
 
 
 @lru_cache(maxsize=1024)
@@ -485,9 +486,7 @@ class NuRationalFunction:
             return self._num
         nums, den, js = self._form
         lead = den * prod(-j for j in js)
-        return NuPolynomial(
-            GaussRational(Fraction(re, lead), Fraction(im, lead) if im else _FRACTION_ZERO) for re, im in nums
-        )
+        return NuPolynomial(_gauss(re, im, lead) for re, im in nums)
 
     @property
     def den(self) -> NuPolynomial:
@@ -553,7 +552,16 @@ class NuRationalFunction:
         return self + (-other)
 
     def __neg__(self) -> "NuRationalFunction":
-        return self * -1
+        """The same form with the numerator's signs flipped: still canonical."""
+        value = object.__new__(NuRationalFunction)
+        if self._form is None:
+            object.__setattr__(value, "_form", None)
+            object.__setattr__(value, "_num", -self._num)
+            object.__setattr__(value, "_den", self._den)
+        else:
+            nums, den, js = self._form
+            object.__setattr__(value, "_form", (tuple((-re, -im) for re, im in nums), den, js))
+        return value
 
     def __mul__(self, other: Union["NuRationalFunction", NuPolynomial, ScalarLike]) -> "NuRationalFunction":
         if isinstance(other, (int, Fraction, GaussRational)):

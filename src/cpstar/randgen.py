@@ -29,8 +29,8 @@ __all__ = [
 
 
 def random_scalar(rng: random.Random, span: int = 3, complex_parts: bool = True) -> GaussRational:
-    re = Fraction(rng.randint(-span, span))
-    im = Fraction(rng.randint(-span, span)) if complex_parts else Fraction(0)
+    re = rng.randint(-span, span)
+    im = rng.randint(-span, span) if complex_parts else 0
     return GaussRational(re, im)
 
 
@@ -46,7 +46,7 @@ def random_antihermitean(rng: random.Random, n: int, span: int = 3) -> list[list
     size = n + 1
     out = [[GaussRational(0) for _ in range(size)] for _ in range(size)]
     for i in range(size):
-        out[i][i] = GaussRational(0, Fraction(rng.randint(-span, span)))
+        out[i][i] = GaussRational(0, rng.randint(-span, span))
         for j in range(i + 1, size):
             value = random_scalar(rng, span)
             out[i][j] = value

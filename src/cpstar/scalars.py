@@ -1,9 +1,13 @@
 """Exact complex-rational scalars.
 
-All kernel arithmetic runs over the Gaussian rationals Q(i).  The real and
-imaginary parts are stdlib :class:`fractions.Fraction` values, which keeps
-every number in lowest terms with a positive denominator for free.  No
-floating point enters any code path in this package.
+All kernel arithmetic runs over the Gaussian rationals Q(i).  A
+:class:`GaussRational` is one Gaussian integer over one denominator,
+``(p + q i) / m`` with ``m > 0`` and ``gcd(p, q, m) == 1``: the same
+integer form as :class:`~cpstar.symbols.SymbolTensor` cells and factored
+:class:`~cpstar.nupoly.NuRationalFunction` values.  Its arithmetic runs on
+ints with one gcd per result; the real and imaginary parts are
+:class:`fractions.Fraction` views.  No floating point enters any code path
+in this package.
 """
 
 from __future__ import annotations
@@ -28,6 +32,19 @@ __all__ = [
 
 
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_DIGIT_RUN = re.compile(r"[\d_]+")
+
+
+def _digit_limit() -> int:
+    """The interpreter's limit on decimal digits in int/str conversions
+    (CPython's ``sys.get_int_max_str_digits``); 0 for none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+_MIN_LIMIT = getattr(sys.int_info, "str_digits_check_threshold", 0)
+"""The least nonzero digit limit CPython allows: shorter numbers always pass."""
+_SAFE_BITS = 3 * _MIN_LIMIT
+"""Under 3 bits a digit, an int of at most this many bits passes any limit."""
 
 
 def _rational_parts(text: str) -> tuple[int, int]:
@@ -38,9 +55,15 @@ def _rational_parts(text: str) -> tuple[int, int]:
     dumpers write is split directly; every other spelling that ``Fraction``
     reads (padding, a ``+`` sign, decimals, exponents, underscores) goes
     through ``Fraction``, so both accept and refuse the same texts with the
-    same messages."""
+    same messages.  Before either runs, a text with a run of more digits
+    than the interpreter converts is refused with the digit count."""
     if not isinstance(text, str):
         raise ValueError(f'rational must be a "p/q" string, got {text!r}')
+    if len(text) > _MIN_LIMIT:
+        limit = _digit_limit()
+        digits = max((len(run) - run.count("_") for run in _DIGIT_RUN.findall(text)), default=0)
+        if limit and digits > limit:
+            raise ValueError(f"rational with a number of {digits} digits, over the limit of {limit}")
     if _PLAIN_RATIONAL.fullmatch(text):
         num, _, den = text.partition("/")
         p = int(num)
@@ -114,7 +137,7 @@ def _decimal_digits(value: int) -> int:
 def _check_digits(value: int) -> None:
     """Refuse an int that ``str()`` would not convert under the
     interpreter's digit limit (CPython's ``sys.get_int_max_str_digits``)."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = _digit_limit()
     # under 3 bits a digit, a number has fewer digits than the limit
     if limit and value.bit_length() > 3 * limit:
         digits = _decimal_digits(value)
@@ -138,21 +161,35 @@ def _format_ratio(num: int, den: int) -> str:
     if common != 1:
         num //= common
         den //= common
-    _check_digits(num)
-    _check_digits(den)
+    if num.bit_length() > _SAFE_BITS or den.bit_length() > _SAFE_BITS:
+        _check_digits(num)
+        _check_digits(den)
     if den == 1:
         return str(num)
     return f"{num}/{den}"
 
 
 class GaussRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as one reduced Gaussian-integer form ``(p, q, m)``: the value is
+    ``(p + q i) / m`` with ``m > 0`` and ``gcd(p, q, m) == 1``, and zero is
+    ``(0, 0, 1)``.  ``re`` and ``im`` are :class:`Fraction` views."""
+
+    __slots__ = ("_form",)
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(re) is int and type(im) is int:
+            _set_form(self, (re, im, 1))
+            return
+        a, b = (re, 1) if type(re) is int else _ratio(re)
+        c, d = (im, 1) if type(im) is int else _ratio(im)
+        if b == d:
+            _set_form(self, (a, c, b))
+        else:
+            # a/b and c/d are in lowest terms, so gcd(p, q, m) == 1 already
+            m = lcm(b, d)
+            _set_form(self, (a * (m // b), c * (m // d), m))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussRational is immutable")
@@ -164,76 +201,102 @@ class GaussRational:
         """Load ``{"re": "p/q", "im": "p/q"}``; bare integers and ``"p/q"``
         strings are accepted as real scalars."""
         if isinstance(data, dict):
-            return cls(
-                parse_rational(data.get("re", "0")), parse_rational(data.get("im", "0"))
-            )
+            a, b = _rational_parts(data.get("re", "0"))
+            c, d = _rational_parts(data.get("im", "0"))
+            return _gauss(a * d, c * b, b * d)
         if isinstance(data, bool):
             raise ValueError(f"scalar cannot be a boolean: {data!r}")
         if isinstance(data, int):
-            return cls(Fraction(data))
+            return _trusted(data, 0, 1)
         if isinstance(data, str):
-            return cls(parse_rational(data))
+            p, m = _rational_parts(data)
+            return _gauss(p, 0, m)
         raise ValueError(
             f'scalar must be an integer, a "p/q" string, or a re/im object, '
             f"got {data!r}"
         )
 
+    def _ints(self) -> tuple[int, int, int]:
+        """The stored form ``(p, q, m)`` of ``(p + q i) / m``."""
+        return self._form
+
+    # -- views --------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        p, _, m = self._form
+        return Fraction(p) if m == 1 else Fraction(p, m)
+
+    @property
+    def im(self) -> Fraction:
+        _, q, m = self._form
+        return Fraction(q) if m == 1 else Fraction(q, m)
+
     # -- predicates ---------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        p, q, _ = self._form
+        return bool(p or q)
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self._form[1]
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "GaussRational":
         if isinstance(other, GaussRational):
-            return GaussRational(self.re + other.re, self.im + other.im)
+            return _sum(self._form, other._form)
         if isinstance(other, (int, Fraction)):
-            return GaussRational(self.re + other, self.im)
+            return _sum(self._form, (other.numerator, 0, other.denominator))
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussRational":
         if isinstance(other, GaussRational):
-            return GaussRational(self.re - other.re, self.im - other.im)
+            c, d, n = other._form
+            return _sum(self._form, (-c, -d, n))
         if isinstance(other, (int, Fraction)):
-            return GaussRational(self.re - other, self.im)
+            return _sum(self._form, (-other.numerator, 0, other.denominator))
         return NotImplemented
 
     def __rsub__(self, other: ScalarLike) -> "GaussRational":
         if isinstance(other, (int, Fraction)):
-            return GaussRational(other - self.re, -self.im)
+            a, b, m = self._form
+            return _sum((-a, -b, m), (other.numerator, 0, other.denominator))
         return NotImplemented
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        a, b, m = self._form
+        return _trusted(-a, -b, m)
 
     def __mul__(self, other: ScalarLike) -> "GaussRational":
+        a, b, m = self._form
         if isinstance(other, GaussRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return GaussRational(a * c - b * d, a * d + b * c)
+            c, d, n = other._form
+            return _gauss(a * c - b * d, a * d + b * c, m * n)
         if isinstance(other, (int, Fraction)):
-            return GaussRational(self.re * other, self.im * other)
+            c = other.numerator
+            return _gauss(a * c, b * c, m * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussRational":
+        a, b, m = self._form
+        if isinstance(other, GaussRational):
+            c, d, n = other._form
+            norm = c * c + d * d
+            if not norm:
+                raise ZeroDivisionError("division by zero")
+            # (a + b i)/m * n/(c + d i) = n (a + b i)(c - d i) / (m (c^2 + d^2))
+            return _gauss(n * (a * c + b * d), n * (b * c - a * d), m * norm)
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            return GaussRational(self.re / other, self.im / other)
-        if isinstance(other, GaussRational):
-            norm = other.re * other.re + other.im * other.im
-            if not norm:
-                raise ZeroDivisionError("division by zero")
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return GaussRational((a * c + b * d) / norm, (b * c - a * d) / norm)
+            n = other.denominator
+            return _gauss(a * n, b * n, m * other.numerator)
         return NotImplemented
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussRational":
@@ -242,19 +305,21 @@ class GaussRational:
         return NotImplemented
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        a, b, m = self._form
+        return _trusted(a, -b, m)
 
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussRational):
-            return self.re == other.re and self.im == other.im
+            return self._form == other._form
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            a, b, m = self._form
+            return not b and a == other.numerator and m == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        if not self.im:
+        if not self._form[1]:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -264,15 +329,68 @@ class GaussRational:
         return f"GaussRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if not self.im:
-            return format_rational(self.re)
-        if not self.re:
-            return f"{format_rational(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}*i"
+        a, b, m = self._form
+        if not b:
+            return _format_ratio(a, m)
+        if not a:
+            return f"{_format_ratio(b, m)}*i"
+        sign = "+" if b > 0 else "-"
+        return f"{_format_ratio(a, m)}{sign}{_format_ratio(abs(b), m)}*i"
 
     def to_json(self) -> dict:
-        return {"re": format_rational(self.re), "im": format_rational(self.im)}
+        a, b, m = self._form
+        return {"re": _format_ratio(a, m), "im": _format_ratio(b, m)}
+
+
+_new = object.__new__
+_set_form = GaussRational._form.__set__
+
+
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """``value`` (anything :class:`Fraction` reads) as a reduced ``(p, q)``."""
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _trusted(p: int, q: int, m: int) -> GaussRational:
+    """The scalar whose form ``(p, q, m)`` is already reduced."""
+    value = _new(GaussRational)
+    _set_form(value, (p, q, m))
+    return value
+
+
+def _gauss(p: int, q: int, m: int) -> GaussRational:
+    """``(p + q i) / m`` for any nonzero ``m``: the one normalising
+    constructor, with one gcd (none when ``m`` is 1)."""
+    if m < 0:
+        p, q, m = -p, -q, -m
+    if m != 1:
+        common = gcd(p, q, m)
+        if common != 1:
+            p, q, m = p // common, q // common, m // common
+    return _trusted(p, q, m)
+
+
+def _sum(x: tuple[int, int, int], y: tuple[int, int, int]) -> GaussRational:
+    """``x + y`` of two reduced forms over ``lcm(m, n)``, by Henrici's
+    gcd-first step as in ``Fraction``: with ``g = gcd(m, n)`` only a factor
+    of ``g`` can cancel, so coprime denominators need no second gcd."""
+    a, b, m = x
+    c, d, n = y
+    if m == n == 1:
+        return _trusted(a + c, b + d, 1)
+    g = gcd(m, n)
+    if g == 1:
+        return _trusted(a * n + c * m, b * n + d * m, m * n)
+    s = m // g
+    t = n // g
+    p = a * t + c * s
+    q = b * t + d * s
+    common = gcd(p, q, g)
+    if common == 1:
+        return _trusted(p, q, s * n)
+    return _trusted(p // common, q // common, s * (n // common))
 
 
 GAUSS_ZERO = GaussRational(0)

@@ -100,13 +100,7 @@ def symbol_from_json(data: dict) -> SymbolTensor:
 
 
 def matrix_to_json(matrix) -> list:
-    return [
-        [
-            {"re": format_rational(value.re), "im": format_rational(value.im)}
-            for value in row
-        ]
-        for row in matrix
-    ]
+    return [[value.to_json() for value in row] for row in matrix]
 
 
 def matrix_from_json(data) -> list[list[GaussRational]]:

@@ -47,7 +47,6 @@ independent reference for the full contraction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
@@ -63,7 +62,7 @@ from .multiindex import (
     sorted_tuples,
     submultiset_splits,
 )
-from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _normalised, _over_lcm, to_gauss
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _gauss, _normalised, _over_lcm, to_gauss
 from .zpoly import ZPoly
 
 __all__ = [
@@ -94,8 +93,8 @@ def _falling(k: int, r: int) -> int:
 def _gauss_parts(entries: Mapping[EntryKey, ScalarLike]) -> Iterable[tuple[EntryKey, tuple[int, int, int, int]]]:
     """The public constructor's entries as int parts, read lazily."""
     for key, value in entries.items():
-        value = to_gauss(value)
-        yield key, (*value.re.as_integer_ratio(), *value.im.as_integer_ratio())
+        p, q, m = to_gauss(value)._ints()
+        yield key, (p, m, q, m)
 
 
 def _checked_cells(n: int, k: int, parts: Iterable[tuple[EntryKey, tuple[int, int, int, int]]]) -> tuple[int, Cells]:
@@ -188,14 +187,14 @@ class SymbolTensor:
         out = {}
         for (left, right), (re, im) in self.cells.items():
             d = den * multiplicity(left) * multiplicity(right)
-            out[(left, right)] = GaussRational(Fraction(re, d), Fraction(im, d))
+            out[(left, right)] = _gauss(re, im, d)
         return out
 
     def poly_items(self) -> Iterable[tuple[EntryKey, GaussRational]]:
         """Coefficients of sigma_tilde on sorted monomial representatives."""
         den = self.den
         for key, (re, im) in self.cells.items():
-            yield key, GaussRational(Fraction(re, den), Fraction(im, den))
+            yield key, _gauss(re, im, den)
 
     # -- predicates ---------------------------------------------------
 
@@ -250,10 +249,10 @@ class SymbolTensor:
     def scale(self, factor: ScalarLike) -> "SymbolTensor":
         """Multiply by ``factor = (p + q i) / m`` as the Gaussian integer
         ``p + q i`` over the denominator ``den * m``."""
-        re, im = (factor.re, factor.im) if isinstance(factor, GaussRational) else (factor, 0)
-        m = lcm(re.denominator, im.denominator)
-        p = re.numerator * (m // re.denominator)
-        q = im.numerator * (m // im.denominator)
+        if isinstance(factor, GaussRational):
+            p, q, m = factor._ints()
+        else:
+            p, q, m = factor.numerator, 0, factor.denominator
         cells = {key: (a * p - b * q, a * q + b * p) for key, (a, b) in self.cells.items()}
         return SymbolTensor._from_cells(self.n, self.k, self.den * m, cells)
 
@@ -286,8 +285,8 @@ class SymbolTensor:
                 raise ValueError(f"polynomial is not bihomogeneous of degree ({k}, {k})")
             left = tuple(a for a in range(n + 1) for _ in range(bar[a]))
             right = tuple(a for a in range(n + 1) for _ in range(hol[a]))
-            coeff = to_gauss(coeff)
-            parts[(left, right)] = (*coeff.re.as_integer_ratio(), *coeff.im.as_integer_ratio(), 1)
+            p, q, m = to_gauss(coeff)._ints()
+            parts[(left, right)] = (p, m, q, m, 1)
         return cls._from_cells(n, k, *_over_lcm(parts))
 
 

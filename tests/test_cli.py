@@ -130,6 +130,23 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_star_refuses_parts_over_the_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 1)
+    for part, count in [
+        (digits, limit + 1),
+        (f"-1/{digits}", limit + 1),
+        (f" {digits}.5", limit + 1),
+    ]:
+        left = matrix_to_json(MATRIX_A)
+        left[1][0] = {"re": "0", "im": part}
+        path = _write(tmp_path, "pair.json", {"left": left, "right": matrix_to_json(MATRIX_B)})
+        code, out, err = _run(capsys, ["star", "--input", path])
+        assert (code, out) == (2, "")
+        assert err == f"cpstar: rational with a number of {count} digits, over the limit of {limit}\n"
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from math import factorial
 import pytest
 
 from cpstar.models.disk import DiskElement, disk_basis_coefficient, disk_product, neg_nu_pochhammer
-from cpstar.nupoly import NRF_ZERO, NU_ONE, NuPolynomial, NuRationalFunction
+from cpstar.nupoly import NRF_ZERO, NU_ONE, NuPolynomial, NuRationalFunction, _reduced
 from cpstar.randgen import random_scalar, random_symbol
 from cpstar.scalars import GaussRational
 from cpstar.serialize import disk_from_json, disk_to_json
@@ -277,6 +277,26 @@ def test_factored_and_loaded_values_compare_and_hash_alike():
                 assert other != value and value != other
                 assert other != loaded and loaded != other
     assert unfactored > 30  # most of the loaded samples take the Euclidean route
+
+
+def test_negation_flips_the_stored_form():
+    rng = random.Random(18)
+    samples = [random_factored(rng)[0] for _ in range(40)]
+    samples += [disk_basis_coefficient(3, 3, 3, 2), NuRationalFunction.constant(GaussRational(2, -3)), NRF_ZERO]
+    samples += [NuRationalFunction.from_json(value.to_json()) for value in samples]
+    loaded = 0
+    for value in samples:
+        negated = -value
+        expected = value * -1
+        assert negated == expected and negated.js == expected.js
+        assert_canonical(negated, euclid(-value.num, value.den))
+        if value.js is None:
+            loaded += 1
+        else:
+            assert negated._ints() == expected._ints() == _reduced(*negated._ints())
+        assert -negated == value
+    assert not -NRF_ZERO and (-NRF_ZERO)._ints() == ((), 1, ())
+    assert loaded > 20  # most of the loaded samples take the Euclidean route
 
 
 def test_disk_elements_equal_their_json_round_trip():
