@@ -30,8 +30,9 @@ from .models.torus import (
 )
 from .nupoly import NuRationalFunction
 from .quotient import QuotientOperator, StarUndefinedError, quotient_map, substitute
-from .scalars import GaussRational, format_rational, parse_rational
+from .scalars import GaussRational, parse_rational
 from .serialize import (
+    _mode_coeffs_to_json,
     canonical_dumps,
     disk_from_json,
     disk_to_json,
@@ -130,18 +131,11 @@ def value_to_tagged(value) -> dict:
 
 
 def _fold_to_json(element: TorusQuotientElement) -> dict:
-    coeffs = []
-    for mode in sorted(element.coeffs):
-        terms = [
-            {"amp": format_rational(amp), "phase": format_rational(phase)}
-            for amp, phase in element.coeffs[mode].to_pairs()
-        ]
-        coeffs.append({"k": list(mode), "terms": terms})
     return {
         "dim": element.dim,
         "Lambda": [list(row) for row in element.matrix],
         "K": element.K,
-        "coeffs": coeffs,
+        "coeffs": _mode_coeffs_to_json(element.coeffs),
     }
 
 

@@ -287,9 +287,10 @@ def wick_product_literal(left: ZPoly, right: ZPoly) -> ZPoly:
     Sums ``lam**r / r!`` times all r-fold coordinate-matched derivative
     pairs, holomorphic on the left and antiholomorphic on the right.  The
     coefficients must multiply with lam-polynomials; the sum terminates
-    when either side runs out of derivatives.
+    when either side runs out of derivatives.  The coordinates are the
+    entries of the exponent vectors, ``n + 1`` of them for a ``ZPoly(n)``.
     """
-    coords = left.n
+    coords = len(next(iter(left.terms))[0]) if left.terms else 0
 
     def matched(r_left: ZPoly, r_right: ZPoly, depth: int) -> ZPoly:
         total = (r_left * r_right).map_coefficients(
@@ -309,15 +310,17 @@ def wick_product_literal(left: ZPoly, right: ZPoly) -> ZPoly:
 
 
 def radial_pullback(p: RadialPolynomial, coords: int) -> ZPoly:
-    """Rewrite a radial polynomial as a polynomial in z and zbar."""
-    x = ZPoly.zero(coords)
+    """Rewrite a radial polynomial as a polynomial in ``coords`` variables z
+    and their conjugates, a ``ZPoly(coords - 1)``."""
+    n = coords - 1
+    x = ZPoly.zero(n)
     for i in range(coords):
         unit = [0] * coords
         unit[i] = 1
-        x = x + ZPoly.monomial(coords, tuple(unit), tuple(unit), NU_ONE)
-    result = ZPoly.zero(coords)
+        x = x + ZPoly.monomial(n, tuple(unit), tuple(unit), NU_ONE)
+    result = ZPoly.zero(n)
     for power, poly in p.coeffs.items():
-        term = ZPoly.monomial(coords, (0,) * coords, (0,) * coords, poly)
+        term = ZPoly.monomial(n, (0,) * coords, (0,) * coords, poly)
         for _ in range(power):
             term = term * x
         result = result + term

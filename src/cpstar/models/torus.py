@@ -15,8 +15,9 @@ basis classes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..linalg import matrix_rank
 from ..scalars import GaussRational
@@ -132,10 +133,98 @@ def _check_matrix(matrix: Sequence[Sequence[int]], dim: int) -> IntMatrix:
     return rows
 
 
-class FourierSum:
+def _checked_pairs(dim: int, coeffs: Mapping[Mode, PhaseSum] | None) -> list[tuple[Mode, PhaseSum]]:
+    """The (mode, value) pairs of a constructor's ``coeffs``: modes of
+    length ``dim``, plain amplitudes as phase sums."""
+    pairs = []
+    for mode, value in (coeffs or {}).items():
+        mode = tuple(mode)
+        if len(mode) != dim:
+            raise ValueError("mode vectors must match the dimension")
+        pairs.append((mode, value if isinstance(value, PhaseSum) else PhaseSum.of(value)))
+    return pairs
+
+
+class _ModeSum:
+    """What :class:`FourierSum` and :class:`TorusQuotientElement` share: an
+    immutable map ``coeffs`` from modes to nonzero phase sums over one algebra.
+
+    A subclass gives its algebra key (``_key``, which its ``__slots__`` list
+    first, then ``coeffs``), how it folds a mode (``_fold``) and the message
+    for mismatched algebras.  Every value is built by ``_assign``.
+    """
+
+    __slots__ = ()
+
+    def _assign(self, key: tuple, pairs: Iterable[tuple[Mode, PhaseSum]]) -> None:
+        """Set the algebra ``key`` and the coefficients of the (mode, value)
+        ``pairs``: each mode folded, equal modes merged, zeros dropped."""
+        for name, part in zip(self.__slots__, key):
+            object.__setattr__(self, name, part)
+        fold = self._fold
+        coeffs: dict[Mode, PhaseSum] = {}
+        for mode, value in pairs:
+            mode = fold(mode)
+            if mode in coeffs:
+                value = coeffs[mode] + value
+            if value:
+                coeffs[mode] = value
+            else:
+                coeffs.pop(mode, None)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _built(cls, key: tuple, pairs: Iterable[tuple[Mode, PhaseSum]]):
+        """The value of ``pairs`` over the algebra ``key``, which is checked
+        already: the path of every computed result."""
+        value = object.__new__(cls)
+        value._assign(key, pairs)
+        return value
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _compatible(self, other: "_ModeSum") -> None:
+        # the two classes' keys can compare equal (parameter 2 and K = 2)
+        if type(other) is not type(self) or other._key() != self._key():
+            raise ValueError(self._mismatch)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key() and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self._key() + (frozenset(self.coeffs.items()),))
+
+    def __add__(self, other):
+        self._compatible(other)
+        return self._built(self._key(), chain(self.coeffs.items(), other.coeffs.items()))
+
+    def __sub__(self, other):
+        self._compatible(other)
+        negated = ((mode, -value) for mode, value in other.coeffs.items())
+        return self._built(self._key(), chain(self.coeffs.items(), negated))
+
+
+def _mode_products(
+    left: Mapping[Mode, PhaseSum], right: Mapping[Mode, PhaseSum], matrix: IntMatrix, parameter: Fraction
+) -> Iterator[tuple[Mode, PhaseSum]]:
+    """The (mode, value) pairs of the product of two mode maps at ``parameter``."""
+    for k, a in left.items():
+        for k2, b in right.items():
+            phase, mode = moyal_modes(k, k2, matrix, parameter)
+            yield mode, (a * b).rotate(phase)
+
+
+class FourierSum(_ModeSum):
     """Finite combination of torus modes with phase-pair coefficients."""
 
     __slots__ = ("dim", "matrix", "parameter", "coeffs")
+    _mismatch = "mismatched torus algebras"
 
     def __init__(
         self,
@@ -146,35 +235,13 @@ class FourierSum:
     ) -> None:
         if dim < 1:
             raise ValueError("dimension must be positive")
-        rows = _check_matrix(matrix, dim)
-        cleaned: dict[Mode, PhaseSum] = {}
-        for mode, value in (coeffs or {}).items():
-            mode = tuple(mode)
-            if len(mode) != dim:
-                raise ValueError("mode vectors must match the dimension")
-            cleaned[mode] = value if isinstance(value, PhaseSum) else PhaseSum.of(value)
-        self._fill(dim, rows, Fraction(parameter), cleaned)
+        self._assign((dim, _check_matrix(matrix, dim), Fraction(parameter)), _checked_pairs(dim, coeffs))
 
-    def _fill(
-        self, dim: int, matrix: IntMatrix, parameter: Fraction, coeffs: Mapping[Mode, PhaseSum]
-    ) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "parameter", parameter)
-        object.__setattr__(self, "coeffs", {mode: value for mode, value in coeffs.items() if value})
+    def _key(self) -> tuple[int, IntMatrix, Fraction]:
+        return self.dim, self.matrix, self.parameter
 
-    @classmethod
-    def _trusted(
-        cls, dim: int, matrix: IntMatrix, parameter: Fraction, coeffs: Mapping[Mode, PhaseSum]
-    ) -> "FourierSum":
-        """The sum of ``coeffs``, less its zeros: the trusted path for computed
-        results, whose matrix is checked already."""
-        value = object.__new__(cls)
-        value._fill(dim, matrix, parameter, coeffs)
-        return value
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FourierSum is immutable")
+    def _fold(self, mode: Mode) -> Mode:
+        return mode
 
     @classmethod
     def zero(cls, dim: int, matrix, parameter) -> "FourierSum":
@@ -184,49 +251,10 @@ class FourierSum:
     def mode(cls, dim: int, matrix, parameter, k: Mode, amplitude=1, phase=0) -> "FourierSum":
         return cls(dim, matrix, parameter, {tuple(k): PhaseSum.of(amplitude, phase)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _compatible(self, other: "FourierSum") -> None:
-        if (
-            self.dim != other.dim
-            or self.matrix != other.matrix
-            or self.parameter != other.parameter
-        ):
-            raise ValueError("mismatched torus algebras")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FourierSum):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.matrix == other.matrix
-            and self.parameter == other.parameter
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.matrix, self.parameter, frozenset(self.coeffs.items())))
-
-    def __add__(self, other: "FourierSum") -> "FourierSum":
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for mode, value in other.coeffs.items():
-            out[mode] = out.get(mode, PHASE_ZERO) + value
-        return FourierSum._trusted(self.dim, self.matrix, self.parameter, out)
-
-    def __sub__(self, other: "FourierSum") -> "FourierSum":
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for mode, value in other.coeffs.items():
-            out[mode] = out.get(mode, PHASE_ZERO) - value
-        return FourierSum._trusted(self.dim, self.matrix, self.parameter, out)
-
     def scale(self, value: PhaseSum | Fraction | int) -> "FourierSum":
         if not isinstance(value, PhaseSum):
             value = PhaseSum.of(value)
-        coeffs = {mode: coeff * value for mode, coeff in self.coeffs.items()}
-        return FourierSum._trusted(self.dim, self.matrix, self.parameter, coeffs)
+        return self._built(self._key(), ((mode, coeff * value) for mode, coeff in self.coeffs.items()))
 
     def __repr__(self) -> str:
         return (
@@ -259,27 +287,18 @@ def moyal_modes(
 def moyal_product(left: FourierSum, right: FourierSum) -> FourierSum:
     """Bilinear extension of the mode product with exact phase arithmetic."""
     left._compatible(right)
-    out: dict[Mode, PhaseSum] = {}
-    for k, a in left.coeffs.items():
-        for k2, b in right.coeffs.items():
-            phase, mode = moyal_modes(k, k2, left.matrix, left.parameter)
-            value = (a * b).rotate(phase)
-            merged = out.get(mode, PHASE_ZERO) + value
-            if merged:
-                out[mode] = merged
-            elif mode in out:
-                del out[mode]
-    return FourierSum._trusted(left.dim, left.matrix, left.parameter, out)
+    return left._built(left._key(), _mode_products(left.coeffs, right.coeffs, left.matrix, left.parameter))
 
 
 def torus_quotient_dimension(dim: int, K: int) -> int:
     return K**dim
 
 
-class TorusQuotientElement:
+class TorusQuotientElement(_ModeSum):
     """Element of the mode algebra folded modulo K in every component."""
 
     __slots__ = ("dim", "matrix", "K", "coeffs")
+    _mismatch = "mismatched torus quotients"
 
     def __init__(
         self,
@@ -290,86 +309,20 @@ class TorusQuotientElement:
     ) -> None:
         if K < 1:
             raise ValueError("fold order must be positive")
-        self._fill(dim, _check_matrix(matrix, dim), K, coeffs or {})
+        self._assign((dim, _check_matrix(matrix, dim), K), _checked_pairs(dim, coeffs))
 
-    def _fill(self, dim: int, matrix: IntMatrix, K: int, coeffs: Mapping[Mode, PhaseSum]) -> None:
-        cleaned: dict[Mode, PhaseSum] = {}
-        for mode, value in coeffs.items():
-            folded = tuple(c % K for c in mode)
-            if value:
-                merged = cleaned.get(folded, PHASE_ZERO) + value
-                if merged:
-                    cleaned[folded] = merged
-                elif folded in cleaned:
-                    del cleaned[folded]
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "coeffs", cleaned)
+    def _key(self) -> tuple[int, IntMatrix, int]:
+        return self.dim, self.matrix, self.K
 
-    @classmethod
-    def _trusted(
-        cls, dim: int, matrix: IntMatrix, K: int, coeffs: Mapping[Mode, PhaseSum]
-    ) -> "TorusQuotientElement":
-        """The fold of ``coeffs`` modulo ``K``, less its zeros: the trusted
-        path for computed results, whose matrix and ``K`` are checked already."""
-        value = object.__new__(cls)
-        value._fill(dim, matrix, K, coeffs)
-        return value
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TorusQuotientElement is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _compatible(self, other: "TorusQuotientElement") -> None:
-        if self.dim != other.dim or self.matrix != other.matrix or self.K != other.K:
-            raise ValueError("mismatched torus quotients")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TorusQuotientElement):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.matrix == other.matrix
-            and self.K == other.K
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.matrix, self.K, frozenset(self.coeffs.items())))
-
-    def __add__(self, other: "TorusQuotientElement") -> "TorusQuotientElement":
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for mode, value in other.coeffs.items():
-            out[mode] = out.get(mode, PHASE_ZERO) + value
-        return TorusQuotientElement._trusted(self.dim, self.matrix, self.K, out)
-
-    def __sub__(self, other: "TorusQuotientElement") -> "TorusQuotientElement":
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for mode, value in other.coeffs.items():
-            out[mode] = out.get(mode, PHASE_ZERO) - value
-        return TorusQuotientElement._trusted(self.dim, self.matrix, self.K, out)
+    def _fold(self, mode: Mode) -> Mode:
+        K = self.K
+        return tuple(c % K for c in mode)
 
     def product(self, other: "TorusQuotientElement") -> "TorusQuotientElement":
         """Induced product, computed on the canonical representatives."""
         self._compatible(other)
-        parameter = Fraction(1, self.K)
-        out: dict[Mode, PhaseSum] = {}
-        for k, a in self.coeffs.items():
-            for k2, b in other.coeffs.items():
-                phase, mode = moyal_modes(k, k2, self.matrix, parameter)
-                folded = tuple(c % self.K for c in mode)
-                value = (a * b).rotate(phase)
-                merged = out.get(folded, PHASE_ZERO) + value
-                if merged:
-                    out[folded] = merged
-                elif folded in out:
-                    del out[folded]
-        return TorusQuotientElement._trusted(self.dim, self.matrix, self.K, out)
+        pairs = _mode_products(self.coeffs, other.coeffs, self.matrix, Fraction(1, self.K))
+        return self._built(self._key(), pairs)
 
     def __repr__(self) -> str:
         return (
@@ -403,7 +356,7 @@ def torus_quotient(func: FourierSum, K: int) -> TorusQuotientElement:
         )
     if _entry_gcd(func.matrix) != 1:
         raise ValueError("coefficient matrix entries must have gcd 1")
-    return TorusQuotientElement._trusted(func.dim, func.matrix, K, func.coeffs)
+    return TorusQuotientElement._built((func.dim, func.matrix, K), func.coeffs.items())
 
 
 def check_quotient_ideal(
@@ -416,16 +369,14 @@ def check_quotient_ideal(
     For each pair (k, k'), forms the element T_k - T_{k + K k'}, multiplies
     by the given sum on both sides, and checks the folded images vanish.
     """
-    dim, matrix, parameter = other.dim, other.matrix, other.parameter
+    dim = other.dim
     for k, k_shift in func_modes:
         k, k_shift = tuple(k), tuple(k_shift)
         if len(k) != dim or len(k_shift) != dim:
             raise ValueError("mode vectors must match the dimension")
         shifted = tuple(u + K * v for u, v in zip(k, k_shift))
         # the modes share the matrix ``other`` was checked with
-        diff = FourierSum._trusted(dim, matrix, parameter, {k: PHASE_ONE}) - FourierSum._trusted(
-            dim, matrix, parameter, {shifted: PHASE_ONE}
-        )
+        diff = other._built(other._key(), ((k, PHASE_ONE), (shifted, -PHASE_ONE)))
         if not torus_quotient(moyal_product(diff, other), K).is_zero():
             return False
         if not torus_quotient(moyal_product(other, diff), K).is_zero():

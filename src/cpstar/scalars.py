@@ -33,6 +33,8 @@ __all__ = [
 
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _DIGIT_RUN = re.compile(r"[\d_]+")
+_DECIMAL_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)\s*")
+"""A decimal with an exponent as ``Fraction`` reads it; the group is the exponent."""
 
 
 def _digit_limit() -> int:
@@ -56,7 +58,9 @@ def _rational_parts(text: str) -> tuple[int, int]:
     reads (padding, a ``+`` sign, decimals, exponents, underscores) goes
     through ``Fraction``, so both accept and refuse the same texts with the
     same messages.  Before either runs, a text with a run of more digits
-    than the interpreter converts is refused with the digit count."""
+    than the interpreter converts is refused with the digit count, and a
+    decimal that ``Fraction`` reads is refused when its exponent is over
+    that limit in size (``Fraction`` would build ``10**exponent`` first)."""
     if not isinstance(text, str):
         raise ValueError(f'rational must be a "p/q" string, got {text!r}')
     if len(text) > _MIN_LIMIT:
@@ -69,6 +73,11 @@ def _rational_parts(text: str) -> tuple[int, int]:
         p = int(num)
         q = int(den) if den else 1
     else:
+        decimal = _DECIMAL_EXPONENT.fullmatch(text)
+        if decimal:
+            exponent, limit = int(decimal[1]), _digit_limit()
+            if limit and abs(exponent) > limit:
+                raise ValueError(f"rational with a decimal exponent of {exponent}, beyond the limit of {limit}")
         try:
             p, q = Fraction(text.strip()).as_integer_ratio()
         except ZeroDivisionError:

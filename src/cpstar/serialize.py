@@ -179,19 +179,27 @@ def quotient_operator_from_json(data: dict) -> QuotientOperator:
 # -- companion models --------------------------------------------------
 
 
+def _mode_coeffs_to_json(coeffs: dict[tuple[int, ...], PhaseSum]) -> list:
+    """The ``"coeffs"`` list of a Fourier sum or a folded torus element:
+    one ``{"k", "terms"}`` item per mode, in sorted mode order."""
+    return [
+        {
+            "k": list(mode),
+            "terms": [
+                {"amp": format_rational(amp), "phase": format_rational(phase)}
+                for amp, phase in coeffs[mode].to_pairs()
+            ],
+        }
+        for mode in sorted(coeffs)
+    ]
+
+
 def fourier_to_json(func: FourierSum) -> dict:
-    coeffs = []
-    for mode in sorted(func.coeffs):
-        terms = [
-            {"amp": format_rational(amp), "phase": format_rational(phase)}
-            for amp, phase in func.coeffs[mode].to_pairs()
-        ]
-        coeffs.append({"k": list(mode), "terms": terms})
     return {
         "dim": func.dim,
         "Lambda": [list(row) for row in func.matrix],
         "lambda": format_rational(func.parameter),
-        "coeffs": coeffs,
+        "coeffs": _mode_coeffs_to_json(func.coeffs),
     }
 
 

@@ -115,9 +115,6 @@ class ZPoly:
 
     # -- queries ------------------------------------------------------
 
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return {(sum(bar), sum(z)) for bar, z in self.terms}
-
     def evaluate(self, zbar_values: Iterable[object], z_values: Iterable[object]) -> object:
         """Evaluate with explicit values for the conjugates (exact, no floats)."""
         zbar_values = list(zbar_values)

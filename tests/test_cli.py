@@ -147,6 +147,18 @@ def test_star_refuses_parts_over_the_digit_limit(tmp_path, capsys):
         assert err == f"cpstar: rational with a number of {count} digits, over the limit of {limit}\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_star_refuses_decimal_exponents_over_the_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    for part, exponent in [("1e99999999", 99999999), (" -2.5E-99999999", -99999999), (f"1e{limit + 1}", limit + 1)]:
+        left = matrix_to_json(MATRIX_A)
+        left[1][0] = {"re": part, "im": "0"}
+        path = _write(tmp_path, "pair.json", {"left": left, "right": matrix_to_json(MATRIX_B)})
+        code, out, err = _run(capsys, ["star", "--input", path])
+        assert (code, out) == (2, "")
+        assert err == f"cpstar: rational with a decimal exponent of {exponent}, beyond the limit of {limit}\n"
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

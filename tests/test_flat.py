@@ -18,10 +18,10 @@ def g(re, im=0):
 def _to_zpoly(func: ExpPolyFunction) -> ZPoly:
     """Convert a purely polynomial function to an explicit z/zbar polynomial.
 
-    The literal-product oracle treats ``ZPoly.n`` as the number of
-    coordinates, so we keep that convention here.
+    A ``ZPoly(n)`` has exponent vectors of length ``n + 1``, so ``coords``
+    coordinates make a ``ZPoly(coords - 1)``.
     """
-    out = ZPoly(func.coords)
+    out = ZPoly(func.coords - 1)
     for (z_exps, zbar_exps, a, b, slope), poly in func.terms.items():
         assert not any(a) and not any(b) and not slope, "not a polynomial term"
         out.add_term((tuple(zbar_exps), tuple(z_exps)), poly)

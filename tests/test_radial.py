@@ -1,6 +1,8 @@
 """Radial model: polynomials in x, iterated Wick powers, scaling operator."""
 
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -21,6 +23,9 @@ from cpstar.models.radial import (
     wick_star_x,
 )
 from cpstar.nupoly import NuPolynomial
+from cpstar.randgen import random_symbol
+from cpstar.symbols import wick_contraction
+from cpstar.zpoly import ZPoly
 
 
 def lam_poly(*coeffs):
@@ -133,6 +138,23 @@ def test_literal_product_on_radial_pullbacks():
     product = wick_product_literal(x, x)
     expected = radial_pullback(wick_radial_power(2), 2)
     assert product == expected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_literal_product_terms_are_the_contractions_on_cpn(n):
+    # t! times the lam**t part of the literal product of the z/zbar
+    # polynomials, over all n + 1 coordinates, is the t-th contraction
+    rng = random.Random(7)
+    cases = 0
+    for k in (1, 2):
+        for l in (1, 2):
+            f, g = random_symbol(rng, n, k), random_symbol(rng, n, l)
+            product = wick_product_literal(f.to_zpoly(), g.to_zpoly())
+            for t in range(min(k, l) + 1):
+                terms = {key: poly.coeffs[t] * factorial(t) for key, poly in product.terms.items() if t < len(poly.coeffs)}
+                assert ZPoly(n, terms) == wick_contraction(f, g, t).to_zpoly(), (n, k, l, t)
+                cases += 1
+    assert cases == 9
 
 
 def test_star_exponential_series_closed_form():

@@ -1,5 +1,6 @@
 """Exact complex-rational scalar arithmetic."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from cpstar.scalars import (
     GAUSS_ONE,
     GAUSS_ZERO,
     GaussRational,
+    _rational_parts,
     format_rational,
     parse_rational,
     to_gauss,
@@ -48,6 +50,22 @@ def test_basic_arithmetic():
     assert a * b == GaussRational(Fraction(5, 2), 0)
     assert GAUSS_I * GAUSS_I == GaussRational(-1)
     assert -a == GaussRational(-1, -2)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_decimal_exponents_over_the_digit_limit_are_refused_before_fraction_runs():
+    limit = sys.get_int_max_str_digits()
+    # Fraction would build 10**99999999 first, which runs for minutes
+    for text, exponent in [("1e99999999", 99999999), ("\t-.5E-99_999_999 ", -99999999), (f"3.e+{limit + 1}", limit + 1)]:
+        with pytest.raises(ValueError) as refused:
+            _rational_parts(text)
+        assert str(refused.value) == f"rational with a decimal exponent of {exponent}, beyond the limit of {limit}"
+    assert _rational_parts(f"1e{limit}") == (10**limit, 1)
+    assert _rational_parts(f"-1e-{limit}") == (-1, 10**limit)
+    # texts Fraction refuses keep Fraction's own message
+    for text in (f"E{limit + 1}", f"1e {limit + 1}", f"1e{limit + 1}/2", f"1.2.e{limit + 1}"):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            _rational_parts(text)
 
 
 def test_mixed_scalar_operations():

@@ -14,7 +14,10 @@ and message, and every loaded tensor must dump to the same bytes.  Two
 deliberate differences: an entry without ``"I"`` or ``"J"``, a bare
 ``KeyError`` in the oracle, is a ``ValueError`` that names the field; and a
 part of more digits than the interpreter converts is refused with the digit
-count instead of CPython's ``set_int_max_str_digits`` hint.
+count instead of CPython's ``set_int_max_str_digits`` hint.  Both refuse
+a decimal that ``Fraction`` reads when its exponent is over that limit in
+size, before ``Fraction`` builds ``10**exponent``; the random texts can
+draw one, such as ``1e999999``.
 """
 
 import json
@@ -22,7 +25,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpstar.scalars import GaussRational, _check_digits, parse_rational
@@ -30,9 +33,30 @@ from cpstar.serialize import canonical_dumps, symbol_from_json, symbol_to_json
 from cpstar.symbols import SymbolTensor
 
 
+def _exponent_over_limit(text):
+    """The decimal exponent of ``text`` when ``Fraction`` reads ``text`` and
+    the exponent is over the interpreter's digit limit in size, else None:
+    ``Fraction`` reads the text exactly when it reads it with the exponent
+    set to zero and the exponent is an int literal without padding."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    head, e, exponent = text.strip().replace("E", "e").rpartition("e")
+    if not (limit and e) or exponent != exponent.strip():
+        return None
+    try:
+        value = int(exponent)
+        Fraction(head + "e0")
+    except ValueError:
+        return None
+    return value if abs(value) > limit else None
+
+
 def parse_rational_oracle(text):
     if not isinstance(text, str):
         raise ValueError(f'rational must be a "p/q" string, got {text!r}')
+    exponent = _exponent_over_limit(text)
+    if exponent is not None:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"rational with a decimal exponent of {exponent}, beyond the limit of {limit}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
@@ -156,6 +180,10 @@ def symbol_payloads(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(parts)
+@example("1e99999999")
+@example(" -.5E-99_999_999")
+@example("E99999999")
+@example("1e 99999999")
 def test_rational_parser_matches_fraction(text):
     assert outcome(parse_rational, text) == outcome(parse_rational_oracle, text)
 
