@@ -17,19 +17,15 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from operator import methodcaller
+from typing import Callable, NamedTuple
 
 from .checks import SUITES, run_suite
-from .expr import EvalError, ParseError, Session, evaluate, parse
-from .models.disk import DiskElement, disk_product
-from .models.torus import (
-    FourierSum,
-    TorusQuotientElement,
-    moyal_product,
-    torus_quotient,
-    torus_quotient_dimension,
-)
+from .expr import EvalError, ParseError, Session, evaluate, fold_value, parse, star_values, substitute_value
+from .models.disk import DiskElement
+from .models.torus import FourierSum, TorusQuotientElement, torus_quotient_dimension
 from .nupoly import NuRationalFunction
-from .quotient import QuotientOperator, StarUndefinedError, quotient_map, substitute
+from .quotient import QuotientOperator, StarUndefinedError
 from .scalars import GaussRational, parse_rational
 from .serialize import (
     _mode_coeffs_to_json,
@@ -49,7 +45,7 @@ from .serialize import (
     symbol_from_json,
     symbol_to_json,
 )
-from .star import RawNuSeries, StarElement, star_elements
+from .star import RawNuSeries, StarElement
 from .symbols import SymbolTensor, symbol_of_matrix
 
 __all__ = ["main"]
@@ -61,15 +57,12 @@ class UsageError(ValueError):
 
 # -- tagged values -----------------------------------------------------
 
-_LOADERS = {
-    "matrix": matrix_from_json,
-    "symbol": symbol_from_json,
-    "element": element_from_json,
-    "series": series_from_json,
-    "operator": quotient_operator_from_json,
-    "fourier": fourier_from_json,
-    "disk": disk_from_json,
-}
+
+class _WireType(NamedTuple):
+    classes: tuple[type, ...]
+    load: Callable
+    dump: Callable
+    fields: tuple[str, ...]  # any one of them marks a bare payload of this type
 
 
 def _scalar_from_json(data) -> GaussRational | NuRationalFunction:
@@ -80,53 +73,50 @@ def _scalar_from_json(data) -> GaussRational | NuRationalFunction:
     raise UsageError(f"unrecognized scalar payload: {data!r}")
 
 
+# Every wire type by its tag.  A bare JSON list is a matrix; a bare object
+# is the first type, in this order, that has one of its marking fields.
+_WIRE_TYPES = {
+    "matrix": _WireType((list,), matrix_from_json, matrix_to_json, ()),
+    "element": _WireType((StarElement,), element_from_json, element_to_json, ("components",)),
+    "series": _WireType((RawNuSeries,), series_from_json, series_to_json, ("powers",)),
+    "fourier": _WireType((FourierSum,), fourier_from_json, fourier_to_json, ("Lambda",)),
+    "operator": _WireType((QuotientOperator,), quotient_operator_from_json, quotient_operator_to_json, ("K",)),
+    "symbol": _WireType((SymbolTensor,), symbol_from_json, symbol_to_json, ("entries",)),
+    "disk": _WireType((DiskElement,), disk_from_json, disk_to_json, ("coeffs",)),
+    "scalar": _WireType(
+        (GaussRational, NuRationalFunction), _scalar_from_json, methodcaller("to_json"), ("num", "re")
+    ),
+}
+
+
+def _bare_tag(data) -> str:
+    if isinstance(data, list):
+        return "matrix"
+    if isinstance(data, dict):
+        for tag, wire in _WIRE_TYPES.items():
+            if any(name in data for name in wire.fields):
+                return tag
+    raise UsageError(f"unrecognized value payload: {data!r}")
+
+
 def tagged_to_value(data):
     """Decode one JSON value, tagged or bare."""
     if isinstance(data, dict) and "type" in data and "value" in data:
-        kind = data["type"]
-        if kind == "scalar":
-            return _scalar_from_json(data["value"])
-        try:
-            loader = _LOADERS[kind]
-        except KeyError:
-            raise UsageError(f"unknown value type {kind!r}") from None
-        return loader(data["value"])
-    if isinstance(data, list):
-        return matrix_from_json(data)
-    if isinstance(data, dict):
-        for key, loader in (
-            ("components", element_from_json),
-            ("powers", series_from_json),
-            ("Lambda", fourier_from_json),
-            ("K", quotient_operator_from_json),
-            ("entries", symbol_from_json),
-            ("coeffs", disk_from_json),
-            ("num", NuRationalFunction.from_json),
-            ("re", GaussRational.from_json),
-        ):
-            if key in data:
-                return loader(data)
-    raise UsageError(f"unrecognized value payload: {data!r}")
+        tag, data = data["type"], data["value"]
+    else:
+        tag = _bare_tag(data)
+    try:
+        wire = _WIRE_TYPES[tag]
+    except KeyError:
+        raise UsageError(f"unknown value type {tag!r}") from None
+    return wire.load(data)
 
 
 def value_to_tagged(value) -> dict:
     """Encode one computed value with its type tag."""
-    if isinstance(value, (GaussRational, NuRationalFunction)):
-        return {"type": "scalar", "value": value.to_json()}
-    if isinstance(value, list):
-        return {"type": "matrix", "value": matrix_to_json(value)}
-    if isinstance(value, SymbolTensor):
-        return {"type": "symbol", "value": symbol_to_json(value)}
-    if isinstance(value, StarElement):
-        return {"type": "element", "value": element_to_json(value)}
-    if isinstance(value, RawNuSeries):
-        return {"type": "series", "value": series_to_json(value)}
-    if isinstance(value, QuotientOperator):
-        return {"type": "operator", "value": quotient_operator_to_json(value)}
-    if isinstance(value, FourierSum):
-        return {"type": "fourier", "value": fourier_to_json(value)}
-    if isinstance(value, DiskElement):
-        return {"type": "disk", "value": disk_to_json(value)}
+    for tag, wire in _WIRE_TYPES.items():
+        if isinstance(value, wire.classes):
+            return {"type": tag, "value": wire.dump(value)}
     raise UsageError(f"cannot serialize {type(value).__name__}")
 
 
@@ -173,12 +163,11 @@ def _load_pair(path: str):
     return tagged_to_value(data["left"]), tagged_to_value(data["right"])
 
 
-def _as_element(value) -> StarElement:
+def _as_element(value) -> SymbolTensor | StarElement:
+    """A matrix as its symbol, a symbol or filtered element as it is; ``expr`` lifts both."""
     if isinstance(value, list):
         value = symbol_of_matrix(value)
-    if isinstance(value, SymbolTensor):
-        value = StarElement.lift(value)
-    if not isinstance(value, StarElement):
+    if not isinstance(value, (SymbolTensor, StarElement)):
         raise UsageError(f"expected a symbol or filtered element, got {type(value).__name__}")
     return value
 
@@ -188,13 +177,10 @@ def _as_element(value) -> StarElement:
 
 def _cmd_star(args) -> int:
     left, right = _load_pair(args.input)
-    if isinstance(left, FourierSum) and isinstance(right, FourierSum):
-        result = moyal_product(left, right)
-    elif isinstance(left, DiskElement) and isinstance(right, DiskElement):
-        result = disk_product(left, right)
-    else:
-        result = star_elements(_as_element(left), _as_element(right))
-    _write_output(value_to_tagged(result), args.output)
+    # two Fourier sums or two disk elements take their model's product
+    if type(left) is not type(right) or not isinstance(left, (FourierSum, DiskElement)):
+        left, right = _as_element(left), _as_element(right)
+    _write_output(value_to_tagged(star_values(left, right)), args.output)
     return 0
 
 
@@ -233,15 +219,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_quotient(args) -> int:
     element = _as_element(tagged_to_value(_read_json(args.input)))
-    operator = quotient_map(element, args.K)
-    _write_output(value_to_tagged(operator), args.output)
+    _write_output(value_to_tagged(fold_value(element, args.K)), args.output)
     return 0
 
 
 def _cmd_subst(args) -> int:
     element = _as_element(tagged_to_value(_read_json(args.input)))
-    tensor = substitute(element, args.alpha)
-    _write_output(value_to_tagged(tensor), args.output)
+    _write_output(value_to_tagged(substitute_value(element, args.alpha)), args.output)
     return 0
 
 
@@ -249,11 +233,10 @@ def _cmd_torus(args) -> int:
     left, right = _load_pair(args.input)
     if not isinstance(left, FourierSum) or not isinstance(right, FourierSum):
         raise UsageError("torus expects two Fourier sums")
-    product = moyal_product(left, right)
+    product = star_values(left, right)
     payload = {"product": value_to_tagged(product)}
     if args.K is not None:
-        folded = torus_quotient(product, args.K)
-        payload["folded"] = _fold_to_json(folded)
+        payload["folded"] = _fold_to_json(fold_value(product, args.K))
         payload["dimension"] = torus_quotient_dimension(left.dim, args.K)
     _write_output(payload, args.output)
     return 0
@@ -263,7 +246,7 @@ def _cmd_disk(args) -> int:
     left, right = _load_pair(args.input)
     if not isinstance(left, DiskElement) or not isinstance(right, DiskElement):
         raise UsageError("disk expects two disk elements")
-    _write_output(value_to_tagged(disk_product(left, right)), args.output)
+    _write_output(value_to_tagged(star_values(left, right)), args.output)
     return 0
 
 
@@ -372,10 +355,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"cpstar: syntax error at position {exc.position}: {exc}", file=sys.stderr)
         return 2
-    except StarUndefinedError as exc:
-        print(f"cpstar: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, EvalError, ValueError, KeyError, TypeError) as exc:
+    except (UsageError, EvalError, StarUndefinedError, ValueError, KeyError, TypeError) as exc:
         print(f"cpstar: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,9 @@ leniency makes valid: parts written unreduced (``"2/4"``), padded
 (``" 1/2 "``), as decimals (``"0.5"``), signed (``"+3"``, ``"-0"``) or with
 underscores (``"1_0"``); entries with only ``re`` or only ``im``, unsorted
 ``I``/``J``, duplicate keys that add up or cancel; and parts that are
-refused (``"1/0"``, a bare number, ``"1 /2"``).
+refused (``"1/0"``, a bare number, ``"1 /2"``).  Last, from a third seed,
+come ``star``, ``disk`` and ``quotient`` requests over the budgets of
+``cpstar.expr``, which exit 2 before any product or fold runs.
 """
 
 from __future__ import annotations
@@ -249,6 +251,17 @@ def edge_cases() -> list[dict]:
     ]
     for number, payload in enumerate(refused):
         add(f"refused-symbol-{number}", ["subst", "--alpha", "1"], json.dumps(payload))
+
+    rng = random.Random(2028)
+    for n, a, b in [(3, 4, 3), (2, 7, 6)]:
+        pair = {"left": value_to_tagged(_element(rng, n, a)), "right": value_to_tagged(_element(rng, n, b))}
+        add(f"over-budget-star-CP{n}-{a}x{b}", ["star"], json.dumps(pair))
+    for command in ("star", "disk"):
+        disks = [value_to_tagged(DiskElement.basis(rng.randint(13, 20), rng.randint(0, 12))) for _ in range(2)]
+        add(f"over-budget-{command}-disks", [command], json.dumps({"left": disks[0], "right": disks[1]}))
+    for n, level, K in [(3, 2, 7), (2, 1, 13), (1, 3, 100)]:
+        payload = json.dumps(value_to_tagged(_element(rng, n, level)))
+        add(f"over-budget-quotient-CP{n}-K{K}", ["quotient", "--K", str(K)], payload)
     return out
 
 
@@ -273,14 +286,20 @@ def differing(golden: list[dict], recorded: list[dict]) -> list[str]:
     return [name for name in dict.fromkeys([*new, *old]) if old.get(name) != new.get(name)]
 
 
-def make(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Write or check tests/data/cli_golden.json.")
-    parser.add_argument("--check", action="store_true", help="compare with the file instead of writing it")
-    args = parser.parse_args(argv)
+def build() -> list[dict]:
+    """Every case with the exit code and standard output it gives now."""
     golden = []
     for case in cases():
         code, stdout = run(case)
         golden.append({**case, "exit": code, "stdout": stdout})
+    return golden
+
+
+def make(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write or check tests/data/cli_golden.json.")
+    parser.add_argument("--check", action="store_true", help="compare with the file instead of writing it")
+    args = parser.parse_args(argv)
+    golden = build()
     if args.check:
         names = differing(golden, json.loads(GOLDEN.read_text(encoding="utf-8")))
         for name in names:

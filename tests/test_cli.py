@@ -292,6 +292,64 @@ def test_eval_star_chains_under_budget_match_powers(tmp_path, capsys):
         assert json.loads(chained)["result"] == json.loads(powered)["result"]
 
 
+def _cp3(level):
+    sigma = StarElement.lift(symbol_of_matrix([[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 4], [5, 0, 0, 1]]))
+    return value_to_tagged(sigma.relevel(level))
+
+
+def _wide_disk(index):
+    return {"coeffs": [{"p": index, "q": 0, "num": [1], "den": [1]}, {"p": 0, "q": 1, "num": [2], "den": [1]}]}
+
+
+def _fourier(modes):
+    return value_to_tagged(FourierSum(2, SYMPLECTIC, Fraction(1, 3), {(a, 1 - a % 2): 1 for a in range(modes)}))
+
+
+# (entry point, its operands over a budget, the same just within it, and the
+# eval expression over bindings A and B that asks for the same work)
+BUDGETS = {
+    "star-elements": (["star"], (_cp3(4), _cp3(3)), (_cp3(3), _cp3(3)), "A * B"),
+    "star-disks": (["star"], (_wide_disk(13), _wide_disk(12)), (_wide_disk(12), _wide_disk(12)), "A * B"),
+    "star-fourier": (["star"], (_fourier(41), _fourier(49)), (_fourier(40), _fourier(50)), "A * B"),
+    "disk": (["disk"], (_wide_disk(12), _wide_disk(13)), (_wide_disk(12), _wide_disk(12)), "A * B"),
+    "torus": (["torus", "--K", "3"], (_fourier(49), _fourier(41)), (_fourier(50), _fourier(40)), "A * B"),
+    "quotient-K7": (["quotient", "--K", "7"], (_cp3(1),), None, "quot(7)(A)"),
+    "quotient-K6": (["quotient", "--K", "6"], None, (_cp3(1),), "quot(6)(A)"),
+}
+
+
+def _entry_and_eval(tmp_path, capsys, argv, operands, expression):
+    """The run of the entry point on the operands, and of eval on them bound to A and B."""
+    payload = operands[0] if len(operands) == 1 else {"left": operands[0], "right": operands[1]}
+    entry = _run(capsys, [*argv, "--input", _write(tmp_path, "input.json", payload)])
+    session = {"n": 3, "bindings": dict(zip("AB", operands))}
+    evaluated = _run(capsys, ["eval", expression, "--input", _write(tmp_path, "session.json", session)])
+    return entry, evaluated
+
+
+@pytest.mark.parametrize("name", [name for name, case in BUDGETS.items() if case[1]])
+def test_every_entry_point_refuses_what_eval_refuses(tmp_path, capsys, monkeypatch, name):
+    def no_product(*args):
+        raise AssertionError("a product or fold ran past the budget")
+
+    for function in ("star_elements", "disk_product", "moyal_product", "quotient_map"):
+        monkeypatch.setattr(expr, function, no_product)
+    argv, over, _, expression = BUDGETS[name]
+    (code, out, err), (eval_code, eval_out, eval_err) = _entry_and_eval(tmp_path, capsys, argv, over, expression)
+    assert (code, out) == (eval_code, eval_out) == (2, "")
+    assert err == eval_err
+    assert "over the limit of" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", [name for name, case in BUDGETS.items() if case[2]])
+def test_every_entry_point_runs_what_eval_runs_at_the_bounds(tmp_path, capsys, name):
+    argv, _, within, expression = BUDGETS[name]
+    (code, out, err), (eval_code, eval_out, eval_err) = _entry_and_eval(tmp_path, capsys, argv, within, expression)
+    assert (code, eval_code) == (0, 0), err + eval_err
+    result = json.loads(out)
+    assert result.get("product", result) == json.loads(eval_out)["result"]
+
+
 def test_eval_refuses_results_over_the_digit_limit(capsys):
     code, out, err = _run(capsys, ["eval", "7" * 4000 + "^2"])
     assert code == 2
@@ -751,6 +809,15 @@ def test_cli_output_matches_golden(capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
         code, out, _ = _run(capsys, case["argv"])
         assert (code, out) == (case["exit"], case["stdout"]), case["name"]
+
+
+def test_golden_file_is_what_its_generator_writes():
+    # rebuilds every seeded request from tests/make_cli_golden.py, so a change
+    # to the generator or its seeds shows up as well as one to the outputs
+    import make_cli_golden
+
+    recorded = json.loads(make_cli_golden.GOLDEN.read_text(encoding="utf-8"))
+    assert make_cli_golden.differing(make_cli_golden.build(), recorded) == []
 
 
 # ---------------------------------------------------------------------------
