@@ -13,9 +13,9 @@ Grammar, with ``*`` the star product and ``.`` the pointwise product::
 
 Products are left-associative, ``^`` is the star power, and scalars are
 (optionally signed) rational literals.  Parsing is recursive descent over
-a token list, at most :data:`MAX_NESTING` parentheses or bodies deep and
-with integer literals of at most :data:`MAX_LITERAL_DIGITS` digits;
-errors carry the character position.
+tokens made one at a time, at most :data:`MAX_NESTING` parentheses or
+bodies deep and with integer literals of at most :data:`MAX_LITERAL_DIGITS`
+digits; errors carry the character position.
 
 Evaluation dispatches on the runtime types of the operands, here and only
 here: ``eval`` and the ``star``, ``torus``, ``disk``, ``quotient`` and
@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional, Union
+from typing import Iterator, Union
 
 from .models.disk import DiskElement, disk_product
 from .models.torus import FourierSum, moyal_product, torus_quotient
@@ -177,6 +177,9 @@ modes, each coefficient of one to three phases, took 0.11 to 0.46 s."""
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<punct>[*.^()/-]))"
 )
+_UNEXPECTED_RE = re.compile(r"[^\sA-Za-z_\d*.^()/-]")
+"""The first character that is neither white space nor part of a token:
+every token consists of these characters, and each of them starts one."""
 
 
 @dataclass
@@ -186,47 +189,40 @@ class _Token:
     position: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.lastgroup is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = match.lastgroup
-        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
-        pos = match.end()
-    return tokens
+def _tokens(text: str) -> Iterator[_Token]:
+    """The tokens of ``text``, made one at a time as the parser reads them.
+    A character no token can hold is refused up front, before any is made."""
+    unexpected = _UNEXPECTED_RE.search(text)
+    if unexpected is not None:
+        raise ParseError(f"unexpected character {unexpected.group()!r}", unexpected.start())
+    return (
+        _Token(match.lastgroup, match[match.lastgroup], match.start(match.lastgroup))
+        for match in _TOKEN_RE.finditer(text)
+    )
 
 
 class _Parser:
+    """Recursive descent with one token of lookahead, ``token`` (None at the end)."""
+
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
+        self.tokens = _tokens(text)
+        self.token = next(self.tokens, None)
         self.depth = 0
 
-    def _peek(self) -> Optional[_Token]:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
     def _next_position(self) -> int:
-        token = self._peek()
+        token = self.token
         return len(self.text) if token is None else token.position
 
     def _advance(self) -> _Token:
-        token = self._peek()
+        token = self.token
         if token is None:
             raise ParseError("unexpected end of input", len(self.text))
-        self.index += 1
+        self.token = next(self.tokens, None)
         return token
 
     def _expect(self, text: str, description: str) -> _Token:
-        token = self._peek()
+        token = self.token
         if token is None or token.text != text:
             raise ParseError(f"expected {description}", self._next_position())
         return self._advance()
@@ -240,7 +236,7 @@ class _Parser:
 
     def parse(self) -> Expression:
         node = self._expr()
-        token = self._peek()
+        token = self.token
         if token is not None:
             raise ParseError(f"unexpected {token.text!r}", token.position)
         return node
@@ -248,7 +244,7 @@ class _Parser:
     def _expr(self) -> Expression:
         node = self._term()
         while True:
-            token = self._peek()
+            token = self.token
             if token is None or token.text not in ("*", "."):
                 return node
             self._advance()
@@ -268,10 +264,10 @@ class _Parser:
 
     def _term(self) -> Expression:
         node = self._factor()
-        token = self._peek()
+        token = self.token
         if token is not None and token.text == "^":
             self._advance()
-            value = self._peek()
+            value = self.token
             if value is None or value.kind != "int":
                 raise ParseError("expected an integer exponent", self._next_position())
             self._advance()
@@ -280,19 +276,19 @@ class _Parser:
 
     def _scalar(self) -> Fraction:
         sign = 1
-        token = self._peek()
+        token = self.token
         if token is not None and token.text == "-":
             self._advance()
             sign = -1
-            token = self._peek()
+            token = self.token
         if token is None or token.kind != "int":
             raise ParseError("expected a rational scalar", self._next_position())
         self._advance()
         numerator = self._integer(token)
-        nxt = self._peek()
+        nxt = self.token
         if nxt is not None and nxt.text == "/":
             self._advance()
-            den = self._peek()
+            den = self.token
             if den is None or den.kind != "int":
                 raise ParseError("expected a denominator", self._next_position())
             self._advance()
@@ -303,14 +299,14 @@ class _Parser:
         return Fraction(sign * numerator)
 
     def _factor(self) -> Expression:
-        token = self._peek()
+        token = self.token
         if token is None:
             raise ParseError("expected an expression", len(self.text))
         if token.kind == "ident":
             self._advance()
             if token.text == "sigma":
                 self._expect("(", "'(' after sigma")
-                name = self._peek()
+                name = self.token
                 if name is None or name.kind != "ident":
                     raise ParseError("expected a matrix name", self._next_position())
                 self._advance()
@@ -326,7 +322,7 @@ class _Parser:
                 return Subst(alpha, body)
             if token.text == "quot":
                 self._expect("(", "'(' after quot")
-                value = self._peek()
+                value = self.token
                 if value is None or value.kind != "int":
                     raise ParseError("expected a positive integer", self._next_position())
                 self._advance()
@@ -463,9 +459,9 @@ def _check_entries(n: int, level: int, what: str) -> None:
     """Refuse a product of level ``level`` on CP^n over :data:`MAX_POWER_ENTRIES`."""
     entries = comb(n + level, n) ** 2
     if entries > MAX_POWER_ENTRIES:
-        raise EvalError(
-            f"{what} has up to {entries} entries in its top component, over the limit of {MAX_POWER_ENTRIES}"
-        )
+        # past 64 bits the count is not written out: it may be too long to convert
+        count = f"up to {entries}" if entries.bit_length() <= 64 else "over 2**64"
+        raise EvalError(f"{what} has {count} entries in its top component, over the limit of {MAX_POWER_ENTRIES}")
 
 
 def _check_modes(modes: int, what: str) -> None:
@@ -609,5 +605,11 @@ def evaluate(node: Expression, session: Session) -> Value:
     if isinstance(node, Subst):
         return substitute_value(evaluate(node.body, session), node.alpha)
     if isinstance(node, Quot):
-        return fold_value(evaluate(node.body, session), node.K)
+        value = evaluate(node.body, session)
+        if isinstance(value, FourierSum):
+            # eval has no wire type for a folded torus element; the torus subcommand writes one
+            raise EvalError(
+                f"eval cannot write a folded Fourier sum; fold a torus product with 'cpstar torus --K {node.K}'"
+            )
+        return fold_value(value, node.K)
     raise TypeError(f"not an expression node: {node!r}")

@@ -6,6 +6,17 @@ ever multiply by phases ``exp(2 pi i theta)`` with rational theta, so all
 scalars live in the ring of finite sums of (rational amplitude, rational
 phase) pairs -- no floating point and no cyclotomic field tower.
 
+Such a sum is stored on integers: the phases as residues ``r`` over one
+modulus, the least common denominator of the phases, and the amplitudes as
+numerators over one denominator, the least common denominator of the
+amplitudes.  The form is canonical, so equality and hashing are structural:
+two sums are equal when they have the same amplitude at every phase.  That
+is not value equality, since ``1 + w + w**2`` is zero for ``w`` a primitive
+cube root of unity; comparing values means reducing modulo the cyclotomic
+polynomial of the modulus, which the residue form is ready for but no
+product here needs.  A product at the parameter ``p / q`` rotates each pair
+of modes by the residue of ``p`` times their integer pairing modulo ``q``.
+
 At parameter 1/K with an integer coefficient matrix whose entries have
 greatest common divisor one, folding mode vectors componentwise modulo K
 is compatible with the product; the folded algebra has exactly K**dim
@@ -16,11 +27,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..linalg import matrix_rank
-from ..scalars import GaussRational
+from ..scalars import _ratio
 
 __all__ = [
     "PhaseSum",
@@ -42,81 +53,169 @@ IntMatrix = tuple[tuple[int, ...], ...]
 class PhaseSum:
     """Finite sum of terms ``amplitude * exp(2 pi i phase)``, phases in [0, 1).
 
+    Stored in one canonical integer form: ``mod`` is the least common
+    denominator of the phases and ``den`` that of the amplitudes, and
+    ``amps`` maps each residue ``r`` (the phase ``r / mod``, ``0 <= r < mod``)
+    to its nonzero amplitude numerator (the amplitude ``amps[r] / den``).
     Addition merges equal phases; multiplication adds phases modulo one.
-    Equality is structural on the merged form, which is all the product
-    formulas need: phases only ever combine additively, so no hidden
-    root-of-unity relations can separate equal expressions.
+    Equality and hashing are structural on this form.  ``terms`` is the
+    same map with :class:`Fraction` phases and amplitudes, computed on each
+    read.  Every computed result is built by ``_phase_sum``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("mod", "den", "amps")
 
-    def __init__(self, terms: Mapping[Fraction, Fraction] | None = None) -> None:
-        cleaned: dict[Fraction, Fraction] = {}
+    def __new__(cls, terms: Mapping[Fraction, Fraction] | None = None) -> "PhaseSum":
+        parts = []
         for phase, amp in (terms or {}).items():
-            amp = Fraction(amp)
-            if amp:
-                cleaned[Fraction(phase) % 1] = amp
-        object.__setattr__(self, "terms", cleaned)
+            amp = _ratio(amp)
+            if amp[0]:
+                parts.append((_ratio(phase), amp))
+        return _from_parts(parts)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PhaseSum is immutable")
 
     @classmethod
     def of(cls, amplitude, phase=0) -> "PhaseSum":
-        return cls({Fraction(phase): Fraction(amplitude)})
+        phase = _ratio(phase)
+        return _from_parts([(phase, _ratio(amplitude))])
+
+    @property
+    def terms(self) -> dict[Fraction, Fraction]:
+        mod, den = self.mod, self.den
+        return {Fraction(r, mod): Fraction(a, den) for r, a in self.amps.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.amps
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.amps)
+
+    def _lifted(self, mod: int, den: int, sign: int) -> dict[int, int]:
+        """``sign`` times the amplitudes over the multiples ``mod`` and ``den``
+        of this sum's modulus and denominator."""
+        step, scale = mod // self.mod, sign * (den // self.den)
+        return {r * step: a * scale for r, a in self.amps.items()}
+
+    def _plus(self, other: "PhaseSum", sign: int) -> "PhaseSum":
+        mod, den = lcm(self.mod, other.mod), lcm(self.den, other.den)
+        out = self._lifted(mod, den, 1)
+        for r, a in other._lifted(mod, den, sign).items():
+            out[r] = out.get(r, 0) + a
+        return _phase_sum(mod, den, out)
 
     def __add__(self, other: "PhaseSum") -> "PhaseSum":
-        out = dict(self.terms)
-        for phase, amp in other.terms.items():
-            out[phase] = out.get(phase, Fraction(0)) + amp
-        return PhaseSum(out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "PhaseSum") -> "PhaseSum":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "PhaseSum":
-        return PhaseSum({phase: -amp for phase, amp in self.terms.items()})
+        return _phase_sum(self.mod, self.den, {r: -a for r, a in self.amps.items()})
+
+    def _times(self, other: "PhaseSum", shift: int, q: int) -> "PhaseSum":
+        """``self * other * exp(2 pi i shift / q)``, for ``q > 0``."""
+        mod = lcm(self.mod, other.mod, q)
+        step, step2, shift = mod // self.mod, mod // other.mod, shift * (mod // q)
+        right = [(r * step2, a) for r, a in other.amps.items()]
+        out: dict[int, int] = {}
+        for r1, a1 in self.amps.items():
+            base = r1 * step + shift
+            for r2, a2 in right:
+                r = (base + r2) % mod
+                out[r] = out.get(r, 0) + a1 * a2
+        return _phase_sum(mod, self.den * other.den, out)
 
     def __mul__(self, other: "PhaseSum") -> "PhaseSum":
-        out: dict[Fraction, Fraction] = {}
-        for p1, a1 in self.terms.items():
-            for p2, a2 in other.terms.items():
-                phase = (p1 + p2) % 1
-                out[phase] = out.get(phase, Fraction(0)) + a1 * a2
-        return PhaseSum(out)
+        return self._times(other, 0, 1)
 
     def rotate(self, phase) -> "PhaseSum":
         """Multiply by a unit phase factor."""
-        shift = Fraction(phase)
-        return PhaseSum({(p + shift) % 1: a for p, a in self.terms.items()})
+        return self._times(PHASE_ONE, *_ratio(phase))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseSum):
             return NotImplemented
-        return self.terms == other.terms
+        return self.mod == other.mod and self.den == other.den and self.amps == other.amps
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self.mod, self.den, frozenset(self.amps.items())))
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"{amp}@{phase}" for phase, amp in sorted(self.terms.items())
+            f"{amp}@{phase}" for amp, phase in self.to_pairs()
         )
         return f"PhaseSum({inner})"
 
     def to_pairs(self) -> list[tuple[Fraction, Fraction]]:
         """Sorted (amplitude, phase) pairs, canonical for serialization."""
-        return [(amp, phase) for phase, amp in sorted(self.terms.items())]
+        mod, den = self.mod, self.den
+        return [(Fraction(a, den), Fraction(r, mod)) for r, a in sorted(self.amps.items())]
+
+
+_new = object.__new__
+_set_mod = PhaseSum.mod.__set__
+_set_den = PhaseSum.den.__set__
+_set_amps = PhaseSum.amps.__set__
+
+
+def _phase_sum(mod: int, den: int, amps: dict[int, int]) -> PhaseSum:
+    """The phase sum ``sum(a / den * exp(2 pi i r / mod))`` over ``amps``,
+    for residues ``0 <= r < mod`` and ``den > 0``: the one normalising
+    constructor.  It drops zero amplitudes and divides out the gcd of
+    ``mod`` and the residues and the gcd of ``den`` and the amplitudes."""
+    if 0 in amps.values():
+        amps = {r: a for r, a in amps.items() if a}
+    if not amps:
+        mod = den = 1
+    else:
+        g, h = gcd(mod, *amps), gcd(den, *amps.values())
+        if g != 1 or h != 1:
+            mod, den = mod // g, den // h
+            amps = {r // g: a // h for r, a in amps.items()}
+    value = _new(PhaseSum)
+    _set_mod(value, mod)
+    _set_den(value, den)
+    _set_amps(value, amps)
+    return value
+
+
+def _from_parts(parts: Iterable[tuple[tuple[int, int], tuple[int, int]]]) -> PhaseSum:
+    """The phase sum of ``((p, q), (a, b))`` parts, the amplitude ``a / b`` at
+    the phase ``p / q`` (``p / q`` in lowest terms, ``b > 0``).  Zero
+    amplitudes are skipped, and a later phase replaces an earlier one equal
+    to it modulo one."""
+    last: dict[tuple[int, int], tuple[int, int]] = {}
+    for (p, q), (a, b) in parts:
+        if a:
+            last[p % q, q] = a, b
+    mod = lcm(*(q for _, q in last))
+    den = lcm(*(b for _, b in last.values()))
+    return _phase_sum(mod, den, {r * (mod // q): a * (den // b) for (r, q), (a, b) in last.items()})
 
 
 PHASE_ZERO = PhaseSum()
 PHASE_ONE = PhaseSum.of(1)
+
+
+def _determinant(rows: IntMatrix) -> int:
+    """The determinant of a square int matrix by fraction-free elimination
+    (Bareiss 1968): every division is exact, so every entry stays an int."""
+    a = [list(row) for row in rows]
+    size, sign, previous = len(a), 1, 1
+    for k in range(size - 1):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if a else 1
 
 
 def _check_matrix(matrix: Sequence[Sequence[int]], dim: int) -> IntMatrix:
@@ -127,8 +226,7 @@ def _check_matrix(matrix: Sequence[Sequence[int]], dim: int) -> IntMatrix:
         for entry in row:
             if not isinstance(entry, int):
                 raise ValueError("coefficient matrix must have integer entries")
-    gauss = [[GaussRational(entry) for entry in row] for row in rows]
-    if matrix_rank(gauss) != dim:
+    if not _determinant(rows):
         raise ValueError("coefficient matrix must be nondegenerate")
     return rows
 
@@ -210,14 +308,22 @@ class _ModeSum:
         return self._built(self._key(), chain(self.coeffs.items(), negated))
 
 
+def _pairing_row(k: Mode, matrix: Sequence[Sequence[int]]) -> list[int]:
+    """The row ``k^T M`` of the coefficient matrix ``M``, whose dot product
+    with a mode ``k'`` is the integer pairing ``k^T M k'`` of the two modes."""
+    return [sum(map(mul, k, column)) for column in zip(*matrix)]
+
+
 def _mode_products(
-    left: Mapping[Mode, PhaseSum], right: Mapping[Mode, PhaseSum], matrix: IntMatrix, parameter: Fraction
+    left: Mapping[Mode, PhaseSum], right: Mapping[Mode, PhaseSum], matrix: IntMatrix, p: int, q: int
 ) -> Iterator[tuple[Mode, PhaseSum]]:
-    """The (mode, value) pairs of the product of two mode maps at ``parameter``."""
+    """The (mode, value) pairs of the product of two mode maps at the
+    parameter ``p / q``: each pair's value rotated by ``p`` times its pairing
+    over ``q``."""
     for k, a in left.items():
+        row = _pairing_row(k, matrix)
         for k2, b in right.items():
-            phase, mode = moyal_modes(k, k2, matrix, parameter)
-            yield mode, (a * b).rotate(phase)
+            yield tuple(map(add, k, k2)), a._times(b, p * sum(map(mul, row, k2)) % q, q)
 
 
 class FourierSum(_ModeSum):
@@ -235,7 +341,9 @@ class FourierSum(_ModeSum):
     ) -> None:
         if dim < 1:
             raise ValueError("dimension must be positive")
-        self._assign((dim, _check_matrix(matrix, dim), Fraction(parameter)), _checked_pairs(dim, coeffs))
+        if type(parameter) is not Fraction:
+            parameter = Fraction(parameter)
+        self._assign((dim, _check_matrix(matrix, dim), parameter), _checked_pairs(dim, coeffs))
 
     def _key(self) -> tuple[int, IntMatrix, Fraction]:
         return self.dim, self.matrix, self.parameter
@@ -271,23 +379,16 @@ def moyal_modes(
     The phase is the parameter times the bilinear pairing of the mode
     vectors through the coefficient matrix, reduced modulo one.
     """
-    parameter = Fraction(parameter)
-    pairing = 0
-    for i, row in enumerate(matrix):
-        ki = k[i]
-        if not ki:
-            continue
-        for j, entry in enumerate(row):
-            if entry and k_prime[j]:
-                pairing += entry * ki * k_prime[j]
     mode = tuple(u + v for u, v in zip(k, k_prime))
-    return (parameter * pairing) % 1, mode
+    return (Fraction(parameter) * sum(map(mul, _pairing_row(k, matrix), k_prime))) % 1, mode
 
 
 def moyal_product(left: FourierSum, right: FourierSum) -> FourierSum:
     """Bilinear extension of the mode product with exact phase arithmetic."""
     left._compatible(right)
-    return left._built(left._key(), _mode_products(left.coeffs, right.coeffs, left.matrix, left.parameter))
+    parameter = left.parameter
+    pairs = _mode_products(left.coeffs, right.coeffs, left.matrix, parameter.numerator, parameter.denominator)
+    return left._built(left._key(), pairs)
 
 
 def torus_quotient_dimension(dim: int, K: int) -> int:
@@ -321,7 +422,7 @@ class TorusQuotientElement(_ModeSum):
     def product(self, other: "TorusQuotientElement") -> "TorusQuotientElement":
         """Induced product, computed on the canonical representatives."""
         self._compatible(other)
-        pairs = _mode_products(self.coeffs, other.coeffs, self.matrix, Fraction(1, self.K))
+        pairs = _mode_products(self.coeffs, other.coeffs, self.matrix, 1, self.K)
         return self._built(self._key(), pairs)
 
     def __repr__(self) -> str:
@@ -350,7 +451,7 @@ def torus_quotient(func: FourierSum, K: int) -> TorusQuotientElement:
     """
     if K < 1:
         raise ValueError("fold order must be positive")
-    if func.parameter != Fraction(1, K):
+    if (func.parameter.numerator, func.parameter.denominator) != (1, K):
         raise ValueError(
             f"fold modulo {K} requires parameter 1/{K}, got {func.parameter}"
         )

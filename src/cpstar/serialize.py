@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
+from math import gcd
 
 from .models.disk import DiskElement
-from .models.torus import FourierSum, PhaseSum
+from .models.torus import FourierSum, PhaseSum, _from_parts
 from .multiindex import multiplicity
 from .nupoly import NuRationalFunction
 from .quotient import QuotientOperator
-from .scalars import GaussRational, _format_ratio, _rational_parts, _required, _shaped, format_rational, parse_rational
+from .scalars import GaussRational, _format_ratio, _rational_parts, _required, _shaped, parse_rational
 from .star import RawNuSeries, StarElement
 from .symbols import SymbolTensor
 
@@ -181,26 +181,45 @@ def quotient_operator_from_json(data: dict) -> QuotientOperator:
 
 def _mode_coeffs_to_json(coeffs: dict[tuple[int, ...], PhaseSum]) -> list:
     """The ``"coeffs"`` list of a Fourier sum or a folded torus element:
-    one ``{"k", "terms"}`` item per mode, in sorted mode order."""
-    return [
-        {
-            "k": list(mode),
-            "terms": [
-                {"amp": format_rational(amp), "phase": format_rational(phase)}
-                for amp, phase in coeffs[mode].to_pairs()
-            ],
-        }
-        for mode in sorted(coeffs)
-    ]
+    one ``{"k", "terms"}`` item per mode, in sorted mode order, and one
+    ``{"amp", "phase"}`` term per phase, in increasing phase order."""
+    items = []
+    for mode in sorted(coeffs):
+        value = coeffs[mode]
+        mod, den, amps = value.mod, value.den, value.amps
+        terms = [{"amp": _format_ratio(amps[r], den), "phase": _format_ratio(r, mod)} for r in sorted(amps)]
+        items.append({"k": list(mode), "terms": terms})
+    return items
 
 
 def fourier_to_json(func: FourierSum) -> dict:
+    parameter = func.parameter
     return {
         "dim": func.dim,
         "Lambda": [list(row) for row in func.matrix],
-        "lambda": format_rational(func.parameter),
+        "lambda": _format_ratio(parameter.numerator, parameter.denominator),
         "coeffs": _mode_coeffs_to_json(func.coeffs),
     }
+
+
+def _phase_sum_from_json(terms: list) -> PhaseSum:
+    """The value of a ``"terms"`` list: amplitudes at equal phases add up,
+    and a later phase replaces an earlier one equal to it modulo one."""
+    exact: dict[tuple[int, int], tuple[int, int]] = {}
+    for term in terms:
+        if not isinstance(term, dict):
+            raise ValueError(f'Fourier term must be an object with "amp" and "phase", got {term!r}')
+        p, q = _rational_parts(term.get("phase", "0"))
+        common = gcd(p, q)
+        phase = (p // common, q // common)
+        a, b = _rational_parts(_required(term, "amp", "Fourier term"))
+        if phase in exact:
+            c, d = exact[phase]
+            a, b = a * d + c * b, b * d
+            common = gcd(a, b)
+            a, b = a // common, b // common
+        exact[phase] = (a, b)
+    return _from_parts(exact.items())
 
 
 def fourier_from_json(data: dict) -> FourierSum:
@@ -214,13 +233,7 @@ def fourier_from_json(data: dict) -> FourierSum:
     for item in _shaped(data.get("coeffs", []), list, 'Fourier "coeffs"'):
         listed = _required(item, "k", 'Fourier "coeffs" item', list)
         mode = tuple(_json_int(c, 'Fourier mode entry in "k"') for c in listed)
-        merged: dict[Fraction, Fraction] = {}
-        for term in _shaped(item.get("terms", []), list, 'Fourier "terms"'):
-            if not isinstance(term, dict):
-                raise ValueError(f'Fourier term must be an object with "amp" and "phase", got {term!r}')
-            phase = parse_rational(term.get("phase", "0"))
-            merged[phase] = merged.get(phase, Fraction(0)) + parse_rational(_required(term, "amp", "Fourier term"))
-        value = PhaseSum(merged)
+        value = _phase_sum_from_json(_shaped(item.get("terms", []), list, 'Fourier "terms"'))
         if value:
             coeffs[mode] = value
     return FourierSum(dim, matrix, parameter, coeffs)

@@ -253,6 +253,29 @@ def test_eval_refuses_disk_and_torus_powers_over_budget(tmp_path, capsys):
         assert json.loads(out)["result"]
 
 
+def test_eval_names_the_entry_limit_for_a_fold_level_too_long_to_print(capsys):
+    # C(1 + K, 1)^2 for a 3000-digit K has about 6000 digits, past what str() converts
+    code, out, err = _run(capsys, ["eval", f"quot({'9' * 3000})(unit)"])
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"has over 2**64 entries in its top component, over the limit of {expr.MAX_POWER_ENTRIES}\n")
+    assert "Exceeds the limit" not in err and "Traceback" not in err
+
+
+def test_eval_refuses_to_fold_a_fourier_sum_before_folding(tmp_path, capsys, monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("the fold ran")
+
+    monkeypatch.setattr(expr, "torus_quotient", no_fold)
+    torus = FourierSum(2, SYMPLECTIC, Fraction(1, 3), {(1, 0): 1, (0, 2): PhaseSum.of(2, Fraction(1, 3))})
+    session = _write(tmp_path, "session.json", {"bindings": {"T": value_to_tagged(torus)}})
+    for expression, K in (("quot(3)(T)", 3), ("quot(3)(T * T)", 3), ("unit * quot(2)(T)", 2)):
+        code, out, err = _run(capsys, ["eval", expression, "--input", session])
+        assert code == 2
+        assert out == ""
+        assert err == f"cpstar: eval cannot write a folded Fourier sum; fold a torus product with 'cpstar torus --K {K}'\n"
+
+
 def test_eval_refuses_star_chains_over_budget(tmp_path, capsys, monkeypatch):
     def no_product(*args):
         raise AssertionError("a product ran past the budget")

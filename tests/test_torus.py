@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpstar.linalg import matrix_rank
 from cpstar.models.torus import (
     PHASE_ONE,
     PHASE_ZERO,
@@ -17,6 +20,8 @@ from cpstar.models.torus import (
     torus_quotient,
     torus_quotient_dimension,
 )
+from cpstar.models.torus import _determinant
+from cpstar.scalars import GaussRational
 
 SYMPLECTIC = [[0, 1], [-1, 0]]
 
@@ -83,6 +88,40 @@ def test_mode_product_phase_general_modes():
     # pairing (1,1) x (2,-1): 1*(-1)*1 + 1*2*(-1) = -3
     phase, mode = moyal_modes((1, 1), (2, -1), SYMPLECTIC, F(1, 5))
     assert (phase, mode) == (F(2, 5), (3, 0))
+
+
+matrix_cases = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.booleans(),
+        st.integers(-2, 2),
+    )
+)
+
+
+def _cofactor_determinant(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * entry * _cofactor_determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, entry in enumerate(rows[0])
+        if entry
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_cases)
+def test_integer_determinant_is_nonzero_exactly_at_full_rank(case):
+    rows, make_singular, factor = case
+    if make_singular and len(rows) > 1:
+        # the last row a combination of the first two (or a copy of the first)
+        rows[-1] = [u + factor * v for u, v in zip(rows[0], rows[1 % (len(rows) - 1)])]
+    determinant = _determinant(tuple(map(tuple, rows)))
+    full_rank = matrix_rank([[GaussRational(entry) for entry in row] for row in rows]) == len(rows)
+    assert (determinant != 0) == full_rank
+    assert determinant == _cofactor_determinant(rows)
+    if make_singular and len(rows) > 1:
+        assert determinant == 0
 
 
 def test_fourier_sum_validation():

@@ -1,4 +1,4 @@
-"""The shared torus mode-sum core against the loops it replaced.
+"""The torus scalars and the shared mode-sum core against the code they replaced.
 
 ``FourierSum`` and ``TorusQuotientElement`` build every result through one
 builder (fold each mode, merge equal modes, drop zeros) and run their
@@ -9,12 +9,24 @@ written out on plain coefficient dicts.  Seeded random sums at parameter
 1/K, with cancelling pairs and modes that collide under the fold, must give
 the same coefficients; equality, hashing, immutability and the mismatch
 messages must behave as before.
+
+``PhaseSum`` stores integer residues over one modulus and amplitude
+numerators over one denominator.  Its oracle is the ``Fraction``-dict class
+it replaced, ``PhaseSumOracle``, with the replaced ``fourier_from_json`` and
+``"coeffs"`` writer on it.  Random phase sums, with negative phases, phases
+of one or more, mixed denominators, phases that sum to a whole turn and
+amplitudes that cancel, must give the same value from every operation, the
+same canonical form (each value equals the new class built from the
+oracle's terms) and the same bytes through the JSON loader and dumper.
 """
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpstar.models.torus import (
     PHASE_ONE,
@@ -28,9 +40,119 @@ from cpstar.models.torus import (
     torus_quotient,
 )
 from cpstar.randgen import random_fourier
+from cpstar.scalars import format_rational, parse_rational
+from cpstar.serialize import canonical_dumps, fourier_from_json, fourier_to_json
 
 SYMPLECTIC = [[0, 1], [-1, 0]]
 BLOCK = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 1]]
+
+
+class PhaseSumOracle:
+    """The replaced ``PhaseSum``: a dict from ``Fraction`` phases in [0, 1)
+    to nonzero ``Fraction`` amplitudes, rebuilt through ``Fraction`` on
+    every operation."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        cleaned = {}
+        for phase, amp in (terms or {}).items():
+            amp = Fraction(amp)
+            if amp:
+                cleaned[Fraction(phase) % 1] = amp
+        object.__setattr__(self, "terms", cleaned)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PhaseSum is immutable")
+
+    @classmethod
+    def of(cls, amplitude, phase=0):
+        return cls({Fraction(phase): Fraction(amplitude)})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for phase, amp in other.terms.items():
+            out[phase] = out.get(phase, Fraction(0)) + amp
+        return PhaseSumOracle(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return PhaseSumOracle({phase: -amp for phase, amp in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for p1, a1 in self.terms.items():
+            for p2, a2 in other.terms.items():
+                phase = (p1 + p2) % 1
+                out[phase] = out.get(phase, Fraction(0)) + a1 * a2
+        return PhaseSumOracle(out)
+
+    def rotate(self, phase):
+        shift = Fraction(phase)
+        return PhaseSumOracle({(p + shift) % 1: a for p, a in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, PhaseSumOracle):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def to_pairs(self):
+        return [(amp, phase) for phase, amp in sorted(self.terms.items())]
+
+
+def fourier_from_json_oracle(data):
+    """The replaced loader, on valid payloads: ``(dim, matrix, parameter,
+    coeffs)`` with ``PhaseSumOracle`` values."""
+    coeffs = {}
+    for item in data.get("coeffs", []):
+        merged = {}
+        for term in item.get("terms", []):
+            phase = parse_rational(term.get("phase", "0"))
+            merged[phase] = merged.get(phase, Fraction(0)) + parse_rational(term["amp"])
+        value = PhaseSumOracle(merged)
+        if value:
+            coeffs[tuple(item["k"])] = value
+    return data["dim"], data["Lambda"], parse_rational(data["lambda"]), coeffs
+
+
+def fourier_to_json_oracle(dim, matrix, parameter, coeffs):
+    """The replaced dumper, with the replaced ``"coeffs"`` writer."""
+    items = [
+        {
+            "k": list(mode),
+            "terms": [
+                {"amp": format_rational(amp), "phase": format_rational(phase)}
+                for amp, phase in coeffs[mode].to_pairs()
+            ],
+        }
+        for mode in sorted(coeffs)
+    ]
+    return {"dim": dim, "Lambda": [list(row) for row in matrix], "lambda": format_rational(parameter), "coeffs": items}
+
+
+def _same(value, oracle):
+    """``value`` is the oracle's value in canonical form, read every way."""
+    assert value == PhaseSum(oracle.terms)
+    assert value.terms == oracle.terms
+    assert value.to_pairs() == oracle.to_pairs()
+    assert bool(value) == bool(oracle) and value.is_zero() == (not oracle)
+
+
+def _oracle_coeffs(coeffs):
+    return {mode: PhaseSumOracle(value.terms) for mode, value in coeffs.items()}
+
+
+def _canonical(coeffs):
+    """Oracle coefficients as the new class builds them from plain terms."""
+    return {mode: PhaseSum(value.terms) for mode, value in coeffs.items()}
 
 
 def moyal_product_oracle(left, right):
@@ -40,7 +162,7 @@ def moyal_product_oracle(left, right):
         for k2, b in right.coeffs.items():
             phase, mode = moyal_modes(k, k2, left.matrix, left.parameter)
             value = (a * b).rotate(phase)
-            merged = out.get(mode, PHASE_ZERO) + value
+            merged = out.get(mode, type(value)()) + value
             if merged:
                 out[mode] = merged
             elif mode in out:
@@ -54,7 +176,7 @@ def fold_oracle(coeffs, K):
     for mode, value in coeffs.items():
         folded = tuple(c % K for c in mode)
         if value:
-            merged = cleaned.get(folded, PHASE_ZERO) + value
+            merged = cleaned.get(folded, type(value)()) + value
             if merged:
                 cleaned[folded] = merged
             elif folded in cleaned:
@@ -67,7 +189,7 @@ def sum_oracle(left, right, sign):
     before the fold or the dropping of zeros."""
     out = dict(left.coeffs)
     for mode, value in right.coeffs.items():
-        out[mode] = out.get(mode, PHASE_ZERO) + value if sign > 0 else out.get(mode, PHASE_ZERO) - value
+        out[mode] = out.get(mode, type(value)()) + value if sign > 0 else out.get(mode, type(value)()) - value
     return out
 
 
@@ -80,7 +202,7 @@ def quotient_product_oracle(left, right):
             phase, mode = moyal_modes(k, k2, left.matrix, parameter)
             folded = tuple(c % left.K for c in mode)
             value = (a * b).rotate(phase)
-            merged = out.get(folded, PHASE_ZERO) + value
+            merged = out.get(folded, type(value)()) + value
             if merged:
                 out[folded] = merged
             elif folded in out:
@@ -206,3 +328,128 @@ def test_both_constructors_read_modes_alike():
         with pytest.raises(ValueError, match="^mode vectors must match the dimension$"):
             build({(1, 0, 7): PHASE_ONE})
         assert build({(1, 0): 2, (0, 1): 0}).coeffs == {(1, 0): PhaseSum.of(2)}
+
+
+# -- the integer phase sum against the Fraction-dict class it replaced --
+
+phases = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 12]))
+amplitudes = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 6]))
+term_maps = st.dictionaries(phases, amplitudes, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_maps, term_maps, phases)
+def test_phase_sum_arithmetic_matches_the_fraction_oracle(left, right, shift):
+    a, b = PhaseSum(left), PhaseSum(right)
+    oa, ob = PhaseSumOracle(left), PhaseSumOracle(right)
+    _same(a, oa)
+    _same(a + b, oa + ob)
+    _same(a - b, oa - ob)
+    _same(a + b - b, oa + ob - ob)
+    _same(-a, -oa)
+    _same(a * b, oa * ob)
+    _same(a * b - b * a, oa * ob - ob * oa)
+    _same(a.rotate(shift), oa.rotate(shift))
+    _same(a.rotate(shift) * b.rotate(-shift), oa.rotate(shift) * ob.rotate(-shift))
+    _same(PhaseSum.of(shift, shift) * a, PhaseSumOracle.of(shift, shift) * oa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_maps, term_maps, phases)
+def test_equality_and_hashing_follow_the_fraction_oracle(left, right, shift):
+    def values(cls):
+        a, b = cls(left), cls(right)
+        return [a, b, a * b, b * a, a + b - b, a.rotate(shift).rotate(-shift), (a - a) * b, a * cls.of(1, shift)]
+
+    pairs = list(zip(values(PhaseSum), values(PhaseSumOracle)))
+    for value, oracle in pairs:
+        for other, other_oracle in pairs:
+            assert (value == other) == (oracle == other_oracle)
+            if value == other:
+                assert hash(value) == hash(other)
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize(
+    "build, form",
+    [
+        # phases that sum to a whole turn collapse the modulus to 1
+        (lambda P: P.of(1, F(1, 3)) * P.of(1, F(2, 3)), (1, 1, {0: 1})),
+        (lambda P: P.of(2, F(1, 4)) * P.of(1, F(3, 4)), (1, 1, {0: 2})),
+        (lambda P: P.of(1, F(1, 4)).rotate(F(3, 4)), (1, 1, {0: 1})),
+        (lambda P: P({F(1, 4): 1, F(1, 2): 1}) - P.of(1, F(1, 4)), (2, 1, {1: 1})),
+        (lambda P: P({F(1, 6): 1, F(1, 2): 1}) * P.of(1, F(1, 2)), (3, 1, {0: 1, 2: 1})),
+        # negative phases and phases of one or more
+        (lambda P: P({F(-1, 4): 2, F(7, 3): F(1, 2)}), (12, 2, {9: 4, 4: 1})),
+        (lambda P: P.of(3, -5), (1, 1, {0: 3})),
+        (lambda P: P.of(1, F(5, 2)).rotate(F(-7, 3)), (6, 1, {1: 1})),
+        # amplitudes that cancel to zero, and a denominator that divides out
+        (lambda P: P.of(F(1, 2), F(1, 3)) + P.of(F(-1, 2), F(4, 3)), (1, 1, {})),
+        (lambda P: P({F(1, 6): F(1, 2), F(1, 2): 1}) - P.of(F(1, 2), F(1, 6)), (2, 1, {1: 1})),
+        (lambda P: P.of(F(1, 2), F(1, 5)) * P.of(2, F(-1, 5)), (1, 1, {0: 1})),
+        (lambda P: P.of(F(3, 4)) + P.of(F(1, 4)), (1, 1, {0: 1})),
+        # mixed denominators
+        (lambda P: P.of(F(1, 6), F(1, 2)) + P.of(F(1, 3), F(1, 2)) + P.of(F(1, 4), F(1, 3)), (6, 4, {3: 2, 2: 1})),
+        (lambda P: P.of(F(2, 3), F(1, 4)) * P.of(F(3, 5), F(1, 6)), (12, 5, {5: 2})),
+    ],
+)
+def test_named_cases_have_the_canonical_form_and_the_oracle_value(build, form):
+    value = build(PhaseSum)
+    _same(value, build(PhaseSumOracle))
+    assert (value.mod, value.den, value.amps) == form
+
+
+modes = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+mode_maps = st.dictionaries(modes, term_maps, max_size=4)
+matrices = st.sampled_from([((0, 1), (-1, 0)), ((1, 2), (-1, 3)), ((2, -1), (1, 0))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode_maps, mode_maps, matrices, st.sampled_from([1, 2, 3, 4, 6]), st.integers(-3, 3))
+def test_mode_products_and_folds_match_the_fraction_oracle(left, right, matrix, K, p):
+    def both(terms, parameter):
+        func = FourierSum(2, matrix, parameter, {mode: PhaseSum(t) for mode, t in terms.items()})
+        oracle = {mode: PhaseSumOracle(t) for mode, t in terms.items()}
+        return func, SimpleNamespace(coeffs=_nonzero(oracle), matrix=func.matrix, parameter=parameter, K=K)
+
+    (f, of), (g, og) = both(left, Fraction(p, K)), both(right, Fraction(p, K))
+    assert f.coeffs == _canonical(of.coeffs)
+    assert moyal_product(f, g).coeffs == _canonical(moyal_product_oracle(of, og))
+    (f, of), (g, og) = both(left, Fraction(1, K)), both(right, Fraction(1, K))
+    qf, qg = torus_quotient(f, K), torus_quotient(g, K)
+    of.coeffs, og.coeffs = fold_oracle(of.coeffs, K), fold_oracle(og.coeffs, K)
+    assert qf.coeffs == _canonical(of.coeffs) and qg.coeffs == _canonical(og.coeffs)
+    assert qf.product(qg).coeffs == _canonical(quotient_product_oracle(of, og))
+
+
+rational_texts = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-30, 30), st.integers(1, 12)),
+    st.integers(-5, 5).map(str),
+)
+term_items = st.one_of(
+    st.fixed_dictionaries({"amp": rational_texts, "phase": rational_texts}),
+    st.fixed_dictionaries({"amp": rational_texts}),
+)
+payloads = st.builds(
+    lambda items, parameter: {
+        "dim": 2,
+        "Lambda": [[0, 1], [-1, 0]],
+        "lambda": parameter,
+        "coeffs": [{"k": list(mode), "terms": terms} for mode, terms in items],
+    },
+    st.lists(st.tuples(modes, st.lists(term_items, max_size=5)), max_size=4),
+    st.sampled_from(["1/3", "2/6", "-3/4", "5"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_fourier_json_round_trip_matches_the_fraction_oracle(data):
+    func = fourier_from_json(data)
+    dim, matrix, parameter, coeffs = fourier_from_json_oracle(data)
+    assert func.coeffs == _canonical(coeffs)
+    assert canonical_dumps(fourier_to_json(func)) == canonical_dumps(
+        fourier_to_json_oracle(dim, matrix, parameter, coeffs)
+    )
