@@ -51,13 +51,13 @@ texts = st.lists(st.sampled_from(ALPHABET + STRAY), max_size=40).map("".join)
 mostly_valid = st.lists(st.sampled_from(ALPHABET * 4 + STRAY), max_size=40).map("".join)
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(texts, mostly_valid))
 def test_tokens_and_tokenizer_errors_match_the_eager_oracle(text):
     assert _outcome(lambda t: list(expr._tokens(t)), text) == _outcome(tokenize_oracle, text)
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(texts, mostly_valid))
 def test_parse_results_and_errors_match_parsing_eager_tokens(text):
     lazy = _outcome(parse, text)

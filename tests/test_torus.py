@@ -109,7 +109,7 @@ def _cofactor_determinant(rows):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(matrix_cases)
 def test_integer_determinant_is_nonzero_exactly_at_full_rank(case):
     rows, make_singular, factor = case

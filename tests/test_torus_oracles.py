@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 
 from cpstar.models.torus import (
     PHASE_ONE,
-    PHASE_ZERO,
     FourierSum,
     PhaseSum,
     TorusQuotientElement,
@@ -337,7 +336,7 @@ amplitudes = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5
 term_maps = st.dictionaries(phases, amplitudes, max_size=4)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(term_maps, term_maps, phases)
 def test_phase_sum_arithmetic_matches_the_fraction_oracle(left, right, shift):
     a, b = PhaseSum(left), PhaseSum(right)
@@ -354,7 +353,7 @@ def test_phase_sum_arithmetic_matches_the_fraction_oracle(left, right, shift):
     _same(PhaseSum.of(shift, shift) * a, PhaseSumOracle.of(shift, shift) * oa)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(term_maps, term_maps, phases)
 def test_equality_and_hashing_follow_the_fraction_oracle(left, right, shift):
     def values(cls):
@@ -406,7 +405,7 @@ mode_maps = st.dictionaries(modes, term_maps, max_size=4)
 matrices = st.sampled_from([((0, 1), (-1, 0)), ((1, 2), (-1, 3)), ((2, -1), (1, 0))])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(mode_maps, mode_maps, matrices, st.sampled_from([1, 2, 3, 4, 6]), st.integers(-3, 3))
 def test_mode_products_and_folds_match_the_fraction_oracle(left, right, matrix, K, p):
     def both(terms, parameter):
@@ -444,7 +443,7 @@ payloads = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(payloads)
 def test_fourier_json_round_trip_matches_the_fraction_oracle(data):
     func = fourier_from_json(data)
