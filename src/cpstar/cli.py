@@ -28,6 +28,7 @@ from .nupoly import NuRationalFunction
 from .quotient import QuotientOperator, StarUndefinedError
 from .scalars import GaussRational, parse_rational
 from .serialize import (
+    _json_int,
     _mode_coeffs_to_json,
     canonical_dumps,
     disk_from_json,
@@ -184,13 +185,6 @@ def _cmd_star(args) -> int:
     return 0
 
 
-def _session_int(data: dict, name: str, default: int) -> int:
-    value = data.get(name, default)
-    if type(value) is not int:  # rejects bool, float and "2" alike
-        raise UsageError(f'"{name}" must be a JSON integer, got {value!r}')
-    return value
-
-
 def _cmd_eval(args) -> int:
     tree = parse(args.expression)
     session = Session()
@@ -198,7 +192,7 @@ def _cmd_eval(args) -> int:
         data = _read_json(args.input)
         if not isinstance(data, dict):
             raise UsageError("session input must be a JSON object")
-        session = Session(n=_session_int(data, "n", 1), seed=_session_int(data, "seed", 0))
+        session = Session(n=_json_int(data.get("n", 1), '"n"'), seed=_json_int(data.get("seed", 0), '"seed"'))
         bindings = data.get("bindings", {})
         if not isinstance(bindings, dict):
             raise UsageError('"bindings" must be a JSON object of name: value pairs')

@@ -45,7 +45,7 @@ from .models.disk import DiskElement, disk_product
 from .models.torus import FourierSum, moyal_product, torus_quotient
 from .nupoly import NU, NU_ONE, NuRationalFunction
 from .quotient import QuotientOperator, quotient_map, substitute
-from .scalars import GaussRational
+from .scalars import GaussRational, _digit_limit
 from .star import StarElement, star_elements
 from .symbols import SymbolTensor, pointwise_mul, symbol_of_matrix
 
@@ -139,7 +139,8 @@ MAX_NESTING = 100
 MAX_LITERAL_DIGITS = 4300
 """Longest integer literal (numerator, denominator, exponent or quotient
 level) the parser accepts, in decimal digits: CPython's default limit for
-converting a digit string to an int."""
+converting a digit string to an int.  A smaller limit set for the
+interpreter (``-X int_max_str_digits``) applies in its place."""
 
 MAX_EXPONENT = 8
 """Largest ``^`` exponent :func:`evaluate` computes, for every base.  A power
@@ -228,9 +229,11 @@ class _Parser:
         return self._advance()
 
     def _integer(self, token: _Token) -> int:
-        """The value of an integer token, refused over :data:`MAX_LITERAL_DIGITS` digits."""
-        if len(token.text) > MAX_LITERAL_DIGITS:
-            message = f"integer literal of {len(token.text)} digits exceeds the limit of {MAX_LITERAL_DIGITS}"
+        """The value of an integer token, refused over :data:`MAX_LITERAL_DIGITS`
+        digits or over the interpreter's digit limit, if that is smaller."""
+        limit = min(MAX_LITERAL_DIGITS, _digit_limit() or MAX_LITERAL_DIGITS)
+        if len(token.text) > limit:
+            message = f"integer literal of {len(token.text)} digits exceeds the limit of {limit}"
             raise ParseError(message, token.position)
         return int(token.text)
 

@@ -1,4 +1,5 @@
-"""Companion deformation models: radial Wick, flat exponentials, torus, disk."""
+"""Companion deformation models: radial Wick, flat exponentials, torus, disk,
+each a finite combination of basis functions on one core, :mod:`._combination`."""
 
 from .disk import DiskElement, disk_basis_coefficient, disk_product, neg_nu_pochhammer
 from .flat import ExpPolyFunction, substitute_lambda, wick_product_flat

@@ -18,7 +18,8 @@ products of ``1 + j nu``.  :func:`disk_product` multiplies coefficients in
 integer form (Gaussian-integer numerators over an int and those linear
 factors), sums the contributions to each output basis function over one
 common denominator and reduces each sum once, in
-``NuRationalFunction._from_ints``.
+``NuRationalFunction._from_ints``.  A :class:`DiskElement` is a
+combination of basis functions (:mod:`._combination`) keyed by ``(p, q)``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from ..nupoly import (
     _times,
     _weight_ints,
 )
+from ._combination import Combination
 
 __all__ = [
     "DiskElement",
@@ -60,23 +62,19 @@ def _as_coefficient(value) -> NuRationalFunction:
     return NuRationalFunction.constant(value)
 
 
-class DiskElement:
+class DiskElement(Combination):
     """Finite combination of disk basis functions with nu-rational weights."""
 
     __slots__ = ("coeffs",)
+    _mismatch = "mismatched disk elements"
 
     def __init__(self, coeffs: Mapping[tuple[int, int], object] | None = None) -> None:
-        cleaned: dict[tuple[int, int], NuRationalFunction] = {}
+        pairs = []
         for (p, q), value in (coeffs or {}).items():
             if p < 0 or q < 0:
                 raise ValueError("disk basis indices are nonnegative")
-            coeff = _as_coefficient(value)
-            if coeff:
-                cleaned[(p, q)] = coeff
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DiskElement is immutable")
+            pairs.append(((p, q), _as_coefficient(value)))
+        self._assign((), pairs)
 
     @classmethod
     def zero(cls) -> "DiskElement":
@@ -90,35 +88,12 @@ class DiskElement:
     def unit(cls) -> "DiskElement":
         return cls.basis(0, 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, p: int, q: int) -> NuRationalFunction:
         return self.coeffs.get((p, q), NRF_ZERO)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DiskElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "DiskElement") -> "DiskElement":
-        out = dict(self.coeffs)
-        for key, coeff in other.coeffs.items():
-            out[key] = out.get(key, NRF_ZERO) + coeff
-        return DiskElement(out)
-
-    def __sub__(self, other: "DiskElement") -> "DiskElement":
-        out = dict(self.coeffs)
-        for key, coeff in other.coeffs.items():
-            out[key] = out.get(key, NRF_ZERO) - coeff
-        return DiskElement(out)
-
     def scale(self, factor: object) -> "DiskElement":
         coeff = _as_coefficient(factor)
-        return DiskElement({key: value * coeff for key, value in self.coeffs.items()})
+        return self._built((), ((key, value * coeff) for key, value in self.coeffs.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"f[{p},{q}]: {c}" for (p, q), c in sorted(self.coeffs.items()))
@@ -151,7 +126,7 @@ def disk_product(left: DiskElement, right: DiskElement) -> DiskElement:
             pair = None if a_ints is None or b_ints is None else _times(a_ints, b_ints)
             for m in range(min(q, r) + 1):
                 groups.setdefault((p + r - m, q + s - m), []).append((pair, a, b, (q, r, s, m)))
-    out: dict[tuple[int, int], NuRationalFunction] = {}
+    out = []
     for key, group in groups.items():
         if all(pair is not None for pair, _, _, _ in group):
             value = _sum(_times(pair, disk_basis_coefficient(*qrsm)._ints()) for pair, _, _, qrsm in group)
@@ -159,6 +134,5 @@ def disk_product(left: DiskElement, right: DiskElement) -> DiskElement:
             value = NRF_ZERO
             for _, a, b, qrsm in group:
                 value = value + a * b * disk_basis_coefficient(*qrsm)
-        if value:
-            out[key] = value
-    return DiskElement(out)
+        out.append((key, value))
+    return DiskElement._built((), out)

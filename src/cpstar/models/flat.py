@@ -15,7 +15,8 @@ the commuting operator
 whose exponential terminates because every application lowers the degree
 of P or Q.  Elements therefore stay inside the class, with coefficients
 that are polynomials in lam times a formal factor ``exp(lam . slope)``
-recorded through the rational slope in each term key.
+recorded through the rational slope in each term key.  An
+:class:`ExpPolyFunction` is a combination of such terms (:mod:`._combination`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Mapping
 
 from ..nupoly import NU_ZERO, NuPolynomial
 from ..scalars import GAUSS_ZERO, GaussRational, ScalarLike, to_gauss
+from ._combination import Combination
 
 __all__ = ["ExpPolyFunction", "wick_product_flat", "substitute_lambda"]
 
@@ -53,35 +55,32 @@ def _dot(left: Frequencies, right: Frequencies) -> GaussRational:
     return total
 
 
-class ExpPolyFunction:
+class ExpPolyFunction(Combination):
     """Finite sum of monomial-times-exponential terms on flat d-space.
 
     Terms are keyed by (z exponents, zbar exponents, a, b, slope) and carry
     a lam-polynomial coefficient; the slope records an ``exp(lam . slope)``
-    factor produced by products of exponentials.  Terms with equal keys are
-    merged and zero coefficients dropped, so equality is structural.
+    factor produced by products of exponentials.
     """
 
-    __slots__ = ("coords", "terms")
+    __slots__ = ("coords", "coeffs")
+    _mismatch = "coordinate count mismatch"
 
-    def __init__(self, coords: int, terms: Mapping[TermKey, object] | None = None) -> None:
+    def __init__(self, coords: int, coeffs: Mapping[TermKey, object] | None = None) -> None:
         if coords < 1:
             raise ValueError("need at least one complex coordinate")
-        cleaned: dict[TermKey, NuPolynomial] = {}
-        for key, value in (terms or {}).items():
+        pairs = []
+        for key, value in (coeffs or {}).items():
             z_exps, zbar_exps, a, b, slope = key
             if len(z_exps) != coords or len(zbar_exps) != coords:
                 raise ValueError("monomial exponent vectors must match coords")
             if len(a) != coords or len(b) != coords:
                 raise ValueError("frequency vectors must match coords")
-            poly = _as_lambda_poly(value)
-            if poly:
-                cleaned[key] = poly
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "terms", cleaned)
+            pairs.append((key, _as_lambda_poly(value)))
+        self._assign((coords,), pairs)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ExpPolyFunction is immutable")
+    def _key(self) -> tuple[int]:
+        return (self.coords,)
 
     # -- constructors --------------------------------------------------
 
@@ -116,44 +115,17 @@ class ExpPolyFunction:
         )
         return cls(coords, {key: _as_lambda_poly(coeff)})
 
-    # -- structure -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExpPolyFunction):
-            return NotImplemented
-        return self.coords == other.coords and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.coords, frozenset(self.terms.items())))
-
-    def __add__(self, other: "ExpPolyFunction") -> "ExpPolyFunction":
-        if self.coords != other.coords:
-            raise ValueError("coordinate count mismatch")
-        out = dict(self.terms)
-        for key, poly in other.terms.items():
-            out[key] = out.get(key, NU_ZERO) + poly
-        return ExpPolyFunction(self.coords, out)
-
-    def __sub__(self, other: "ExpPolyFunction") -> "ExpPolyFunction":
-        if self.coords != other.coords:
-            raise ValueError("coordinate count mismatch")
-        out = dict(self.terms)
-        for key, poly in other.terms.items():
-            out[key] = out.get(key, NU_ZERO) - poly
-        return ExpPolyFunction(self.coords, out)
+    # -- ring operations -----------------------------------------------
 
     def __neg__(self) -> "ExpPolyFunction":
-        return ExpPolyFunction(self.coords, {k: -p for k, p in self.terms.items()})
+        return self._built(self._key(), ((k, -p) for k, p in self.coeffs.items()))
 
     def scale(self, factor: object) -> "ExpPolyFunction":
         poly = _as_lambda_poly(factor)
-        return ExpPolyFunction(self.coords, {k: p * poly for k, p in self.terms.items()})
+        return self._built(self._key(), ((k, p * poly) for k, p in self.coeffs.items()))
 
     def __repr__(self) -> str:
-        return f"ExpPolyFunction(coords={self.coords}, terms={len(self.terms)})"
+        return f"ExpPolyFunction(coords={self.coords}, terms={len(self.coeffs)})"
 
 
 PairKey = tuple[Exponents, Exponents, Exponents, Exponents]
@@ -194,12 +166,11 @@ def wick_product_flat(left: ExpPolyFunction, right: ExpPolyFunction) -> ExpPolyF
     expanded until it kills both monomials, each application carrying one
     factor of lam.
     """
-    if left.coords != right.coords:
-        raise ValueError("coordinate count mismatch")
+    left._compatible(right)
     coords = left.coords
-    result: dict[TermKey, NuPolynomial] = {}
-    for (pz, pzb, a, b, s), cl in left.terms.items():
-        for (qz, qzb, a2, b2, s2), cr in right.terms.items():
+    result: list[tuple[TermKey, NuPolynomial]] = []
+    for (pz, pzb, a, b, s), cl in left.coeffs.items():
+        for (qz, qzb, a2, b2, s2), cr in right.coeffs.items():
             slope = s + s2 + _dot(a, b2)
             a_new = tuple(u + v for u, v in zip(a, a2))
             b_new = tuple(u + v for u, v in zip(b, b2))
@@ -220,13 +191,8 @@ def wick_product_flat(left: ExpPolyFunction, right: ExpPolyFunction) -> ExpPolyF
             for (rz, rzb, tz, tzb), poly in state.items():
                 mono_z = tuple(u + v for u, v in zip(rz, tz))
                 mono_zbar = tuple(u + v for u, v in zip(rzb, tzb))
-                key = (mono_z, mono_zbar, a_new, b_new, slope)
-                updated = result.get(key, NU_ZERO) + poly
-                if updated:
-                    result[key] = updated
-                elif key in result:
-                    del result[key]
-    return ExpPolyFunction(coords, result)
+                result.append(((mono_z, mono_zbar, a_new, b_new, slope), poly))
+    return left._built(left._key(), result)
 
 
 def substitute_lambda(func: ExpPolyFunction, alpha: ScalarLike) -> ExpPolyFunction:
@@ -236,10 +202,5 @@ def substitute_lambda(func: ExpPolyFunction, alpha: ScalarLike) -> ExpPolyFuncti
     at a generic numeric parameter), so slopes survive substitution while
     each coefficient collapses to a constant.
     """
-    return ExpPolyFunction(
-        func.coords,
-        {
-            key: NuPolynomial.constant(poly.evaluate(alpha))
-            for key, poly in func.terms.items()
-        },
-    )
+    pairs = ((key, NuPolynomial.constant(poly.evaluate(alpha))) for key, poly in func.coeffs.items())
+    return func._built(func._key(), pairs)

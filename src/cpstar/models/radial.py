@@ -17,7 +17,8 @@ yields the star exponential of ``x``, which must match the closed form
 order by order in ``alpha``.  This module also carries the scaling operator
 that sends ``x**r`` to a product of shifted linear factors, together with
 its inverse-branch product form, and a literal bidifferential oracle used
-to validate the recurrence.
+to validate the recurrence.  A :class:`RadialPolynomial` is a combination
+of powers of ``x`` (:mod:`._combination`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Mapping, Sequence
 from ..nupoly import NU_ONE, NU_ZERO, NuPolynomial
 from ..scalars import GaussRational
 from ..zpoly import ZPoly
+from ._combination import Combination
 from .flat import _as_lambda_poly
 
 __all__ = [
@@ -49,23 +51,19 @@ __all__ = [
 ]
 
 
-class RadialPolynomial:
+class RadialPolynomial(Combination):
     """Polynomial in the radial coordinate with lam-polynomial coefficients."""
 
     __slots__ = ("coeffs",)
+    _mismatch = "mismatched radial polynomials"
 
     def __init__(self, coeffs: Mapping[int, object] | None = None) -> None:
-        cleaned: dict[int, NuPolynomial] = {}
+        pairs = []
         for power, value in (coeffs or {}).items():
             if power < 0:
                 raise ValueError("radial polynomials have nonnegative powers")
-            poly = _as_lambda_poly(value)
-            if poly:
-                cleaned[power] = poly
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RadialPolynomial is immutable")
+            pairs.append((power, _as_lambda_poly(value)))
+        self._assign((), pairs)
 
     @classmethod
     def zero(cls) -> "RadialPolynomial":
@@ -79,9 +77,6 @@ class RadialPolynomial:
     def x_power(cls, power: int, coeff: object = 1) -> "RadialPolynomial":
         return cls({power: _as_lambda_poly(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, power: int) -> NuPolynomial:
         return self.coeffs.get(power, NU_ZERO)
 
@@ -89,54 +84,26 @@ class RadialPolynomial:
     def degree(self) -> int:
         return max(self.coeffs, default=-1)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RadialPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "RadialPolynomial") -> "RadialPolynomial":
-        out = dict(self.coeffs)
-        for power, poly in other.coeffs.items():
-            out[power] = out.get(power, NU_ZERO) + poly
-        return RadialPolynomial(out)
-
-    def __sub__(self, other: "RadialPolynomial") -> "RadialPolynomial":
-        out = dict(self.coeffs)
-        for power, poly in other.coeffs.items():
-            out[power] = out.get(power, NU_ZERO) - poly
-        return RadialPolynomial(out)
-
     def __mul__(self, other: "RadialPolynomial") -> "RadialPolynomial":
-        out: dict[int, NuPolynomial] = {}
-        for p, a in self.coeffs.items():
-            for q, b in other.coeffs.items():
-                key = p + q
-                out[key] = out.get(key, NU_ZERO) + a * b
-        return RadialPolynomial(out)
+        right = other.coeffs.items()
+        return self._built((), ((p + q, a * b) for p, a in self.coeffs.items() for q, b in right))
 
     def scale(self, factor: object) -> "RadialPolynomial":
         poly = _as_lambda_poly(factor)
-        return RadialPolynomial({p: a * poly for p, a in self.coeffs.items()})
+        return self._built((), ((p, a * poly) for p, a in self.coeffs.items()))
 
     def times_x(self) -> "RadialPolynomial":
-        return RadialPolynomial({p + 1: a for p, a in self.coeffs.items()})
+        return self._built((), ((p + 1, a) for p, a in self.coeffs.items()))
 
     def times_lambda(self, j: int = 1) -> "RadialPolynomial":
-        return RadialPolynomial({p: a.shift(j) for p, a in self.coeffs.items()})
+        return self._built((), ((p, a.shift(j)) for p, a in self.coeffs.items()))
 
     def derivative(self) -> "RadialPolynomial":
-        return RadialPolynomial(
-            {p - 1: a * p for p, a in self.coeffs.items() if p > 0}
-        )
+        return self._built((), ((p - 1, a * p) for p, a in self.coeffs.items() if p > 0))
 
     def at_lambda(self, alpha) -> "RadialPolynomial":
         """Substitute a number for lam, leaving a plain polynomial in x."""
-        return RadialPolynomial(
-            {p: NuPolynomial.constant(a.evaluate(alpha)) for p, a in self.coeffs.items()}
-        )
+        return self._built((), ((p, NuPolynomial.constant(a.evaluate(alpha))) for p, a in self.coeffs.items()))
 
     def evaluate(self, x_value, lambda_value) -> GaussRational:
         total = GaussRational(0)

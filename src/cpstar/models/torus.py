@@ -20,18 +20,20 @@ of modes by the residue of ``p`` times their integer pairing modulo ``q``.
 At parameter 1/K with an integer coefficient matrix whose entries have
 greatest common divisor one, folding mode vectors componentwise modulo K
 is compatible with the product; the folded algebra has exactly K**dim
-basis classes.
+basis classes.  Both algebras' values are combinations of modes
+(:mod:`._combination`) keyed by the dimension, the matrix and the
+parameter or the fold order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..scalars import _ratio
+from ._combination import Combination
 
 __all__ = [
     "PhaseSum",
@@ -183,16 +185,16 @@ def _phase_sum(mod: int, den: int, amps: dict[int, int]) -> PhaseSum:
 
 def _from_parts(parts: Iterable[tuple[tuple[int, int], tuple[int, int]]]) -> PhaseSum:
     """The phase sum of ``((p, q), (a, b))`` parts, the amplitude ``a / b`` at
-    the phase ``p / q`` (``p / q`` in lowest terms, ``b > 0``).  Zero
-    amplitudes are skipped, and a later phase replaces an earlier one equal
-    to it modulo one."""
-    last: dict[tuple[int, int], tuple[int, int]] = {}
+    the phase ``p / q`` (``q > 0``, ``b > 0``).  Amplitudes at phases equal
+    modulo one add up."""
+    parts = list(parts)
+    mod = lcm(*(q for (_, q), _ in parts))
+    den = lcm(*(b for _, (_, b) in parts))
+    amps: dict[int, int] = {}
     for (p, q), (a, b) in parts:
-        if a:
-            last[p % q, q] = a, b
-    mod = lcm(*(q for _, q in last))
-    den = lcm(*(b for _, b in last.values()))
-    return _phase_sum(mod, den, {r * (mod // q): a * (den // b) for (r, q), (a, b) in last.items()})
+        r = p % q * (mod // q)
+        amps[r] = amps.get(r, 0) + a * (den // b)
+    return _phase_sum(mod, den, amps)
 
 
 PHASE_ZERO = PhaseSum()
@@ -243,71 +245,6 @@ def _checked_pairs(dim: int, coeffs: Mapping[Mode, PhaseSum] | None) -> list[tup
     return pairs
 
 
-class _ModeSum:
-    """What :class:`FourierSum` and :class:`TorusQuotientElement` share: an
-    immutable map ``coeffs`` from modes to nonzero phase sums over one algebra.
-
-    A subclass gives its algebra key (``_key``, which its ``__slots__`` list
-    first, then ``coeffs``), how it folds a mode (``_fold``) and the message
-    for mismatched algebras.  Every value is built by ``_assign``.
-    """
-
-    __slots__ = ()
-
-    def _assign(self, key: tuple, pairs: Iterable[tuple[Mode, PhaseSum]]) -> None:
-        """Set the algebra ``key`` and the coefficients of the (mode, value)
-        ``pairs``: each mode folded, equal modes merged, zeros dropped."""
-        for name, part in zip(self.__slots__, key):
-            object.__setattr__(self, name, part)
-        fold = self._fold
-        coeffs: dict[Mode, PhaseSum] = {}
-        for mode, value in pairs:
-            mode = fold(mode)
-            if mode in coeffs:
-                value = coeffs[mode] + value
-            if value:
-                coeffs[mode] = value
-            else:
-                coeffs.pop(mode, None)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _built(cls, key: tuple, pairs: Iterable[tuple[Mode, PhaseSum]]):
-        """The value of ``pairs`` over the algebra ``key``, which is checked
-        already: the path of every computed result."""
-        value = object.__new__(cls)
-        value._assign(key, pairs)
-        return value
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _compatible(self, other: "_ModeSum") -> None:
-        # the two classes' keys can compare equal (parameter 2 and K = 2)
-        if type(other) is not type(self) or other._key() != self._key():
-            raise ValueError(self._mismatch)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._key() == other._key() and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._key() + (frozenset(self.coeffs.items()),))
-
-    def __add__(self, other):
-        self._compatible(other)
-        return self._built(self._key(), chain(self.coeffs.items(), other.coeffs.items()))
-
-    def __sub__(self, other):
-        self._compatible(other)
-        negated = ((mode, -value) for mode, value in other.coeffs.items())
-        return self._built(self._key(), chain(self.coeffs.items(), negated))
-
-
 def _pairing_row(k: Mode, matrix: Sequence[Sequence[int]]) -> list[int]:
     """The row ``k^T M`` of the coefficient matrix ``M``, whose dot product
     with a mode ``k'`` is the integer pairing ``k^T M k'`` of the two modes."""
@@ -326,7 +263,7 @@ def _mode_products(
             yield tuple(map(add, k, k2)), a._times(b, p * sum(map(mul, row, k2)) % q, q)
 
 
-class FourierSum(_ModeSum):
+class FourierSum(Combination):
     """Finite combination of torus modes with phase-pair coefficients."""
 
     __slots__ = ("dim", "matrix", "parameter", "coeffs")
@@ -347,9 +284,6 @@ class FourierSum(_ModeSum):
 
     def _key(self) -> tuple[int, IntMatrix, Fraction]:
         return self.dim, self.matrix, self.parameter
-
-    def _fold(self, mode: Mode) -> Mode:
-        return mode
 
     @classmethod
     def zero(cls, dim: int, matrix, parameter) -> "FourierSum":
@@ -395,7 +329,7 @@ def torus_quotient_dimension(dim: int, K: int) -> int:
     return K**dim
 
 
-class TorusQuotientElement(_ModeSum):
+class TorusQuotientElement(Combination):
     """Element of the mode algebra folded modulo K in every component."""
 
     __slots__ = ("dim", "matrix", "K", "coeffs")

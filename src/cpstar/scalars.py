@@ -33,8 +33,11 @@ __all__ = [
 
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _DIGIT_RUN = re.compile(r"[\d_]+")
-_DECIMAL_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)\s*")
-"""A decimal with an exponent as ``Fraction`` reads it; the group is the exponent."""
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = re.compile(rf"\s*([-+]?)(?=\.?\d)({_DIGITS})?(?:/({_DIGITS})|(?:\.({_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?)\s*")
+"""The grammar of ``Fraction`` strings in CPython 3.11: a sign, a numerator,
+then a denominator or else a decimal part and an exponent, with digits
+grouped by single underscores; the groups are those five parts."""
 
 
 def _digit_limit() -> int:
@@ -54,13 +57,14 @@ def _rational_parts(text: str) -> tuple[int, int]:
     necessarily in lowest terms; anything else is a ValueError.
 
     This is the one parser of rational text.  The plain ASCII form our
-    dumpers write is split directly; every other spelling that ``Fraction``
-    reads (padding, a ``+`` sign, decimals, exponents, underscores) goes
-    through ``Fraction``, so both accept and refuse the same texts with the
-    same messages.  Before either runs, a text with a run of more digits
-    than the interpreter converts is refused with the digit count, and a
-    decimal that ``Fraction`` reads is refused when its exponent is over
-    that limit in size (``Fraction`` would build ``10**exponent`` first)."""
+    dumpers write is split directly.  Every other spelling (padding, a
+    ``+`` sign, decimals, exponents, underscores) is read by one grammar,
+    that of ``Fraction`` in CPython 3.11, on every interpreter, to the
+    value in lowest terms; a text outside it is refused with the message
+    of that ``Fraction``.  First, a text with a run of more digits than the
+    interpreter converts is refused with the digit count; and a decimal is
+    refused when its exponent is over that limit in size, before
+    ``10**exponent`` is built."""
     if not isinstance(text, str):
         raise ValueError(f'rational must be a "p/q" string, got {text!r}')
     if len(text) > _MIN_LIMIT:
@@ -73,15 +77,27 @@ def _rational_parts(text: str) -> tuple[int, int]:
         p = int(num)
         q = int(den) if den else 1
     else:
-        decimal = _DECIMAL_EXPONENT.fullmatch(text)
+        match = _RATIONAL.fullmatch(text)
+        if match is None:
+            raise ValueError(f"Invalid literal for Fraction: {text.strip()!r}")
+        sign, num, den, decimal, exponent = match.groups()
+        p, q = int(num or "0"), int(den or "1")
         if decimal:
-            exponent, limit = int(decimal[1]), _digit_limit()
+            q = 10 ** (len(decimal) - decimal.count("_"))
+            p = p * q + int(decimal)
+        if exponent:
+            exponent, limit = int(exponent), _digit_limit()
             if limit and abs(exponent) > limit:
                 raise ValueError(f"rational with a decimal exponent of {exponent}, beyond the limit of {limit}")
-        try:
-            p, q = Fraction(text.strip()).as_integer_ratio()
-        except ZeroDivisionError:
-            q = 0
+            if exponent >= 0:
+                p *= 10**exponent
+            else:
+                q *= 10**-exponent
+        if sign == "-":
+            p = -p
+        common = gcd(p, q)
+        if common > 1:
+            p, q = p // common, q // common
     if not q:
         raise ValueError(f"zero denominator in rational {text!r}")
     return p, q

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import re
-from math import gcd
 
 from .models.disk import DiskElement
 from .models.torus import FourierSum, PhaseSum, _from_parts
@@ -203,23 +202,15 @@ def fourier_to_json(func: FourierSum) -> dict:
 
 
 def _phase_sum_from_json(terms: list) -> PhaseSum:
-    """The value of a ``"terms"`` list: amplitudes at equal phases add up,
-    and a later phase replaces an earlier one equal to it modulo one."""
-    exact: dict[tuple[int, int], tuple[int, int]] = {}
+    """The value of a ``"terms"`` list: amplitudes at phases equal modulo
+    one add up."""
+    parts = []
     for term in terms:
         if not isinstance(term, dict):
             raise ValueError(f'Fourier term must be an object with "amp" and "phase", got {term!r}')
-        p, q = _rational_parts(term.get("phase", "0"))
-        common = gcd(p, q)
-        phase = (p // common, q // common)
-        a, b = _rational_parts(_required(term, "amp", "Fourier term"))
-        if phase in exact:
-            c, d = exact[phase]
-            a, b = a * d + c * b, b * d
-            common = gcd(a, b)
-            a, b = a // common, b // common
-        exact[phase] = (a, b)
-    return _from_parts(exact.items())
+        phase = _rational_parts(term.get("phase", "0"))
+        parts.append((phase, _rational_parts(_required(term, "amp", "Fourier term"))))
+    return _from_parts(parts)
 
 
 def fourier_from_json(data: dict) -> FourierSum:

@@ -50,7 +50,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
-from math import comb, lcm
+from math import comb, lcm, perm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .multiindex import (
@@ -81,13 +81,6 @@ __all__ = [
 
 EntryKey = tuple[Index, Index]
 Cells = dict[EntryKey, tuple[int, int]]
-
-
-def _falling(k: int, r: int) -> int:
-    out = 1
-    for j in range(r):
-        out *= k - j
-    return out
 
 
 def _gauss_parts(entries: Mapping[EntryKey, ScalarLike]) -> Iterable[tuple[EntryKey, tuple[int, int, int, int]]]:
@@ -512,7 +505,7 @@ def _contraction_plan(n: int, k: int, l: int, r: int) -> tuple[_Lazy, _Lazy, _La
     ``heads[I][I2] + row[Q]``.
     """
     degree = k + l - r
-    fall_k, fall_l = _falling(k, r), _falling(l, r)
+    fall_k, fall_l = perm(k, r), perm(l, r)
     alphas, rests = _ranks(n, r), _ranks(n, l - r)
     rows = _merge_rows(n, k - r, l, 1)
 

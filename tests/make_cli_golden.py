@@ -28,7 +28,9 @@ underscores (``"1_0"``); entries with only ``re`` or only ``im``, unsorted
 ``I``/``J``, duplicate keys that add up or cancel; and parts that are
 refused (``"1/0"``, a bare number, ``"1 /2"``).  Last, from a third seed,
 come ``star``, ``disk`` and ``quotient`` requests over the budgets of
-``cpstar.expr``, which exit 2 before any product or fold runs.
+``cpstar.expr``, which exit 2 before any product or fold runs, and then a
+torus product whose terms have phases equal modulo one, whose amplitudes
+add up.
 """
 
 from __future__ import annotations
@@ -262,6 +264,12 @@ def edge_cases() -> list[dict]:
     for n, level, K in [(3, 2, 7), (2, 1, 13), (1, 3, 100)]:
         payload = json.dumps(value_to_tagged(_element(rng, n, level)))
         add(f"over-budget-quotient-CP{n}-K{K}", ["quotient", "--K", str(K)], payload)
+    phases = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [
+        {"k": [1, 0], "terms": [{"amp": "1", "phase": "1/3"}, {"amp": "2", "phase": "4/3"}]},
+        {"k": [0, 1], "terms": [{"amp": "1/2", "phase": "-1/2"}, {"amp": "-1/2", "phase": "5/2"}]},
+    ]}
+    unit = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [{"k": [0, 0], "terms": [{"amp": "1"}]}]}
+    add("torus-equal-phases-modulo-one", ["torus", "--K", "3"], json.dumps({"left": phases, "right": unit}))
     return out
 
 

@@ -730,6 +730,19 @@ def test_torus_without_fold(tmp_path, capsys):
     assert set(data) == {"product"}
 
 
+def test_torus_adds_amplitudes_at_phases_equal_modulo_one(tmp_path, capsys):
+    left = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [
+        {"k": [1, 0], "terms": [{"amp": "1", "phase": "1/3"}, {"amp": "2", "phase": "4/3"}]},
+    ]}
+    right = fourier_to_json(FourierSum.mode(2, SYMPLECTIC, Fraction(1, 3), (0, 0)))
+    path = _write(tmp_path, "pair.json", {"left": left, "right": right})
+    code, out, _ = _run(capsys, ["torus", "--input", path])
+    assert code == 0
+    assert json.loads(out)["product"]["value"]["coeffs"] == [
+        {"k": [1, 0], "terms": [{"amp": "3", "phase": "1/3"}]}
+    ]
+
+
 def test_torus_rejects_wrong_types(tmp_path, capsys):
     path = _write(
         tmp_path,
@@ -872,12 +885,27 @@ def test_tagged_round_trip_every_kind(tmp_path):
         assert bare == value
 
 
-def test_python_dash_m_runs_the_command_line():
+def _python_m_cpstar(*argv, options=()):
     source = str(Path(cpstar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "cpstar", "eval", "unit"],
+    return subprocess.run(
+        [sys.executable, *options, "-m", "cpstar", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_command_line():
+    done = _python_m_cpstar("eval", "unit")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["result"] == value_to_tagged(StarElement.unit(1))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_eval_names_a_lower_interpreter_digit_limit():
+    done = _python_m_cpstar("eval", "2 * " + "1" * 1000, options=("-X", "int_max_str_digits=640"))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("cpstar: syntax error at position 4: ")
+    assert "integer literal of 1000 digits exceeds the limit of 640" in done.stderr
+    assert "Exceeds the limit" not in done.stderr and "Traceback" not in done.stderr
+    done = _python_m_cpstar("eval", "2 * " + "1" * 640, options=("-X", "int_max_str_digits=640"))
+    assert done.returncode == 0, done.stderr

@@ -31,7 +31,16 @@ from cpstar.multiindex import (
 )
 from cpstar.scalars import GaussRational
 from cpstar.star import StarElement, star_elements
-from cpstar.symbols import SymbolTensor, _contract_into, _contracted, _falling, wick_contraction
+from cpstar.symbols import SymbolTensor, _contract_into, _contracted, wick_contraction
+
+
+def _falling(k, r):
+    """The falling factorial ``k!/(k-r)!`` as a product, which
+    ``math.perm`` replaced in ``symbols``."""
+    out = 1
+    for j in range(r):
+        out *= k - j
+    return out
 
 
 def contract_into_oracle(accum, left_cells, right_cells, k, l, r, scale):

@@ -22,7 +22,7 @@ def _to_zpoly(func: ExpPolyFunction) -> ZPoly:
     coordinates make a ``ZPoly(coords - 1)``.
     """
     out = ZPoly(func.coords - 1)
-    for (z_exps, zbar_exps, a, b, slope), poly in func.terms.items():
+    for (z_exps, zbar_exps, a, b, slope), poly in func.coeffs.items():
         assert not any(a) and not any(b) and not slope, "not a polynomial term"
         out.add_term((tuple(zbar_exps), tuple(z_exps)), poly)
     return out
@@ -56,12 +56,12 @@ def test_product_of_pure_exponentials_accumulates_slope():
     left = ExpPolyFunction.exponential(1, (g(2),), (g(3),))
     right = ExpPolyFunction.exponential(1, (g(5),), (g(7),))
     product = wick_product_flat(left, right)
-    assert len(product.terms) == 1
-    ((z_exps, zbar_exps, a, b, slope),) = product.terms
+    assert len(product.coeffs) == 1
+    ((z_exps, zbar_exps, a, b, slope),) = product.coeffs
     assert z_exps == (0,) and zbar_exps == (0,)
     assert a == (g(7),) and b == (g(10),)
     assert slope == g(2) * g(7)  # a . b'
-    assert product.terms[(z_exps, zbar_exps, a, b, slope)] == NuPolynomial((1,))
+    assert product.coeffs[(z_exps, zbar_exps, a, b, slope)] == NuPolynomial((1,))
 
 
 def test_slope_is_order_sensitive():
@@ -69,8 +69,8 @@ def test_slope_is_order_sensitive():
     right = ExpPolyFunction.exponential(1, (g(5),), (g(7),))
     forward = wick_product_flat(left, right)
     backward = wick_product_flat(right, left)
-    assert next(iter(forward.terms))[4] == g(14)
-    assert next(iter(backward.terms))[4] == g(15)
+    assert next(iter(forward.coeffs))[4] == g(14)
+    assert next(iter(backward.coeffs))[4] == g(15)
 
 
 def test_polynomial_products_match_literal_wick_expansion():

@@ -22,6 +22,7 @@ from cpstar.models.torus import (
 )
 from cpstar.models.torus import _determinant
 from cpstar.scalars import GaussRational
+from cpstar.serialize import fourier_from_json
 
 SYMPLECTIC = [[0, 1], [-1, 0]]
 
@@ -39,6 +40,17 @@ def test_phase_sum_normalizes_phases_modulo_one():
     raw = PhaseSum({F(5, 3): F(2), F(-1, 4): F(1)})
     assert raw.terms == {F(2, 3): F(2), F(3, 4): F(1)}
     assert PhaseSum({F(1, 2): 0}).is_zero()
+
+
+def test_phase_sum_adds_amplitudes_at_phases_equal_modulo_one():
+    assert PhaseSum({F(1, 3): 1, F(4, 3): 2}) == PhaseSum.of(3, F(1, 3))
+    assert PhaseSum({F(-1, 2): 1, F(1, 2): -1, F(5, 2): F(1, 4)}) == PhaseSum.of(F(1, 4), F(1, 2))
+    assert PhaseSum({F(0): 2, F(-3): -2}).is_zero()
+    payload = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [
+        {"k": [1, 0], "terms": [{"amp": "1", "phase": "1/3"}, {"amp": "2", "phase": "4/3"}]},
+        {"k": [0, 1], "terms": [{"amp": "1/2", "phase": "-1"}, {"amp": "-1/2", "phase": "2"}]},
+    ]}
+    assert fourier_from_json(payload).coeffs == {(1, 0): PhaseSum.of(3, F(1, 3))}
 
 
 def test_phase_sum_addition_merges_and_cancels():

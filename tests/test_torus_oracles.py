@@ -49,17 +49,16 @@ BLOCK = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 1]]
 class PhaseSumOracle:
     """The replaced ``PhaseSum``: a dict from ``Fraction`` phases in [0, 1)
     to nonzero ``Fraction`` amplitudes, rebuilt through ``Fraction`` on
-    every operation."""
+    every operation.  Amplitudes at phases equal modulo one add up."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
+        summed = {}
         for phase, amp in (terms or {}).items():
-            amp = Fraction(amp)
-            if amp:
-                cleaned[Fraction(phase) % 1] = amp
-        object.__setattr__(self, "terms", cleaned)
+            phase = Fraction(phase) % 1
+            summed[phase] = summed.get(phase, Fraction(0)) + Fraction(amp)
+        object.__setattr__(self, "terms", {phase: amp for phase, amp in summed.items() if amp})
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseSum is immutable")
@@ -109,7 +108,8 @@ class PhaseSumOracle:
 
 def fourier_from_json_oracle(data):
     """The replaced loader, on valid payloads: ``(dim, matrix, parameter,
-    coeffs)`` with ``PhaseSumOracle`` values."""
+    coeffs)`` with ``PhaseSumOracle`` values, in which amplitudes at phases
+    equal modulo one add up."""
     coeffs = {}
     for item in data.get("coeffs", []):
         merged = {}
