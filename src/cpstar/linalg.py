@@ -1,18 +1,23 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Plain Gaussian elimination with exact pivoting: any nonzero pivot is a valid
-pivot, so no numerical considerations apply.  Used for rank/spanning checks
-on quotient images and for commutant computations.
+One fraction-free Gauss–Jordan elimination (Bareiss 1968, Math. Comp. 22)
+on rows of Gaussian integers, each row cleared of its own denominators,
+serves the quotient rank and commutant checks and the torus nondegeneracy
+check.  Every division is exact in Z[i], and ``GaussRational`` values are
+built only for the results returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
-from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, _gauss, to_gauss
 
 __all__ = ["LinearSolveResult", "linear_solve", "matrix_rank", "nullspace"]
+
+Cell = tuple[int, int]  # the Gaussian integer re + im i
 
 
 @dataclass(frozen=True)
@@ -33,84 +38,102 @@ class LinearSolveResult:
         return self.kind != "inconsistent"
 
 
-def _echelonize(rows: list[list[GaussRational]], width: int) -> list[int]:
-    """Reduce ``rows`` (in place) to reduced row echelon form over the first
-    ``width`` columns; trailing columns ride along.  Returns pivot columns."""
+def _integer_row(row: Sequence[GaussRational]) -> list[Cell]:
+    """``row`` times the least common denominator of its entries."""
+    forms = [to_gauss(value)._ints() for value in row]
+    den = lcm(*(m for _, _, m in forms))
+    return [(p * (den // m), q * (den // m)) for p, q, m in forms]
+
+
+def _combined(p: Cell, row: list[Cell], a: Cell, pivot_row: list[Cell], d: Cell) -> list[Cell]:
+    """``(p * row - a * pivot_row) / d`` in Z[i], where every quotient is exact."""
+    (pr, pi), (ar, ai), (dr, di) = p, a, d
+    cells = [
+        (pr * xr - pi * xi - ar * yr + ai * yi, pr * xi + pi * xr - ar * yi - ai * yr)
+        for (xr, xi), (yr, yi) in zip(row, pivot_row)
+    ]
+    if di:
+        norm = dr * dr + di * di
+        return [((re * dr + im * di) // norm, (im * dr - re * di) // norm) for re, im in cells]
+    return cells if dr == 1 else [(re // dr, im // dr) for re, im in cells]
+
+
+def _eliminate(rows: list[list[Cell]], width: int) -> list[int]:
+    """Reduce ``rows`` in place to reduced row echelon form over the first
+    ``width`` columns, each row up to a factor of its own; trailing columns
+    ride along.  Returns the pivot columns, the ``i``-th in row ``i``.
+
+    A row with 0 in the pivot column is not rewritten: its skipped
+    rescalings multiply out to the divisor of its next update, the pivot of
+    the step that last wrote it.  A pivot row catches up once, before use."""
+    last = [(1, 0)] * len(rows)  # the pivot of the step that last wrote each row
+    previous = (1, 0)
     pivots: list[int] = []
-    row = 0
     for col in range(width):
-        pivot_row = None
-        for r in range(row, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        top = len(pivots)
+        found = next((r for r in range(top, len(rows)) if rows[r][col] != (0, 0)), None)
+        if found is None:
             continue
-        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
-        inv = GAUSS_ONE / rows[row][col]
-        rows[row] = [c * inv for c in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
+        rows[top], rows[found] = rows[found], rows[top]
+        last[top], last[found] = last[found], last[top]
+        if last[top] != previous:
+            rows[top] = _combined(previous, rows[top], (0, 0), rows[top], last[top])
+        pivot_row, pivot = rows[top], rows[top][col]
+        for r, row in enumerate(rows):
+            a = row[col]
+            if a != (0, 0) and r != top:
+                rows[r] = _combined(pivot, row, a, pivot_row, last[r])
+                last[r] = pivot
+        last[top] = previous = pivot
         pivots.append(col)
-        row += 1
-        if row == len(rows):
-            break
     return pivots
 
 
-def linear_solve(
-    matrix: Sequence[Sequence[GaussRational]], rhs: Sequence[GaussRational]
-) -> LinearSolveResult:
-    """Solve ``matrix @ x = rhs`` exactly.
+def _quotient(x: Cell, y: Cell) -> GaussRational:
+    """``x / y`` for Gaussian integers, ``y`` nonzero."""
+    (xr, xi), (yr, yi) = x, y
+    return _gauss(xr * yr + xi * yi, xi * yr - xr * yi, yr * yr + yi * yi)
 
-    Raises ``ValueError`` on a dimension mismatch.  Never touches floating
-    point; all arithmetic stays in Q(i).
-    """
+
+def linear_solve(matrix: Sequence[Sequence[GaussRational]], rhs: Sequence[GaussRational]) -> LinearSolveResult:
+    """Solve ``matrix @ x = rhs`` exactly; a dimension mismatch is a ValueError."""
     n_rows = len(matrix)
     if n_rows != len(rhs):
         raise ValueError(f"matrix has {n_rows} rows but rhs has {len(rhs)} entries")
     n_cols = len(matrix[0]) if n_rows else 0
-    for r in matrix:
-        if len(r) != n_cols:
-            raise ValueError("ragged matrix")
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = _echelonize(rows, n_cols)
-    pivot_set = set(pivots)
-    for r in rows:
-        if r[-1] and not any(r[c] for c in range(n_cols)):
-            return LinearSolveResult("inconsistent", None)
+    if any(len(r) != n_cols for r in matrix):
+        raise ValueError("ragged matrix")
+    rows = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    pivots = _eliminate(rows, n_cols)
+    # past the pivot rows every row is zero on the first n_cols columns
+    if any(row[-1] != (0, 0) for row in rows[len(pivots) :]):
+        return LinearSolveResult("inconsistent", None)
     solution = [GAUSS_ZERO] * n_cols
-    for row_index, col in enumerate(pivots):
-        solution[col] = rows[row_index][-1]
-    free = tuple(c for c in range(n_cols) if c not in pivot_set)
-    kind = "unique" if not free else "parametrized"
-    return LinearSolveResult(kind, tuple(solution), free)
+    for row, col in zip(rows, pivots):
+        solution[col] = _quotient(row[-1], row[col])
+    free = tuple(sorted(set(range(n_cols)) - set(pivots)))
+    return LinearSolveResult("parametrized" if free else "unique", tuple(solution), free)
 
 
 def matrix_rank(matrix: Sequence[Sequence[GaussRational]]) -> int:
     """Exact rank of a matrix over Q(i)."""
     if not matrix:
         return 0
-    rows = [list(row) for row in matrix]
-    width = len(rows[0])
-    return len(_echelonize(rows, width))
+    return len(_eliminate([_integer_row(row) for row in matrix], len(matrix[0])))
 
 
 def nullspace(matrix: Sequence[Sequence[GaussRational]]) -> list[tuple[GaussRational, ...]]:
     """Exact basis of the right nullspace of a matrix over Q(i)."""
     if not matrix:
         return []
-    rows = [list(row) for row in matrix]
+    rows = [_integer_row(row) for row in matrix]
     n_cols = len(rows[0])
-    pivots = _echelonize(rows, n_cols)
-    pivot_set = set(pivots)
+    pivots = _eliminate(rows, n_cols)
     basis = []
-    for free in (c for c in range(n_cols) if c not in pivot_set):
+    for free in sorted(set(range(n_cols)) - set(pivots)):
         vec = [GAUSS_ZERO] * n_cols
         vec[free] = GAUSS_ONE
-        for row_index, col in enumerate(pivots):
-            vec[col] = -rows[row_index][free]
+        for row, col in zip(rows, pivots):
+            vec[col] = -_quotient(row[free], row[col])
         basis.append(tuple(vec))
     return basis

@@ -32,6 +32,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ..linalg import _eliminate
 from ..scalars import _ratio
 from ._combination import Combination
 
@@ -201,25 +202,6 @@ PHASE_ZERO = PhaseSum()
 PHASE_ONE = PhaseSum.of(1)
 
 
-def _determinant(rows: IntMatrix) -> int:
-    """The determinant of a square int matrix by fraction-free elimination
-    (Bareiss 1968): every division is exact, so every entry stays an int."""
-    a = [list(row) for row in rows]
-    size, sign, previous = len(a), 1, 1
-    for k in range(size - 1):
-        if not a[k][k]:
-            pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
-        previous = a[k][k]
-    return sign * a[-1][-1] if a else 1
-
-
 def _check_matrix(matrix: Sequence[Sequence[int]], dim: int) -> IntMatrix:
     rows = tuple(tuple(row) for row in matrix)
     if len(rows) != dim or any(len(row) != dim for row in rows):
@@ -228,7 +210,7 @@ def _check_matrix(matrix: Sequence[Sequence[int]], dim: int) -> IntMatrix:
         for entry in row:
             if not isinstance(entry, int):
                 raise ValueError("coefficient matrix must have integer entries")
-    if not _determinant(rows):
+    if len(_eliminate([[(entry, 0) for entry in row] for row in rows], dim)) < dim:
         raise ValueError("coefficient matrix must be nondegenerate")
     return rows
 

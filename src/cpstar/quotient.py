@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .linalg import nullspace
+from .linalg import matrix_rank
 from .multiindex import sorted_tuples
 from .nupoly import _linear_ints, _pochhammer_js
-from .scalars import GAUSS_I, GAUSS_ONE, GaussRational
+from .scalars import GAUSS_I, GaussRational
 from .star import StarElement, star_elements
 from .symbols import (
     SymbolTensor,
@@ -314,12 +314,12 @@ def check_irreducible(n: int, K: int) -> bool:
     """Commutant test for the quotient representation of u(n+1).
 
     Embeds each generator's symbol as an operator on degree-K polynomials and
-    computes, exactly, the space of tensors commuting with all of them; the
-    representation is irreducible iff only scalar multiples of the identity
-    remain.
+    writes, exactly, the linear conditions for a tensor to commute with all
+    of them.  The identity meets them, so the representation is irreducible
+    iff their rank is one less than the number of unknowns: only scalar
+    multiples of the identity remain.
     """
     pairs = [(i, j) for i in sorted_tuples(n, K) for j in sorted_tuples(n, K)]
-    index_of = {pair: p for p, pair in enumerate(pairs)}
     images = [embed(symbol_of_matrix(g), K - 1) for g in unitary_generators(n)]
     rows: list[list[GaussRational]] = []
     zero = GaussRational(0)
@@ -333,17 +333,8 @@ def check_irreducible(n: int, K: int) -> bool:
             row = [column.get(out_pair, zero) for column in columns]
             if any(row):
                 rows.append(row)
-    kernel = nullspace(rows) if rows else [(GAUSS_ONE,)] * len(pairs)
-    if len(kernel) != 1:
+    identity = identity_symbol(n, K).entries
+    on_identity = [(p, identity[pair]) for p, pair in enumerate(pairs) if pair in identity]
+    if any(sum((row[p] * value for p, value in on_identity), zero) for row in rows):
         return False
-    # the surviving direction must be the identity operator
-    vector = kernel[0]
-    candidate = SymbolTensor(
-        n, K, {pair: value for pair, value in zip(pairs, vector) if value}
-    )
-    identity = identity_symbol(n, K)
-    lead_pair, lead = next(iter(identity.entries.items()))
-    scale = candidate.entries.get(lead_pair)
-    if not scale:
-        return False
-    return candidate == identity.scale(scale / lead)
+    return matrix_rank(rows) == len(pairs) - 1

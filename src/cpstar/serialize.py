@@ -214,6 +214,7 @@ def _phase_sum_from_json(terms: list) -> PhaseSum:
 
 
 def fourier_from_json(data: dict) -> FourierSum:
+    """Load a Fourier sum; repeated modes add up."""
     dim = _json_int(_required(data, "dim", "Fourier sum"), 'Fourier "dim"')
     matrix = [
         [_json_int(entry, 'Fourier "Lambda" cell') for entry in _shaped(row, list, 'Fourier "Lambda" row')]
@@ -226,7 +227,7 @@ def fourier_from_json(data: dict) -> FourierSum:
         mode = tuple(_json_int(c, 'Fourier mode entry in "k"') for c in listed)
         value = _phase_sum_from_json(_shaped(item.get("terms", []), list, 'Fourier "terms"'))
         if value:
-            coeffs[mode] = value
+            coeffs[mode] = coeffs[mode] + value if mode in coeffs else value
     return FourierSum(dim, matrix, parameter, coeffs)
 
 

@@ -285,6 +285,8 @@ class SymbolTensor:
 
 def symbol_of_matrix(matrix: Sequence[Sequence[ScalarLike]]) -> SymbolTensor:
     """Degree-1 symbol tensor of an (n+1) x (n+1) matrix."""
+    if not matrix:
+        raise ValueError("matrix must not be empty")
     n = len(matrix) - 1
     entries: dict[EntryKey, ScalarLike] = {}
     for i, row in enumerate(matrix):

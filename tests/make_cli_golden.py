@@ -30,7 +30,7 @@ refused (``"1/0"``, a bare number, ``"1 /2"``).  Last, from a third seed,
 come ``star``, ``disk`` and ``quotient`` requests over the budgets of
 ``cpstar.expr``, which exit 2 before any product or fold runs, and then a
 torus product whose terms have phases equal modulo one, whose amplitudes
-add up.
+add up, and one whose repeated modes add up.
 """
 
 from __future__ import annotations
@@ -270,6 +270,13 @@ def edge_cases() -> list[dict]:
     ]}
     unit = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [{"k": [0, 0], "terms": [{"amp": "1"}]}]}
     add("torus-equal-phases-modulo-one", ["torus", "--K", "3"], json.dumps({"left": phases, "right": unit}))
+    repeated = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [
+        {"k": [1, 0], "terms": [{"amp": "1"}]},
+        {"k": [0, 1], "terms": [{"amp": "5", "phase": "1/2"}]},
+        {"k": [1, 0], "terms": [{"amp": "2"}]},
+        {"k": [0, 1], "terms": [{"amp": "-5", "phase": "1/2"}]},
+    ]}
+    add("torus-repeated-modes-add-up", ["torus"], json.dumps({"left": repeated, "right": unit}))
     return out
 
 

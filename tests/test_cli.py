@@ -432,6 +432,14 @@ def test_eval_rejects_malformed_scalar_bindings(tmp_path, capsys, payload, messa
     assert message in err and "Traceback" not in err
 
 
+
+def test_eval_names_an_empty_matrix(tmp_path, capsys):
+    session = _write(tmp_path, "session.json", {"bindings": {"M": {"type": "matrix", "value": []}}})
+    code, out, err = _run(capsys, ["eval", "sigma(M)", "--input", session])
+    assert code == 2
+    assert out == ""
+    assert "matrix must not be empty" in err and "Traceback" not in err
+
 def test_eval_substitution_at_a_pole_is_a_usage_error(tmp_path, capsys):
     session = _write(tmp_path, "session.json", {"bindings": {"X": {"num": [1], "den": [1, -1]}}})
     code, out, err = _run(capsys, ["eval", "subst(1)(X)", "--input", session])
@@ -742,6 +750,22 @@ def test_torus_adds_amplitudes_at_phases_equal_modulo_one(tmp_path, capsys):
         {"k": [1, 0], "terms": [{"amp": "3", "phase": "1/3"}]}
     ]
 
+
+
+def test_torus_adds_coefficients_of_repeated_modes(tmp_path, capsys):
+    left = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [
+        {"k": [1, 0], "terms": [{"amp": "1"}]},
+        {"k": [0, 1], "terms": [{"amp": "5"}]},
+        {"k": [1, 0], "terms": [{"amp": "2"}]},
+        {"k": [0, 1], "terms": [{"amp": "-5"}]},
+    ]}
+    right = fourier_to_json(FourierSum.mode(2, SYMPLECTIC, Fraction(1, 3), (0, 0)))
+    path = _write(tmp_path, "pair.json", {"left": left, "right": right})
+    code, out, _ = _run(capsys, ["torus", "--input", path])
+    assert code == 0
+    assert json.loads(out)["product"]["value"]["coeffs"] == [
+        {"k": [1, 0], "terms": [{"amp": "3", "phase": "0"}]}
+    ]
 
 def test_torus_rejects_wrong_types(tmp_path, capsys):
     path = _write(

@@ -24,6 +24,7 @@ def test_rank_examples():
     assert matrix_rank(_mat([[1, 2], [2, 4]])) == 1
     assert matrix_rank(_mat([[1, 2], [3, 4]])) == 2
     assert matrix_rank(_mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
+    assert matrix_rank([[1, Fraction(1, 2)], [2, 1]]) == 1
 
 
 def test_rank_with_complex_entries():

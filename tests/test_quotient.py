@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cpstar import quotient
 from cpstar.nupoly import nu_pochhammer
 from cpstar.quotient import (
     AlphaValue,
@@ -212,9 +213,16 @@ def test_unitary_generators_span():
 
 
 def test_quotient_representation_is_irreducible():
-    assert check_irreducible(1, 1)
-    assert check_irreducible(1, 2)
-    assert check_irreducible(2, 1)
+    for n, K in [(0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]:
+        assert check_irreducible(n, K), (n, K)
+
+
+def test_diagonal_generators_alone_act_reducibly(monkeypatch):
+    # the diagonal generators commute with every diagonal operator, so the
+    # commutant holds more than the multiples of the identity
+    monkeypatch.setattr(quotient, "unitary_generators", lambda n: unitary_generators(n)[: n + 1])
+    for n, K in [(1, 1), (1, 2), (2, 1)]:
+        assert not check_irreducible(n, K), (n, K)
 
 
 def test_representative_weight():

@@ -20,7 +20,7 @@ from cpstar.models.torus import (
     torus_quotient,
     torus_quotient_dimension,
 )
-from cpstar.models.torus import _determinant
+from cpstar.models.torus import _check_matrix
 from cpstar.scalars import GaussRational
 from cpstar.serialize import fourier_from_json
 
@@ -51,6 +51,17 @@ def test_phase_sum_adds_amplitudes_at_phases_equal_modulo_one():
         {"k": [0, 1], "terms": [{"amp": "1/2", "phase": "-1"}, {"amp": "-1/2", "phase": "2"}]},
     ]}
     assert fourier_from_json(payload).coeffs == {(1, 0): PhaseSum.of(3, F(1, 3))}
+
+
+def test_fourier_loader_adds_the_values_of_repeated_modes():
+    payload = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [
+        {"k": [1, 0], "terms": [{"amp": "1"}]},
+        {"k": [0, 1], "terms": [{"amp": "5", "phase": "1/2"}]},
+        {"k": [1, 0], "terms": [{"amp": "2"}, {"amp": "1", "phase": "1/3"}]},
+        {"k": [0, 1], "terms": [{"amp": "-5", "phase": "1/2"}]},
+    ]}
+    expected = PhaseSum({F(0): 3, F(1, 3): 1})
+    assert fourier_from_json(payload).coeffs == {(1, 0): expected}
 
 
 def test_phase_sum_addition_merges_and_cancels():
@@ -111,6 +122,25 @@ matrix_cases = st.integers(1, 6).flatmap(
 )
 
 
+def _determinant(rows):
+    """The replaced ``torus._determinant``: the determinant of a square int
+    matrix by fraction-free elimination (Bareiss 1968)."""
+    a = [list(row) for row in rows]
+    size, sign, previous = len(a), 1, 1
+    for k in range(size - 1):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if a else 1
+
+
 def _cofactor_determinant(rows):
     if not rows:
         return 1
@@ -128,10 +158,16 @@ def test_integer_determinant_is_nonzero_exactly_at_full_rank(case):
     if make_singular and len(rows) > 1:
         # the last row a combination of the first two (or a copy of the first)
         rows[-1] = [u + factor * v for u, v in zip(rows[0], rows[1 % (len(rows) - 1)])]
-    determinant = _determinant(tuple(map(tuple, rows)))
+    determinant = _cofactor_determinant(rows)
+    assert _determinant(tuple(map(tuple, rows))) == determinant
     full_rank = matrix_rank([[GaussRational(entry) for entry in row] for row in rows]) == len(rows)
     assert (determinant != 0) == full_rank
-    assert determinant == _cofactor_determinant(rows)
+    try:
+        accepted = _check_matrix(rows, len(rows)) == tuple(map(tuple, rows))
+    except ValueError as error:
+        assert str(error) == "coefficient matrix must be nondegenerate"
+        accepted = False
+    assert accepted == (determinant != 0)
     if make_singular and len(rows) > 1:
         assert determinant == 0
 

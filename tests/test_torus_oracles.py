@@ -109,17 +109,16 @@ class PhaseSumOracle:
 def fourier_from_json_oracle(data):
     """The replaced loader, on valid payloads: ``(dim, matrix, parameter,
     coeffs)`` with ``PhaseSumOracle`` values, in which amplitudes at phases
-    equal modulo one add up."""
+    equal modulo one add up, and so do the values of repeated modes."""
     coeffs = {}
     for item in data.get("coeffs", []):
         merged = {}
         for term in item.get("terms", []):
             phase = parse_rational(term.get("phase", "0"))
             merged[phase] = merged.get(phase, Fraction(0)) + parse_rational(term["amp"])
-        value = PhaseSumOracle(merged)
-        if value:
-            coeffs[tuple(item["k"])] = value
-    return data["dim"], data["Lambda"], parse_rational(data["lambda"]), coeffs
+        mode = tuple(item["k"])
+        coeffs[mode] = coeffs.get(mode, PhaseSumOracle()) + PhaseSumOracle(merged)
+    return data["dim"], data["Lambda"], parse_rational(data["lambda"]), _nonzero(coeffs)
 
 
 def fourier_to_json_oracle(dim, matrix, parameter, coeffs):
