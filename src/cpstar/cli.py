@@ -26,7 +26,7 @@ from .models.disk import DiskElement
 from .models.torus import FourierSum, TorusQuotientElement, torus_quotient_dimension
 from .nupoly import NuRationalFunction
 from .quotient import QuotientOperator, StarUndefinedError
-from .scalars import GaussRational, parse_rational
+from .scalars import GaussRational, _check_digits, parse_rational
 from .serialize import (
     _json_int,
     _mode_coeffs_to_json,
@@ -231,7 +231,9 @@ def _cmd_torus(args) -> int:
     payload = {"product": value_to_tagged(product)}
     if args.K is not None:
         payload["folded"] = _fold_to_json(fold_value(product, args.K))
-        payload["dimension"] = torus_quotient_dimension(left.dim, args.K)
+        dimension = torus_quotient_dimension(left.dim, args.K)
+        _check_digits(dimension)  # K**dim may be too long for the JSON writer
+        payload["dimension"] = dimension
     _write_output(payload, args.output)
     return 0
 

@@ -20,22 +20,24 @@ re-multiplied and compared exactly.
 
 The weighted sum behind :func:`substitute` and :func:`quotient_map` runs in
 Horner order, from the lowest component up: ``total = x * total + w_r *
-phi_r``, with real rational weights ``w_r``.  Each component is scaled at its
-own degree, and the whole sum is taken on the components' Gaussian-integer
-cells over one common denominator and normalised once.  :func:`star_at`,
-the numeric product of two plain symbols, is that sum applied to the
-:func:`cpstar.star.star_elements` product of their lifts.
+phi_r``.  At ``alpha = p/q`` and level ``L`` every weight is an integer over
+``q^L``, ``w_r = P_r p^(L-r) q^min(r,1)``, where ``P_r`` is the product of
+``q - j p`` over the factors ``1 - j nu`` of ``nu^(r)``.  Each component is
+scaled at its own degree, and the whole sum is taken on the components'
+Gaussian-integer cells over one common denominator and normalised once.
+:func:`star_at`, the numeric product of two plain symbols, is that sum
+applied to the :func:`cpstar.star.star_elements` product of their lifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from .linalg import matrix_rank
 from .multiindex import sorted_tuples
-from .nupoly import _linear_ints, _pochhammer_js
+from .nupoly import _pochhammer_js
 from .scalars import GAUSS_I, GaussRational
 from .star import StarElement, star_elements
 from .symbols import (
@@ -50,7 +52,6 @@ from .symbols import (
 )
 
 __all__ = [
-    "AlphaValue",
     "IdealFactorization",
     "NotInIdealError",
     "QuotientOperator",
@@ -74,51 +75,39 @@ class StarUndefinedError(ZeroDivisionError):
     """Raised when a numeric star product hits a vanishing Pochhammer weight."""
 
 
-@dataclass(frozen=True)
-class AlphaValue:
-    """A nonzero rational substitution point, classified by its kind.
-
-    ``kind`` is ``"inverse_integer"`` with ``K = 1/value`` when the value is
-    the reciprocal of a positive integer, else ``"generic"``.
-    """
-
-    value: Fraction
-    kind: str
-    K: int | None = None
-
-    @classmethod
-    def of(cls, value: Fraction | int | str) -> "AlphaValue":
-        value = Fraction(value)
-        if not value:
-            raise ValueError("substitution point must be nonzero")
-        if value.numerator == 1 and value.denominator >= 1:
-            return cls(value, "inverse_integer", value.denominator)
-        return cls(value, "generic")
+def _alpha(value: Fraction | int | str) -> Fraction:
+    """A substitution point as a ``Fraction``, parsed once; it must be nonzero."""
+    alpha = value if isinstance(value, Fraction) else Fraction(value)
+    if not alpha:
+        raise ValueError("substitution point must be nonzero")
+    return alpha
 
 
-def _pochhammer_at(r: int, alpha: Fraction) -> Fraction:
-    """nu^(r) at ``alpha = p/q``: its integer coefficients in homogeneous
-    Horner order, ``sum_m c_m p^m q^(d-m)`` over ``q^d``, d its degree."""
-    p, q = alpha.numerator, alpha.denominator
-    num, power = 0, 1
-    for c in reversed(_linear_ints(_pochhammer_js(r))):
-        num, power = num * p + c * power, power * q
-    return Fraction(num, power // q)
+def _pochhammer_ints(r: int, p: int, q: int) -> int:
+    """``q^max(r-1, 0) nu^(r)(p/q)``: the product of ``q - j p`` over the
+    factors ``1 - j nu`` of ``nu^(r)``."""
+    out = 1
+    for j in _pochhammer_js(r):
+        out *= q - j * p
+    return out
 
 
 def _weighted_sum(element: StarElement, alpha: Fraction, degree: int | None = None) -> SymbolTensor:
     """The element at nu = alpha: sum_r nu^(r)(alpha) alpha^{level-r} phi_r.
 
-    The sum is taken at ``degree``; by default that is the highest component
-    whose weight is nonzero.  It runs in Horner order from the lowest
-    component up, ``total = x * total + w_r * phi_r``, so each component is
-    scaled at its own degree and a missing component costs one step of
-    multiplication by x.  All of it is on the components' cells over one
-    common denominator, lcm_r(D_r den(w_r)), normalised once at the end.
+    With ``alpha = p/q`` the weight of ``phi_r`` is the int ``P_r p^(L-r)
+    q^min(r,1)`` over ``q^L``, ``L`` the level.  The sum is taken at
+    ``degree``; by default that is the highest component whose weight is
+    nonzero.  It runs in Horner order from the lowest component up, ``total
+    = x * total + w_r * phi_r``, so each component is scaled at its own
+    degree and a missing component costs one step of multiplication by x.
+    All of it is on the components' cells over ``q^L`` times the lcm of
+    their denominators, normalised once at the end.
     """
+    p, q, level = alpha.numerator, alpha.denominator, element.level
     weights = {}
     for r in element.components:
-        weight = _pochhammer_at(r, alpha) * alpha ** (element.level - r)
+        weight = _pochhammer_ints(r, p, q) * p ** (level - r) * q ** min(r, 1)
         if weight:
             weights[r] = weight
     top = max(weights, default=0)
@@ -126,7 +115,7 @@ def _weighted_sum(element: StarElement, alpha: Fraction, degree: int | None = No
         degree = top
     elif degree < top:
         raise ValueError(f"weighted component {top} lies above degree {degree}")
-    d = lcm(*(element.components[r].den * weight.denominator for r, weight in weights.items()))
+    d = lcm(*(element.components[r].den for r in weights))
     total: dict = {}
     for r in range(min(weights, default=degree), degree + 1):
         if total:
@@ -135,13 +124,13 @@ def _weighted_sum(element: StarElement, alpha: Fraction, degree: int | None = No
         if weight is None:
             continue
         tensor = element.components[r]
-        _add_scaled(total, tensor.cells, weight.numerator * (d // (tensor.den * weight.denominator)))
-    return SymbolTensor._from_cells(element.n, degree, d, total)
+        _add_scaled(total, tensor.cells, weight * (d // tensor.den))
+    return SymbolTensor._from_cells(element.n, degree, d * q**level, total)
 
 
 def substitute(element: StarElement, alpha: Fraction | int | str) -> SymbolTensor:
     """Evaluate a filtered element at nu = alpha, reduced to minimal degree."""
-    return reduce_to_min(_weighted_sum(element, AlphaValue.of(alpha).value))
+    return reduce_to_min(_weighted_sum(element, _alpha(alpha)))
 
 
 @dataclass(frozen=True)
@@ -163,24 +152,20 @@ class IdealFactorization:
         if self.cofactor.is_zero():
             return self.head
         shifted = self.cofactor.nu_shift(1)
-        scaled = self.cofactor.relevel(self.cofactor.level + 1).scale(
-            GaussRational(self.alpha)
-        )
+        scaled = self.cofactor.relevel(self.cofactor.level + 1).scale(self.alpha)
         return self.head + (shifted - scaled)
 
 
 def ideal_factorize(element: StarElement, alpha: Fraction | int | str) -> IdealFactorization:
-    """Factor an ideal member per its kind; raises NotInIdealError otherwise."""
-    point = AlphaValue.of(alpha)
+    """Factor an ideal member, with a head when alpha = 1/K; raises NotInIdealError otherwise."""
+    alpha = _alpha(alpha)
+    p, q = alpha.numerator, alpha.denominator
     n, level = element.n, element.level
     if element.is_zero():
         # keep the level so the reconstruction reproduces the input exactly
-        return IdealFactorization(
-            point.value, StarElement(n, level), StarElement(n, max(level - 1, 0))
-        )
-    alpha = point.value
+        return IdealFactorization(alpha, StarElement(n, level), StarElement(n, max(level - 1, 0)))
     # the weights nu^(r) with r > K vanish at 1/K: those components form the head
-    top = point.K if point.kind == "inverse_integer" and level > point.K else level
+    top = q if p == 1 and level > q else level
     head = StarElement(n, level, {r: t for r, t in element.components.items() if r > top})
     # tail = (nu - alpha) * cofactor reads t_r = (1 - alpha r) c_r - alpha embed(c_{r-1})
     # on components; solve upward, with c_r = 0 from r = top on.  What is left
@@ -189,15 +174,15 @@ def ideal_factorize(element: StarElement, alpha: Fraction | int | str) -> IdealF
     cofactor: dict[int, SymbolTensor] = {}
     carry = SymbolTensor.zero(n, 0)  # alpha embed(c_{r-1})
     for r in range(top):
-        c_r = (element.component(r) + carry).scale(1 / (1 - alpha * r))
+        c_r = (element.component(r) + carry).scale(Fraction(q, q - r * p))
         if not c_r.is_zero():
             cofactor[r] = c_r
         carry = embed(c_r).scale(alpha)
     if not (element.component(top) + carry).is_zero():
-        raise NotInIdealError(f"element does not vanish at nu = {point.value}")
+        raise NotInIdealError(f"element does not vanish at nu = {alpha}")
     if not cofactor:
-        return IdealFactorization(point.value, head, StarElement.zero(n))
-    return IdealFactorization(point.value, head, StarElement(n, level - 1, cofactor))
+        return IdealFactorization(alpha, head, StarElement.zero(n))
+    return IdealFactorization(alpha, head, StarElement(n, level - 1, cofactor))
 
 
 def star_at(f: SymbolTensor, g: SymbolTensor, alpha: Fraction | int | str) -> SymbolTensor:
@@ -210,14 +195,13 @@ def star_at(f: SymbolTensor, g: SymbolTensor, alpha: Fraction | int | str) -> Sy
     """
     if f.n != g.n:
         raise ValueError("star product needs matching n")
-    point = AlphaValue.of(alpha)
-    weight = _pochhammer_at(f.k, point.value) * _pochhammer_at(g.k, point.value)
+    alpha = _alpha(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    weight = _pochhammer_ints(f.k, p, q) * _pochhammer_ints(g.k, p, q)
     if not weight:
-        raise StarUndefinedError(
-            f"star product undefined at nu = {point.value} for degrees ({f.k}, {g.k})"
-        )
+        raise StarUndefinedError(f"star product undefined at nu = {alpha} for degrees ({f.k}, {g.k})")
     product = star_elements(StarElement.lift(f), StarElement.lift(g))
-    return substitute(product, point.value).scale(1 / weight)
+    return substitute(product, alpha).scale(Fraction(q ** (max(f.k - 1, 0) + max(g.k - 1, 0)), weight))
 
 
 class QuotientOperator:
@@ -273,9 +257,9 @@ def quotient_map(element: StarElement, K: int) -> QuotientOperator:
 
 def representative_element(operator: QuotientOperator) -> StarElement:
     """Section of :func:`quotient_map`: a level-K element mapping to the operator."""
-    weight = _pochhammer_at(operator.K, Fraction(1, operator.K))
-    tensor = operator.tensor.scale(1 / weight)
-    return StarElement(operator.n, operator.K, {operator.K: tensor})
+    K = operator.K
+    tensor = operator.tensor.scale(Fraction(K ** (K - 1), factorial(K - 1)))  # 1 / nu^(K)(1/K)
+    return StarElement(operator.n, K, {K: tensor})
 
 
 def quotient_dimension(n: int, K: int) -> int:

@@ -225,6 +225,8 @@ def fourier_from_json(data: dict) -> FourierSum:
     for item in _shaped(data.get("coeffs", []), list, 'Fourier "coeffs"'):
         listed = _required(item, "k", 'Fourier "coeffs" item', list)
         mode = tuple(_json_int(c, 'Fourier mode entry in "k"') for c in listed)
+        if len(mode) != dim:  # before a zero value is dropped
+            raise ValueError("mode vectors must match the dimension")
         value = _phase_sum_from_json(_shaped(item.get("terms", []), list, 'Fourier "terms"'))
         if value:
             coeffs[mode] = coeffs[mode] + value if mode in coeffs else value

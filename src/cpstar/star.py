@@ -278,6 +278,10 @@ class RawNuSeries:
     __slots__ = ("n", "degree", "powers")
 
     def __init__(self, n: int, degree: int, powers: Mapping[int, SymbolTensor] | None = None) -> None:
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
         self.n = n
         self.degree = degree
         self.powers: dict[int, SymbolTensor] = {}
@@ -383,6 +387,8 @@ class StarElement:
     __slots__ = ("n", "level", "components")
 
     def __init__(self, n: int, level: int, components: Mapping[int, SymbolTensor] | None = None) -> None:
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         if level < 0:
             raise ValueError("level must be nonnegative")
         self.n = n

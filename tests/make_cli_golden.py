@@ -30,7 +30,10 @@ refused (``"1/0"``, a bare number, ``"1 /2"``).  Last, from a third seed,
 come ``star``, ``disk`` and ``quotient`` requests over the budgets of
 ``cpstar.expr``, which exit 2 before any product or fold runs, and then a
 torus product whose terms have phases equal modulo one, whose amplitudes
-add up, and one whose repeated modes add up.
+add up, and one whose repeated modes add up.  The last cases are refused
+with exit 2 by a loader: a zero-valued Fourier mode of the wrong length,
+an element of negative ``n`` under ``subst`` and ``star``, and series of
+negative ``n`` or ``degree`` under ``eval``.
 """
 
 from __future__ import annotations
@@ -277,6 +280,14 @@ def edge_cases() -> list[dict]:
         {"k": [0, 1], "terms": [{"amp": "-5", "phase": "1/2"}]},
     ]}
     add("torus-repeated-modes-add-up", ["torus"], json.dumps({"left": repeated, "right": unit}))
+    short = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [{"k": [1], "terms": []}]}
+    add("torus-zero-mode-of-wrong-length", ["torus"], json.dumps({"left": short, "right": unit}))
+    negative = {"type": "element", "value": {"n": -1, "level": 0, "components": [None]}}
+    add("subst-negative-n", ["subst", "--alpha=1/3"], json.dumps(negative))
+    add("star-negative-n", ["star"], json.dumps({"left": negative, "right": negative}))
+    for field, series in (("n", {"n": -1, "degree": -4, "powers": {}}), ("degree", {"n": 1, "degree": -4, "powers": {}})):
+        session = {"bindings": {"S": {"type": "series", "value": series}}}
+        add(f"eval-series-negative-{field}", ["eval", "S", "--input", "-"], json.dumps(session))
     return out
 
 

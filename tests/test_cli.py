@@ -657,6 +657,32 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+NEGATIVE_N = {"type": "element", "value": {"n": -1, "level": 0, "components": [None]}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["subst", "--alpha=1/3"], ["quotient", "--K", "2"], ["star"]],
+    ids=["subst", "quotient", "star"],
+)
+def test_elements_of_negative_dimension_are_refused(tmp_path, capsys, argv):
+    data = {"left": NEGATIVE_N, "right": NEGATIVE_N} if argv == ["star"] else NEGATIVE_N
+    path = _write(tmp_path, "input.json", data)
+    code, out, err = _run(capsys, argv + ["--input", path])
+    assert (code, out, err) == (2, "", "cpstar: n must be nonnegative\n")
+
+
+@pytest.mark.parametrize(
+    "series, message",
+    [({"n": -1, "degree": -4, "powers": {}}, "n"), ({"n": 1, "degree": -4, "powers": {}}, "degree")],
+    ids=["n", "degree"],
+)
+def test_series_of_negative_dimension_or_degree_are_refused(tmp_path, capsys, series, message):
+    session = _write(tmp_path, "session.json", {"bindings": {"S": {"type": "series", "value": series}}})
+    code, out, err = _run(capsys, ["eval", "S", "--input", session])
+    assert (code, out, err) == (2, "", f"cpstar: {message} must be nonnegative\n")
+
+
 def test_quotient_command(tmp_path, capsys):
     element = StarElement.lift(symbol_of_matrix(MATRIX_A))
     path = _write(tmp_path, "elem.json", element_to_json(element))
@@ -766,6 +792,24 @@ def test_torus_adds_coefficients_of_repeated_modes(tmp_path, capsys):
     assert json.loads(out)["product"]["value"]["coeffs"] == [
         {"k": [1, 0], "terms": [{"amp": "3", "phase": "0"}]}
     ]
+
+def test_torus_refuses_zero_valued_modes_of_the_wrong_length(tmp_path, capsys):
+    left = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [{"k": [1], "terms": []}]}
+    right = fourier_to_json(FourierSum.mode(2, SYMPLECTIC, Fraction(1, 3), (0, 0)))
+    path = _write(tmp_path, "pair.json", {"left": left, "right": right})
+    code, out, err = _run(capsys, ["torus", "--input", path])
+    assert (code, out, err) == (2, "", "cpstar: mode vectors must match the dimension\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_torus_names_the_digit_limit_of_the_fold_dimension(tmp_path, capsys):
+    K = "7" * 3000
+    mode = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": f"1/{K}", "coeffs": [{"k": [1, 0], "terms": [{"amp": "1"}]}]}
+    path = _write(tmp_path, "pair.json", {"left": mode, "right": mode})
+    code, out, err = _run(capsys, ["torus", "--K", K, "--input", path])
+    assert (code, out) == (2, "")
+    assert err == "cpstar: result has a number of 6000 digits, over the limit of 4300\n"
+
 
 def test_torus_rejects_wrong_types(tmp_path, capsys):
     path = _write(

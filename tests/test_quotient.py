@@ -8,7 +8,6 @@ import pytest
 from cpstar import quotient
 from cpstar.nupoly import nu_pochhammer
 from cpstar.quotient import (
-    AlphaValue,
     NotInIdealError,
     QuotientOperator,
     StarUndefinedError,
@@ -43,15 +42,16 @@ def _times_nu_minus_alpha(element, alpha):
     return shifted - scaled
 
 
-def test_alpha_classification():
-    assert AlphaValue.of(2).kind == "generic"
-    assert AlphaValue.of(Fraction(-1, 3)).kind == "generic"
-    assert AlphaValue.of(Fraction(2, 3)).kind == "generic"
-    point = AlphaValue.of("1/4")
-    assert point.kind == "inverse_integer" and point.K == 4
-    assert AlphaValue.of(1).K == 1
-    with pytest.raises(ValueError):
-        AlphaValue.of(0)
+def test_zero_substitution_point_is_refused():
+    element = StarElement.lift(random_symbol(random.Random(3), 1, 1, density=0.9))
+    for zero in (0, Fraction(0), "0", "0/5"):
+        for call in (
+            lambda: substitute(element, zero),
+            lambda: ideal_factorize(element, zero),
+            lambda: star_at(element.component(1), element.component(1), zero),
+        ):
+            with pytest.raises(ValueError, match="^substitution point must be nonzero$"):
+                call()
 
 
 def test_substitute_unit():

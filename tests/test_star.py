@@ -282,6 +282,14 @@ def test_element_component_validation():
         StarElement(1, 2, {2: tensor})  # degree-1 tensor at slot 2
     with pytest.raises(ValueError):
         StarElement(1, -1)
+    # a negative n or degree is refused without any component to check it
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        StarElement(-1, 0)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        RawNuSeries(-1, 0)
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        RawNuSeries(1, -4)
+    assert StarElement(0, 0).is_zero() and RawNuSeries(0, 0).is_zero()
 
 
 def test_relevel_preserves_expansion():

@@ -64,6 +64,14 @@ def test_fourier_loader_adds_the_values_of_repeated_modes():
     assert fourier_from_json(payload).coeffs == {(1, 0): expected}
 
 
+def test_fourier_loader_checks_the_length_of_zero_valued_modes():
+    short, zero, nonzero = [1], [{"amp": "0"}], [{"amp": "1"}]
+    for item in ({"k": short, "terms": []}, {"k": [1, 2, 3], "terms": zero}, {"k": short, "terms": nonzero}):
+        payload = {"dim": 2, "Lambda": SYMPLECTIC, "lambda": "1/3", "coeffs": [item]}
+        with pytest.raises(ValueError, match="^mode vectors must match the dimension$"):
+            fourier_from_json(payload)
+
+
 def test_phase_sum_addition_merges_and_cancels():
     a = PhaseSum.of(1, F(1, 3))
     b = PhaseSum.of(2, F(1, 3))

@@ -2,14 +2,16 @@
 
 ``star._star_coefficient`` and ``models.disk.disk_basis_coefficient`` are
 both ``nupoly._weight_ints`` reduced by ``NuRationalFunction._from_ints``,
-and ``nu_pochhammer``, ``neg_nu_pochhammer`` and ``quotient._pochhammer_at``
-all read the integer product of ``nupoly._linear_ints``.  The oracles here
-are the builds they replaced, kept on purpose: the recursive
-``NuPolynomial`` product for the Pochhammer polynomials, and a
-``NuPolynomial`` numerator over its factors (``over_factors``) for the two
-weights.  Results must agree structurally: numerator, monic denominator and
-the factors carried.  Negation and multiples by a scalar or a polynomial of
-a factored value are checked against the Euclidean constructor.
+``nu_pochhammer`` and ``neg_nu_pochhammer`` read the integer product of
+``nupoly._linear_ints``, and ``quotient._pochhammer_ints`` takes the same
+factors at ``alpha = p/q`` as one int.  The oracles here are the builds
+they replaced, kept on purpose: the recursive ``NuPolynomial`` product for
+the Pochhammer polynomials, Horner's rule over its expanded coefficients
+(``pochhammer_at``) for its values, and a ``NuPolynomial`` numerator over
+its factors (``over_factors``) for the two weights.  Results must agree
+structurally: numerator, monic denominator and the factors carried.
+Negation and multiples by a scalar or a polynomial of a factored value are
+checked against the Euclidean constructor.
 """
 
 import random
@@ -20,8 +22,8 @@ from math import factorial
 import pytest
 
 from cpstar.models.disk import disk_basis_coefficient, neg_nu_pochhammer
-from cpstar.nupoly import NU_ONE, NuPolynomial, NuRationalFunction, nu_pochhammer
-from cpstar.quotient import _pochhammer_at
+from cpstar.nupoly import NU_ONE, NuPolynomial, NuRationalFunction, _linear_ints, _pochhammer_js, nu_pochhammer
+from cpstar.quotient import _pochhammer_ints
 from cpstar.randgen import random_scalar
 from cpstar.scalars import GaussRational, to_gauss
 from cpstar.star import _star_coefficient
@@ -35,6 +37,16 @@ def reference_pochhammer(k: int) -> NuPolynomial:
     if k <= 1:
         return NU_ONE
     return reference_pochhammer(k - 1) * NuPolynomial((1, -(k - 1)))
+
+
+def pochhammer_at(r: int, alpha: Fraction) -> Fraction:
+    """nu^(r) at ``alpha = p/q``: its integer coefficients in homogeneous
+    Horner order, ``sum_m c_m p^m q^(d-m)`` over ``q^d``, d its degree."""
+    p, q = alpha.numerator, alpha.denominator
+    num, power = 0, 1
+    for c in reversed(_linear_ints(_pochhammer_js(r))):
+        num, power = num * p + c * power, power * q
+    return Fraction(num, power // q)
 
 
 def reference_neg_pochhammer(k: int) -> NuPolynomial:
@@ -96,11 +108,16 @@ def test_pochhammer_at_matches_polynomial_evaluation():
     ]
     for r in range(12):
         for alpha in alphas:
-            value = _pochhammer_at(r, alpha)
-            assert isinstance(value, Fraction)
-            assert GaussRational(value) == reference_pochhammer(r).evaluate(alpha)
+            p, q = alpha.numerator, alpha.denominator
+            ints = _pochhammer_ints(r, p, q)
+            assert type(ints) is int
+            expected = reference_pochhammer(r).evaluate(alpha)
+            for value in (pochhammer_at(r, alpha), Fraction(ints, q ** max(r - 1, 0))):
+                assert isinstance(value, Fraction)
+                assert GaussRational(value) == expected
         for K in range(1, 6):  # nu^(r) vanishes at 1/K exactly from r = K + 1 on
-            assert (_pochhammer_at(r, Fraction(1, K)) == 0) == (r >= K + 1)
+            assert (pochhammer_at(r, Fraction(1, K)) == 0) == (r >= K + 1)
+            assert (_pochhammer_ints(r, 1, K) == 0) == (r >= K + 1)
 
 
 def euclid(num: NuPolynomial, den: NuPolynomial) -> NuRationalFunction:
