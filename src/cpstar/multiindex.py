@@ -81,17 +81,27 @@ def _lex_rank(n: int, index: Index) -> int:
 
 
 def _lex_unrank(n: int, k: int, rank: int) -> Index:
-    """The sorted k-tuple at position ``rank`` of ``sorted_tuples(n, k)``."""
+    """The sorted k-tuple at position ``rank`` of ``sorted_tuples(n, k)``.
+
+    It inverts :func:`_lex_rank` one position at a time: with ``m`` letters
+    from here on and the letter before at ``low``, the letter here is the
+    largest v whose count ``C(n - low + m, m) - C(n - v + m, m)`` of
+    earlier tuples is at most what is left of ``rank``, found by bisection
+    in log2(n) binomials."""
     out = []
-    letter = 0
-    for tail in range(k - 1, -1, -1):
-        # the tuples that go on with this letter and ``tail`` more after it
-        block = comb(n - letter + tail, tail)
-        while rank >= block:
-            rank -= block
-            letter += 1
-            block = comb(n - letter + tail, tail)
+    low = 0
+    for m in range(k, 0, -1):
+        top = comb(n - low + m, m)
+        letter, high = low, n
+        while letter < high:
+            mid = (letter + high + 1) // 2
+            if top - comb(n - mid + m, m) <= rank:
+                letter = mid
+            else:
+                high = mid - 1
+        rank -= top - comb(n - letter + m, m)
         out.append(letter)
+        low = letter
     return tuple(out)
 
 

@@ -26,8 +26,11 @@ per-entry sums of :meth:`cpstar.star.StarProductTerms.nrf_map` and the
 per-key sums of :func:`cpstar.models.disk.disk_product` are all built in
 that form and reduced once, and factored values compare as ints.  Their
 ``num`` and ``den`` polynomials are views, built only for output and
-evaluation.  A Euclidean gcd over Q(i) runs only for generic denominators,
-such as those read from JSON; those values store ``num`` and ``den``.
+evaluation.  The JSON loader recovers the factors of a denominator that
+splits over integer j, so every coefficient cpstar writes reads back
+factored.  A Euclidean gcd over Q(i) runs only for generic denominators,
+such as one read from JSON that does not split; those values store ``num``
+and ``den``, and are refused over :data:`MAX_UNFACTORED_DEGREE`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from typing import Iterable, Optional, Sequence, Union
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _gauss, _over_lcm, _required, to_gauss
 
 __all__ = [
+    "MAX_LOADED_DEGREE",
+    "MAX_UNFACTORED_DEGREE",
     "NuPolynomial",
     "NuRationalFunction",
     "nu_pochhammer",
@@ -407,6 +412,79 @@ def _reduced(nums: GaussInts, den: int, js: Iterable[int]) -> IntForm:
     return tuple((re // common, im // common) for re, im in nums), den // common, tuple(kept)
 
 
+MAX_LOADED_DEGREE = 64
+"""Largest degree of the numerator and of the denominator of a rational
+function read from JSON whose denominator is not constant.  It admits every
+disk coefficient cpstar writes under ``expr.MAX_DISK_INDEX``: the largest
+measured, of f_{0,24} in the sum of the chains f_{0,q}^(24/q), has degree
+48 over 37.  Such a denominator splits (:func:`_split_js`), and the value
+loads factored in milliseconds; through the Euclidean gcd it took 16 s on a
+2-core x86-64 VM with Python 3.11.  The bound also keeps the search for a
+split short."""
+
+MAX_UNFACTORED_DEGREE = 32
+"""Largest degree of the numerator and of the denominator on the Euclidean
+route: a loaded value whose denominator does not split, and every value
+built from one, checked before its gcd over Q(i).  The gcd's time grows
+about as the sixth power of the degree.  On the VM above, with random
+integer coefficients in -3..3 and both degrees d, loading took 0.03 s at
+d = 32, 0.7-1.0 s at d = 64 and 1.3 s at d = 70; the 8th power of such a
+value of degree 4 took 0.29 s and of degree 8, which passes degree 32 on
+the way, 27 s."""
+
+
+def _check_degrees(num: NuPolynomial, den: NuPolynomial, limit: int, name: str, what: str) -> None:
+    """Refuse ``num / den`` with a denominator that is not constant when
+    either degree is over ``limit``."""
+    if den.degree > 0 and max(num.degree, den.degree) > limit:
+        raise ValueError(
+            f"rational function of degree {num.degree} over {den.degree}: over a denominator {what}, "
+            f"both degrees are limited to {name} = {limit}"
+        )
+
+
+SPLIT_BOUND = 1 << 12
+"""Largest ``|j|`` that :func:`_split_js` tries.  The disk's factors have
+``|j|`` under ``expr.MAX_DISK_INDEX``, and a search this far takes about a
+millisecond."""
+
+
+def _split_js(den: NuPolynomial) -> Optional[tuple[int, ...]]:
+    """The sorted ``js`` with ``den = den(0) prod(1 - j nu)`` over integers
+    ``0 < |j| <= SPLIT_BOUND``, or None when ``den`` is no such product.
+
+    Over ``den(0)`` the product has integer coefficients, the last of them
+    ``prod(-j)``, so each j divides it; a candidate is a root exactly when
+    synthetic division by ``1 - j nu``, ``Q_m = P_m + j Q_(m-1)``, leaves
+    no remainder, as in :func:`_reduced`."""
+    low = den.coefficient(0)
+    if not low:
+        return None
+    scale = GAUSS_ONE / low
+    ints = []
+    for c in den.coeffs:
+        p, q, m = (c * scale)._ints()
+        if q or m != 1:
+            return None
+        ints.append(p)
+    js = []
+    j = 1
+    while len(ints) > 1 and j <= min(SPLIT_BOUND, abs(ints[-1])):
+        for root in (j, -j):
+            while len(ints) > 1 and not ints[-1] % root:
+                quotient = []
+                acc = 0
+                for p in ints:
+                    acc = p + root * acc
+                    quotient.append(acc)
+                if quotient.pop():
+                    break
+                ints = quotient
+                js.append(root)
+        j += 1
+    return tuple(sorted(js)) if len(ints) == 1 else None
+
+
 class NuRationalFunction:
     """Quotient of two nu-polynomials in lowest terms with a monic denominator.
 
@@ -420,10 +498,10 @@ class NuRationalFunction:
     and ``den`` are views of it, built afresh on every access: ``nums /
     (den prod(-j))`` and the monic ``prod(nu - 1/j)``.
 
-    A denominator that was never factored, such as one read from JSON, has
-    ``js`` None; the value stores ``num`` and ``den`` as polynomials, and
-    the constructor and any operation on it reduce by a Euclidean gcd over
-    Q(i).  Both routes give the same canonical ``num`` and ``den``, and a
+    A denominator that was never factored, such as one read from JSON that
+    does not split, has ``js`` None; the value stores ``num`` and ``den`` as
+    polynomials, and the constructor and any operation on it reduce by a
+    Euclidean gcd over Q(i).  Both routes give the same canonical ``num`` and ``den``, and a
     factored value equals an unfactored one when those views do.
     """
 
@@ -435,6 +513,7 @@ class NuRationalFunction:
         if not num:
             den = NU_ONE
         elif den.degree > 0:
+            _check_degrees(num, den, MAX_UNFACTORED_DEGREE, "MAX_UNFACTORED_DEGREE", "that does not factor")
             common = _poly_gcd(num, den)
             if common.degree > 0:
                 num = divmod(num, common)[0]
@@ -497,10 +576,19 @@ class NuRationalFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> "NuRationalFunction":
+        """Load ``{"num": [...], "den": [...]}``.  A denominator that is not
+        constant is refused over :data:`MAX_LOADED_DEGREE`, and is factored
+        when it splits (:func:`_split_js`); one that does not split takes
+        the Euclidean route, refused over :data:`MAX_UNFACTORED_DEGREE`."""
         num, den = (NuPolynomial.from_json(_required(data, key, "rational function", list)) for key in ("num", "den"))
         if den.is_zero():
             raise ValueError("rational function with zero denominator")
-        return cls(num, den)
+        _check_degrees(num, den, MAX_LOADED_DEGREE, "MAX_LOADED_DEGREE", "that is not constant")
+        js = _split_js(den)
+        if js is None:
+            return cls(num, den)
+        d, nums = _poly_ints((num * (GAUSS_ONE / den.coefficient(0))).coeffs)
+        return cls._from_ints(nums, d, js)
 
     def numerator_over(self, js: Iterable[int]) -> NuPolynomial:
         """The ``N`` with ``self == N / prod(1 - j nu)`` over the multiset ``js``.

@@ -119,7 +119,7 @@ def _weighted_sum(element: StarElement, alpha: Fraction, degree: int | None = No
     total: dict = {}
     for r in range(min(weights, default=degree), degree + 1):
         if total:
-            total = _times_x(element.n, total)
+            total = _times_x(element.n, r - 1, total)
         weight = weights.get(r)
         if weight is None:
             continue

@@ -29,7 +29,7 @@ from .nupoly import NuRationalFunction
 from .quotient import QuotientOperator
 from .scalars import GaussRational, _format_ratio, _rational_parts, _required, _shaped, parse_rational
 from .star import RawNuSeries, StarElement
-from .symbols import SymbolTensor
+from .symbols import SymbolTensor, _key_pairs
 
 __all__ = [
     "canonical_dumps",
@@ -66,10 +66,13 @@ def _json_int(value, what: str) -> int:
 
 def symbol_to_json(tensor: SymbolTensor) -> dict:
     """Entries at sorted index pairs, each part formatted straight from
-    ``cells[I, J] / (den mult(I) mult(J))``."""
+    ``cells[key] / (den mult(I) mult(J))``; sorted cell keys list the pairs
+    ``(I, J)`` in lex order."""
     den = tensor.den
+    pairs = _key_pairs(tensor.n, tensor.k)
     entries = []
-    for (left, right), (real, imag) in sorted(tensor.cells.items()):
+    for key, (real, imag) in sorted(tensor.cells.items()):
+        left, right = pairs[key]
         d = den * multiplicity(left) * multiplicity(right)
         entries.append(
             {"I": list(left), "J": list(right), "re": _format_ratio(real, d), "im": _format_ratio(imag, d)}

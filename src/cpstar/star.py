@@ -40,7 +40,7 @@ from .symbols import (
     SymbolTensor,
     _add_scaled,
     _contract_into,
-    _contracted,
+    _key_pairs,
     _times_x,
     embed,
     pointwise_mul,
@@ -149,11 +149,13 @@ class StarProductTerms:
                     cell = acc[m]
                     cell[0] += n_re * c_re - n_im * c_im
                     cell[1] += n_re * c_im + n_im * c_re
+        pairs = _key_pairs(self.n, degree)
         out = {}
         for key, acc in sums.items():
-            value = NuRationalFunction._from_ints(acc, den * multiplicity(key[0]) * multiplicity(key[1]), js)
+            left, right = pair = pairs[key]
+            value = NuRationalFunction._from_ints(acc, den * multiplicity(left) * multiplicity(right), js)
             if value:
-                out[key] = value
+                out[pair] = value
         return out
 
     def is_zero(self) -> bool:
@@ -474,7 +476,7 @@ class StarElement:
             cells = tensor.cells
             for j, weight in enumerate(_relevel_weights(r, m)):
                 if j:
-                    cells = _times_x(n, cells)
+                    cells = _times_x(n, r + j - 1, cells)
                 if not weight:
                     continue
                 _add_scaled(sums.setdefault(r + j, {}), cells, weight * rescale)
@@ -581,7 +583,9 @@ def star_elements(left: StarElement, right: StarElement) -> StarElement:
                 _contract_into(sums.setdefault(r + s - t, {}), phi.cells, psi.cells, n, r, s, t, weight)
     d = d_left * d_right * top
     # StarElement drops the components whose entries all cancel
-    return StarElement(n, level, {degree: _contracted(n, degree, d, cells) for degree, cells in sums.items()})
+    return StarElement(
+        n, level, {degree: SymbolTensor._from_cells(n, degree, d, cells) for degree, cells in sums.items()}
+    )
 
 
 def extract_structure(series: RawNuSeries, level: int) -> Optional[StarElement]:

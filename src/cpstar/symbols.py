@@ -13,9 +13,13 @@ representative times the number of distinct orderings of each group (see
 
 A :class:`SymbolTensor` has one number format: the polynomial coefficients
 of sigma_tilde (entry times mult(I) times mult(J)) as Gaussian-integer cells
-over one least tensor-wide denominator.  Every operation reads and writes
-those cells with int arithmetic and builds its result through one
-normalising constructor, ``SymbolTensor._from_cells``:
+over one least tensor-wide denominator.  A cell is keyed by one int, ``rank(I)
+W + rank(J)``: ``rank`` is the lex rank of a sorted index among the sorted
+k-tuples (:func:`cpstar.multiindex._lex_rank`) and ``W = C(n + k, k)`` their
+number.  Int order is the lex order of the pairs ``(I, J)``, so sorted cells
+are in the order the JSON lists them.  Every operation reads and writes the
+cells with int arithmetic and builds its result through one normalising
+constructor, ``SymbolTensor._from_cells``:
 
 * ``+``, ``-``, :meth:`SymbolTensor.scale` and
   :meth:`SymbolTensor.conjugate_swap`;
@@ -27,8 +31,17 @@ normalising constructor, ``SymbolTensor._from_cells``:
   place; :func:`cpstar.star.star_elements` runs every contraction of an
   element product through it in one pass.  The accumulator reads a plan per
   shape (n, k, l, r) — split weights and merged output positions, filled in
-  as cells need them — and keys its cells by lex ranks of the merged index
-  pairs; ``_contracted`` turns the keys back into index pairs once.
+  as cells need them — whose output positions are already cell keys.
+
+The kernels never see an index pair.  Each reads the keys through a table
+per shape, filled in as cells need it and bounded like every cache here:
+``_raised`` gives the n + 1 keys of a cell times x, ``_divided`` the
+quotient key of a cell divisible by its lead term of x, and the contraction
+plans the ranks of merged indices.  Index pairs appear only at the
+boundary, through ``_ranks`` and its inverse ``_key_pairs``: the
+constructors and ``_checked_cells``, the views :attr:`SymbolTensor.entries`
+and :meth:`SymbolTensor.poly_items`, :meth:`SymbolTensor.conjugate_swap`,
+:func:`identity_symbol` and the JSON dumper.
 
 The Gaussian-rational tensor entries are a computed view,
 :attr:`SymbolTensor.entries`, for checks and tests.  The public
@@ -80,7 +93,7 @@ __all__ = [
 ]
 
 EntryKey = tuple[Index, Index]
-Cells = dict[EntryKey, tuple[int, int]]
+Cells = dict[int, tuple[int, int]]
 
 
 def _gauss_parts(entries: Mapping[EntryKey, ScalarLike]) -> Iterable[tuple[EntryKey, tuple[int, int, int, int]]]:
@@ -99,7 +112,8 @@ def _checked_cells(n: int, k: int, parts: Iterable[tuple[EntryKey, tuple[int, in
     result is ``(den, cells)`` as :class:`SymbolTensor` stores them."""
     if n < 0 or k < 0:
         raise ValueError("need n >= 0 and k >= 0")
-    weighted: dict[EntryKey, tuple[int, int, int, int, int]] = {}
+    ranks, width = _ranks(n, k), 0  # W is counted at the first entry
+    weighted: dict[int, tuple[int, int, int, int, int]] = {}
     for (left, right), (a, b, c, d) in parts:
         if not (a or c):
             continue
@@ -111,16 +125,38 @@ def _checked_cells(n: int, k: int, parts: Iterable[tuple[EntryKey, tuple[int, in
         key = tuple(left), tuple(right)
         if key != ordered:
             raise ValueError("entries must use sorted index representatives")
-        weighted[key] = (a, b, c, d, multiplicity(key[0]) * multiplicity(key[1]))
+        left, right = key
+        width = width or _width(n, k)
+        weighted[ranks[left] * width + ranks[right]] = (a, b, c, d, multiplicity(left) * multiplicity(right))
     return _over_lcm(weighted)
+
+
+MAX_WIDTH_BITS = 256
+"""Largest bit length of the number W = C(n + k, k) of sorted k-tuples of a
+tensor with entries.  Ranking an index of a cell key takes 2k binomials of
+about W's size, and unranking one k log2(n) of them.  On CP^1000000, on a
+2-core x86-64 VM with Python 3.11, an index of degree 13 (W of 226 bits)
+ranked in 0.02 ms and unranked in 0.14 ms; one of degree 1000 (11403 bits)
+took 0.4 s and 3.7 s."""
+
+
+def _width(n: int, k: int) -> int:
+    """W = C(n + k, k) for a tensor with entries, refused over
+    :data:`MAX_WIDTH_BITS` bits before it is counted in full, as
+    C(n + k, k) >= 2**min(n, k)."""
+    width = comb(n + k, k) if min(n, k) <= MAX_WIDTH_BITS else None
+    if width is None or width.bit_length() > MAX_WIDTH_BITS:
+        raise ValueError(f"a symbol on CP^{n} of degree {k} has over 2**{MAX_WIDTH_BITS} sorted index tuples")
+    return width
 
 
 class SymbolTensor:
     """Symmetric tensor of a degree-``k`` symbol on CP^n.
 
-    ``cells`` maps sorted index pairs ``(I, J)`` — antiholomorphic group
-    first — to the coefficient of zbar^I z^J in sigma_tilde times ``den``, a
-    nonzero pair ``(re, im)`` of ints.  ``den`` is the least positive common
+    ``cells`` maps the key ``rank(I) W + rank(J)`` of a sorted index pair
+    ``(I, J)`` — antiholomorphic group first, ``W = C(n + k, k)`` — to the
+    coefficient of zbar^I z^J in sigma_tilde times ``den``, a nonzero pair
+    ``(re, im)`` of ints.  ``den`` is the least positive common
     denominator: gcd(den, every part) = 1, and the zero tensor has den 1.
     The tensor entry at ``(I, J)`` is the coefficient over mult(I) mult(J);
     :attr:`entries` computes all of them as ``GaussRational`` values.
@@ -147,10 +183,10 @@ class SymbolTensor:
         return tensor
 
     @classmethod
-    def _from_cells(cls, n: int, k: int, den: int, cells: Mapping[EntryKey, Sequence[int]]) -> "SymbolTensor":
-        """Wrap polynomial-coefficient cells over ``den`` (positive), with
-        keys that are already sorted of length ``k`` over letters ``0..n``;
-        zero cells are dropped and the denominator is made least."""
+    def _from_cells(cls, n: int, k: int, den: int, cells: Mapping[int, Sequence[int]]) -> "SymbolTensor":
+        """Wrap polynomial-coefficient cells over ``den`` (positive), keyed
+        as :attr:`cells` is for degree ``k`` on CP^n; zero cells are dropped
+        and the denominator is made least."""
         tensor = object.__new__(cls)
         tensor.n = n
         tensor.k = k
@@ -177,17 +213,19 @@ class SymbolTensor:
 
         Built afresh on every access: read it once into a local."""
         den = self.den
+        pairs = _key_pairs(self.n, self.k)
         out = {}
-        for (left, right), (re, im) in self.cells.items():
-            d = den * multiplicity(left) * multiplicity(right)
-            out[(left, right)] = _gauss(re, im, d)
+        for key, (re, im) in self.cells.items():
+            left, right = pair = pairs[key]
+            out[pair] = _gauss(re, im, den * multiplicity(left) * multiplicity(right))
         return out
 
     def poly_items(self) -> Iterable[tuple[EntryKey, GaussRational]]:
         """Coefficients of sigma_tilde on sorted monomial representatives."""
         den = self.den
+        pairs = _key_pairs(self.n, self.k)
         for key, (re, im) in self.cells.items():
-            yield key, _gauss(re, im, den)
+            yield pairs[key], _gauss(re, im, den)
 
     # -- predicates ---------------------------------------------------
 
@@ -251,7 +289,11 @@ class SymbolTensor:
 
     def conjugate_swap(self) -> "SymbolTensor":
         """Tensor of the complex-conjugated symbol (swap index groups, conjugate)."""
-        cells = {(right, left): (re, -im) for (left, right), (re, im) in self.cells.items()}
+        width = comb(self.n + self.k, self.k)
+        cells = {}
+        for key, (re, im) in self.cells.items():
+            left, right = divmod(key, width)
+            cells[right * width + left] = (re, -im)
         return SymbolTensor._from_cells(self.n, self.k, self.den, cells)
 
     # -- polynomial view ----------------------------------------------
@@ -272,14 +314,15 @@ class SymbolTensor:
 
     @classmethod
     def from_zpoly(cls, n: int, k: int, poly: ZPoly) -> "SymbolTensor":
-        parts: dict[EntryKey, tuple[int, int, int, int, int]] = {}
+        ranks, width = _ranks(n, k), _width(n, k) if poly.terms else 0
+        parts: dict[int, tuple[int, int, int, int, int]] = {}
         for (bar, hol), coeff in poly.terms.items():
             if sum(bar) != k or sum(hol) != k:
                 raise ValueError(f"polynomial is not bihomogeneous of degree ({k}, {k})")
             left = tuple(a for a in range(n + 1) for _ in range(bar[a]))
             right = tuple(a for a in range(n + 1) for _ in range(hol[a]))
             p, q, m = to_gauss(coeff)._ints()
-            parts[(left, right)] = (p, m, q, m, 1)
+            parts[ranks[left] * width + ranks[right]] = (p, m, q, m, 1)
         return cls._from_cells(n, k, *_over_lcm(parts))
 
 
@@ -300,7 +343,8 @@ def symbol_of_matrix(matrix: Sequence[Sequence[ScalarLike]]) -> SymbolTensor:
 def identity_symbol(n: int, k: int) -> SymbolTensor:
     """Tensor with sigma_tilde = x**k; unit for the pointwise product and the
     identity operator under :func:`operator_product`."""
-    cells = {(index, index): (multiplicity(index), 0) for index in sorted_tuples(n, k)}
+    width = comb(n + k, k)
+    cells = {rank * (width + 1): (multiplicity(index), 0) for rank, index in enumerate(sorted_tuples(n, k))}
     return SymbolTensor._from_cells(n, k, 1, cells)
 
 
@@ -337,19 +381,13 @@ def pointwise_mul(left: SymbolTensor, right: SymbolTensor) -> SymbolTensor:
     return wick_contraction(left, right, 0)
 
 
-def _times_x(n: int, cells: Mapping[EntryKey, Sequence[int]]) -> dict[EntryKey, list[int]]:
-    """Polynomial-coefficient cells of sigma_tilde multiplied by
-    x = sum_a zbar_a z_a, as fresh ``[re, im]`` lists."""
-    grown: dict[EntryKey, list[int]] = {}
-    raised: dict[Index, list[Index]] = {}  # index -> index + (a,) for every letter a
-    for (left, right), (c_re, c_im) in cells.items():
-        lefts = raised.get(left)
-        if lefts is None:
-            lefts = raised[left] = [merge_indices(left, (a,)) for a in range(n + 1)]
-        rights = raised.get(right)
-        if rights is None:
-            rights = raised[right] = [merge_indices(right, (a,)) for a in range(n + 1)]
-        for key in zip(lefts, rights):
+def _times_x(n: int, k: int, cells: Mapping[int, Sequence[int]]) -> dict[int, list[int]]:
+    """Polynomial-coefficient cells of a degree-``k`` sigma_tilde multiplied
+    by x = sum_a zbar_a z_a, as fresh ``[re, im]`` lists of degree k + 1."""
+    grown: dict[int, list[int]] = {}
+    raised = _raised(n, k)
+    for key, (c_re, c_im) in cells.items():
+        for key in raised[key]:
             cell = grown.get(key)
             if cell is None:
                 grown[key] = [c_re, c_im]
@@ -359,7 +397,7 @@ def _times_x(n: int, cells: Mapping[EntryKey, Sequence[int]]) -> dict[EntryKey, 
     return grown
 
 
-def _add_scaled(accum: dict[EntryKey, list[int]], cells: Mapping[EntryKey, Sequence[int]], factor: int) -> None:
+def _add_scaled(accum: dict[int, list[int]], cells: Mapping[int, Sequence[int]], factor: int) -> None:
     """Add ``factor`` times the int cells ``cells`` into ``accum`` in place."""
     for key, (c_re, c_im) in cells.items():
         cell = accum.get(key)
@@ -379,8 +417,8 @@ def embed(tensor: SymbolTensor, times: int = 1) -> SymbolTensor:
     if not times:
         return tensor
     cells = tensor.cells
-    for _ in range(times):
-        cells = _times_x(tensor.n, cells)
+    for k in range(tensor.k, tensor.k + times):
+        cells = _times_x(tensor.n, k, cells)
     return SymbolTensor._from_cells(tensor.n, tensor.k + times, tensor.den, cells)
 
 
@@ -394,28 +432,30 @@ def reduce_degree(tensor: SymbolTensor) -> Optional[SymbolTensor]:
     monomial left lacks the letter 0 in either group.
 
     x is monic in its lead monomial, so the division runs on the cells and
-    the quotient stays integral over the tensor's denominator.
+    the quotient stays integral over the tensor's denominator.  The cell
+    keys order the monomials as their pairs do, so the heap of keys pops
+    the lead monomial first, and ``_divided`` gives each key's step.
     """
     if tensor.k == 0:
         raise ValueError("cannot reduce a degree-0 symbol")
+    divided = _divided(tensor.n, tensor.k)
     remainder = {key: list(cell) for key, cell in tensor.cells.items()}
     heap = list(remainder)
     heapify(heap)
-    quotient: dict[EntryKey, list[int]] = {}
+    quotient: dict[int, list[int]] = {}
     while heap:
         key = heappop(heap)
         c_re, c_im = cell = remainder.pop(key)
         if not (c_re or c_im):
             continue
-        left, right = key
-        if left[0] != 0 or right[0] != 0:
+        step = divided[key]
+        if step is None:
             return None
-        left, right = left[1:], right[1:]
-        quotient[(left, right)] = cell
+        below, others = step
+        quotient[below] = cell
         # the a = 0 term of coeff * x is the monomial just taken; the others
         # rank below it, so each monomial enters the heap once
-        for a in range(1, tensor.n + 1):
-            key = (merge_indices(left, (a,)), merge_indices(right, (a,)))
+        for key in others:
             existing = remainder.get(key)
             if existing is None:
                 remainder[key] = [-c_re, -c_im]
@@ -439,8 +479,8 @@ def reduce_to_min(tensor: SymbolTensor) -> SymbolTensor:
 
 class _Lazy(dict):
     """A dict that fills a missing entry from ``fill(key)`` the first time it
-    is read.  The contraction plans are made of these, so a plan holds only
-    the entries some cell has needed."""
+    is read.  The key tables and contraction plans are made of these, so a
+    table holds only the entries some cell has needed."""
 
     __slots__ = ("fill",)
 
@@ -465,32 +505,81 @@ def _indices(n: int, k: int) -> _Lazy:
     return _Lazy(partial(_lex_unrank, n, k))
 
 
+def _key_pair(n: int, k: int, key: int) -> EntryKey:
+    head, tail = divmod(key, comb(n + k, k))
+    indices = _indices(n, k)
+    return indices[head], indices[tail]
+
+
+@lru_cache(maxsize=64)
+def _key_pairs(n: int, k: int) -> _Lazy:
+    """Cell key ``rank(I) W + rank(J)`` of degree ``k`` -> its index pair."""
+    return _Lazy(partial(_key_pair, n, k))
+
+
+def _times_letters(n: int, k: int, left: Index, right: Index, letters: range) -> tuple[int, ...]:
+    """The degree-(k + 1) keys of zbar_a z_a zbar^left z^right, a in ``letters``."""
+    ranks, width = _ranks(n, k + 1), comb(n + k + 1, k + 1)
+    return tuple(ranks[merge_indices(left, (a,))] * width + ranks[merge_indices(right, (a,))] for a in letters)
+
+
+def _raised_keys(n: int, k: int, key: int) -> tuple[int, ...]:
+    return _times_letters(n, k, *_key_pairs(n, k)[key], range(n + 1))
+
+
+@lru_cache(maxsize=64)
+def _raised(n: int, k: int) -> _Lazy:
+    """Cell key of degree ``k`` -> the keys of zbar_a z_a times its monomial,
+    a = 0..n, in degree k + 1: the n + 1 cells :func:`_times_x` adds it to."""
+    return _Lazy(partial(_raised_keys, n, k))
+
+
+def _division_step(n: int, k: int, key: int) -> Optional[tuple[int, tuple[int, ...]]]:
+    left, right = _key_pairs(n, k)[key]
+    if left[0] or right[0]:
+        return None
+    left, right = left[1:], right[1:]
+    below = _ranks(n, k - 1)
+    return below[left] * comb(n + k - 1, k - 1) + below[right], _times_letters(n, k - 1, left, right, range(1, n + 1))
+
+
+@lru_cache(maxsize=64)
+def _divided(n: int, k: int) -> _Lazy:
+    """Cell key of degree ``k`` -> one step of :func:`reduce_degree`: None
+    when its monomial zbar^I z^J lacks the lead term zbar_0 z_0 of x, else
+    the key of zbar^I z^J / (zbar_0 z_0) in degree k - 1 and the keys of
+    that quotient times zbar_a z_a for a = 1..n."""
+    return _Lazy(partial(_division_step, n, k))
+
+
 def _merged_rank(n: int, index: Index, others: _Lazy, width: int, other: int) -> int:
     return width * _lex_rank(n, merge_indices(index, others[other]))
 
 
-def _merge_row(n: int, others: _Lazy, width: int, index: Index) -> tuple[dict[int, int], Callable[[int], int]]:
-    return {}, partial(_merged_rank, n, index, others, width)
+def _merge_row(n: int, mine: _Lazy, others: _Lazy, width: int, rank: int) -> tuple[dict[int, int], Callable[[int], int]]:
+    return {}, partial(_merged_rank, n, mine[rank], others, width)
 
 
 @lru_cache(maxsize=256)
 def _merge_rows(n: int, a: int, b: int, width: int) -> _Lazy:
-    """Degree-``a`` index I -> its row ``(positions, fill)``: ``positions``
-    maps the rank of a degree-``b`` index I2 to ``width`` times the rank of
-    I + I2 in degree ``a + b``, and ``fill(rank)`` computes a missing entry.
+    """The rank of a degree-``a`` index I -> its row ``(positions, fill)``:
+    ``positions`` maps the rank of a degree-``b`` index I2 to ``width`` times
+    the rank of I + I2 in degree ``a + b``, and ``fill(rank)`` computes a
+    missing entry.
 
     The rows are plain dicts, which the contraction loop reads fastest, and
     it fills them itself on a ``KeyError``.  ``width`` is part of the key: a
     row of output heads (width the number of sorted tuples of the output
     degree) and a row of output tails (width 1) over the same degrees, as
     for r = 0, are different tables."""
-    return _Lazy(partial(_merge_row, n, _indices(n, b), width))
+    return _Lazy(partial(_merge_row, n, _indices(n, a), _indices(n, b), width))
 
 
 @lru_cache(maxsize=256)
-def _contraction_plan(n: int, k: int, l: int, r: int) -> tuple[_Lazy, _Lazy, _Lazy, _Lazy]:
+def _contraction_plan(n: int, k: int, l: int, r: int) -> tuple[_Lazy, _Lazy, _Lazy]:
     """The data-independent part of the r-th contraction of a degree-``k``
-    and a degree-``l`` cell map on CP^n, as four lazily filled tables:
+    and a degree-``l`` cell map on CP^n, as three lazily filled tables keyed
+    by the lex ranks that the cell keys hold:
 
     * ``heads``: the left antiholomorphic index I -> its row of
       ``W rank(I + I2)`` by the rank of I2, W the number of sorted tuples of
@@ -500,25 +589,27 @@ def _contraction_plan(n: int, k: int, l: int, r: int) -> tuple[_Lazy, _Lazy, _La
       holds ``rank(rest + Q)`` by the rank of Q, and the weight is
       ``k!/(k-r)! mult(rest) mult(alpha) / mult(J)``;
     * ``right``: the right antiholomorphic index P -> its splits into (alpha,
-      I2) as ``(rank of alpha, rank of I2, l!/(l-r)! mult(I2) / mult(P))``;
-    * ``tails``: the right holomorphic index Q -> its rank.
+      I2) as ``(rank of alpha, rank of I2, l!/(l-r)! mult(I2) / mult(P))``.
 
-    The output key of a left and a right cell is then the int
+    The output cell key of a left and a right cell is then the int
     ``heads[I][I2] + row[Q]``.
     """
     degree = k + l - r
     fall_k, fall_l = perm(k, r), perm(l, r)
     alphas, rests = _ranks(n, r), _ranks(n, l - r)
-    rows = _merge_rows(n, k - r, l, 1)
+    rows, row_ranks = _merge_rows(n, k - r, l, 1), _ranks(n, k - r)
+    lefts, rights = _indices(n, k), _indices(n, l)
 
-    def left_splits(index: Index) -> list[tuple]:
+    def left_splits(rank: int) -> list[tuple]:
+        index = lefts[rank]
         m = multiplicity(index)
         return [
-            (alphas[alpha], *rows[rest], fall_k * multiplicity(rest) // m * multiplicity(alpha))
+            (alphas[alpha], *rows[row_ranks[rest]], fall_k * multiplicity(rest) // m * multiplicity(alpha))
             for alpha, rest in submultiset_splits(index, r)
         ]
 
-    def right_splits(index: Index) -> list[tuple[int, int, int]]:
+    def right_splits(rank: int) -> list[tuple[int, int, int]]:
+        index = rights[rank]
         m = multiplicity(index)
         return [
             (alphas[alpha], rests[rest], fall_l * multiplicity(rest) // m)
@@ -526,13 +617,13 @@ def _contraction_plan(n: int, k: int, l: int, r: int) -> tuple[_Lazy, _Lazy, _La
         ]
 
     heads = _merge_rows(n, k, l - r, comb(n + degree, degree))
-    return heads, _Lazy(left_splits), _Lazy(right_splits), _ranks(n, l)
+    return heads, _Lazy(left_splits), _Lazy(right_splits)
 
 
 def _contract_into(
     accum: dict[int, list[int]],
-    left_cells: Mapping[EntryKey, Sequence[int]],
-    right_cells: Mapping[EntryKey, Sequence[int]],
+    left_cells: Mapping[int, Sequence[int]],
+    right_cells: Mapping[int, Sequence[int]],
     n: int,
     k: int,
     l: int,
@@ -545,9 +636,8 @@ def _contract_into(
     ``left_cells`` and ``right_cells`` are the polynomial-coefficient cells
     of a degree-``k`` and a degree-``l`` tensor on CP^n, and ``accum``
     collects the cells of degree ``d = k + l - r`` in place, over the product
-    of the two denominators, keyed by the int ``h W + a``: h and a are the
-    lex ranks of the two merged indices and W the number of sorted tuples of
-    degree d.  :func:`_contracted` turns the keys back into index pairs.
+    of the two denominators.  Its keys are cell keys of degree d, so
+    ``SymbolTensor._from_cells`` takes it as it is.
 
     Differentiating z^J in the r directions of a multiset alpha, in any of
     its mult(alpha) orders, gives ``k!/(k-r)! mult(J - alpha) / mult(J)``
@@ -558,18 +648,21 @@ def _contract_into(
     come from :func:`_contraction_plan`, whose tables fill in as cells need
     them, so sparse inputs on a large CP^n stay cheap.
     """
-    heads, left_splits, right_splits, tails = _contraction_plan(n, k, l, r)
+    heads, left_splits, right_splits = _contraction_plan(n, k, l, r)
     # Index the right factor by the contracted submultiset of its
     # antiholomorphic group.
+    width = comb(n + l, l)
     by_alpha: dict[int, list[tuple[int, int, int, int]]] = {}
-    for (pb, qb), (b_re, b_im) in right_cells.items():
-        q = tails[qb]
+    for key, (b_re, b_im) in right_cells.items():
+        pb, q = divmod(key, width)
         for alpha, rest, w in right_splits[pb]:
             matches = by_alpha.get(alpha)
             if matches is None:
                 matches = by_alpha[alpha] = []
             matches.append((rest, q, b_re * w, b_im * w))
-    for (ia, ja), (va_re, va_im) in left_cells.items():
+    width = comb(n + k, k)
+    for key, (va_re, va_im) in left_cells.items():
+        ia, ja = divmod(key, width)
         head, fill_head = heads[ia]
         for alpha, row, fill_row, w in left_splits[ja]:
             matches = by_alpha.get(alpha)
@@ -597,24 +690,6 @@ def _contract_into(
                     cell[1] += c_im
 
 
-def _key_pair(indices: _Lazy, width: int, key: int) -> EntryKey:
-    head, tail = divmod(key, width)
-    return indices[head], indices[tail]
-
-
-@lru_cache(maxsize=64)
-def _key_pairs(n: int, degree: int) -> _Lazy:
-    """Output key ``h W + a`` of :func:`_contract_into` -> its index pair."""
-    return _Lazy(partial(_key_pair, _indices(n, degree), comb(n + degree, degree)))
-
-
-def _contracted(n: int, degree: int, den: int, accum: Mapping[int, Sequence[int]]) -> SymbolTensor:
-    """The tensor of cells that :func:`_contract_into` collected over ``den``,
-    its int keys turned back into index pairs."""
-    pairs = _key_pairs(n, degree)
-    return SymbolTensor._from_cells(n, degree, den, {pairs[key]: cell for key, cell in accum.items()})
-
-
 def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:
     """Contract ``r`` holomorphic indices of ``left`` against ``r``
     antiholomorphic indices of ``right``.
@@ -636,7 +711,7 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
         raise ValueError(f"contraction order r={r} outside 0..min({k}, {l})")
     accum: dict[int, list[int]] = {}
     _contract_into(accum, left.cells, right.cells, left.n, k, l, r, 1)
-    return _contracted(left.n, k + l - r, left.den * right.den, accum)
+    return SymbolTensor._from_cells(left.n, k + l - r, left.den * right.den, accum)
 
 
 def wick_contraction_reference(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:

@@ -2,11 +2,13 @@
 
 ``symbols._contract_into`` reads per-shape plans (split weights and merged
 output positions, filled as cells need them) and keys its accumulator by
-int lex ranks, which ``symbols._contracted`` turns back into index pairs.
-The oracle here is the kernel it replaced, kept on purpose: it recomputes
-every split, weight and merge per cell and keys by ``(I, J)`` tuples.  Both
-are compared at ``cells``/``den`` equality of the resulting tensors, through
-the kernel itself at two scales, through ``wick_contraction`` and through
+cell keys, the ints ``rank(I) W + rank(J)`` that ``SymbolTensor.cells``
+uses.  The oracle here is the kernel it replaced, kept on purpose: it
+recomputes every split, weight and merge per cell and keys by ``(I, J)``
+tuples.  It reads the tensors' cells by pair through ``_key_pairs``, and
+its result goes back to cell keys through ``_ranks``.  Both are compared at
+``cells``/``den`` equality of the resulting tensors, through the kernel
+itself at two scales, through ``wick_contraction`` and through
 ``star_elements``.  ``wick_contraction_reference`` in ``test_symbols.py``
 stays the independent check of the weights themselves.
 
@@ -31,7 +33,20 @@ from cpstar.multiindex import (
 )
 from cpstar.scalars import GaussRational
 from cpstar.star import StarElement, star_elements
-from cpstar.symbols import SymbolTensor, _contract_into, _contracted, wick_contraction
+from cpstar.symbols import SymbolTensor, _contract_into, wick_contraction
+
+
+def pair_cells(tensor):
+    """The tensor's cells keyed by index pairs, read through ``_key_pairs``."""
+    pairs = symbols._key_pairs(tensor.n, tensor.k)
+    return {pairs[key]: cell for key, cell in tensor.cells.items()}
+
+
+def from_pair_cells(n, k, den, cells):
+    """``SymbolTensor._from_cells`` of cells keyed by index pairs, their
+    keys read through ``_ranks``."""
+    ranks, width = symbols._ranks(n, k), comb(n + k, k)
+    return SymbolTensor._from_cells(n, k, den, {ranks[i] * width + ranks[j]: cell for (i, j), cell in cells.items()})
 
 
 def _falling(k, r):
@@ -90,11 +105,9 @@ def star_elements_oracle(left, right):
             rescale = d_left // phi.den * (d_right // psi.den)
             for t in range(min(r, s) + 1):
                 weight = rescale * (top // factorial(t))
-                contract_into_oracle(sums.setdefault(r + s - t, {}), phi.cells, psi.cells, r, s, t, weight)
+                contract_into_oracle(sums.setdefault(r + s - t, {}), pair_cells(phi), pair_cells(psi), r, s, t, weight)
     d = d_left * d_right * top
-    return StarElement(
-        n, level, {degree: SymbolTensor._from_cells(n, degree, d, cells) for degree, cells in sums.items()}
-    )
+    return StarElement(n, level, {degree: from_pair_cells(n, degree, d, cells) for degree, cells in sums.items()})
 
 
 def _value(rng, primes=(1, 2, 3, 5)):
@@ -141,14 +154,14 @@ def test_kernel_matches_tuple_oracle(n):
                     for scale in (1, 6):
                         accum, expected = {}, {}
                         _contract_into(accum, left.cells, right.cells, n, k, l, r, scale)
-                        contract_into_oracle(expected, left.cells, right.cells, k, l, r, scale)
+                        contract_into_oracle(expected, pair_cells(left), pair_cells(right), k, l, r, scale)
                         _same(
-                            _contracted(n, degree, den, accum),
-                            SymbolTensor._from_cells(n, degree, den, expected),
+                            SymbolTensor._from_cells(n, degree, den, accum),
+                            from_pair_cells(n, degree, den, expected),
                         )
                     expected = {}
-                    contract_into_oracle(expected, left.cells, right.cells, k, l, r, 1)
-                    _same(wick_contraction(left, right, r), SymbolTensor._from_cells(n, degree, den, expected))
+                    contract_into_oracle(expected, pair_cells(left), pair_cells(right), k, l, r, 1)
+                    _same(wick_contraction(left, right, r), from_pair_cells(n, degree, den, expected))
 
 
 def test_kernel_accumulates_across_shapes_like_the_oracle():
@@ -160,8 +173,8 @@ def test_kernel_accumulates_across_shapes_like_the_oracle():
     accum, expected = {}, {}
     for left, right, r, scale in [(phi, psi, 1, 6), (psi, chi, 0, 1), (phi, phi, 0, 2), (psi, psi, 2, 3)]:
         _contract_into(accum, left.cells, right.cells, n, left.k, right.k, r, scale)
-        contract_into_oracle(expected, left.cells, right.cells, left.k, right.k, r, scale)
-    _same(_contracted(n, 4, 5, accum), SymbolTensor._from_cells(n, 4, 5, expected))
+        contract_into_oracle(expected, pair_cells(left), pair_cells(right), left.k, right.k, r, scale)
+    _same(SymbolTensor._from_cells(n, 4, 5, accum), from_pair_cells(n, 4, 5, expected))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -216,15 +229,22 @@ def test_sparse_product_fills_only_what_it_visits():
         if callable(getattr(value, "cache_clear", None)):
             value.cache_clear()
     product = star_elements(a, b)
-    assert product == star_elements_oracle(a, b)
+    # the product reads and writes cell keys only: it unranks no key
+    assert sum(len(symbols._key_pairs(n, degree)) for degree in range(7)) == 0
+    expected = star_elements_oracle(a, b)
+    assert product == expected
+    # read by pair at the boundary, the output fills at most one pair per cell
+    assert {r: pair_cells(t) for r, t in product.components.items()} == {
+        r: pair_cells(t) for r, t in expected.components.items()
+    }
 
     shapes = [(r, s, t) for r in a.components for s in b.components for t in range(min(r, s) + 1)]
-    visits = [_visits(a.components[r].cells, b.components[s].cells, t) for r, s, t in shapes]
+    visits = [_visits(pair_cells(a.components[r]), pair_cells(b.components[s]), t) for r, s, t in shapes]
     triples = sum(v for v, _ in visits)
     heads, rows, splits = {}, {}, 0
     misses = symbols._contraction_plan.cache_info().misses
     for r, s, t in shapes:
-        plan_heads, left, right, _ = symbols._contraction_plan(n, r, s, t)
+        plan_heads, left, right = symbols._contraction_plan(n, r, s, t)
         for row, _ in plan_heads.values():
             heads[id(row)] = len(row)
         for split in left.values():

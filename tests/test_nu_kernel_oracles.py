@@ -147,9 +147,10 @@ def assert_disk_matches(left: DiskElement, right: DiskElement) -> DiskElement:
     return product
 
 
-def from_json(value: NuRationalFunction) -> NuRationalFunction:
-    """The same value as loaded from JSON: its denominator never factored."""
-    return NuRationalFunction.from_json(value.to_json())
+def unfactored(value: NuRationalFunction) -> NuRationalFunction:
+    """The same value through the Euclidean constructor: its denominator
+    never factored.  (The JSON loader now recovers the factors.)"""
+    return NuRationalFunction(value.num, value.den)
 
 
 def random_factored(rng: random.Random, factors: int) -> NuRationalFunction:
@@ -168,7 +169,7 @@ def random_coefficient(rng: random.Random) -> NuRationalFunction:
         weight = disk_basis_coefficient(rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3), 1)
         return weight * (random_scalar(rng) or I)
     factored = random_factored(rng, rng.randint(1, 3))
-    return factored if kind == 3 else from_json(factored)
+    return factored if kind == 3 else unfactored(factored)
 
 
 def random_disk_element(rng: random.Random, coefficient=random_coefficient) -> DiskElement:
@@ -189,7 +190,7 @@ def test_disk_product_matches_the_pairwise_fold():
 def test_disk_product_of_unfactored_coefficients_alone():
     rng = random.Random(35)
     for _ in range(8):
-        left, right = (random_disk_element(rng, lambda rng: from_json(random_factored(rng, 2))) for _ in range(2))
+        left, right = (random_disk_element(rng, lambda rng: unfactored(random_factored(rng, 2))) for _ in range(2))
         assert all(c.js is None for c in (*left.coeffs.values(), *right.coeffs.values()))
         assert_disk_matches(left, right)
 
@@ -197,7 +198,7 @@ def test_disk_product_of_unfactored_coefficients_alone():
 def test_disk_product_cancels_a_key_to_zero():
     for c1, c2 in [
         (NuRationalFunction.constant(GaussRational(2, -1)), disk_basis_coefficient(2, 1, 1, 1) * I),
-        (from_json(over_factors(NuPolynomial((1, 3)), (-2, 1))), NuRationalFunction.constant(Fraction(3, 7))),
+        (unfactored(over_factors(NuPolynomial((1, 3)), (-2, 1))), NuRationalFunction.constant(Fraction(3, 7))),
     ]:
         # f01 f10 reaches (0, 0) once contracted; f00 with the opposite weight cancels it
         c3 = -(c1 * c2 * disk_basis_coefficient(1, 1, 0, 1))

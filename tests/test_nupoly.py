@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cpstar.expr import MAX_DISK_INDEX
+from cpstar.models.disk import DiskElement, disk_product
 from cpstar.nupoly import (
+    MAX_LOADED_DEGREE,
+    MAX_UNFACTORED_DEGREE,
     NRF_ONE,
     NRF_ZERO,
     NU,
@@ -18,6 +22,7 @@ from cpstar.nupoly import (
     nu_pochhammer,
 )
 from cpstar.scalars import GaussRational
+from cpstar.serialize import disk_from_json, disk_to_json
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 polys = st.builds(
@@ -177,3 +182,74 @@ def test_polynomial_multiplication_distributes(p, q, r):
 def test_str_rendering():
     assert str(NU_ZERO) == "0"
     assert str(NuPolynomial((1, 0, Fraction(-1, 2)))) == "1 + (-1/2)*nu^2"
+
+
+def test_loaded_degree_budgets():
+    # a denominator that is not constant is bounded on load; one that does
+    # not split takes the Euclidean gcd, bounded tighter, and so is every
+    # value built from it, before its gcd runs
+    def loaded(num, den, split):
+        # (1 - nu)^den splits; 2 + nu^den is not 2 times an integer product
+        base = NuPolynomial((2,) + (0,) * (den - 1) + (1,))
+        if split:
+            base = NU_ONE
+            for _ in range(den):
+                base = base * NuPolynomial((1, -1))
+        return {"num": ["1"] * (num + 1), "den": base.to_json()}
+
+    budgets = ((True, MAX_LOADED_DEGREE, "MAX_LOADED_DEGREE"), (False, MAX_UNFACTORED_DEGREE, "MAX_UNFACTORED_DEGREE"))
+    for split, limit, name in budgets:
+        at = NuRationalFunction.from_json(loaded(limit, limit, split))
+        assert (at.num.degree, at.den.degree) == (limit, limit)
+        assert (at.js is not None) == split
+        for num, den in ((0, limit + 1), (limit + 1, 1), (200, 2)):
+            refused = "MAX_LOADED_DEGREE" if den > MAX_LOADED_DEGREE or num > MAX_LOADED_DEGREE else name
+            with pytest.raises(ValueError, match=f"{refused} = "):
+                NuRationalFunction.from_json(loaded(num, den, split))
+    long = {"num": ["1"] * 300, "den": ["2"]}
+    assert NuRationalFunction.from_json(long).num.degree == 299
+    c = NuRationalFunction.from_json(loaded(1, MAX_UNFACTORED_DEGREE // 2, False))
+    assert (c * c).den.degree == MAX_UNFACTORED_DEGREE
+    with pytest.raises(ValueError, match="MAX_UNFACTORED_DEGREE = "):
+        c * c * c
+
+
+def test_loaded_degree_budget_admits_the_disk_coefficients_cpstar_writes():
+    # the chains f_{0,q}^(24/q) reach basis index 24 (MAX_DISK_INDEX), or 20
+    # for q = 5; the coefficient of f_{0,24} in their sum has the largest
+    # degrees measured, 48 over 37, and the sum reads back from its JSON,
+    # every denominator factored
+    total = DiskElement.zero()
+    for q in (2, 3, 4, 5, 6, 8, 12, 24):
+        chain = DiskElement.basis(0, q)
+        for _ in range(24 // q - 1):
+            chain = disk_product(chain, DiskElement.basis(0, q))
+        total = total + chain
+    assert MAX_DISK_INDEX == 24
+    top = total.coeffs[(0, 24)]
+    assert (top.num.degree, top.den.degree) == (48, 37) and max(48, 37) <= MAX_LOADED_DEGREE
+    loaded = disk_from_json(disk_to_json(total))
+    assert loaded == total
+    assert all(value.js is not None for value in loaded.coeffs.values())
+    assert loaded.coeffs[(0, 24)]._ints() == top._ints()
+
+
+def test_loaded_denominators_split_over_integers():
+    # den(0) prod(1 - j nu) comes back factored at any scale; the numerator
+    # 1 + nu cancels one factor j = -1.  A denominator with a root that is
+    # not 1/j for an integer j, or with a complex ratio, does not split
+    num = NuPolynomial((1, 1))
+    for js, scale in [((2,), 1), ((-1, -1, 3), Fraction(-2, 3)), ((-23, -1, 5, 5), GaussRational(0, 2))]:
+        den = NuPolynomial((scale,))
+        for j in js:
+            den = den * NuPolynomial((1, -j))
+        value = NuRationalFunction.from_json({"num": num.to_json(), "den": den.to_json()})
+        kept = list(js)
+        if -1 in kept:
+            kept.remove(-1)
+        assert value.js == tuple(sorted(kept))
+        assert value == NuRationalFunction(num, den)
+    for den in (NuPolynomial((1, 0, 1)), NuPolynomial((2, 1)), NuPolynomial((1, GaussRational(0, 1))), NU):
+        value = NuRationalFunction.from_json({"num": num.to_json(), "den": den.to_json()})
+        assert value.js is None
+        assert value == NuRationalFunction(num, den)

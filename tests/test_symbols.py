@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
+from cpstar import symbols
 from cpstar.linalg import linear_solve
 from cpstar.multiindex import sorted_tuples
 from cpstar.quotient import quotient_map, representative_element, substitute
@@ -42,14 +43,47 @@ def test_constructor_validates_entries():
     assert SymbolTensor(1, 1, {((0,), (0,)): g(0)}).is_zero()  # zeros dropped
 
 
+def _key(n, k, left, right):
+    """The cell key ``rank(I) W + rank(J)`` of a sorted pair, read through
+    the rank table."""
+    ranks = symbols._ranks(n, k)
+    return ranks[left] * comb(n + k, k) + ranks[right]
+
+
+def test_cell_keys_are_lex_ranks():
+    # W = C(n + k, k) sorted k-tuples; the key of (I, J) is rank(I) W + rank(J)
+    assert [_key(1, 2, i, j) for i in sorted_tuples(1, 2) for j in sorted_tuples(1, 2)] == list(range(9))
+    assert _key(2, 3, (0, 0, 1), (0, 1, 2)) == 1 * 10 + 4
+    assert _key(3, 0, (), ()) == 0
+    for n, k in [(1, 3), (2, 2), (3, 2)]:
+        pairs = symbols._key_pairs(n, k)
+        for i in sorted_tuples(n, k):
+            for j in sorted_tuples(n, k):
+                assert pairs[_key(n, k, i, j)] == (i, j)
+
+
+def test_wide_shapes_are_refused_before_the_tuples_are_counted():
+    # C(n + k, k) >= 2**min(n, k): CP^1000000 at degree 1000 is refused
+    # without computing it, at degree 40 after; degree 13 keys its cell
+    for k in (1000, 40):
+        with pytest.raises(ValueError, match=f"over 2\\*\\*{symbols.MAX_WIDTH_BITS} sorted index tuples"):
+            SymbolTensor(10**6, k, {((0,) * k, (10**6,) * k): 1})
+    assert SymbolTensor(10**6, 10**6).is_zero()
+    left, right = (0, 5, 999_999) + (10**6,) * 10, (7,) * 13
+    tensor = SymbolTensor(10**6, 13, {(left, right): Fraction(1, 3)})
+    assert comb(10**6 + 13, 13).bit_length() <= symbols.MAX_WIDTH_BITS
+    assert tensor.entries == {(left, right): GaussRational(Fraction(1, 3))}
+    assert tensor.conjugate_swap().entries == {(right, left): GaussRational(Fraction(1, 3))}
+
+
 def test_constructor_cells_over_least_denominator():
     # the multiplicity weights cancel entry denominators: 1/2 at (01, 00)
     # is the coefficient 1/2 * 2 * 1 = 1
     tensor = SymbolTensor(1, 2, {((0, 1), (0, 0)): Fraction(1, 2)})
-    assert (tensor.den, tensor.cells) == (1, {((0, 1), (0, 0)): (1, 0)})
+    assert (tensor.den, tensor.cells) == (1, {_key(1, 2, (0, 1), (0, 0)): (1, 0)})
     # mult((0, 0, 1)) mult((0, 1, 2)) = 3 * 6 cancels the 9 and the 2
     tensor = SymbolTensor(2, 3, {((0, 0, 1), (0, 1, 2)): g(Fraction(1, 9), Fraction(-1, 2))})
-    assert (tensor.den, tensor.cells) == (1, {((0, 0, 1), (0, 1, 2)): (2, -9)})
+    assert (tensor.den, tensor.cells) == (1, {_key(2, 3, (0, 0, 1), (0, 1, 2)): (2, -9)})
     # complex parts over distinct primes: the coefficients are 2/3 + 4/5 i
     # (weight 2) and -3/7 + 1/2 i, over lcm(3, 5, 7, 2) = 210
     entries = {
@@ -57,14 +91,15 @@ def test_constructor_cells_over_least_denominator():
         ((1, 1), (1, 1)): g(Fraction(-3, 7), Fraction(1, 2)),
     }
     tensor = SymbolTensor(1, 2, entries)
-    assert (tensor.den, tensor.cells) == (210, {((0, 0), (0, 1)): (140, 168), ((1, 1), (1, 1)): (-90, 105)})
+    cells = {_key(1, 2, (0, 0), (0, 1)): (140, 168), _key(1, 2, (1, 1), (1, 1)): (-90, 105)}
+    assert (tensor.den, tensor.cells) == (210, cells)
     assert tensor.entries == entries
     _assert_canonical(tensor)
     # a common factor of every part and the lcm is divided out
     tensor = SymbolTensor(1, 1, {((0,), (0,)): Fraction(2, 3), ((0,), (1,)): g(0, Fraction(4, 3))})
-    assert (tensor.den, tensor.cells) == (3, {((0,), (0,)): (2, 0), ((0,), (1,)): (0, 4)})
+    assert (tensor.den, tensor.cells) == (3, {_key(1, 1, (0,), (0,)): (2, 0), _key(1, 1, (0,), (1,)): (0, 4)})
     tensor = SymbolTensor(1, 2, {((0, 1), (0, 1)): Fraction(3, 4), ((0, 0), (1, 1)): g(0, Fraction(1, 2))})
-    assert (tensor.den, tensor.cells) == (2, {((0, 1), (0, 1)): (6, 0), ((0, 0), (1, 1)): (0, 1)})
+    assert (tensor.den, tensor.cells) == (2, {_key(1, 2, (0, 1), (0, 1)): (6, 0), _key(1, 2, (0, 0), (1, 1)): (0, 1)})
     zero = SymbolTensor(2, 2, {((0, 0), (1, 1)): g(0)})
     assert (zero.den, zero.cells) == (1, {})
 
@@ -376,7 +411,10 @@ def _assert_canonical(tensor):
         assert type(left) is tuple and type(right) is tuple
     # the cells: nonzero int pairs over the least positive denominator
     assert type(tensor.den) is int and tensor.den >= 1
-    assert tensor.cells.keys() == entries.keys()
+    # keyed by rank(I) W + rank(J), in lex order of the pairs when sorted
+    pairs, width = symbols._key_pairs(tensor.n, tensor.k), comb(tensor.n + tensor.k, tensor.k)
+    assert all(type(key) is int and 0 <= key < width * width for key in tensor.cells)
+    assert [pairs[key] for key in sorted(tensor.cells)] == sorted(entries)
     for re, im in tensor.cells.values():
         assert type(re) is int and type(im) is int and (re or im)
     assert gcd(tensor.den, *(part for cell in tensor.cells.values() for part in cell)) == 1
