@@ -2,7 +2,7 @@
 each a finite combination of basis functions on one core, :mod:`._combination`."""
 
 from .disk import DiskElement, disk_basis_coefficient, disk_product, neg_nu_pochhammer
-from .flat import ExpPolyFunction, substitute_lambda, wick_product_flat
+from .flat import ExpPolyFunction, wick_product_flat
 from .radial import (
     RadialPolynomial,
     check_scaling_consistency,
@@ -33,7 +33,6 @@ __all__ = [
     "disk_product",
     "neg_nu_pochhammer",
     "ExpPolyFunction",
-    "substitute_lambda",
     "wick_product_flat",
     "RadialPolynomial",
     "check_scaling_consistency",

@@ -109,30 +109,20 @@ def disk_basis_coefficient(q: int, r: int, s: int, m: int) -> NuRationalFunction
 def disk_product(left: DiskElement, right: DiskElement) -> DiskElement:
     """Bilinear extension of the basis product, exact over nu-rationals.
 
-    The contributions are grouped by output basis function.  When every
-    coefficient of a group has factored denominators, each contribution is
-    the integer product of the two coefficients and the basis weight, and
-    the group is summed over the lcm of their denominators and reduced once
-    (``nupoly._sum``).  A group that meets a coefficient whose denominator
-    was never factored, such as one read from JSON, adds its contributions
-    in ``NuRationalFunction`` arithmetic in turn, whose Euclidean route
-    handles any denominator.
+    The contributions are grouped by output basis function.  Each is the
+    integer product of the two coefficients and the basis weight, and each
+    group is summed over the lcm of their denominators and reduced once
+    (``nupoly._sum``).
     """
-    rights = [(r, s, b, b._ints()) for (r, s), b in right.coeffs.items()]
+    rights = [(r, s, b._ints()) for (r, s), b in right.coeffs.items()]
     groups: dict[tuple[int, int], list] = {}
     for (p, q), a in left.coeffs.items():
         a_ints = a._ints()
-        for r, s, b, b_ints in rights:
-            pair = None if a_ints is None or b_ints is None else _times(a_ints, b_ints)
+        for r, s, b_ints in rights:
+            pair = _times(a_ints, b_ints)
             for m in range(min(q, r) + 1):
-                groups.setdefault((p + r - m, q + s - m), []).append((pair, a, b, (q, r, s, m)))
+                groups.setdefault((p + r - m, q + s - m), []).append((pair, (q, r, s, m)))
     out = []
     for key, group in groups.items():
-        if all(pair is not None for pair, _, _, _ in group):
-            value = _sum(_times(pair, disk_basis_coefficient(*qrsm)._ints()) for pair, _, _, qrsm in group)
-        else:
-            value = NRF_ZERO
-            for _, a, b, qrsm in group:
-                value = value + a * b * disk_basis_coefficient(*qrsm)
-        out.append((key, value))
+        out.append((key, _sum(_times(pair, disk_basis_coefficient(*qrsm)._ints()) for pair, qrsm in group)))
     return DiskElement._built((), out)

@@ -25,10 +25,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from ..nupoly import NU_ZERO, NuPolynomial
-from ..scalars import GAUSS_ZERO, GaussRational, ScalarLike, to_gauss
+from ..scalars import GAUSS_ZERO, GaussRational, to_gauss
 from ._combination import Combination
 
-__all__ = ["ExpPolyFunction", "wick_product_flat", "substitute_lambda"]
+__all__ = ["ExpPolyFunction", "wick_product_flat"]
 
 Exponents = tuple[int, ...]
 Frequencies = tuple[GaussRational, ...]
@@ -194,13 +194,3 @@ def wick_product_flat(left: ExpPolyFunction, right: ExpPolyFunction) -> ExpPolyF
                 result.append(((mono_z, mono_zbar, a_new, b_new, slope), poly))
     return left._built(left._key(), result)
 
-
-def substitute_lambda(func: ExpPolyFunction, alpha: ScalarLike) -> ExpPolyFunction:
-    """Evaluate all lam-polynomial coefficients at a number.
-
-    The ``exp(lam . slope)`` factors stay formal (they are transcendental
-    at a generic numeric parameter), so slopes survive substitution while
-    each coefficient collapses to a constant.
-    """
-    pairs = ((key, NuPolynomial.constant(poly.evaluate(alpha))) for key, poly in func.coeffs.items())
-    return func._built(func._key(), pairs)

@@ -16,21 +16,19 @@ products build is ``nu^t / t! nu^(k+l-t) / (nu^(k) nu^(l))`` at ``nu`` or,
 on the disk, at ``-nu`` (:func:`_weight_ints`), and every product of factors
 ``1 - j nu`` is multiplied out by one routine, :func:`_linear_ints`.
 
-A rational function over such factors is *factored*, and stores one value:
-its canonical integer form ``(nums, den, js)``, the value
-``nums / (den prod(1 - j nu))`` with Gaussian-integer ``nums`` and a
-positive int ``den``.  It is reduced in one place, :func:`_reduced`, which
-cancels each root ``1/j`` by integer synthetic division and divides out
-one gcd.  Sums, products and scalar multiples of factored values, the
-per-entry sums of :meth:`cpstar.star.StarProductTerms.nrf_map` and the
-per-key sums of :func:`cpstar.models.disk.disk_product` are all built in
-that form and reduced once, and factored values compare as ints.  Their
-``num`` and ``den`` polynomials are views, built only for output and
-evaluation.  The JSON loader recovers the factors of a denominator that
-splits over integer j, so every coefficient cpstar writes reads back
-factored.  A Euclidean gcd over Q(i) runs only for generic denominators,
-such as one read from JSON that does not split; those values store ``num``
-and ``den``, and are refused over :data:`MAX_UNFACTORED_DEGREE`.
+A rational function stores one value: its canonical integer form
+``(nums, den, js)``, the value ``nums / (den prod(1 - j nu))`` with
+Gaussian-integer ``nums`` and a positive int ``den``.  It is reduced in one
+place, :func:`_reduced`, which cancels each root ``1/j`` by integer
+synthetic division and divides out one gcd.  Sums, products and scalar
+multiples, the per-entry sums of
+:meth:`cpstar.star.StarProductTerms.nrf_map` and the per-key sums of
+:func:`cpstar.models.disk.disk_product` are all built in that form and
+reduced once, and values compare as ints.  Their ``num`` and ``den``
+polynomials are views, built only for output and evaluation.  The
+constructor, and so the JSON loader, splits a denominator into factors
+over integer j (:func:`_split_js`) and refuses one that does not split,
+so every value cpstar writes reads back to the same form.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _gauss, _
 
 __all__ = [
     "MAX_LOADED_DEGREE",
-    "MAX_UNFACTORED_DEGREE",
     "NuPolynomial",
     "NuRationalFunction",
     "nu_pochhammer",
@@ -149,21 +146,6 @@ class NuPolynomial:
             return self
         return NuPolynomial((GAUSS_ZERO,) * j + self.coeffs)
 
-    def __divmod__(self, other: "NuPolynomial") -> tuple["NuPolynomial", "NuPolynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        remainder = list(self.coeffs)
-        divisor = other.coeffs
-        lead_inv = GAUSS_ONE / divisor[-1]
-        quotient = [GAUSS_ZERO] * max(0, len(remainder) - len(divisor) + 1)
-        for j in range(len(remainder) - len(divisor), -1, -1):
-            factor = remainder[j + len(divisor) - 1] * lead_inv
-            if factor:
-                quotient[j] = factor
-                for m, d in enumerate(divisor):
-                    remainder[j + m] = remainder[j + m] - factor * d
-        return NuPolynomial(quotient), NuPolynomial(remainder)
-
     def evaluate(self, alpha: ScalarLike) -> GaussRational:
         """Horner evaluation at an exact scalar."""
         alpha = to_gauss(alpha)
@@ -221,26 +203,18 @@ NU_ONE = NuPolynomial((GAUSS_ONE,))
 NU = NuPolynomial((GAUSS_ZERO, GAUSS_ONE))
 
 
-def _poly_gcd(a: NuPolynomial, b: NuPolynomial) -> NuPolynomial:
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
 GaussInts = Sequence[Sequence[int]]
 """A polynomial over the Gaussian integers: ``(re, im)`` pairs, lowest first."""
 
 
-def _poly_ints(coeffs: Sequence[GaussRational], weight: int = 1) -> tuple[int, list[tuple[int, int]]]:
-    """``weight`` times a coefficient tuple as Gaussian integers over their
-    least common denominator: ``(den, nums)``, lowest first."""
+def _poly_ints(coeffs: Sequence[GaussRational]) -> tuple[int, list[tuple[int, int]]]:
+    """A coefficient tuple as Gaussian integers over their least common
+    denominator: ``(den, nums)``, lowest first."""
     parts = {}
     for i, c in enumerate(coeffs):
         if c:
             p, q, m = c._ints()
-            parts[i] = (p, m, q, m, weight)
+            parts[i] = (p, m, q, m, 1)
     den, cells = _over_lcm(parts)
     return den, [cells.get(i, (0, 0)) for i in range(len(coeffs))]
 
@@ -414,32 +388,21 @@ def _reduced(nums: GaussInts, den: int, js: Iterable[int]) -> IntForm:
 
 MAX_LOADED_DEGREE = 64
 """Largest degree of the numerator and of the denominator of a rational
-function read from JSON whose denominator is not constant.  It admits every
-disk coefficient cpstar writes under ``expr.MAX_DISK_INDEX``: the largest
-measured, of f_{0,24} in the sum of the chains f_{0,q}^(24/q), has degree
-48 over 37.  Such a denominator splits (:func:`_split_js`), and the value
-loads factored in milliseconds; through the Euclidean gcd it took 16 s on a
-2-core x86-64 VM with Python 3.11.  The bound also keeps the search for a
-split short."""
-
-MAX_UNFACTORED_DEGREE = 32
-"""Largest degree of the numerator and of the denominator on the Euclidean
-route: a loaded value whose denominator does not split, and every value
-built from one, checked before its gcd over Q(i).  The gcd's time grows
-about as the sixth power of the degree.  On the VM above, with random
-integer coefficients in -3..3 and both degrees d, loading took 0.03 s at
-d = 32, 0.7-1.0 s at d = 64 and 1.3 s at d = 70; the 8th power of such a
-value of degree 4 took 0.29 s and of degree 8, which passes degree 32 on
-the way, 27 s."""
+function with a denominator that is not constant, when cpstar reads it from
+JSON and when it writes it, so that what cpstar writes it can read back.
+It admits every disk coefficient cpstar writes under
+``expr.MAX_DISK_INDEX``: the largest measured, of f_{0,24} in the sum of the
+chains f_{0,q}^(24/q), has degree 48 over 37.  The bound also keeps the
+search for a split (:func:`_split_js`) short."""
 
 
-def _check_degrees(num: NuPolynomial, den: NuPolynomial, limit: int, name: str, what: str) -> None:
-    """Refuse ``num / den`` with a denominator that is not constant when
-    either degree is over ``limit``."""
-    if den.degree > 0 and max(num.degree, den.degree) > limit:
+def _check_degrees(num: int, den: int) -> None:
+    """Refuse degree ``num`` over a denominator of degree ``den > 0`` when
+    either is over :data:`MAX_LOADED_DEGREE`."""
+    if den > 0 and max(num, den) > MAX_LOADED_DEGREE:
         raise ValueError(
-            f"rational function of degree {num.degree} over {den.degree}: over a denominator {what}, "
-            f"both degrees are limited to {name} = {limit}"
+            f"rational function of degree {num} over {den}: over a denominator that is not constant, "
+            f"both degrees are limited to MAX_LOADED_DEGREE = {MAX_LOADED_DEGREE}"
         )
 
 
@@ -449,20 +412,23 @@ SPLIT_BOUND = 1 << 12
 millisecond."""
 
 
-def _split_js(den: NuPolynomial) -> Optional[tuple[int, ...]]:
+def _split_js(den: Sequence[GaussRational]) -> Optional[tuple[int, ...]]:
     """The sorted ``js`` with ``den = den(0) prod(1 - j nu)`` over integers
-    ``0 < |j| <= SPLIT_BOUND``, or None when ``den`` is no such product.
+    ``0 < |j| <= SPLIT_BOUND``, for the coefficients ``den``, lowest first;
+    None when ``den`` is no such product, as when ``den(0) == 0``.
 
     Over ``den(0)`` the product has integer coefficients, the last of them
     ``prod(-j)``, so each j divides it; a candidate is a root exactly when
     synthetic division by ``1 - j nu``, ``Q_m = P_m + j Q_(m-1)``, leaves
     no remainder, as in :func:`_reduced`."""
-    low = den.coefficient(0)
+    low = den[0]
     if not low:
         return None
+    if len(den) == 1:
+        return ()
     scale = GAUSS_ONE / low
     ints = []
-    for c in den.coeffs:
+    for c in den:
         p, q, m = (c * scale)._ints()
         if q or m != 1:
             return None
@@ -486,50 +452,45 @@ def _split_js(den: NuPolynomial) -> Optional[tuple[int, ...]]:
 
 
 class NuRationalFunction:
-    """Quotient of two nu-polynomials in lowest terms with a monic denominator.
+    """A rational function of ``nu`` over factors ``1 - j nu``, j a nonzero integer.
 
-    A value whose denominator is a product of known linear factors
-    ``1 - j nu`` is *factored*, and stores one thing: its canonical integer
-    form ``(nums, den, js)`` (:func:`_reduced`), the value
-    ``nums / (den prod(1 - j nu))``.  Every value with a constant
-    denominator is factored, with ``js == ()``.  Sums and products of
-    factored values, and their multiples by a polynomial or a scalar, are
-    built in that form by :meth:`_from_ints` and compared as ints.  ``num``
-    and ``den`` are views of it, built afresh on every access: ``nums /
-    (den prod(-j))`` and the monic ``prod(nu - 1/j)``.
+    It stores one thing: its canonical integer form ``(nums, den, js)``
+    (:func:`_reduced`), the value ``nums / (den prod(1 - j nu))``; a
+    constant denominator has ``js == ()``.  Sums and products, and their
+    multiples by a polynomial or a scalar, are built in that form by
+    :meth:`_from_ints` and compared as ints.  ``num`` and ``den`` are views
+    of it, built afresh on every access: ``nums / (den prod(-j))`` and the
+    monic ``prod(nu - 1/j)``.
 
-    A denominator that was never factored, such as one read from JSON that
-    does not split, has ``js`` None; the value stores ``num`` and ``den`` as
-    polynomials, and the constructor and any operation on it reduce by a
-    Euclidean gcd over Q(i).  Both routes give the same canonical ``num`` and ``den``, and a
-    factored value equals an unfactored one when those views do.
+    The constructor cancels a common power of ``nu``, splits the
+    denominator (:func:`_split_js`) and reduces once.  A denominator that
+    does not split over integers ``0 < |j| <= SPLIT_BOUND``, a pole at
+    ``nu = 0`` included, raises ``ValueError``.
     """
 
-    __slots__ = ("_form", "_num", "_den")  # _num and _den only when _form is None
+    __slots__ = ("_form",)
 
     def __init__(self, num: NuPolynomial, den: NuPolynomial = NU_ONE) -> None:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            den = NU_ONE
-        elif den.degree > 0:
-            _check_degrees(num, den, MAX_UNFACTORED_DEGREE, "MAX_UNFACTORED_DEGREE", "that does not factor")
-            common = _poly_gcd(num, den)
-            if common.degree > 0:
-                num = divmod(num, common)[0]
-                den = divmod(den, common)[0]
-        lead = den.leading()
-        if lead != GAUSS_ONE:
-            inv = GAUSS_ONE / lead
-            num = num * inv
-            den = den * inv
-        if den.degree == 0:
-            d, nums = _poly_ints(num.coeffs)
-            object.__setattr__(self, "_form", (tuple(nums), d, ()))
-        else:
-            object.__setattr__(self, "_form", None)
-            object.__setattr__(self, "_num", num)
-            object.__setattr__(self, "_den", den)
+        nums, dens = num.coeffs, den.coeffs
+        if not nums:
+            object.__setattr__(self, "_form", ((), 1, ()))
+            return
+        low = 0
+        while not (nums[low] or dens[low]):
+            low += 1
+        nums, dens = nums[low:], dens[low:]
+        js = _split_js(dens)
+        if js is None:
+            raise ValueError(
+                f"the denominator of degree {len(dens) - 1} does not split into factors 1 - j nu "
+                f"over integers 0 < |j| <= {SPLIT_BOUND}"
+            )
+        if dens[0] != GAUSS_ONE:
+            nums = [c / dens[0] for c in nums]
+        d, ints = _poly_ints(nums)
+        object.__setattr__(self, "_form", _reduced(ints, d, js))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NuRationalFunction is immutable")
@@ -547,22 +508,19 @@ class NuRationalFunction:
         object.__setattr__(value, "_form", _reduced(nums, den, js))
         return value
 
-    def _ints(self) -> Optional[IntForm]:
-        """The stored canonical form ``(nums, den, js)``; None when the
-        denominator was never factored."""
+    def _ints(self) -> IntForm:
+        """The stored canonical form ``(nums, den, js)``."""
         return self._form
 
     @property
-    def js(self) -> Optional[tuple[int, ...]]:
+    def js(self) -> tuple[int, ...]:
         """The sorted nonzero ``j`` with ``den == prod(nu - 1/j)``, ``()``
-        for the denominator 1; None when the denominator was never factored."""
-        return None if self._form is None else self._form[2]
+        for the denominator 1."""
+        return self._form[2]
 
     @property
     def num(self) -> NuPolynomial:
         """The numerator over the monic :attr:`den`."""
-        if self._form is None:
-            return self._num
         nums, den, js = self._form
         lead = den * prod(-j for j in js)
         return NuPolynomial(_gauss(re, im, lead) for re, im in nums)
@@ -570,64 +528,41 @@ class NuRationalFunction:
     @property
     def den(self) -> NuPolynomial:
         """The monic denominator."""
-        if self._form is None:
-            return self._den
         return _monic_product(self._form[2])
 
     @classmethod
     def from_json(cls, data: dict) -> "NuRationalFunction":
         """Load ``{"num": [...], "den": [...]}``.  A denominator that is not
-        constant is refused over :data:`MAX_LOADED_DEGREE`, and is factored
-        when it splits (:func:`_split_js`); one that does not split takes
-        the Euclidean route, refused over :data:`MAX_UNFACTORED_DEGREE`."""
+        constant is refused over :data:`MAX_LOADED_DEGREE`, and then by the
+        constructor when it does not split."""
         num, den = (NuPolynomial.from_json(_required(data, key, "rational function", list)) for key in ("num", "den"))
         if den.is_zero():
             raise ValueError("rational function with zero denominator")
-        _check_degrees(num, den, MAX_LOADED_DEGREE, "MAX_LOADED_DEGREE", "that is not constant")
-        js = _split_js(den)
-        if js is None:
-            return cls(num, den)
-        d, nums = _poly_ints((num * (GAUSS_ONE / den.coefficient(0))).coeffs)
-        return cls._from_ints(nums, d, js)
-
-    def numerator_over(self, js: Iterable[int]) -> NuPolynomial:
-        """The ``N`` with ``self == N / prod(1 - j nu)`` over the multiset ``js``.
-
-        ``prod(1 - j nu)`` over ``js`` must be a multiple of ``self.den``.
-        """
-        js = tuple(sorted(js))
-        den = self.den
-        quotient, remainder = divmod(NuPolynomial(_linear_ints(js)), den)
-        if remainder:
-            raise ValueError(f"{den} does not divide the product of 1 - j nu over {js}")
-        return self.num * quotient
+        _check_degrees(num.degree, den.degree)
+        return cls(num, den)
 
     def _numerator_ints(self, js: tuple[int, ...]) -> tuple[int, GaussInts]:
-        """:meth:`numerator_over` the sorted ``js`` as Gaussian integers over
-        a positive denominator, ``(den, nums)``; by integer linear products
-        when the factors are known."""
-        form = self._form
-        extra = None if form is None else _difference(js, form[2])
+        """The numerator over the product of ``1 - j nu`` over the sorted
+        ``js``, as Gaussian integers over a positive denominator,
+        ``(den, nums)``; ``ValueError`` unless ``js`` holds every factor of
+        the value."""
+        nums, den, own = self._form
+        extra = _difference(js, own)
         if extra is None:
-            return _poly_ints(self.numerator_over(js).coeffs)
-        nums, den, _ = form
+            raise ValueError(f"the factors {js} do not hold those of the denominator, {own}")
         total = [[0, 0] for _ in range(len(nums) + len(extra))]
         _widen_into(total, nums, 1, extra)
         return den, total
 
     def is_zero(self) -> bool:
-        return self._form is not None and not self._form[0]
+        return not self._form[0]
 
     def __bool__(self) -> bool:
-        return self._form is None or bool(self._form[0])
+        return bool(self._form[0])
 
     def __add__(self, other: "NuRationalFunction") -> "NuRationalFunction":
         if not isinstance(other, NuRationalFunction):
             return NotImplemented
-        if self._form is None or other._form is None:
-            return NuRationalFunction(
-                self.num * other.den + other.num * self.den, self.den * other.den
-            )
         if not other:
             return self
         if not self:
@@ -641,14 +576,9 @@ class NuRationalFunction:
 
     def __neg__(self) -> "NuRationalFunction":
         """The same form with the numerator's signs flipped: still canonical."""
+        nums, den, js = self._form
         value = object.__new__(NuRationalFunction)
-        if self._form is None:
-            object.__setattr__(value, "_form", None)
-            object.__setattr__(value, "_num", -self._num)
-            object.__setattr__(value, "_den", self._den)
-        else:
-            nums, den, js = self._form
-            object.__setattr__(value, "_form", (tuple((-re, -im) for re, im in nums), den, js))
+        object.__setattr__(value, "_form", (tuple((-re, -im) for re, im in nums), den, js))
         return value
 
     def __mul__(self, other: Union["NuRationalFunction", NuPolynomial, ScalarLike]) -> "NuRationalFunction":
@@ -658,13 +588,13 @@ class NuRationalFunction:
             other = NuRationalFunction(other)
         if not isinstance(other, NuRationalFunction):
             return NotImplemented
-        if self._form is None or other._form is None:
-            return NuRationalFunction(self.num * other.num, self.den * other.den)
         return NuRationalFunction._from_ints(*_times(self._form, other._form))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "NuRationalFunction") -> "NuRationalFunction":
+        """Through the constructor: ``ValueError`` when the numerator of
+        ``other`` does not split."""
         if isinstance(other, NuRationalFunction):
             if other.is_zero():
                 raise ZeroDivisionError("division by the zero rational function")
@@ -679,16 +609,13 @@ class NuRationalFunction:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, NuRationalFunction):
-            if self._form is not None and other._form is not None:
-                return self._form == other._form
-            return self.num == other.num and self.den == other.den
+            return self._form == other._form
         if isinstance(other, (NuPolynomial, int, Fraction, GaussRational)):
             return self.js == () and self.num == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        # from the views, which both routes share
-        return hash((self.num, self.den))
+        return hash(self._form)
 
     def __repr__(self) -> str:
         return f"NuRationalFunction({self.num!r}, {self.den!r})"
@@ -699,6 +626,10 @@ class NuRationalFunction:
         return f"({self.num}) / ({self.den})"
 
     def to_json(self) -> dict:
+        """``{"num": [...], "den": [...]}``, refused over
+        :data:`MAX_LOADED_DEGREE` as the loader refuses it."""
+        nums, _, js = self._form
+        _check_degrees(len(nums) - 1, len(js))
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
 

@@ -240,9 +240,7 @@ def disk_to_json(element: DiskElement) -> dict:
     coeffs = []
     for (p, q) in sorted(element.coeffs):
         value = element.coeffs[(p, q)]
-        coeffs.append(
-            {"p": p, "q": q, "num": value.num.to_json(), "den": value.den.to_json()}
-        )
+        coeffs.append({"p": p, "q": q, **value.to_json()})
     return {"coeffs": coeffs}
 
 

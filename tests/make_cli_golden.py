@@ -33,14 +33,15 @@ torus product whose terms have phases equal modulo one, whose amplitudes
 add up, and one whose repeated modes add up.  The last cases are refused
 with exit 2 by a loader: a zero-valued Fourier mode of the wrong length,
 an element of negative ``n`` under ``subst`` and ``star``, series of
-negative ``n`` or ``degree`` under ``eval``, and rational functions with a
-numerator or denominator over the degree budgets of ``cpstar.nupoly``, as an
-``eval`` scalar and as a disk coefficient: ``MAX_LOADED_DEGREE`` for a
-denominator that splits into factors ``1 - j nu``, ``MAX_UNFACTORED_DEGREE``
-for one that does not, and the latter for a disk product whose Euclidean
-reduction would pass it.  The same at each budget run.  Last, a symbol on
+negative ``n`` or ``degree`` under ``eval``, and rational functions, as an
+``eval`` scalar and as a disk coefficient, with a denominator that splits
+into factors ``1 - j nu`` and a numerator or denominator over
+``cpstar.nupoly.MAX_LOADED_DEGREE``, or with a denominator that does not
+split; the same at the budget runs when it splits.  Then a symbol on
 CP^1000000 whose number of sorted index tuples is under
-``symbols.MAX_WIDTH_BITS`` bits runs, and one over it exits 2.
+``symbols.MAX_WIDTH_BITS`` bits runs, and one over it exits 2.  Last, an
+``eval`` product and a disk product whose result passes
+``MAX_LOADED_DEGREE`` exit 2 before they write it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from cpstar.checks import SUITES
 from cpstar.cli import main, value_to_tagged
 from cpstar.models.disk import DiskElement
 from cpstar.multiindex import sorted_tuples
-from cpstar.nupoly import MAX_LOADED_DEGREE, MAX_UNFACTORED_DEGREE
+from cpstar.nupoly import MAX_LOADED_DEGREE
 from cpstar.randgen import random_disk, random_fourier
 from cpstar.scalars import GaussRational
 from cpstar.star import StarElement
@@ -297,9 +298,10 @@ def edge_cases() -> list[dict]:
         session = {"bindings": {"S": {"type": "series", "value": series}}}
         add(f"eval-series-negative-{field}", ["eval", "S", "--input", "-"], json.dumps(session))
     # loaded rational functions over a denominator that is not constant:
-    # (1 - nu)^d splits and loads up to degree 64, 2 + nu^d does not split
-    # and loads up to degree 32; one over either exits 2, and so does a
-    # product whose Euclidean reduction would pass degree 32
+    # (1 - nu)^d splits and loads up to degree 64; 2 + nu^d does not split
+    # and exits 2 at any degree.  The unsplit cases keep the degrees of a
+    # budget of 32 that the Euclidean route they took once had, so that
+    # their names and inputs stay as they were
     def over(num, den, split):
         if split:
             base = [1]
@@ -310,14 +312,14 @@ def edge_cases() -> list[dict]:
         return {"num": ["1"] * (num + 1), "den": [str(c) for c in base]}
 
     unit = value_to_tagged(DiskElement.unit())
-    for split, limit in ((True, MAX_LOADED_DEGREE), (False, MAX_UNFACTORED_DEGREE)):
+    for split, limit in ((True, MAX_LOADED_DEGREE), (False, 32)):
         kind = "split" if split else "unsplit"
         for name, num, den in (("at-budget", 1, limit), ("den-over", 1, limit + 1), ("num-over", limit + 1, 1)):
             session = {"bindings": {"c": over(num, den, split)}}
             add(f"eval-scalar-{kind}-{name}", ["eval", "c", "--input", "-"], json.dumps(session))
             disk = {"coeffs": [{"p": 1, "q": 0, **over(num, den, split)}]}
             add(f"disk-coefficient-{kind}-{name}", ["disk"], json.dumps({"left": disk, "right": unit}))
-    disk = {"coeffs": [{"p": 1, "q": 0, **over(1, MAX_UNFACTORED_DEGREE // 2 + 1, False)}]}
+    disk = {"coeffs": [{"p": 1, "q": 0, **over(1, 17, False)}]}
     add("disk-product-unsplit-over-budget", ["disk"], json.dumps({"left": disk, "right": disk}))
     # a symbol's cell keys count the sorted index tuples, W = C(n + k, k):
     # one entry on CP^1000000 has W of 227 bits at degree 13 and is refused
@@ -326,6 +328,12 @@ def edge_cases() -> list[dict]:
         letters = sorted(rng.randrange(10**6) for _ in range(2 * k))
         wide = {"n": 10**6, "k": k, "entries": [{"I": letters[::2], "J": letters[1::2], "re": "1/3"}]}
         add(f"symbol-on-cp1000000-degree-{k}", ["subst", "--alpha", "2"], json.dumps(wide))
+    # 1 / (1 - nu)^64 loads; its square, of degree 0 over 128, is refused
+    # when written, as it would be when read back
+    session = {"bindings": {"c": over(0, MAX_LOADED_DEGREE, True)}}
+    add("eval-scalar-product-over-budget", ["eval", "c*c", "--input", "-"], json.dumps(session))
+    disk = {"coeffs": [{"p": 1, "q": 0, **over(0, MAX_LOADED_DEGREE, True)}]}
+    add("disk-product-over-budget", ["disk"], json.dumps({"left": disk, "right": disk}))
     return out
 
 

@@ -1,14 +1,14 @@
-"""Factored denominators against the Euclidean path.
+"""Factored denominators against the Euclidean oracle.
 
-A :class:`NuRationalFunction` whose denominator is a product of known linear
-factors ``1 - j nu`` adds and multiplies by cancelling at the roots ``1/j``.
-Every result here is compared with the generic route, which builds the same
-value from expanded polynomials and reduces it by a Euclidean gcd: the two
-must agree structurally (numerator and monic denominator), and the factors a
-result carries must expand to its denominator.  A factored value, which
-stores only its integer form, must also equal and hash as the same value
-built by the Euclidean constructor, whose denominator is never factored,
-and the JSON loader must give back its stored form.
+A :class:`NuRationalFunction` stores a denominator that is a product of
+linear factors ``1 - j nu``, and adds and multiplies by cancelling at the
+roots ``1/j``.  Every result here is compared with the Euclidean route of
+``nu_helpers``, which builds the same value from expanded polynomials and
+reduces it by a gcd over Q(i): the two must agree structurally (numerator
+and monic denominator), and the factors a result carries must expand to its
+denominator.  The constructor and the JSON loader, which split a
+denominator, must give back the stored form of the value they are fed, and
+refuse a denominator that does not split.
 """
 
 import random
@@ -25,40 +25,15 @@ from cpstar.serialize import disk_from_json, disk_to_json
 from cpstar.star import StarProductTerms, StarTerm, star_commutator, star_symbols
 from cpstar.symbols import embed
 
-from nu_helpers import over_factors
+from nu_helpers import euclid, euclid_product, euclid_sum, expanded, linear, numerator_over, over_factors
 
 SPLIT_FREE = NuPolynomial((1, 0, 1))  # 1 + nu^2 has no rational root
 
 
-def linear(j: int) -> NuPolynomial:
-    return NuPolynomial((1, -j))  # 1 - j nu
-
-
-def expanded(js) -> NuPolynomial:
-    out = NU_ONE
-    for j in js:
-        out = out * linear(j)
-    return out
-
-
-def euclid(num: NuPolynomial, den: NuPolynomial) -> NuRationalFunction:
-    """The generic constructor: a Euclidean gcd over Q(i), never factored."""
-    return NuRationalFunction(num, den)
-
-
-def euclid_sum(a: NuRationalFunction, b: NuRationalFunction) -> NuRationalFunction:
-    return euclid(a.num * b.den + b.num * a.den, a.den * b.den)
-
-
-def euclid_product(a: NuRationalFunction, b: NuRationalFunction) -> NuRationalFunction:
-    return euclid(a.num * b.num, a.den * b.den)
-
-
-def assert_canonical(value: NuRationalFunction, expected: NuRationalFunction) -> None:
+def assert_canonical(value: NuRationalFunction, expected) -> None:
     assert value.num == expected.num and value.den == expected.den
-    if value.js is not None:
-        assert list(value.js) == sorted(value.js) and 0 not in value.js
-        assert value.den == expanded(value.js).monic()
+    assert list(value.js) == sorted(value.js) and 0 not in value.js
+    assert value.den == expanded(value.js).monic()
 
 
 def random_poly(rng: random.Random, degree: int) -> NuPolynomial:
@@ -97,7 +72,6 @@ def test_factored_sums_and_products_match_euclid():
             assert_canonical(a + b, euclid_sum(a, b))
             assert_canonical(a - b, euclid_sum(a, -b))
             assert_canonical(a * b, euclid_product(a, b))
-            assert (a + b).js is not None and (a * b).js is not None
         scale = random_scalar(rng)
         assert_canonical(a * scale, euclid(a.num * scale, a.den))
         poly = random_poly(rng, 2) * linear(rng.choice((1, 2, 3)))
@@ -123,35 +97,31 @@ def test_factored_results_that_cancel():
     assert_canonical(half + rest, euclid(NU_ONE, NU_ONE))
 
 
-def test_mixed_factored_and_generic_operands():
+def test_unsplit_denominators_are_refused():
+    # what the Euclidean oracle reduces, the constructor and the loader refuse
     rng = random.Random(13)
     for _ in range(40):
-        a, num, js = random_factored(rng)
-        plain = euclid(num, expanded(js))
-        g = euclid(random_poly(rng, 2) * linear(rng.choice((1, 2))), SPLIT_FREE * linear(rng.choice((1, 2))))
-        assert g.js is None
-        for value, expected in [
-            (a + g, euclid_sum(plain, g)),
-            (g + a, euclid_sum(g, plain)),
-            (a - g, euclid_sum(plain, -g)),
-            (a * g, euclid_product(plain, g)),
-            (g * a, euclid_product(g, plain)),
-        ]:
-            assert_canonical(value, expected)
-            assert value.js is None or value.den.degree == 0
-        assert not (g - g) and (g - g).js == ()
+        num = random_poly(rng, 2) * linear(rng.choice((1, 2)))
+        den = SPLIT_FREE * linear(rng.choice((1, 2)))
+        assert euclid(num, den).den.degree >= 2
+        with pytest.raises(ValueError, match="does not split"):
+            NuRationalFunction(num, den)
+        with pytest.raises(ValueError, match="does not split"):
+            NuRationalFunction.from_json({"num": num.to_json(), "den": den.to_json()})
 
 
-def test_numerator_over_inverts_over_factors():
+def test_numerator_ints_inverts_over_factors():
     rng = random.Random(14)
     for _ in range(60):
         value, _, js = random_factored(rng)
-        wider = js + tuple(rng.choice((1, 2, -2)) for _ in range(rng.randint(0, 2)))
-        assert_canonical(over_factors(value.numerator_over(wider), wider), value)
+        wider = tuple(sorted(js + tuple(rng.choice((1, 2, -2)) for _ in range(rng.randint(0, 2)))))
+        den, nums = value._numerator_ints(wider)
+        assert NuRationalFunction._from_ints(nums, den, wider)._ints() == value._ints()
+        assert_canonical(over_factors(numerator_over(value, wider), wider), value)
     with pytest.raises(ValueError):
-        over_factors(NU_ONE, (2,)).numerator_over((1, 3))
+        over_factors(NU_ONE, (2,))._numerator_ints((1, 3))
     with pytest.raises(ValueError):
-        euclid(NU_ONE, SPLIT_FREE).numerator_over((1, 2))
+        numerator_over(over_factors(NU_ONE, (2,)), (1, 3))
 
 
 def generic_nrf_map(terms: StarProductTerms, degree: int) -> dict:
@@ -163,7 +133,7 @@ def generic_nrf_map(terms: StarProductTerms, degree: int) -> dict:
         for key, value in tensor.entries.items():
             contrib = euclid_product(coefficient, euclid(NuPolynomial.constant(value), NU_ONE))
             out[key] = euclid_sum(out[key], contrib) if key in out else contrib
-    return {key: value for key, value in out.items() if value}
+    return {key: value for key, value in out.items() if value.num}
 
 
 # (n, degree f, degree g)
@@ -205,7 +175,7 @@ def test_nrf_map_cancels_entries_to_zero():
         assert value.js == (1,)
 
 
-def euclid_disk_weight(q: int, r: int, s: int, m: int) -> NuRationalFunction:
+def euclid_disk_weight(q: int, r: int, s: int, m: int):
     scale = Fraction(factorial(q) * factorial(r), factorial(m) * factorial(q - m) * factorial(r - m))
     return euclid(
         NuPolynomial.nu_power(m) * neg_nu_pochhammer(q + s - m) * scale,
@@ -223,7 +193,7 @@ def euclid_disk_product(left: DiskElement, right: DiskElement) -> dict:
                 key = (p + r - m, q + s - m)
                 term = euclid_product(pair, euclid_disk_weight(q, r, s, m))
                 out[key] = euclid_sum(out[key], term) if key in out else term
-    return {key: value for key, value in out.items() if value}
+    return {key: value for key, value in out.items() if value.num}
 
 
 def random_disk_coefficient(rng: random.Random) -> NuRationalFunction:
@@ -232,12 +202,12 @@ def random_disk_coefficient(rng: random.Random) -> NuRationalFunction:
         return NuRationalFunction.constant(random_scalar(rng))
     if kind == 1:
         return disk_basis_coefficient(rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3), 1)
-    return euclid(random_poly(rng, 1), SPLIT_FREE)  # a denominator that does not split
+    # factors that no disk weight has
+    return over_factors(random_poly(rng, 1), rng.sample((-5, -3, 2, 5, 7), 2))
 
 
-def test_disk_product_matches_euclid_with_unsplit_denominators():
+def test_disk_product_matches_euclid_with_foreign_factors():
     rng = random.Random(15)
-    generic = 0
     for _ in range(12):
         left, right = (
             DiskElement({(rng.randint(0, 3), rng.randint(0, 3)): random_disk_coefficient(rng) for _ in range(3)})
@@ -248,8 +218,6 @@ def test_disk_product_matches_euclid_with_unsplit_denominators():
         assert product.coeffs.keys() == expected.keys()
         for key, value in product.coeffs.items():
             assert_canonical(value, expected[key])
-            generic += value.js is None
-    assert generic > 0
     for q in range(4):
         for r in range(4):
             for s in range(4):
@@ -261,12 +229,11 @@ def test_factored_and_loaded_values_compare_and_hash_alike():
     rng = random.Random(16)
     samples = [random_factored(rng)[0] for _ in range(60)]
     samples += [disk_basis_coefficient(3, 2, 1, 1), NuRationalFunction.constant(GaussRational(2, -3)), NRF_ZERO]
-    unfactored = 0
     for value in samples:
-        # the loader recovers the factors, to the same stored form
+        # the loader and the constructor recover the factors, to the same stored form
         assert NuRationalFunction.from_json(value.to_json())._ints() == value._ints()
         loaded = NuRationalFunction(value.num, value.den)
-        unfactored += loaded.js is None
+        assert loaded._ints() == value._ints()
         assert loaded == value and value == loaded
         assert hash(loaded) == hash(value)
         nums, den, js = value._ints()
@@ -279,7 +246,6 @@ def test_factored_and_loaded_values_compare_and_hash_alike():
                 other = NuRationalFunction._from_ints(changed, den, js)
                 assert other != value and value != other
                 assert other != loaded and loaded != other
-    assert unfactored > 30  # most of the rebuilt samples take the Euclidean route
 
 
 def test_negation_flips_the_stored_form():
@@ -287,19 +253,14 @@ def test_negation_flips_the_stored_form():
     samples = [random_factored(rng)[0] for _ in range(40)]
     samples += [disk_basis_coefficient(3, 3, 3, 2), NuRationalFunction.constant(GaussRational(2, -3)), NRF_ZERO]
     samples += [NuRationalFunction(value.num, value.den) for value in samples]
-    loaded = 0
     for value in samples:
         negated = -value
         expected = value * -1
         assert negated == expected and negated.js == expected.js
         assert_canonical(negated, euclid(-value.num, value.den))
-        if value.js is None:
-            loaded += 1
-        else:
-            assert negated._ints() == expected._ints() == _reduced(*negated._ints())
+        assert negated._ints() == expected._ints() == _reduced(*negated._ints())
         assert -negated == value
     assert not -NRF_ZERO and (-NRF_ZERO)._ints() == ((), 1, ())
-    assert loaded > 20  # most of the rebuilt samples take the Euclidean route
 
 
 def test_disk_elements_equal_their_json_round_trip():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpstar.models.flat import ExpPolyFunction, substitute_lambda, wick_product_flat
+from cpstar.models.flat import ExpPolyFunction, wick_product_flat
 from cpstar.models.radial import wick_product_literal
 from cpstar.nupoly import NuPolynomial
 from cpstar.scalars import GaussRational
@@ -13,6 +13,17 @@ from cpstar.zpoly import ZPoly
 
 def g(re, im=0):
     return GaussRational(Fraction(re), Fraction(im))
+
+
+def substitute_lambda(func: ExpPolyFunction, alpha) -> ExpPolyFunction:
+    """Evaluate all lam-polynomial coefficients at a number.
+
+    The ``exp(lam . slope)`` factors stay formal (they are transcendental
+    at a generic numeric parameter), so slopes survive substitution while
+    each coefficient collapses to a constant.
+    """
+    pairs = ((key, NuPolynomial.constant(poly.evaluate(alpha))) for key, poly in func.coeffs.items())
+    return func._built(func._key(), pairs)
 
 
 def _to_zpoly(func: ExpPolyFunction) -> ZPoly:

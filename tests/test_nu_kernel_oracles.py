@@ -7,10 +7,11 @@ summations they replaced, kept on purpose: the per-entry ``GaussRational``
 sum of coefficient times entry, and the pairwise ``NuRationalFunction``
 fold of the disk product.  Results must agree structurally: numerator,
 monic denominator and the factors carried.  ``_from_ints`` itself is
-checked against the Euclidean constructor, and its stored integer form
-against the ``GaussRational`` build ``nupoly._reduced`` made before it
-returned that form; the sorted-tuple merge of ``nupoly._sum`` is checked
-against the ``collections.Counter`` arithmetic it replaced.
+checked against the Euclidean oracle of ``nu_helpers`` and the
+constructor, and its stored integer form against the ``GaussRational``
+build ``nupoly._reduced`` made before it returned that form; the
+sorted-tuple merge of ``nupoly._sum`` is checked against the
+``collections.Counter`` arithmetic it replaced.
 """
 
 import random
@@ -35,20 +36,9 @@ from cpstar.scalars import GAUSS_ZERO, GaussRational
 from cpstar.star import StarProductTerms, StarTerm, star_commutator, star_symbols
 from cpstar.symbols import embed
 
-from nu_helpers import over_factors
+from nu_helpers import euclid, expanded, linear, numerator_over, over_factors
 
 I = GaussRational(0, 1)
-
-
-def linear(j: int) -> NuPolynomial:
-    return NuPolynomial((1, -j))  # 1 - j nu
-
-
-def expanded(js) -> NuPolynomial:
-    out = NU_ONE
-    for j in js:
-        out = out * linear(j)
-    return out
 
 
 def assert_same(value: NuRationalFunction, expected: NuRationalFunction) -> None:
@@ -59,7 +49,7 @@ def reference_nrf_map(terms: StarProductTerms, degree: int) -> dict:
     """Coefficient numerators times the ``entries`` view, summed entry by
     entry in ``GaussRational`` arithmetic over ``nu^(k) nu^(l)``."""
     js = (*range(1, terms.k), *range(1, terms.l))
-    numerators = [term.coefficient.numerator_over(js).coeffs for term in terms]
+    numerators = [numerator_over(term.coefficient, js).coeffs for term in terms]
     width = max(map(len, numerators), default=0)
     sums: dict = {}
     for term, numerator in zip(terms, numerators):
@@ -147,9 +137,9 @@ def assert_disk_matches(left: DiskElement, right: DiskElement) -> DiskElement:
     return product
 
 
-def unfactored(value: NuRationalFunction) -> NuRationalFunction:
-    """The same value through the Euclidean constructor: its denominator
-    never factored.  (The JSON loader now recovers the factors.)"""
+def rebuilt(value: NuRationalFunction) -> NuRationalFunction:
+    """The same value through the constructor, from its ``num`` and ``den``
+    views, whose denominator it splits again."""
     return NuRationalFunction(value.num, value.den)
 
 
@@ -169,7 +159,7 @@ def random_coefficient(rng: random.Random) -> NuRationalFunction:
         weight = disk_basis_coefficient(rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3), 1)
         return weight * (random_scalar(rng) or I)
     factored = random_factored(rng, rng.randint(1, 3))
-    return factored if kind == 3 else unfactored(factored)
+    return factored if kind == 3 else rebuilt(factored)
 
 
 def random_disk_element(rng: random.Random, coefficient=random_coefficient) -> DiskElement:
@@ -178,27 +168,24 @@ def random_disk_element(rng: random.Random, coefficient=random_coefficient) -> D
 
 def test_disk_product_matches_the_pairwise_fold():
     rng = random.Random(34)
-    mixed = 0
     for _ in range(40):
         left, right = random_disk_element(rng), random_disk_element(rng)
         assert_disk_matches(left, right)
-        generic = [c.js is None for c in (*left.coeffs.values(), *right.coeffs.values())]
-        mixed += any(generic) and not all(generic)
-    assert mixed > 5
 
 
-def test_disk_product_of_unfactored_coefficients_alone():
+def test_disk_product_of_rebuilt_coefficients_alone():
     rng = random.Random(35)
     for _ in range(8):
-        left, right = (random_disk_element(rng, lambda rng: unfactored(random_factored(rng, 2))) for _ in range(2))
-        assert all(c.js is None for c in (*left.coeffs.values(), *right.coeffs.values()))
+        factored = [random_factored(rng, 2) for _ in range(8)]
+        assert all(rebuilt(c)._ints() == c._ints() for c in factored)
+        left, right = (random_disk_element(rng, lambda rng: rebuilt(rng.choice(factored))) for _ in range(2))
         assert_disk_matches(left, right)
 
 
 def test_disk_product_cancels_a_key_to_zero():
     for c1, c2 in [
         (NuRationalFunction.constant(GaussRational(2, -1)), disk_basis_coefficient(2, 1, 1, 1) * I),
-        (unfactored(over_factors(NuPolynomial((1, 3)), (-2, 1))), NuRationalFunction.constant(Fraction(3, 7))),
+        (rebuilt(over_factors(NuPolynomial((1, 3)), (-2, 1))), NuRationalFunction.constant(Fraction(3, 7))),
     ]:
         # f01 f10 reaches (0, 0) once contracted; f00 with the opposite weight cancels it
         c3 = -(c1 * c2 * disk_basis_coefficient(1, 1, 0, 1))
@@ -225,12 +212,11 @@ def test_from_ints_is_canonical():
     for nums, den, js in cases:
         value = NuRationalFunction._from_ints(nums, den, js)
         num = NuPolynomial(GaussRational(re, im) for re, im in nums)
-        expected = NuRationalFunction(num, expanded(js) * den)
+        expected = euclid(num, expanded(js) * den)
         assert (value.num, value.den) == (expected.num, expected.den)
         assert_stored_form(value)
-        if expected.js is not None:  # a constant denominator: the constructor stores the same form
-            assert expected._ints() == value._ints()
-            assert_stored_form(expected)
+        built = NuRationalFunction(num, expanded(js) * den)  # the constructor splits the product again
+        assert built._ints() == value._ints()
         assert list(value.js) == sorted(value.js) and 0 not in value.js
         assert value.den == expanded(value.js).monic()
         if value:

@@ -11,18 +11,20 @@ from cpstar.expr import MAX_DISK_INDEX
 from cpstar.models.disk import DiskElement, disk_product
 from cpstar.nupoly import (
     MAX_LOADED_DEGREE,
-    MAX_UNFACTORED_DEGREE,
     NRF_ONE,
     NRF_ZERO,
     NU,
     NU_ONE,
     NU_ZERO,
+    SPLIT_BOUND,
     NuPolynomial,
     NuRationalFunction,
     nu_pochhammer,
 )
 from cpstar.scalars import GaussRational
 from cpstar.serialize import disk_from_json, disk_to_json
+
+from nu_helpers import poly_divmod
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 polys = st.builds(
@@ -79,19 +81,20 @@ def test_monic_normalization():
 
 
 def test_divmod_exact_division():
+    # the long division of the Euclidean oracle in nu_helpers
     product = NuPolynomial((1, -3, 2))
-    q, r = divmod(product, NuPolynomial((1, -1)))
+    q, r = poly_divmod(product, NuPolynomial((1, -1)))
     assert r.is_zero()
     assert q == NuPolynomial((1, -2))
     with pytest.raises(ZeroDivisionError):
-        divmod(product, NU_ZERO)
+        poly_divmod(product, NU_ZERO)
 
 
 @given(polys, polys)
 def test_divmod_reconstructs(p, d):
     if d.is_zero():
         return
-    q, r = divmod(p, d)
+    q, r = poly_divmod(p, d)
     assert q * d + r == p
     assert r.is_zero() or r.degree < d.degree
 
@@ -154,6 +157,23 @@ def test_rational_function_arithmetic():
         NuRationalFunction(NU_ONE, NU_ZERO)
 
 
+def test_the_constructor_splits_the_denominator():
+    # (1 - 2 nu)(1 + 3 nu) splits; a common power of nu cancels
+    assert NuRationalFunction(NU_ONE, NuPolynomial((1, -2)) * NuPolynomial((1, 3))).js == (-3, 2)
+    assert NuRationalFunction(NU, NU) == 1
+    assert NuRationalFunction(NU * NU, NU * NuPolynomial((2, -2))) == NuRationalFunction(NU, NuPolynomial((2, -2)))
+    # a pole at nu = 0, no rational root, and a root 1/j past the search
+    for den in (NU, NuPolynomial((1, 0, 1)), NuPolynomial((1, -(SPLIT_BOUND + 1)))):
+        with pytest.raises(ValueError, match="does not split"):
+            NuRationalFunction(NU_ONE, den)
+    assert NuRationalFunction(NU_ONE, NuPolynomial((1, -SPLIT_BOUND))).js == (SPLIT_BOUND,)
+    # division goes through the constructor
+    with pytest.raises(ValueError, match="does not split"):
+        NRF_ONE / NuRationalFunction(NuPolynomial((1, 0, 1)))
+    assert (NRF_ONE / NuRationalFunction(NuPolynomial((1, -2)))).js == (2,)
+    assert NuRationalFunction(NU_ZERO, NU) == NRF_ZERO
+
+
 def test_rational_function_evaluate():
     f = NuRationalFunction(NuPolynomial((0, 1)), NuPolynomial((1, -1)))  # nu/(1-nu)
     assert f.evaluate(Fraction(1, 3)) == GaussRational(Fraction(1, 2))
@@ -170,7 +190,8 @@ def test_rational_function_equality_against_polynomials():
 def test_json_round_trips():
     p = NuPolynomial((Fraction(1, 2), GaussRational(0, 1), 3))
     assert NuPolynomial.from_json(p.to_json()) == p
-    f = NuRationalFunction(NuPolynomial((1, 1)), NuPolynomial((0, 0, 1)))
+    f = NuRationalFunction(NuPolynomial((1, 1)), NuPolynomial((1, 0, -4)))
+    assert f.js == (-2, 2)
     assert NuRationalFunction.from_json(f.to_json()) == f
 
 
@@ -184,34 +205,48 @@ def test_str_rendering():
     assert str(NuPolynomial((1, 0, Fraction(-1, 2)))) == "1 + (-1/2)*nu^2"
 
 
-def test_loaded_degree_budgets():
-    # a denominator that is not constant is bounded on load; one that does
-    # not split takes the Euclidean gcd, bounded tighter, and so is every
-    # value built from it, before its gcd runs
-    def loaded(num, den, split):
-        # (1 - nu)^den splits; 2 + nu^den is not 2 times an integer product
-        base = NuPolynomial((2,) + (0,) * (den - 1) + (1,))
-        if split:
-            base = NU_ONE
-            for _ in range(den):
-                base = base * NuPolynomial((1, -1))
-        return {"num": ["1"] * (num + 1), "den": base.to_json()}
+def loaded(num: int, den: int, split: bool) -> dict:
+    """``{"num", "den"}`` of degree ``num`` over ``den``: (1 - nu)^den splits,
+    2 + nu^den is not 2 times an integer product."""
+    base = NuPolynomial((2,) + (0,) * (den - 1) + (1,))
+    if split:
+        base = NU_ONE
+        for _ in range(den):
+            base = base * NuPolynomial((1, -1))
+    return {"num": ["1"] * (num + 1), "den": base.to_json()}
 
-    budgets = ((True, MAX_LOADED_DEGREE, "MAX_LOADED_DEGREE"), (False, MAX_UNFACTORED_DEGREE, "MAX_UNFACTORED_DEGREE"))
-    for split, limit, name in budgets:
-        at = NuRationalFunction.from_json(loaded(limit, limit, split))
-        assert (at.num.degree, at.den.degree) == (limit, limit)
-        assert (at.js is not None) == split
-        for num, den in ((0, limit + 1), (limit + 1, 1), (200, 2)):
-            refused = "MAX_LOADED_DEGREE" if den > MAX_LOADED_DEGREE or num > MAX_LOADED_DEGREE else name
-            with pytest.raises(ValueError, match=f"{refused} = "):
+
+def test_loaded_degree_budgets():
+    # a denominator that is not constant is bounded on load, before it is
+    # split; one that does not split is refused at any degree
+    at = NuRationalFunction.from_json(loaded(MAX_LOADED_DEGREE, MAX_LOADED_DEGREE, True))
+    assert (at.num.degree, at.den.degree) == (MAX_LOADED_DEGREE, MAX_LOADED_DEGREE)
+    assert at.js == (1,) * MAX_LOADED_DEGREE
+    for split in (True, False):
+        for num, den in ((0, MAX_LOADED_DEGREE + 1), (MAX_LOADED_DEGREE + 1, 1), (200, 2)):
+            with pytest.raises(ValueError, match="MAX_LOADED_DEGREE = "):
                 NuRationalFunction.from_json(loaded(num, den, split))
+    for num, den in ((1, 1), (1, 32), (MAX_LOADED_DEGREE, MAX_LOADED_DEGREE)):
+        with pytest.raises(ValueError, match="does not split"):
+            NuRationalFunction.from_json(loaded(num, den, False))
     long = {"num": ["1"] * 300, "den": ["2"]}
     assert NuRationalFunction.from_json(long).num.degree == 299
-    c = NuRationalFunction.from_json(loaded(1, MAX_UNFACTORED_DEGREE // 2, False))
-    assert (c * c).den.degree == MAX_UNFACTORED_DEGREE
-    with pytest.raises(ValueError, match="MAX_UNFACTORED_DEGREE = "):
-        c * c * c
+
+
+def test_written_degree_budget():
+    # a product may pass the budget; it is refused when written, as it would
+    # be when read back, and a long numerator over a constant is not
+    c = NuRationalFunction.from_json(loaded(0, MAX_LOADED_DEGREE, True))
+    assert NuRationalFunction.from_json(c.to_json()) == c
+    square = c * c
+    assert (square.num.degree, square.den.degree) == (0, 2 * MAX_LOADED_DEGREE)
+    with pytest.raises(ValueError, match="of degree 0 over 128: .* MAX_LOADED_DEGREE = "):
+        square.to_json()
+    over = DiskElement.basis(1, 0, c)
+    with pytest.raises(ValueError, match="MAX_LOADED_DEGREE = "):
+        disk_to_json(disk_product(over, over))
+    long = NuRationalFunction(NuPolynomial([1] * 300))
+    assert NuRationalFunction.from_json(long.to_json()) == long
 
 
 def test_loaded_degree_budget_admits_the_disk_coefficients_cpstar_writes():
@@ -250,6 +285,7 @@ def test_loaded_denominators_split_over_integers():
         assert value.js == tuple(sorted(kept))
         assert value == NuRationalFunction(num, den)
     for den in (NuPolynomial((1, 0, 1)), NuPolynomial((2, 1)), NuPolynomial((1, GaussRational(0, 1))), NU):
-        value = NuRationalFunction.from_json({"num": num.to_json(), "den": den.to_json()})
-        assert value.js is None
-        assert value == NuRationalFunction(num, den)
+        with pytest.raises(ValueError, match="does not split"):
+            NuRationalFunction.from_json({"num": num.to_json(), "den": den.to_json()})
+        with pytest.raises(ValueError, match="does not split"):
+            NuRationalFunction(num, den)

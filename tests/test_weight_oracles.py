@@ -11,7 +11,7 @@ the Pochhammer polynomials, Horner's rule over its expanded coefficients
 its factors (``over_factors``) for the two weights.  Results must agree
 structurally: numerator, monic denominator and the factors carried.
 Negation and multiples by a scalar or a polynomial of a factored value are
-checked against the Euclidean constructor.
+checked against the Euclidean oracle of ``nu_helpers``.
 """
 
 import random
@@ -28,7 +28,7 @@ from cpstar.randgen import random_scalar
 from cpstar.scalars import GaussRational, to_gauss
 from cpstar.star import _star_coefficient
 
-from nu_helpers import over_factors
+from nu_helpers import euclid, expanded, over_factors
 
 
 @lru_cache(maxsize=None)
@@ -120,21 +120,9 @@ def test_pochhammer_at_matches_polynomial_evaluation():
             assert (_pochhammer_ints(r, 1, K) == 0) == (r >= K + 1)
 
 
-def euclid(num: NuPolynomial, den: NuPolynomial) -> NuRationalFunction:
-    """The generic constructor: a Euclidean gcd over Q(i), never factored."""
-    return NuRationalFunction(num, den)
-
-
-def expanded(js) -> NuPolynomial:
-    out = NU_ONE
-    for j in js:
-        out = out * NuPolynomial((1, -j))
-    return out
-
-
-def assert_canonical(value: NuRationalFunction, expected: NuRationalFunction) -> None:
+def assert_canonical(value: NuRationalFunction, expected) -> None:
     assert value.num == expected.num and value.den == expected.den
-    assert value.js is not None and value.den == expanded(value.js).monic()
+    assert value.den == expanded(value.js).monic()
 
 
 def test_negation_and_multiples_of_factored_values_match_euclid():
