@@ -21,7 +21,6 @@ from .torus import (
     PhaseSum,
     TorusQuotientElement,
     check_quotient_ideal,
-    moyal_modes,
     moyal_product,
     torus_quotient,
     torus_quotient_dimension,
@@ -49,7 +48,6 @@ __all__ = [
     "PhaseSum",
     "TorusQuotientElement",
     "check_quotient_ideal",
-    "moyal_modes",
     "moyal_product",
     "torus_quotient",
     "torus_quotient_dimension",

@@ -41,7 +41,6 @@ __all__ = [
     "PHASE_ZERO",
     "PHASE_ONE",
     "FourierSum",
-    "moyal_modes",
     "moyal_product",
     "TorusQuotientElement",
     "torus_quotient",
@@ -285,18 +284,6 @@ class FourierSum(Combination):
             f"FourierSum(dim={self.dim}, parameter={self.parameter}, "
             f"modes={sorted(self.coeffs)})"
         )
-
-
-def moyal_modes(
-    k: Mode, k_prime: Mode, matrix: Sequence[Sequence[int]], parameter
-) -> tuple[Fraction, Mode]:
-    """Phase and combined mode for a product of two basis modes.
-
-    The phase is the parameter times the bilinear pairing of the mode
-    vectors through the coefficient matrix, reduced modulo one.
-    """
-    mode = tuple(u + v for u, v in zip(k, k_prime))
-    return (Fraction(parameter) * sum(map(mul, _pairing_row(k, matrix), k_prime))) % 1, mode
 
 
 def moyal_product(left: FourierSum, right: FourierSum) -> FourierSum:

@@ -458,8 +458,15 @@ def _normalised(den: int, cells: Mapping[Key, Sequence[int]]) -> tuple[int, dict
             out[key] = (re, im)
             if common != 1:
                 common = gcd(common, re, im)
-    if not out:
-        return 1, out
+    return _divided_out(den, common, out)
+
+
+def _divided_out(den: int, common: int, cells: dict[Key, tuple[int, int]]) -> tuple[int, dict[Key, tuple[int, int]]]:
+    """``(den, cells)`` of nonzero cells over ``den`` with ``common``, the
+    gcd of ``den`` and every part, divided out; an empty map gets
+    denominator 1."""
+    if not cells:
+        return 1, cells
     if common == 1:
-        return den, out
-    return den // common, {key: (re // common, im // common) for key, (re, im) in out.items()}
+        return den, cells
+    return den // common, {key: (re // common, im // common) for key, (re, im) in cells.items()}

@@ -6,8 +6,9 @@ Conventions, shared across all formats:
 - exact complex scalars are ``{"re": "p/q", "im": "p/q"}``; matrix cells
   may also be bare integers or ``"p/q"`` strings, taken as real;
 - polynomial coefficient arrays run from the lowest degree up;
-- symbol tensors list entries at sorted multi-indices; the loader sorts
-  and accumulates, so arbitrarily-ordered input is accepted;
+- symbol tensors list entries at sorted multi-indices; the loader accepts
+  the letters of an index in any order and adds up the entries of one
+  sorted pair;
 - sizes, degrees, levels, indices and mode entries are JSON integers only
   (a float, a boolean or a string is a ``ValueError``), and ``powers`` keys
   are plain decimal strings;
@@ -24,12 +25,12 @@ import re
 
 from .models.disk import DiskElement
 from .models.torus import FourierSum, PhaseSum, _from_parts
-from .multiindex import multiplicity
+from .multiindex import _unranked
 from .nupoly import NuRationalFunction
 from .quotient import QuotientOperator
 from .scalars import GaussRational, _format_ratio, _rational_parts, _required, _shaped, parse_rational
 from .star import RawNuSeries, StarElement
-from .symbols import SymbolTensor, _key_pairs
+from .symbols import SymbolTensor
 
 __all__ = [
     "canonical_dumps",
@@ -66,39 +67,44 @@ def _json_int(value, what: str) -> int:
 
 def symbol_to_json(tensor: SymbolTensor) -> dict:
     """Entries at sorted index pairs, each part formatted straight from
-    ``cells[key] / (den mult(I) mult(J))``; sorted cell keys list the pairs
-    ``(I, J)`` in lex order."""
+    ``cells[key] / (den mult(I) mult(J))``, with the pair and its weight
+    read in one lookup of ``multiindex._unranked``; sorted cell keys list the
+    pairs ``(I, J)`` in lex order."""
     den = tensor.den
-    pairs = _key_pairs(tensor.n, tensor.k)
+    unranked = _unranked(tensor.n, tensor.k)
     entries = []
     for key, (real, imag) in sorted(tensor.cells.items()):
-        left, right = pairs[key]
-        d = den * multiplicity(left) * multiplicity(right)
+        left, right, weight = unranked[key]
+        d = den * weight
         entries.append(
             {"I": list(left), "J": list(right), "re": _format_ratio(real, d), "im": _format_ratio(imag, d)}
         )
     return {"n": tensor.n, "k": tensor.k, "entries": entries}
 
 
+def _json_letters(listed: list, what: str) -> tuple[int, ...]:
+    """The index letters of a JSON list, as given: each a JSON integer."""
+    for a in listed:
+        if type(a) is not int:
+            _json_int(a, what)
+    return tuple(listed)
+
+
 def symbol_from_json(data: dict) -> SymbolTensor:
     """Load a symbol; letters may come in any order, repeated index pairs
-    add up and entries that cancel are dropped.  Each part is read as an
-    int pair, so the tensor is built with one ``lcm`` and no
-    ``GaussRational`` per entry."""
+    add up and entries that cancel are dropped.  The letters go to
+    ``SymbolTensor._from_parts`` as given and each part as an int pair, so
+    no ``GaussRational`` is built per entry."""
     n = _json_int(_required(data, "n", "symbol"), 'symbol "n"')
     k = _json_int(_required(data, "k", "symbol"), 'symbol "k"')
-    parts: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int, int, int]] = {}
+    parts = []
     for entry in _shaped(data.get("entries", []), list, 'symbol "entries"'):
-        left = tuple(sorted(_json_int(a, 'index letter in "I"') for a in _required(entry, "I", "symbol entry", list)))
-        right = _required(entry, "J", "symbol entry", list)
-        key = (left, tuple(sorted(_json_int(a, 'index letter in "J"') for a in right)))
+        left = _json_letters(_required(entry, "I", "symbol entry", list), 'index letter in "I"')
+        right = _json_letters(_required(entry, "J", "symbol entry", list), 'index letter in "J"')
         a, b = _rational_parts(entry.get("re", "0"))
         c, d = _rational_parts(entry.get("im", "0"))
-        if key in parts:
-            a0, b0, c0, d0 = parts[key]
-            a, b, c, d = a0 * b + a * b0, b0 * b, c0 * d + c * d0, d0 * d
-        parts[key] = (a, b, c, d)
-    return SymbolTensor._from_parts(n, k, parts.items())
+        parts.append((left, right, a, b, c, d))
+    return SymbolTensor._from_parts(n, k, parts)
 
 
 def matrix_to_json(matrix) -> list:

@@ -33,14 +33,13 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Mapping, Optional, Sequence
 
-from .multiindex import multiplicity
+from .multiindex import _unranked
 from .nupoly import NuPolynomial, NuRationalFunction, _pochhammer_js, _weight_ints, nu_pochhammer
 from .scalars import ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
     _add_scaled,
     _contract_into,
-    _key_pairs,
     _times_x,
     embed,
     pointwise_mul,
@@ -149,13 +148,13 @@ class StarProductTerms:
                     cell = acc[m]
                     cell[0] += n_re * c_re - n_im * c_im
                     cell[1] += n_re * c_im + n_im * c_re
-        pairs = _key_pairs(self.n, degree)
+        unranked = _unranked(self.n, degree)
         out = {}
         for key, acc in sums.items():
-            left, right = pair = pairs[key]
-            value = NuRationalFunction._from_ints(acc, den * multiplicity(left) * multiplicity(right), js)
+            left, right, weight = unranked[key]
+            value = NuRationalFunction._from_ints(acc, den * weight, js)
             if value:
-                out[pair] = value
+                out[left, right] = value
         return out
 
     def is_zero(self) -> bool:

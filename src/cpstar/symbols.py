@@ -38,17 +38,16 @@ per shape, filled in as cells need it and bounded like every cache here:
 ``_raised`` gives the n + 1 keys of a cell times x, ``_divided`` the
 quotient key of a cell divisible by its lead term of x, and the contraction
 plans the ranks of merged indices.  Index pairs appear only at the
-boundary, through ``_ranks`` and its inverse ``_key_pairs``: the
-constructors and ``_checked_cells``, the views :attr:`SymbolTensor.entries`
-and :meth:`SymbolTensor.poly_items`, :meth:`SymbolTensor.conjugate_swap`,
-:func:`identity_symbol` and the JSON dumper.
+boundary, through the per-(n, k) tables of :mod:`cpstar.multiindex`:
+``_ranked`` for letter tuples in any order, ``_unranked`` for cell keys.
 
 The Gaussian-rational tensor entries are a computed view,
 :attr:`SymbolTensor.entries`, for checks and tests.  The public
-constructor and the JSON loader take entries and check everything they
-are given in one step, ``_checked_cells``; the loader hands it the int
-parts of each ``"p/q"`` text, and the JSON dumper formats ``cells`` over
-``den`` directly, so neither builds a ``GaussRational`` per entry.
+constructor and the JSON loader check what they are given in one step,
+``_checked_cells``, which reads ``_ranked``; the loader hands it the letters
+as they came and the int parts of each ``"p/q"`` text, and the JSON dumper
+formats ``cells`` over ``den`` times the weight ``_unranked`` gives, so
+neither builds a ``GaussRational`` per entry.
 
 :func:`wick_contraction_reference` is an independent implementation of the
 contraction on purpose: literal differentiation of the expanded polynomials
@@ -63,19 +62,28 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
-from math import comb, lcm, perm
+from math import comb, gcd, lcm, perm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .multiindex import (
     Index,
+    _indices,
+    _key_pair,
+    _Lazy,
     _lex_rank,
-    _lex_unrank,
+    _LENGTH,
+    _RANGE,
+    _ranked,
+    _ranks,
+    _Refused,
+    _unranked,
+    _width,
     merge_indices,
     multiplicity,
     sorted_tuples,
     submultiset_splits,
 )
-from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _gauss, _normalised, _over_lcm, to_gauss
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _divided_out, _gauss, _normalised, _over_lcm, to_gauss
 from .zpoly import ZPoly
 
 __all__ = [
@@ -96,58 +104,79 @@ EntryKey = tuple[Index, Index]
 Cells = dict[int, tuple[int, int]]
 
 
-def _gauss_parts(entries: Mapping[EntryKey, ScalarLike]) -> Iterable[tuple[EntryKey, tuple[int, int, int, int]]]:
-    """The public constructor's entries as int parts, read lazily."""
-    for key, value in entries.items():
+# an entry as given: letters I and J, then (a, b, c, d) of a/b + (c/d) i, b, d > 0
+Part = tuple[Sequence[int], Sequence[int], int, int, int, int]
+
+
+def _gauss_parts(entries: Mapping[EntryKey, ScalarLike]) -> Iterable[Part]:
+    """The public constructor's nonzero entries as parts, read lazily; their
+    letters must be ints, as the loader's must be JSON integers."""
+    for (left, right), value in entries.items():
         p, q, m = to_gauss(value)._ints()
-        yield key, (p, m, q, m)
+        if p or q:
+            for letters in (left, right):
+                if any(type(a) is not int for a in letters):
+                    raise ValueError(f"index letters must be ints, got {letters!r}")
+            yield left, right, p, m, q, m
 
 
-def _checked_cells(n: int, k: int, parts: Iterable[tuple[EntryKey, tuple[int, int, int, int]]]) -> tuple[int, Cells]:
+def _checked_cells(n: int, k: int, parts: Iterable[Part], any_order: bool = False) -> tuple[int, Cells]:
     """The one validating step for tensors given by their entries.
 
-    Each entry comes as int parts ``(a, b, c, d)`` of ``a/b + (c/d) i``
-    with ``b, d > 0``.  Zero entries are dropped unchecked; the others must
-    sit at sorted index pairs of length ``k`` over letters ``0..n``.  The
-    result is ``(den, cells)`` as :class:`SymbolTensor` stores them."""
+    Entries whose letters sort to the same pair add up; zero sums are
+    dropped unchecked, and the first other one in a bad pair is refused
+    (see :func:`_refuse`).  Unless ``any_order``, unsorted letters are
+    refused too, at once: the public constructor hands over nonzero
+    entries at distinct keys.  The first pass adds up the pairs over a
+    common denominator, the second scales them to int cells and takes
+    their gcd.  The result is ``(den, cells)`` as :class:`SymbolTensor`
+    stores them."""
     if n < 0 or k < 0:
         raise ValueError("need n >= 0 and k >= 0")
-    ranks, width = _ranks(n, k), 0  # W is counted at the first entry
-    weighted: dict[int, tuple[int, int, int, int, int]] = {}
-    for (left, right), (a, b, c, d) in parts:
+    ranked = _ranked(n, k)
+    sums: dict[tuple, tuple] = {}
+    den = 1
+    for left, right, a, b, c, d in parts:
+        lv, rv = ranked[left], ranked[right]
+        if not any_order and (lv.__class__ is _Refused or rv.__class__ is _Refused or not (lv[2] and rv[2])):
+            _refuse(n, k, left, right, any_order)
+        pair = lv[0], rv[0]
+        seen = sums.get(pair)
+        if seen is not None:
+            a0, b0, c0, d0 = seen[4:]
+            a, b, c, d = a0 * b + a * b0, b0 * b, c0 * d + c * d0, d0 * d
+        sums[pair] = left, right, lv, rv, a, b, c, d
+        if b != 1 or d != 1:
+            den = lcm(den, b, d)
+    width, common, cells = 0, den, {}
+    for left, right, lv, rv, a, b, c, d in sums.values():
         if not (a or c):
             continue
-        if len(left) != k or len(right) != k:
-            raise ValueError(f"index length mismatch for degree {k}: {(left, right)}")
-        ordered = tuple(sorted(left)), tuple(sorted(right))
-        if k and (min(ordered[0][0], ordered[1][0]) < 0 or max(ordered[0][-1], ordered[1][-1]) > n):
-            raise ValueError(f"index letter out of range for n={n}")
-        key = tuple(left), tuple(right)
-        if key != ordered:
-            raise ValueError("entries must use sorted index representatives")
-        left, right = key
-        width = width or _width(n, k)
-        weighted[ranks[left] * width + ranks[right]] = (a, b, c, d, multiplicity(left) * multiplicity(right))
-    return _over_lcm(weighted)
+        if lv.__class__ is _Refused or rv.__class__ is _Refused:
+            _refuse(n, k, left, right, any_order)
+        width = width or comb(n + k, k)
+        scale = lv[1] * rv[1] * den
+        re, im = a * (scale // b), c * (scale // d)
+        if common != 1:
+            common = gcd(common, re, im)
+        cells[lv[0] * width + rv[0]] = re, im
+    return _divided_out(den, common, cells)
 
 
-MAX_WIDTH_BITS = 256
-"""Largest bit length of the number W = C(n + k, k) of sorted k-tuples of a
-tensor with entries.  Ranking an index of a cell key takes 2k binomials of
-about W's size, and unranking one k log2(n) of them.  On CP^1000000, on a
-2-core x86-64 VM with Python 3.11, an index of degree 13 (W of 226 bits)
-ranked in 0.02 ms and unranked in 0.14 ms; one of degree 1000 (11403 bits)
-took 0.4 s and 3.7 s."""
-
-
-def _width(n: int, k: int) -> int:
-    """W = C(n + k, k) for a tensor with entries, refused over
-    :data:`MAX_WIDTH_BITS` bits before it is counted in full, as
-    C(n + k, k) >= 2**min(n, k)."""
-    width = comb(n + k, k) if min(n, k) <= MAX_WIDTH_BITS else None
-    if width is None or width.bit_length() > MAX_WIDTH_BITS:
-        raise ValueError(f"a symbol on CP^{n} of degree {k} has over 2**{MAX_WIDTH_BITS} sorted index tuples")
-    return width
+def _refuse(n: int, k: int, left: Sequence[int], right: Sequence[int], any_order: bool) -> None:
+    """Raise the error of a refused entry: a wrong length (shown sorted for
+    the loader), a letter out of range, unsorted letters (unless
+    ``any_order``) or a shape too wide, in that order."""
+    ranked = _ranked(n, k)
+    reasons = {value.reason for value in (ranked[left], ranked[right]) if value.__class__ is _Refused}
+    if _LENGTH in reasons:
+        shown = (tuple(sorted(left)), tuple(sorted(right))) if any_order else (left, right)
+        raise ValueError(f"index length mismatch for degree {k}: {shown}")
+    if _RANGE in reasons:
+        raise ValueError(f"index letter out of range for n={n}")
+    if not any_order and (list(left) != sorted(left) or list(right) != sorted(right)):
+        raise ValueError("entries must use sorted index representatives")
+    _width(n, k)  # the one reason left: the shape is too wide
 
 
 class SymbolTensor:
@@ -172,14 +201,13 @@ class SymbolTensor:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _from_parts(cls, n: int, k: int, parts: Iterable[tuple[EntryKey, tuple[int, int, int, int]]]) -> "SymbolTensor":
-        """Build from entries given as int parts ``(a, b, c, d)`` of
-        ``a/b + (c/d) i``, checked as the public constructor checks them;
-        the JSON loader reads its entries straight into such parts."""
+    def _from_parts(cls, n: int, k: int, parts: Iterable[Part]) -> "SymbolTensor":
+        """Build from the JSON loader's parts, letters in any order, checked
+        as the public constructor checks its entries."""
         tensor = object.__new__(cls)
         tensor.n = n
         tensor.k = k
-        tensor.den, tensor.cells = _checked_cells(n, k, parts)
+        tensor.den, tensor.cells = _checked_cells(n, k, parts, any_order=True)
         return tensor
 
     @classmethod
@@ -213,19 +241,20 @@ class SymbolTensor:
 
         Built afresh on every access: read it once into a local."""
         den = self.den
-        pairs = _key_pairs(self.n, self.k)
+        unranked = _unranked(self.n, self.k)
         out = {}
         for key, (re, im) in self.cells.items():
-            left, right = pair = pairs[key]
-            out[pair] = _gauss(re, im, den * multiplicity(left) * multiplicity(right))
+            left, right, weight = unranked[key]
+            out[left, right] = _gauss(re, im, den * weight)
         return out
 
     def poly_items(self) -> Iterable[tuple[EntryKey, GaussRational]]:
         """Coefficients of sigma_tilde on sorted monomial representatives."""
         den = self.den
-        pairs = _key_pairs(self.n, self.k)
+        unranked = _unranked(self.n, self.k)
         for key, (re, im) in self.cells.items():
-            yield pairs[key], _gauss(re, im, den)
+            left, right, _ = unranked[key]
+            yield (left, right), _gauss(re, im, den)
 
     # -- predicates ---------------------------------------------------
 
@@ -477,46 +506,6 @@ def reduce_to_min(tensor: SymbolTensor) -> SymbolTensor:
     return current
 
 
-class _Lazy(dict):
-    """A dict that fills a missing entry from ``fill(key)`` the first time it
-    is read.  The key tables and contraction plans are made of these, so a
-    table holds only the entries some cell has needed."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill: Callable) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
-@lru_cache(maxsize=64)
-def _ranks(n: int, k: int) -> _Lazy:
-    """Sorted k-tuple -> its lex rank in ``sorted_tuples(n, k)``."""
-    return _Lazy(partial(_lex_rank, n))
-
-
-@lru_cache(maxsize=64)
-def _indices(n: int, k: int) -> _Lazy:
-    """Lex rank -> the sorted k-tuple there, the inverse of :func:`_ranks`."""
-    return _Lazy(partial(_lex_unrank, n, k))
-
-
-def _key_pair(n: int, k: int, key: int) -> EntryKey:
-    head, tail = divmod(key, comb(n + k, k))
-    indices = _indices(n, k)
-    return indices[head], indices[tail]
-
-
-@lru_cache(maxsize=64)
-def _key_pairs(n: int, k: int) -> _Lazy:
-    """Cell key ``rank(I) W + rank(J)`` of degree ``k`` -> its index pair."""
-    return _Lazy(partial(_key_pair, n, k))
-
-
 def _times_letters(n: int, k: int, left: Index, right: Index, letters: range) -> tuple[int, ...]:
     """The degree-(k + 1) keys of zbar_a z_a zbar^left z^right, a in ``letters``."""
     ranks, width = _ranks(n, k + 1), comb(n + k + 1, k + 1)
@@ -524,7 +513,7 @@ def _times_letters(n: int, k: int, left: Index, right: Index, letters: range) ->
 
 
 def _raised_keys(n: int, k: int, key: int) -> tuple[int, ...]:
-    return _times_letters(n, k, *_key_pairs(n, k)[key], range(n + 1))
+    return _times_letters(n, k, *_key_pair(n, k, key), range(n + 1))
 
 
 @lru_cache(maxsize=64)
@@ -535,7 +524,7 @@ def _raised(n: int, k: int) -> _Lazy:
 
 
 def _division_step(n: int, k: int, key: int) -> Optional[tuple[int, tuple[int, ...]]]:
-    left, right = _key_pairs(n, k)[key]
+    left, right = _key_pair(n, k, key)
     if left[0] or right[0]:
         return None
     left, right = left[1:], right[1:]

@@ -39,7 +39,7 @@ into factors ``1 - j nu`` and a numerator or denominator over
 ``cpstar.nupoly.MAX_LOADED_DEGREE``, or with a denominator that does not
 split; the same at the budget runs when it splits.  Then a symbol on
 CP^1000000 whose number of sorted index tuples is under
-``symbols.MAX_WIDTH_BITS`` bits runs, and one over it exits 2.  Last, an
+``multiindex.MAX_WIDTH_BITS`` bits runs, and one over it exits 2.  Last, an
 ``eval`` product and a disk product whose result passes
 ``MAX_LOADED_DEGREE`` exit 2 before they write it.
 """

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from cpstar.cli import main, tagged_to_value, value_to_tagged
 from cpstar.models.disk import DiskElement, disk_product
 from cpstar.models.torus import FourierSum, PhaseSum, moyal_product
 from cpstar.quotient import quotient_map, substitute
+from cpstar.randgen import random_element
 from cpstar.scalars import GaussRational
 from cpstar.serialize import (
     disk_to_json,
@@ -302,6 +304,23 @@ def test_eval_refuses_star_chains_over_budget(tmp_path, capsys, monkeypatch):
         assert message in err and "Traceback" not in err
 
 
+def test_star_work_is_refused_before_any_product_runs(tmp_path, capsys):
+    # a level-20 pair like this one took 26 s before MAX_STAR_TERMS; the
+    # refusal reads only the cell counts, so both runs take milliseconds
+    operands = BUDGETS["star-terms"][1]
+    pair = _write(tmp_path, "pair.json", {"left": operands[0], "right": operands[1]})
+    code, out, err = _run(capsys, ["star", "--input", pair])
+    assert (code, out) == (2, "")
+    assert err.startswith("cpstar: the star product of levels 20 and 20 on CP^1 runs up to ")
+    assert err.endswith(f" contraction terms, over the limit of MAX_STAR_TERMS = {expr.MAX_STAR_TERMS}\n")
+    # a power is refused at its first product over the budget, here A * A
+    session = _write(tmp_path, "session.json", {"bindings": {"A": operands[0]}})
+    code, out, err = _run(capsys, ["eval", "A^2", "--input", session])
+    assert (code, out) == (2, "")
+    assert "a product in the power 2 of a level-20 element on CP^1 runs up to " in err
+    assert "over the limit of MAX_STAR_TERMS" in err and "Traceback" not in err
+
+
 def test_eval_star_chains_under_budget_match_powers(tmp_path, capsys):
     disk = {"coeffs": [{"p": 4, "q": 0, "num": [1], "den": [1]}, {"p": 0, "q": 1, "num": [2], "den": [1]}]}
     sigma = StarElement.lift(symbol_of_matrix([[1, 2, 0], [0, 1, 3], [4, 0, 1]]))
@@ -324,6 +343,10 @@ def _wide_disk(index):
     return {"coeffs": [{"p": index, "q": 0, "num": [1], "den": [1]}, {"p": 0, "q": 1, "num": [2], "den": [1]}]}
 
 
+def _cp1(level, seed):
+    return value_to_tagged(random_element(random.Random(seed), 1, level, density=0.3))
+
+
 def _fourier(modes):
     return value_to_tagged(FourierSum(2, SYMPLECTIC, Fraction(1, 3), {(a, 1 - a % 2): 1 for a in range(modes)}))
 
@@ -332,6 +355,8 @@ def _fourier(modes):
 # eval expression over bindings A and B that asks for the same work)
 BUDGETS = {
     "star-elements": (["star"], (_cp3(4), _cp3(3)), (_cp3(3), _cp3(3)), "A * B"),
+    # a level-40 result of 41**2 entries, but over 10**8 contraction terms
+    "star-terms": (["star"], (_cp1(20, 7), _cp1(20, 8)), None, "A * B"),
     "star-disks": (["star"], (_wide_disk(13), _wide_disk(12)), (_wide_disk(12), _wide_disk(12)), "A * B"),
     "star-fourier": (["star"], (_fourier(41), _fourier(49)), (_fourier(40), _fourier(50)), "A * B"),
     "disk": (["disk"], (_wide_disk(12), _wide_disk(13)), (_wide_disk(12), _wide_disk(12)), "A * B"),

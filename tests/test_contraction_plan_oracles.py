@@ -5,7 +5,7 @@ output positions, filled as cells need them) and keys its accumulator by
 cell keys, the ints ``rank(I) W + rank(J)`` that ``SymbolTensor.cells``
 uses.  The oracle here is the kernel it replaced, kept on purpose: it
 recomputes every split, weight and merge per cell and keys by ``(I, J)``
-tuples.  It reads the tensors' cells by pair through ``_key_pairs``, and
+tuples.  It reads the tensors' cells by pair through ``_unranked``, and
 its result goes back to cell keys through ``_ranks``.  Both are compared at
 ``cells``/``den`` equality of the resulting tensors, through the kernel
 itself at two scales, through ``wick_contraction`` and through
@@ -37,9 +37,9 @@ from cpstar.symbols import SymbolTensor, _contract_into, wick_contraction
 
 
 def pair_cells(tensor):
-    """The tensor's cells keyed by index pairs, read through ``_key_pairs``."""
-    pairs = symbols._key_pairs(tensor.n, tensor.k)
-    return {pairs[key]: cell for key, cell in tensor.cells.items()}
+    """The tensor's cells keyed by index pairs, read through ``_unranked``."""
+    unranked = symbols._unranked(tensor.n, tensor.k)
+    return {unranked[key][:2]: cell for key, cell in tensor.cells.items()}
 
 
 def from_pair_cells(n, k, den, cells):
@@ -230,7 +230,7 @@ def test_sparse_product_fills_only_what_it_visits():
             value.cache_clear()
     product = star_elements(a, b)
     # the product reads and writes cell keys only: it unranks no key
-    assert sum(len(symbols._key_pairs(n, degree)) for degree in range(7)) == 0
+    assert sum(len(symbols._unranked(n, degree)) for degree in range(7)) == 0
     expected = star_elements_oracle(a, b)
     assert product == expected
     # read by pair at the boundary, the output fills at most one pair per cell
@@ -252,7 +252,7 @@ def test_sparse_product_fills_only_what_it_visits():
                 rows[id(row)] = len(row)
         splits += sum(map(len, left.values())) + sum(map(len, right.values()))
     assert symbols._contraction_plan.cache_info().misses == misses  # the plans the product filled
-    pairs = sum(len(symbols._key_pairs(n, degree)) for degree in range(7))
+    pairs = sum(len(symbols._unranked(n, degree)) for degree in range(7))
     assert 0 < sum(heads.values()) <= triples
     assert 0 < sum(rows.values()) <= triples
     assert 0 < pairs <= triples

@@ -18,17 +18,36 @@ count instead of CPython's ``set_int_max_str_digits`` hint.  Both refuse
 a decimal that ``Fraction`` reads when its exponent is over that limit in
 size, before ``Fraction`` builds ``10**exponent``; the random texts can
 draw one, such as ``1e999999``.
+
+The second oracle is the int loader that the table-driven one replaced,
+kept on purpose as well: it sorts the letters of each index while it reads
+them, adds up repeated pairs in a dict keyed by the sorted pair, and then
+checks each sum in ``_checked_cells_oracle`` (lengths, letter range,
+sortedness, width) before ``_over_lcm_oracle`` brings the cells over one
+denominator and ``_normalised_oracle`` makes it least.  The loader now
+hands the letters over unsorted, and ``symbols._checked_cells`` reads both
+tuples of an entry in one table lookup and merges the lcm, scale and gcd
+passes; on every payload it must give the same tensor, or the same
+exception type and message, as this oracle.  The public constructor runs
+the same ``_checked_cells``, and is compared with the old constructor the
+same way, with one deliberate difference: a nonzero entry whose letters
+are not all ints (a bool or a float) is refused, where the old
+constructor took a bool as an int and refused a float with a
+``TypeError`` only when that tuple had not been ranked before.
 """
 
 import json
 import sys
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpstar.scalars import GaussRational, _check_digits, parse_rational
+from cpstar import symbols
+from cpstar.multiindex import MAX_WIDTH_BITS, multiplicity
+from cpstar.scalars import GaussRational, _check_digits, _rational_parts, _required, _shaped, parse_rational, to_gauss
 from cpstar.serialize import canonical_dumps, symbol_from_json, symbol_to_json
 from cpstar.symbols import SymbolTensor
 
@@ -106,6 +125,86 @@ def symbol_to_json_oracle(tensor):
             }
         )
     return {"n": tensor.n, "k": tensor.k, "entries": entries}
+
+
+def _over_lcm_oracle(parts):
+    den = lcm(*(b for _, b, _, _, _ in parts.values()), *(d for _, _, _, d, _ in parts.values()))
+    if den == 1:
+        return 1, {key: (a * w, c * w) for key, (a, _, c, _, w) in parts.items()}
+    cells = {}
+    for key, (a, b, c, d, w) in parts.items():
+        w *= den
+        cells[key] = (a * (w // b), c * (w // d))
+    return _normalised_oracle(den, cells)
+
+
+def _normalised_oracle(den, cells):
+    out = {}
+    common = den
+    for key, (re, im) in cells.items():
+        if re or im:
+            out[key] = (re, im)
+            if common != 1:
+                common = gcd(common, re, im)
+    if not out:
+        return 1, out
+    if common == 1:
+        return den, out
+    return den // common, {key: (re // common, im // common) for key, (re, im) in out.items()}
+
+
+def _checked_cells_oracle(n, k, parts):
+    if n < 0 or k < 0:
+        raise ValueError("need n >= 0 and k >= 0")
+    ranks, width = symbols._ranks(n, k), 0
+    weighted = {}
+    for (left, right), (a, b, c, d) in parts:
+        if not (a or c):
+            continue
+        if len(left) != k or len(right) != k:
+            raise ValueError(f"index length mismatch for degree {k}: {(left, right)}")
+        ordered = tuple(sorted(left)), tuple(sorted(right))
+        if k and (min(ordered[0][0], ordered[1][0]) < 0 or max(ordered[0][-1], ordered[1][-1]) > n):
+            raise ValueError(f"index letter out of range for n={n}")
+        key = tuple(left), tuple(right)
+        if key != ordered:
+            raise ValueError("entries must use sorted index representatives")
+        left, right = key
+        width = width or symbols._width(n, k)
+        weighted[ranks[left] * width + ranks[right]] = (a, b, c, d, multiplicity(left) * multiplicity(right))
+    return _over_lcm_oracle(weighted)
+
+
+def int_loader_oracle(data):
+    """The int loader as it was: ``(n, k, den, cells)`` of the tensor."""
+    n = _json_int(_required(data, "n", "symbol"), 'symbol "n"')
+    k = _json_int(_required(data, "k", "symbol"), 'symbol "k"')
+    parts = {}
+    for entry in _shaped(data.get("entries", []), list, 'symbol "entries"'):
+        left = tuple(sorted(_json_int(a, 'index letter in "I"') for a in _required(entry, "I", "symbol entry", list)))
+        right = _required(entry, "J", "symbol entry", list)
+        key = (left, tuple(sorted(_json_int(a, 'index letter in "J"') for a in right)))
+        a, b = _rational_parts(entry.get("re", "0"))
+        c, d = _rational_parts(entry.get("im", "0"))
+        if key in parts:
+            a0, b0, c0, d0 = parts[key]
+            a, b, c, d = a0 * b + a * b0, b0 * b, c0 * d + c * d0, d0 * d
+        parts[key] = (a, b, c, d)
+    return (n, k, *_checked_cells_oracle(n, k, parts.items()))
+
+
+def constructor_oracle(n, k, entries):
+    """The public constructor as it was: ``(n, k, den, cells)``."""
+    def parts():
+        for key, value in entries.items():
+            p, q, m = to_gauss(value)._ints()
+            yield key, (p, m, q, m)
+
+    return (n, k, *_checked_cells_oracle(n, k, parts()))
+
+
+def as_tuple(tensor):
+    return tensor.n, tensor.k, tensor.den, tensor.cells
 
 
 def outcome(function, *args):
@@ -241,3 +340,238 @@ def test_over_limit_parts_are_refused_alike():
         assert outcome(symbol_from_json_oracle, payload)[0] is ValueError
         message = f"rational with a number of {limit + 1} digits, over the limit of {limit}"
         assert outcome(symbol_from_json, payload) == (ValueError, message)
+
+
+# -- the table-driven loader and constructor against the int oracles -------
+
+WIDE_N = 10**6  # CP^1000000: degree 13 has W of 226 bits, degree 40 is over MAX_WIDTH_BITS
+assert (comb(WIDE_N + 13, 13).bit_length() <= MAX_WIDTH_BITS < comb(WIDE_N + 40, 40).bit_length())
+small_parts = st.sampled_from(["0", "0", "1", "-1", "1/2", "-1/2", "2/3", "0/3", "3/6"])
+
+
+@st.composite
+def edge_payloads(draw):
+    """Payloads near every rule the loader keeps: letters in any order,
+    repeated and cancelling pairs, bad lengths and letters, bool and float
+    letters, negative sizes, parts that do not parse, and shapes on either
+    side of ``MAX_WIDTH_BITS``."""
+    n = draw(st.sampled_from([-1, 0, 1, 2, 3, WIDE_N]))
+    k = draw(st.sampled_from([-1, 0, 1, 2, 3, 13, 40] if n == WIDE_N else [-1, 0, 1, 2, 3]))
+    size = max(k, 0)
+    top = min(max(n, 0), 3)
+    letters = st.one_of(
+        st.integers(0, top), st.integers(0, top), st.integers(0, top),
+        st.sampled_from([-1, n + 1, n, True, False, 1.0, 0.5]),
+    )
+    lengths = st.sampled_from([size, size, size, size + 1, max(size - 1, 0)])
+    index = lengths.flatmap(lambda length: st.lists(letters, min_size=length, max_size=length))
+    pool = draw(st.lists(st.tuples(index, index), min_size=1, max_size=3))
+    part = small_parts | st.sampled_from(["abc", "1/0"]) if draw(st.integers(0, 4)) == 0 else small_parts
+    entries = []
+    for _ in range(draw(st.integers(0, 5))):
+        left, right = draw(st.sampled_from(pool))
+        entry = {"I": draw(st.permutations(left)), "J": draw(st.permutations(right))}
+        for name in ("re", "im"):
+            if draw(st.booleans()):
+                entry[name] = draw(part)
+        entries.append(entry)
+        if draw(st.integers(0, 2)) == 0:
+            # the same pair, letters reordered, with the parts negated
+            twin = {"I": draw(st.permutations(left)), "J": draw(st.permutations(right))}
+            for name in ("re", "im"):
+                if name in entry and entry[name] not in ("abc", "1/0"):
+                    twin[name] = str(-Fraction(entry[name]))
+            entries.append(twin)
+    return {"n": n, "k": k, "entries": entries}
+
+
+def loaded(payload):
+    return as_tuple(symbol_from_json(payload))
+
+
+def constructed(n, k, entries):
+    return as_tuple(SymbolTensor(n, k, entries))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(symbol_payloads(), edge_payloads()))
+def test_loader_matches_the_int_loader_oracle(payload):
+    payload = json.loads(json.dumps(payload))
+    assert outcome(loaded, payload) == outcome(int_loader_oracle, payload)
+
+
+def int_entries(payload):
+    """The entries of a payload whose letters are all ints, as a
+    constructor mapping of letter tuples to values (later keys win)."""
+    entries = {}
+    for entry in payload["entries"]:
+        letters = entry["I"] + entry["J"]
+        if all(type(a) is int for a in letters):
+            value = GaussRational(Fraction(entry.get("re", "0")), Fraction(entry.get("im", "0")))
+            entries[tuple(entry["I"]), tuple(entry["J"])] = value
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_payloads().filter(lambda p: all(
+    e.get(name, "0") not in ("abc", "1/0") for e in p["entries"] for name in ("re", "im"))))
+def test_constructor_matches_the_old_constructor(payload):
+    n, k, entries = payload["n"], payload["k"], int_entries(payload)
+    assert outcome(constructed, n, k, entries) == outcome(constructor_oracle, n, k, entries)
+
+
+# One case per rule, for the loader and the constructor alike.
+
+valid_shapes = st.sampled_from([(0, 0), (1, 1), (1, 2), (2, 2), (3, 2), (2, 3)])
+
+
+@st.composite
+def valid_entries(draw, min_size=1):
+    """A shape and nonzero entries at distinct sorted pairs."""
+    n, k = draw(valid_shapes)
+    index = st.lists(st.integers(0, n), min_size=k, max_size=k).map(lambda letters: tuple(sorted(letters)))
+    keys = draw(st.lists(st.tuples(index, index), min_size=min_size, max_size=5, unique=True))
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    return n, k, {key: GaussRational(draw(values), draw(st.sampled_from([0, 0, 1, Fraction(-1, 3)]))) for key in keys}
+
+
+def payload_of(n, k, entries, order=lambda letters: letters):
+    return {
+        "n": n,
+        "k": k,
+        "entries": [
+            {"I": order(list(left)), "J": order(list(right)), "re": str(value.re), "im": str(value.im)}
+            for (left, right), value in entries.items()
+        ],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_entries(), st.randoms(use_true_random=False))
+def test_letters_in_any_order(case, rng):
+    n, k, entries = case
+    expected = constructed(n, k, entries)
+    shuffled = payload_of(n, k, entries, lambda letters: rng.sample(letters, len(letters)))
+    assert loaded(shuffled) == expected == int_loader_oracle(shuffled)
+    # the constructor takes sorted pairs only
+    unsorted = {(tuple(reversed(left)), right): value for (left, right), value in entries.items()}
+    if any(left != tuple(reversed(left)) for left, _ in entries):
+        assert outcome(constructed, n, k, unsorted) == (ValueError, "entries must use sorted index representatives")
+    else:
+        assert constructed(n, k, unsorted) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_entries(), st.sampled_from([0, 1]), st.randoms(use_true_random=False))
+def test_repeated_pairs_add_up_before_the_zero_check(case, spoil, rng):
+    n, k, entries = case
+    (left, right), value = next(iter(entries.items()))
+    # the first pair again, letters reordered, with one letter out of range
+    # when spoilt: the two cancel before any check sees them
+    bad = (*left, n + 1)[: len(left)] if spoil and k else left
+    cancelling = [
+        {"I": rng.sample(list(bad), len(bad)), "J": list(right), "re": str(value.re), "im": str(value.im)},
+        {"I": list(reversed(bad)), "J": list(right), "re": str(-value.re), "im": str(-value.im)},
+    ]
+    payload = payload_of(n, k, entries)
+    payload["entries"] = cancelling + payload["entries"]
+    assert loaded(payload) == constructed(n, k, entries) == int_loader_oracle(payload)
+    # the constructor has one value per key: a reordered key is refused, not added
+    if left != tuple(reversed(left)):
+        twin = {**entries, (tuple(reversed(left)), right): -value}
+        assert outcome(constructed, n, k, twin) == outcome(constructor_oracle, n, k, twin)
+        assert outcome(constructed, n, k, twin)[0] is ValueError
+
+
+bad_indices = st.sampled_from([(), (0,), (0, 0, 0), (-1, 0), (0, 9), (9, 9), (1, 0), (0.5, 1), (True, 0)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_entries(min_size=0), st.lists(st.tuples(bad_indices, bad_indices), min_size=1, max_size=4))
+def test_zero_entries_are_dropped_unchecked(case, bad_keys):
+    n, k, entries = case
+    expected = constructed(n, k, entries)
+    zeros = {key: 0 for key in bad_keys}
+    assert constructed(n, k, {**zeros, **entries}) == expected
+    payload = payload_of(n, k, entries)
+    ints = [(left, right) for left, right in bad_keys if all(type(a) is int for a in left + right)]
+    payload["entries"] = [{"I": list(left), "J": list(right), "re": "0", "im": "0/5"} for left, right in ints] + payload["entries"]
+    assert loaded(payload) == expected == int_loader_oracle(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_entries(), st.sampled_from([True, False, 1.0, 0.0, 0.5]), st.sampled_from(["I", "J"]), st.booleans())
+def test_bool_and_float_letters_are_refused(case, letter, group, zero):
+    n, k, entries = case
+    (left, right), value = next(iter(entries.items()))
+    payload = payload_of(n, k, entries)
+    payload["entries"][0][group] = [letter] + payload["entries"][0][group][1:]
+    if zero:
+        payload["entries"][0].update(re="0", im="0")
+    message = f'index letter in "{group}" must be a JSON integer, got {letter!r}'
+    if k:
+        assert outcome(loaded, payload) == outcome(int_loader_oracle, payload) == (ValueError, message)
+        spoilt = (letter, *left[1:]) if group == "I" else left
+        key = spoilt, ((letter, *right[1:]) if group == "J" else right)
+        # a bool or float letter equal to an int one names the same dict key
+        rest = {other: v for other, v in entries.items() if other not in ((left, right), key)}
+        got = outcome(constructed, n, k, {key: 0 if zero else value, **rest})
+        if zero:  # a zero entry is dropped unchecked
+            assert got == ("ok", constructed(n, k, rest))
+        else:
+            assert got == (ValueError, f"index letters must be ints, got {key[group == 'J']!r}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_entries(min_size=0), st.sampled_from([(-1, 1), (1, -1), (-2, -3)]), st.booleans())
+def test_negative_sizes_are_refused_after_the_entries_are_read(case, sizes, unparsable):
+    n, k, entries = case
+    payload = payload_of(*sizes, entries)
+    if unparsable:
+        payload["entries"].append({"I": [], "J": [], "re": "abc"})
+        expected = (ValueError, "Invalid literal for Fraction: 'abc'")
+    else:
+        expected = (ValueError, "need n >= 0 and k >= 0")
+    assert outcome(loaded, payload) == outcome(int_loader_oracle, payload) == expected
+    # the constructor reads its entries lazily, after the sizes
+    bad = {**entries, ((), ()): "abc"} if unparsable else entries
+    assert outcome(constructed, *sizes, bad) == (ValueError, "need n >= 0 and k >= 0")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(["zero", "length", "range", "unsorted", "nonzero"]), st.randoms(use_true_random=False))
+def test_a_wide_shape_is_refused_at_the_first_nonzero_entry(zeros, first, rng):
+    k = 40
+    index = lambda: sorted(rng.randrange(WIDE_N) for _ in range(k))
+    leading = [{"I": index(), "J": index(), "re": "0"} for _ in range(zeros)]
+    head = {"I": index(), "J": index(), "re": "0" if first == "zero" else "1"}
+    # the last entry is nonzero, at a pair no other entry can have
+    if first == "length":
+        head["J"] = head["J"][1:]
+    elif first == "range":
+        head["I"][-1] = WIDE_N + 1
+    elif first == "unsorted":
+        head["I"][0], head["I"][-1] = WIDE_N, 0
+    last = {"I": [WIDE_N] * k, "J": [WIDE_N] * k, "re": "1"}
+    payload = {"n": WIDE_N, "k": k, "entries": [*leading, head, last]}
+    got = outcome(loaded, payload)
+    assert got == outcome(int_loader_oracle, payload)
+    wide = f"a symbol on CP^{WIDE_N} of degree {k} has over 2**{MAX_WIDTH_BITS} sorted index tuples"
+    expected = {
+        "length": f"index length mismatch for degree {k}: {(tuple(sorted(head['I'])), tuple(sorted(head['J'])))}",
+        "range": f"index letter out of range for n={WIDE_N}",
+    }
+    assert got == (ValueError, expected.get(first, wide))
+    entries = {(tuple(e["I"]), tuple(e["J"])): int(e["re"]) for e in payload["entries"]}
+    got = outcome(constructed, WIDE_N, k, entries)
+    assert got == outcome(constructor_oracle, WIDE_N, k, entries)
+    if first == "unsorted":
+        assert got == (ValueError, "entries must use sorted index representatives")
+    elif first in expected:
+        assert got[0] is ValueError and got[1].startswith(expected[first][:30])
+    else:
+        assert got == (ValueError, wide)
+    # all-zero payloads load as the zero tensor without counting W
+    payload["entries"] = leading
+    entries = {(tuple(e["I"]), tuple(e["J"])): 0 for e in leading}
+    assert loaded(payload) == constructed(WIDE_N, k, entries) == (WIDE_N, k, 1, {})

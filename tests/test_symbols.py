@@ -8,7 +8,7 @@ import pytest
 
 from cpstar import symbols
 from cpstar.linalg import linear_solve
-from cpstar.multiindex import sorted_tuples
+from cpstar.multiindex import MAX_WIDTH_BITS, multiplicity, sorted_tuples
 from cpstar.quotient import quotient_map, representative_element, substitute
 from cpstar.randgen import random_element, random_symbol
 from cpstar.scalars import GAUSS_I, GAUSS_ZERO, GaussRational
@@ -56,22 +56,22 @@ def test_cell_keys_are_lex_ranks():
     assert _key(2, 3, (0, 0, 1), (0, 1, 2)) == 1 * 10 + 4
     assert _key(3, 0, (), ()) == 0
     for n, k in [(1, 3), (2, 2), (3, 2)]:
-        pairs = symbols._key_pairs(n, k)
+        unranked = symbols._unranked(n, k)
         for i in sorted_tuples(n, k):
             for j in sorted_tuples(n, k):
-                assert pairs[_key(n, k, i, j)] == (i, j)
+                assert unranked[_key(n, k, i, j)] == (i, j, multiplicity(i) * multiplicity(j))
 
 
 def test_wide_shapes_are_refused_before_the_tuples_are_counted():
     # C(n + k, k) >= 2**min(n, k): CP^1000000 at degree 1000 is refused
     # without computing it, at degree 40 after; degree 13 keys its cell
     for k in (1000, 40):
-        with pytest.raises(ValueError, match=f"over 2\\*\\*{symbols.MAX_WIDTH_BITS} sorted index tuples"):
+        with pytest.raises(ValueError, match=f"over 2\\*\\*{MAX_WIDTH_BITS} sorted index tuples"):
             SymbolTensor(10**6, k, {((0,) * k, (10**6,) * k): 1})
     assert SymbolTensor(10**6, 10**6).is_zero()
     left, right = (0, 5, 999_999) + (10**6,) * 10, (7,) * 13
     tensor = SymbolTensor(10**6, 13, {(left, right): Fraction(1, 3)})
-    assert comb(10**6 + 13, 13).bit_length() <= symbols.MAX_WIDTH_BITS
+    assert comb(10**6 + 13, 13).bit_length() <= MAX_WIDTH_BITS
     assert tensor.entries == {(left, right): GaussRational(Fraction(1, 3))}
     assert tensor.conjugate_swap().entries == {(right, left): GaussRational(Fraction(1, 3))}
 
@@ -412,9 +412,9 @@ def _assert_canonical(tensor):
     # the cells: nonzero int pairs over the least positive denominator
     assert type(tensor.den) is int and tensor.den >= 1
     # keyed by rank(I) W + rank(J), in lex order of the pairs when sorted
-    pairs, width = symbols._key_pairs(tensor.n, tensor.k), comb(tensor.n + tensor.k, tensor.k)
+    unranked, width = symbols._unranked(tensor.n, tensor.k), comb(tensor.n + tensor.k, tensor.k)
     assert all(type(key) is int and 0 <= key < width * width for key in tensor.cells)
-    assert [pairs[key] for key in sorted(tensor.cells)] == sorted(entries)
+    assert [unranked[key][:2] for key in sorted(tensor.cells)] == sorted(entries)
     for re, im in tensor.cells.values():
         assert type(re) is int and type(im) is int and (re or im)
     assert gcd(tensor.den, *(part for cell in tensor.cells.values() for part in cell)) == 1

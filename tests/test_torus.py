@@ -15,7 +15,6 @@ from cpstar.models.torus import (
     PhaseSum,
     TorusQuotientElement,
     check_quotient_ideal,
-    moyal_modes,
     moyal_product,
     torus_quotient,
     torus_quotient_dimension,
@@ -23,6 +22,7 @@ from cpstar.models.torus import (
 from cpstar.models.torus import _check_matrix
 from cpstar.scalars import GaussRational
 from cpstar.serialize import fourier_from_json
+from test_torus_oracles import moyal_modes
 
 SYMPLECTIC = [[0, 1], [-1, 0]]
 

@@ -34,7 +34,6 @@ from cpstar.models.torus import (
     PhaseSum,
     TorusQuotientElement,
     check_quotient_ideal,
-    moyal_modes,
     moyal_product,
     torus_quotient,
 )
@@ -44,6 +43,15 @@ from cpstar.serialize import canonical_dumps, fourier_from_json, fourier_to_json
 
 SYMPLECTIC = [[0, 1], [-1, 0]]
 BLOCK = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 1]]
+
+
+def moyal_modes(k, k_prime, matrix, parameter):
+    """Phase and combined mode of the product of two basis modes: the
+    parameter times the pairing ``k^T M k'``, summed over every matrix cell,
+    reduced modulo one.  ``moyal_product`` reads the same pairing as an int
+    residue over the parameter's denominator."""
+    pairing = sum(a * cell * b for a, row in zip(k, matrix) for cell, b in zip(row, k_prime))
+    return (Fraction(parameter) * pairing) % 1, tuple(u + v for u, v in zip(k, k_prime))
 
 
 class PhaseSumOracle:
