@@ -33,7 +33,11 @@ operands, so a chain of products cannot outgrow the powers, and every fold
 to level K by the entry bound on its operator tensor.  Each product of
 filtered elements, alone or as a step of a power, is also refused before
 it runs when a bound on its contraction terms from the cell counts of its
-components exceeds :data:`MAX_STAR_TERMS`.
+components exceeds :data:`MAX_STAR_TERMS`.  A pointwise ``.`` of symbols of
+degrees k and l on CP^n is refused before it runs when its degree-(k + l)
+result could hold more than :data:`MAX_POWER_ENTRIES` entries, or when the
+``a b`` terms it runs for factors of ``a`` and ``b`` cells exceed
+:data:`MAX_STAR_TERMS`.
 """
 
 from __future__ import annotations
@@ -164,16 +168,18 @@ entries."""
 
 MAX_STAR_TERMS = 2_000_000
 """Largest number of contraction terms one star product of filtered
-elements may run, in ``eval`` and the ``star`` subcommand alike, bounded
-from the cell counts before it runs: a component pair of degrees ``r`` and
-``s`` with ``a`` and ``b`` cells adds at most ``a b C(n + t, t)`` terms at
-each contraction order ``t <= m = min(r, s)``, so ``a b C(n + m + 1, m)`` in
-all.  The entry bound :data:`MAX_POWER_ENTRIES` sees only the size of the
-result, not this work.  On a 2-core x86-64 VM with Python 3.11.7, a CP^1
-product of two random level-12 elements (density 0.3, a bound of 2.8
-million) took 1.0 s, and one of two level-20 elements (about 1000 cells
-each, a bound of 112 million, a level-40 result of at most 1681 entries)
-26.0 s."""
+elements, or one pointwise ``.`` of symbols, may run, in ``eval`` and the
+``star`` subcommand alike, bounded from the cell counts before it runs: a
+component pair of degrees ``r`` and ``s`` with ``a`` and ``b`` cells adds
+at most ``a b C(n + t, t)`` terms at each contraction order
+``t <= m = min(r, s)``, so ``a b C(n + m + 1, m)`` in all, and a pointwise
+product runs ``a b``.  The entry bound :data:`MAX_POWER_ENTRIES` sees only
+the size of the result, not this work.  On a 2-core x86-64 VM with Python
+3.11.7, a CP^1 product of two random level-12 elements
+(``randgen.random_element``, density 0.3, seeds 7 and 8, a bound of 2.6
+million) took 0.50 s, and one of two level-20 elements (seeds 7 and 8,
+1005 and 950 cells, a bound of 106 million, a level-40 result of at most
+1681 entries) 21.9 s."""
 
 MAX_DISK_INDEX = 24
 """Largest basis index a star power or product of disk elements may reach,
@@ -493,10 +499,15 @@ def _star_within_budget(left: StarElement, right: StarElement, what: str) -> Sta
         for r, phi in left.components.items()
         for s, psi in right.components.items()
     )
+    _check_terms(terms, what)
+    return star_elements(left, right)
+
+
+def _check_terms(terms: int, what: str) -> None:
+    """Refuse a product of up to ``terms`` contraction terms over :data:`MAX_STAR_TERMS`."""
     if terms > MAX_STAR_TERMS:
         count = f"up to {terms}" if terms.bit_length() <= 64 else "over 2**64"
         raise EvalError(f"{what} runs {count} contraction terms, over the limit of MAX_STAR_TERMS = {MAX_STAR_TERMS}")
-    return star_elements(left, right)
 
 
 def _check_modes(modes: int, what: str) -> None:
@@ -548,6 +559,11 @@ def _pointwise(left: Value, right: Value) -> Value:
     if _is_scalar(right):
         return _scale(right, left)
     if isinstance(left, SymbolTensor) and isinstance(right, SymbolTensor):
+        if left.n == right.n:
+            what = f"the pointwise product of degrees {left.k} and {right.k} on CP^{left.n}"
+            _check_entries(left.n, left.k + right.k, what)
+            # the order-0 contraction runs one term per pair of cells
+            _check_terms(len(left.cells) * len(right.cells), what)
         return pointwise_mul(left, right)
     raise EvalError(
         f"no pointwise product between {type(left).__name__} and {type(right).__name__}"

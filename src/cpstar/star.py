@@ -17,7 +17,24 @@ elements are
 
     Phi(nu) = sum_{r=0}^{k} nu^{k-r} nu^(r) phi_r,   phi_r a degree-r symbol,
 
-on which the product is polynomial in nu (:func:`star_elements`).  Elements
+on which the product is polynomial in nu (:func:`star_elements`).
+
+Both products are read off the Wick product on C^(n+1), of which the
+closed formula is the reduction (Bordemann, Brischle, Emmrich and
+Waldmann, Lett. Math. Phys. 36, 1996).  At hbar = 1 and on
+F = sum_r phi_r and G = sum_s psi_s it is
+
+    sum over multisets alpha of (1/alpha!) d_z^alpha F * dbar_z^alpha G,
+
+and its part of degree r + s - t from a pair (phi_r, psi_s) is
+C_t(phi_r, psi_s)/t!.  So :func:`star_elements` is that product graded by
+degree, and :func:`star_symbols` reads every order t of a pair off one
+product, as its degree k + l - t times t!.  Both run it as one call of the
+kernel of :mod:`cpstar.symbols`, on integer weights
+binom(J, alpha) P!/(P - alpha)! per pair of monomials zbar^I z^J and
+zbar^P z^Q, over additive monomial codes: one digit of s bits per letter
+the factors use and index group, so the output code of a term is the sum
+of two codes.  Elements
 are kept in this component basis: raising the level (:meth:`StarElement.relevel`)
 and finding the least one (:meth:`StarElement.minimized`) are triangular
 recurrences on the components.  Expansion into a raw power series in nu
@@ -39,8 +56,8 @@ from .scalars import ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
     _add_scaled,
-    _contract_into,
     _times_x,
+    _wick_sums,
     embed,
     pointwise_mul,
     reduce_degree,
@@ -171,14 +188,24 @@ def _star_coefficient(k: int, l: int, r: int) -> NuRationalFunction:
 
 
 def star_symbols(f: SymbolTensor, g: SymbolTensor) -> StarProductTerms:
-    """Star product of two plain symbols, term by contraction order."""
+    """Star product of two plain symbols, term by contraction order.
+
+    One call of the Wick kernel :func:`cpstar.symbols._wick_sums` gives
+    every order r at once, as its output degree k + l - r, which is 1/r!
+    times the r-th contraction."""
     if f.n != g.n:
         raise ValueError("star product needs matching n")
-    terms = [
-        StarTerm(r, _star_coefficient(f.k, g.k, r), wick_contraction(f, g, r))
-        for r in range(min(f.k, g.k) + 1)
-    ]
-    return StarProductTerms(f.n, f.k, g.k, terms)
+    n, k, l = f.n, f.k, g.k
+    sums = _wick_sums(n, [(k, f.cells, 1)], [(l, g.cells, 1)])
+    den = f.den * g.den
+    terms = []
+    for r in range(min(k, l) + 1):
+        cells = sums.get(k + l - r, {})
+        if r > 1:
+            scale = factorial(r)
+            cells = {key: (re * scale, im * scale) for key, (re, im) in cells.items()}
+        terms.append(StarTerm(r, _star_coefficient(k, l, r), SymbolTensor._from_cells(n, k + l - r, den, cells)))
+    return StarProductTerms(n, k, l, terms)
 
 
 def star_commutator(f: SymbolTensor, g: SymbolTensor) -> StarProductTerms:
@@ -556,13 +583,11 @@ def star_elements(left: StarElement, right: StarElement) -> StarElement:
     is returned at level k + l; call :meth:`StarElement.minimized` for the
     canonical representative.
 
-    One integer pass over the components' cells: the left factor's
-    components are brought over the lcm ``D_L`` of their denominators and
-    the right factor's over ``D_R``, by the rescale each contraction gets.
-    With ``T`` the smaller of the two top component degrees, 1/t! enters as
-    the integer weight ``T!/t!``, every contraction adds into one int-cell
-    dict per output degree, and each output tensor is normalised once over
-    ``D_L D_R T!``.
+    Summed over t this is the Wick product at hbar = 1 of F = sum_r phi_r
+    and G = sum_s psi_s, graded by degree, so it is one call of the kernel
+    :func:`cpstar.symbols._wick_sums`: the left components are brought over
+    the lcm ``D_L`` of their denominators and the right ones over ``D_R``,
+    and each output tensor is normalised once over ``D_L D_R``.
     """
     if left.n != right.n:
         raise ValueError("star product needs matching n")
@@ -572,15 +597,12 @@ def star_elements(left: StarElement, right: StarElement) -> StarElement:
         return StarElement(n, level)
     d_left = lcm(*(phi.den for phi in left.components.values()))
     d_right = lcm(*(psi.den for psi in right.components.values()))
-    top = factorial(min(max(left.components), max(right.components)))
-    sums: dict[int, dict] = {}
-    for r, phi in left.components.items():
-        for s, psi in right.components.items():
-            rescale = d_left // phi.den * (d_right // psi.den)
-            for t in range(min(r, s) + 1):
-                weight = rescale * (top // factorial(t))
-                _contract_into(sums.setdefault(r + s - t, {}), phi.cells, psi.cells, n, r, s, t, weight)
-    d = d_left * d_right * top
+    sums = _wick_sums(
+        n,
+        [(r, phi.cells, d_left // phi.den) for r, phi in left.components.items()],
+        [(s, psi.cells, d_right // psi.den) for s, psi in right.components.items()],
+    )
+    d = d_left * d_right
     # StarElement drops the components whose entries all cancel
     return StarElement(
         n, level, {degree: SymbolTensor._from_cells(n, degree, d, cells) for degree, cells in sums.items()}

@@ -26,20 +26,45 @@ constructor, ``SymbolTensor._from_cells``:
 * :func:`embed` (multiplication of sigma_tilde by x) and
   :func:`reduce_degree` (exact division by x);
 * :func:`wick_contraction`, the degree-lowering contraction operator, and
-  :func:`pointwise_mul`, its order 0.  Both wrap one accumulator,
-  ``_contract_into``, which adds a weighted contraction into int cells in
-  place; :func:`cpstar.star.star_elements` runs every contraction of an
-  element product through it in one pass.  The accumulator reads a plan per
-  shape (n, k, l, r) — split weights and merged output positions, filled in
-  as cells need them — whose output positions are already cell keys.
+  :func:`pointwise_mul`, its order 0.  Both are parts of one kernel,
+  ``_wick_sums``, which :func:`cpstar.star.star_elements` and
+  :func:`cpstar.star.star_symbols` run in full.
+
+The kernel is the Wick product on C^(n+1) at hbar = 1.  For F = sum_r
+phi_r and G = sum_s psi_s, sums of sigma_tilde polynomials of any degrees,
+it computes
+
+    sum over multisets alpha of (1/alpha!) d_z^alpha F * dbar_z^alpha G,
+
+graded by degree: the part of degree k + l - t of a pair of degrees k and
+l is 1/t! times the t-th contraction.  On the monomials zbar^I z^J of F and
+zbar^P z^Q of G (I, J, P, Q exponent vectors here) a term is
+binom(J, alpha) P!/(P - alpha)! zbar^(I + P - alpha) z^(J - alpha + Q), so
+every weight is an int, a product over the letters that already holds the
+1/alpha!.  Each product keys its monomials by an additive code over the
+sorted letters its factors use, m of them, with digits of s bits, s the
+bit length of the largest output degree:
+
+    code(zbar^I z^J) = sum_a I_a 2^(pos(a) s) + J_a 2^((m + pos(a)) s).
+
+No output digit reaches 2^s, so the code of a term is the code of the
+left cell's rest zbar^I z^(J - alpha) plus that of the right cell's rest
+zbar^(P - alpha) z^Q: one int addition.  The right factor is indexed once
+by alpha, each left cell walks its sub-multisets alpha once, and each
+output code is decoded once to its degree and cell key.  The code width
+follows the factors, not n, so a sparse product on CP^1000000 has short
+codes.
 
 The kernels never see an index pair.  Each reads the keys through a table
 per shape, filled in as cells need it and bounded like every cache here:
 ``_raised`` gives the n + 1 keys of a cell times x, ``_divided`` the
-quotient key of a cell divisible by its lead term of x, and the contraction
-plans the ranks of merged indices.  Index pairs appear only at the
-boundary, through the per-(n, k) tables of :mod:`cpstar.multiindex`:
-``_ranked`` for letter tuples in any order, ``_unranked`` for cell keys.
+quotient key of a cell divisible by its lead term of x, ``_letters`` the
+letters of a cell, ``_codes`` the code of a sorted index, ``_splits`` its
+splits as codes and weights, and ``_decoded`` the degree and cell key of
+an output code.  Index pairs
+appear only at the boundary, through the per-(n, k) tables of
+:mod:`cpstar.multiindex`: ``_ranked`` for letter tuples in any order,
+``_unranked`` for cell keys.
 
 The Gaussian-rational tensor entries are a computed view,
 :attr:`SymbolTensor.entries`, for checks and tests.  The public
@@ -61,16 +86,15 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import product as iter_product
-from math import comb, gcd, lcm, perm
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from itertools import chain, product as iter_product
+from math import comb, factorial, gcd, lcm, perm
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .multiindex import (
     Index,
     _indices,
     _key_pair,
     _Lazy,
-    _lex_rank,
     _LENGTH,
     _RANGE,
     _ranked,
@@ -81,7 +105,6 @@ from .multiindex import (
     merge_indices,
     multiplicity,
     sorted_tuples,
-    submultiset_splits,
 )
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _divided_out, _gauss, _normalised, _over_lcm, to_gauss
 from .zpoly import ZPoly
@@ -541,142 +564,148 @@ def _divided(n: int, k: int) -> _Lazy:
     return _Lazy(partial(_division_step, n, k))
 
 
-def _merged_rank(n: int, index: Index, others: _Lazy, width: int, other: int) -> int:
-    return width * _lex_rank(n, merge_indices(index, others[other]))
+def _pair_letters(n: int, k: int, key: int) -> tuple[int, ...]:
+    return tuple(dict.fromkeys(chain(*_key_pair(n, k, key))))
 
 
-def _merge_row(n: int, mine: _Lazy, others: _Lazy, width: int, rank: int) -> tuple[dict[int, int], Callable[[int], int]]:
-    return {}, partial(_merged_rank, n, mine[rank], others, width)
+@lru_cache(maxsize=64)
+def _letters(n: int, k: int) -> _Lazy:
+    """Cell key of degree ``k`` -> the distinct letters of its index pair."""
+    return _Lazy(partial(_pair_letters, n, k))
 
 
-@lru_cache(maxsize=256)
-def _merge_rows(n: int, a: int, b: int, width: int) -> _Lazy:
-    """The rank of a degree-``a`` index I -> its row ``(positions, fill)``:
-    ``positions`` maps the rank of a degree-``b`` index I2 to ``width`` times
-    the rank of I + I2 in degree ``a + b``, and ``fill(rank)`` computes a
-    missing entry.
-
-    The rows are plain dicts, which the contraction loop reads fastest, and
-    it fills them itself on a ``KeyError``.  ``width`` is part of the key: a
-    row of output heads (width the number of sorted tuples of the output
-    degree) and a row of output tails (width 1) over the same degrees, as
-    for r = 0, are different tables."""
-    return _Lazy(partial(_merge_row, n, _indices(n, a), _indices(n, b), width))
+def _shifts(letters: Index, s: int) -> dict[int, int]:
+    """Each letter's bit offset in the antiholomorphic digits of a code."""
+    return {a: position * s for position, a in enumerate(letters)}
 
 
-@lru_cache(maxsize=256)
-def _contraction_plan(n: int, k: int, l: int, r: int) -> tuple[_Lazy, _Lazy, _Lazy]:
-    """The data-independent part of the r-th contraction of a degree-``k``
-    and a degree-``l`` cell map on CP^n, as three lazily filled tables keyed
-    by the lex ranks that the cell keys hold:
-
-    * ``heads``: the left antiholomorphic index I -> its row of
-      ``W rank(I + I2)`` by the rank of I2, W the number of sorted tuples of
-      the output degree ``k + l - r``;
-    * ``left``: the left holomorphic index J -> its splits into (alpha,
-      rest), each as ``(rank of alpha, *row of the rest, weight)``: the row
-      holds ``rank(rest + Q)`` by the rank of Q, and the weight is
-      ``k!/(k-r)! mult(rest) mult(alpha) / mult(J)``;
-    * ``right``: the right antiholomorphic index P -> its splits into (alpha,
-      I2) as ``(rank of alpha, rank of I2, l!/(l-r)! mult(I2) / mult(P))``.
-
-    The output cell key of a left and a right cell is then the int
-    ``heads[I][I2] + row[Q]``.
-    """
-    degree = k + l - r
-    fall_k, fall_l = perm(k, r), perm(l, r)
-    alphas, rests = _ranks(n, r), _ranks(n, l - r)
-    rows, row_ranks = _merge_rows(n, k - r, l, 1), _ranks(n, k - r)
-    lefts, rights = _indices(n, k), _indices(n, l)
-
-    def left_splits(rank: int) -> list[tuple]:
-        index = lefts[rank]
-        m = multiplicity(index)
-        return [
-            (alphas[alpha], *rows[row_ranks[rest]], fall_k * multiplicity(rest) // m * multiplicity(alpha))
-            for alpha, rest in submultiset_splits(index, r)
-        ]
-
-    def right_splits(rank: int) -> list[tuple[int, int, int]]:
-        index = rights[rank]
-        m = multiplicity(index)
-        return [
-            (alphas[alpha], rests[rest], fall_l * multiplicity(rest) // m)
-            for alpha, rest in submultiset_splits(index, r)
-        ]
-
-    heads = _merge_rows(n, k, l - r, comb(n + degree, degree))
-    return heads, _Lazy(left_splits), _Lazy(right_splits)
+def _index_code(n: int, k: int, shifts: Mapping[int, int], rank: int) -> int:
+    return sum(1 << shifts[a] for a in _indices(n, k)[rank])
 
 
-def _contract_into(
-    accum: dict[int, list[int]],
-    left_cells: Mapping[int, Sequence[int]],
-    right_cells: Mapping[int, Sequence[int]],
-    n: int,
-    k: int,
-    l: int,
-    r: int,
-    scale: int,
-) -> None:
-    """Add ``scale`` times the r-th contraction of two cell maps into
-    ``accum``.
+@lru_cache(maxsize=64)
+def _codes(n: int, k: int, letters: Index, s: int) -> _Lazy:
+    """Lex rank of a sorted k-tuple -> its code over ``letters`` with digits
+    of ``s`` bits, in the antiholomorphic digits."""
+    return _Lazy(partial(_index_code, n, k, _shifts(letters, s)))
 
-    ``left_cells`` and ``right_cells`` are the polynomial-coefficient cells
-    of a degree-``k`` and a degree-``l`` tensor on CP^n, and ``accum``
-    collects the cells of degree ``d = k + l - r`` in place, over the product
-    of the two denominators.  Its keys are cell keys of degree d, so
-    ``SymbolTensor._from_cells`` takes it as it is.
 
-    Differentiating z^J in the r directions of a multiset alpha, in any of
-    its mult(alpha) orders, gives ``k!/(k-r)! mult(J - alpha) / mult(J)``
-    times z^(J - alpha), an integer; zbar^I of the right factor likewise.  So
-    every weight is an int, and any number of contractions over the same
-    denominators can add up in one dict and be normalised once.  The splits,
-    weights and merged positions depend only on the shape (n, k, l, r) and
-    come from :func:`_contraction_plan`, whose tables fill in as cells need
-    them, so sparse inputs on a large CP^n stay cheap.
-    """
-    heads, left_splits, right_splits = _contraction_plan(n, k, l, r)
-    # Index the right factor by the contracted submultiset of its
-    # antiholomorphic group.
-    width = comb(n + l, l)
-    by_alpha: dict[int, list[tuple[int, int, int, int]]] = {}
-    for key, (b_re, b_im) in right_cells.items():
-        pb, q = divmod(key, width)
-        for alpha, rest, w in right_splits[pb]:
-            matches = by_alpha.get(alpha)
-            if matches is None:
-                matches = by_alpha[alpha] = []
-            matches.append((rest, q, b_re * w, b_im * w))
-    width = comb(n + k, k)
-    for key, (va_re, va_im) in left_cells.items():
-        ia, ja = divmod(key, width)
-        head, fill_head = heads[ia]
-        for alpha, row, fill_row, w in left_splits[ja]:
-            matches = by_alpha.get(alpha)
-            if matches is None:
-                continue
-            w *= scale
-            a_re = va_re * w
-            a_im = va_im * w
-            for rest, q, b_re, b_im in matches:
-                try:
-                    key = head[rest] + row[q]
-                except KeyError:
-                    if rest not in head:
-                        head[rest] = fill_head(rest)
-                    if q not in row:
-                        row[q] = fill_row(q)
-                    key = head[rest] + row[q]
-                c_re = a_re * b_re - a_im * b_im
-                c_im = a_re * b_im + a_im * b_re
-                cell = accum.get(key)
-                if cell is None:
-                    accum[key] = [c_re, c_im]
-                else:
-                    cell[0] += c_re
-                    cell[1] += c_im
+def _index_splits(n: int, k: int, shifts: Mapping[int, int], offset: int, right: bool, rank: int) -> tuple[tuple, ...]:
+    """The splits of one index over its sub-multisets alpha, as
+    ``(code(alpha), code(rest) << offset, weight)`` grouped by |alpha|;
+    the weight is a product over the letters."""
+    index = _indices(n, k)[rank]
+    digits = [(shifts[a], index.count(a)) for a in dict.fromkeys(index)]
+    groups: list[list] = [[] for _ in range(k + 1)]
+    for taken in iter_product(*(range(e + 1) for _, e in digits)):
+        alpha, rest, weight = 0, 0, 1
+        for (shift, e), t in zip(digits, taken):
+            alpha += t << shift
+            rest += (e - t) << shift
+            weight *= perm(e, t) if right else comb(e, t)
+        groups[sum(taken)].append((alpha, rest << offset, weight))
+    return tuple(map(tuple, groups))
+
+
+@lru_cache(maxsize=128)
+def _splits(n: int, k: int, letters: Index, s: int, right: bool) -> tuple[int, _Lazy, _Lazy]:
+    """A product's tables of a degree-``k`` factor, in the codes over
+    ``letters`` with digits of ``s`` bits: ``W = C(n + k, k)``, which
+    splits a cell key into two lex ranks, the :func:`_codes` table, and
+    the lex rank of a sorted k-tuple -> its splits (:func:`_index_splits`).
+
+    A left factor splits its holomorphic index J: the rest J - alpha goes
+    to the holomorphic digits, with weight binom(J, alpha).  A right factor
+    (``right``) splits its antiholomorphic index P: the rest P - alpha
+    stays in the antiholomorphic digits, with weight P!/(P - alpha)!."""
+    offset = 0 if right else len(letters) * s
+    splits = _Lazy(partial(_index_splits, n, k, _shifts(letters, s), offset, right))
+    return comb(n + k, k), _codes(n, k, letters, s), splits
+
+
+def _decode(n: int, letters: Index, s: int, code: int) -> tuple[int, int]:
+    mask, hol = (1 << s) - 1, len(letters) * s
+    left: list[int] = []
+    right: list[int] = []
+    for position, a in enumerate(letters):
+        left += [a] * ((code >> (position * s)) & mask)
+        right += [a] * ((code >> (hol + position * s)) & mask)
+    k = len(left)
+    ranks = _ranks(n, k)
+    return k, ranks[tuple(left)] * comb(n + k, k) + ranks[tuple(right)]
+
+
+@lru_cache(maxsize=64)
+def _decoded(n: int, letters: Index, s: int) -> _Lazy:
+    """Code of a monomial over ``letters`` with digits of ``s`` bits ->
+    ``(degree, cell key)``."""
+    return _Lazy(partial(_decode, n, letters, s))
+
+
+# one factor of a product: (degree, cells, an int every cell is scaled by)
+Factor = tuple[int, Mapping[int, Sequence[int]], int]
+
+
+def _wick_sums(n: int, lefts: Sequence[Factor], rights: Sequence[Factor], order: Optional[int] = None) -> dict[int, dict[int, list[int]]]:
+    """The Wick product at hbar = 1 of F, the sum of the ``lefts``, and G,
+    the sum of the ``rights`` (see the module docstring), or only its
+    |alpha| = ``order`` part: int cells per output degree, over the product
+    of the denominators the factors' ints bring their cells to."""
+    used: set[int] = set()
+    for k, cells, _ in (*lefts, *rights):
+        used.update(chain.from_iterable(map(_letters(n, k).__getitem__, cells)))
+    letters = tuple(sorted(used))
+    s = (max(k for k, _, _ in lefts) + max(k for k, _, _ in rights)).bit_length()
+    hol = len(letters) * s
+    pick = slice(None) if order is None else slice(order, order + 1)
+    by_alpha: dict[int, list[tuple[int, int, int]]] = {}
+    for l, cells, factor in rights:
+        width, codes, splits = _splits(n, l, letters, s, True)
+        for key, (b_re, b_im) in cells.items():
+            p, q = divmod(key, width)
+            fixed = codes[q] << hol
+            b_re *= factor
+            b_im *= factor
+            for group in splits[p][pick]:
+                for alpha, rest, w in group:
+                    entry = fixed + rest, b_re * w, b_im * w
+                    matches = by_alpha.get(alpha)
+                    if matches is None:
+                        by_alpha[alpha] = [entry]
+                    else:
+                        matches.append(entry)
+    accum: dict[int, list[int]] = {}
+    for k, cells, factor in lefts:
+        width, codes, splits = _splits(n, k, letters, s, False)
+        for key, (va_re, va_im) in cells.items():
+            i, j = divmod(key, width)
+            fixed = codes[i]
+            va_re *= factor
+            va_im *= factor
+            for group in splits[j][pick]:
+                for alpha, rest, w in group:
+                    matches = by_alpha.get(alpha)
+                    if matches is None:
+                        continue
+                    head = fixed + rest
+                    a_re = va_re * w
+                    a_im = va_im * w
+                    for tail, b_re, b_im in matches:
+                        code = head + tail
+                        c_re = a_re * b_re - a_im * b_im
+                        c_im = a_re * b_im + a_im * b_re
+                        cell = accum.get(code)
+                        if cell is None:
+                            accum[code] = [c_re, c_im]
+                        else:
+                            cell[0] += c_re
+                            cell[1] += c_im
+    decoded = _decoded(n, letters, s)
+    sums: list[dict[int, list[int]]] = [{} for _ in range(1 << s)]
+    for code, cell in accum.items():
+        degree, key = decoded[code]
+        sums[degree][key] = cell
+    return {degree: cells for degree, cells in enumerate(sums) if cells}
 
 
 def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:
@@ -690,17 +719,16 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
     followed by symmetrization, with the combinatorial prefactor
     ``k!/(k-r)! * l!/(l-r)!`` from choosing which factors to differentiate.
 
-    A thin wrapper over the accumulator :func:`_contract_into`, over the
-    product of the two denominators.
+    It is r! times the |alpha| = r part of the Wick kernel
+    :func:`_wick_sums`, over the product of the two denominators.
     """
     if left.n != right.n:
         raise ValueError("contraction needs matching n")
     k, l = left.k, right.k
     if not 0 <= r <= min(k, l):
         raise ValueError(f"contraction order r={r} outside 0..min({k}, {l})")
-    accum: dict[int, list[int]] = {}
-    _contract_into(accum, left.cells, right.cells, left.n, k, l, r, 1)
-    return SymbolTensor._from_cells(left.n, k + l - r, left.den * right.den, accum)
+    sums = _wick_sums(left.n, [(k, left.cells, factorial(r))], [(l, right.cells, 1)], r)
+    return SymbolTensor._from_cells(left.n, k + l - r, left.den * right.den, sums.get(k + l - r, {}))
 
 
 def wick_contraction_reference(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:

@@ -18,7 +18,7 @@ from cpstar.cli import main, tagged_to_value, value_to_tagged
 from cpstar.models.disk import DiskElement, disk_product
 from cpstar.models.torus import FourierSum, PhaseSum, moyal_product
 from cpstar.quotient import quotient_map, substitute
-from cpstar.randgen import random_element
+from cpstar.randgen import random_element, random_symbol
 from cpstar.scalars import GaussRational
 from cpstar.serialize import (
     disk_to_json,
@@ -28,7 +28,7 @@ from cpstar.serialize import (
     matrix_to_json,
 )
 from cpstar.star import StarElement, star_elements
-from cpstar.symbols import symbol_of_matrix
+from cpstar.symbols import SymbolTensor, symbol_of_matrix
 
 SYMPLECTIC = [[0, 1], [-1, 0]]
 
@@ -347,6 +347,15 @@ def _cp1(level, seed):
     return value_to_tagged(random_element(random.Random(seed), 1, level, density=0.3))
 
 
+def _cp1_symbol(degree, seed, cells=None):
+    """A seeded CP^1 symbol of ``degree``: dense, or with ``cells`` random entries."""
+    rng = random.Random(seed)
+    if cells is None:
+        return value_to_tagged(random_symbol(rng, 1, degree, density=1.0))
+    index = lambda: tuple(sorted(rng.randrange(2) for _ in range(degree)))
+    return value_to_tagged(SymbolTensor(1, degree, {(index(), index()): rng.randint(1, 5) for _ in range(cells)}))
+
+
 def _fourier(modes):
     return value_to_tagged(FourierSum(2, SYMPLECTIC, Fraction(1, 3), {(a, 1 - a % 2): 1 for a in range(modes)}))
 
@@ -363,13 +372,16 @@ BUDGETS = {
     "torus": (["torus", "--K", "3"], (_fourier(49), _fourier(41)), (_fourier(50), _fourier(40)), "A * B"),
     "quotient-K7": (["quotient", "--K", "7"], (_cp3(1),), None, "quot(7)(A)"),
     "quotient-K6": (["quotient", "--K", "6"], None, (_cp3(1),), "quot(6)(A)"),
+    # the pointwise product has no subcommand, only eval's "."; a degree-120
+    # result of up to 121**2 entries, and about 13 million terms
+    "pointwise": (None, (_cp1_symbol(60, 1), _cp1_symbol(60, 2)), (_cp1_symbol(49, 3, 8), _cp1_symbol(49, 4, 8)), "A . B"),
 }
 
 
 def _entry_and_eval(tmp_path, capsys, argv, operands, expression):
     """The run of the entry point on the operands, and of eval on them bound to A and B."""
     payload = operands[0] if len(operands) == 1 else {"left": operands[0], "right": operands[1]}
-    entry = _run(capsys, [*argv, "--input", _write(tmp_path, "input.json", payload)])
+    entry = argv and _run(capsys, [*argv, "--input", _write(tmp_path, "input.json", payload)])
     session = {"n": 3, "bindings": dict(zip("AB", operands))}
     evaluated = _run(capsys, ["eval", expression, "--input", _write(tmp_path, "session.json", session)])
     return entry, evaluated
@@ -380,22 +392,51 @@ def test_every_entry_point_refuses_what_eval_refuses(tmp_path, capsys, monkeypat
     def no_product(*args):
         raise AssertionError("a product or fold ran past the budget")
 
-    for function in ("star_elements", "disk_product", "moyal_product", "quotient_map"):
+    for function in ("star_elements", "disk_product", "moyal_product", "quotient_map", "pointwise_mul"):
         monkeypatch.setattr(expr, function, no_product)
     argv, over, _, expression = BUDGETS[name]
-    (code, out, err), (eval_code, eval_out, eval_err) = _entry_and_eval(tmp_path, capsys, argv, over, expression)
-    assert (code, out) == (eval_code, eval_out) == (2, "")
-    assert err == eval_err
-    assert "over the limit of" in err and "Traceback" not in err
+    entry, (eval_code, eval_out, eval_err) = _entry_and_eval(tmp_path, capsys, argv, over, expression)
+    assert (eval_code, eval_out) == (2, "")
+    assert entry in (None, (eval_code, eval_out, eval_err))
+    assert "over the limit of" in eval_err and "Traceback" not in eval_err
 
 
 @pytest.mark.parametrize("name", [name for name, case in BUDGETS.items() if case[2]])
 def test_every_entry_point_runs_what_eval_runs_at_the_bounds(tmp_path, capsys, name):
     argv, _, within, expression = BUDGETS[name]
-    (code, out, err), (eval_code, eval_out, eval_err) = _entry_and_eval(tmp_path, capsys, argv, within, expression)
-    assert (code, eval_code) == (0, 0), err + eval_err
+    entry, (eval_code, eval_out, eval_err) = _entry_and_eval(tmp_path, capsys, argv, within, expression)
+    assert eval_code == 0, eval_err
+    if entry is None:
+        return
+    code, out, err = entry
+    assert code == 0, err
     result = json.loads(out)
     assert result.get("product", result) == json.loads(eval_out)["result"]
+
+
+def test_pointwise_work_is_refused_before_the_product_runs(tmp_path, capsys, monkeypatch):
+    # degree 49 + 49 on CP^1 is within MAX_POWER_ENTRIES (99**2 entries),
+    # but two dense factors run 2500**2 terms
+    def no_product(*args):
+        raise AssertionError("a product ran past the budget")
+
+    monkeypatch.setattr(expr, "pointwise_mul", no_product)
+    bindings = {"A": _cp1_symbol(49, 5), "B": _cp1_symbol(49, 6)}
+    terms = len(tagged_to_value(bindings["A"]).cells) * len(tagged_to_value(bindings["B"]).cells)
+    assert expr.MAX_STAR_TERMS < terms
+    session = _write(tmp_path, "session.json", {"bindings": bindings})
+    code, out, err = _run(capsys, ["eval", "A . B", "--input", session])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"cpstar: the pointwise product of degrees 49 and 49 on CP^1 runs up to {terms} contraction terms,"
+        f" over the limit of MAX_STAR_TERMS = {expr.MAX_STAR_TERMS}\n"
+    )
+    # symbols over different n keep their own message
+    monkeypatch.undo()
+    bindings["B"] = value_to_tagged(symbol_of_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    session = _write(tmp_path, "session.json", {"bindings": bindings})
+    code, out, err = _run(capsys, ["eval", "A . B", "--input", session])
+    assert (code, out, err) == (2, "", "cpstar: pointwise product needs matching n\n")
 
 
 def test_eval_refuses_results_over_the_digit_limit(capsys):

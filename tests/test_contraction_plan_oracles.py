@@ -1,19 +1,24 @@
-"""The plan-driven contraction kernel against the tuple-keyed one it replaced.
+"""The Wick kernel on additive monomial codes against the tuple-keyed
+contraction it replaced.
 
-``symbols._contract_into`` reads per-shape plans (split weights and merged
-output positions, filled as cells need them) and keys its accumulator by
-cell keys, the ints ``rank(I) W + rank(J)`` that ``SymbolTensor.cells``
-uses.  The oracle here is the kernel it replaced, kept on purpose: it
-recomputes every split, weight and merge per cell and keys by ``(I, J)``
-tuples.  It reads the tensors' cells by pair through ``_unranked``, and
-its result goes back to cell keys through ``_ranks``.  Both are compared at
-``cells``/``den`` equality of the resulting tensors, through the kernel
-itself at two scales, through ``wick_contraction`` and through
-``star_elements``.  ``wick_contraction_reference`` in ``test_symbols.py``
-stays the independent check of the weights themselves.
+``symbols._wick_sums`` runs every star product and contraction: it keys
+each monomial by an additive code over the letters its factors use, so the
+output key of a term is one int addition, and it decodes each output code
+once to a cell key, the int ``rank(I) W + rank(J)`` that
+``SymbolTensor.cells`` uses.  The oracle here is the tuple-keyed kernel,
+kept on purpose: it recomputes every split, weight and merge per cell and
+keys by ``(I, J)`` tuples.  It reads the tensors' cells by pair through
+``_unranked``, and its result goes back to cell keys through ``_ranks``.
+Both are compared at ``cells``/``den`` equality of the resulting tensors,
+through the kernel itself (one order, all orders, several factors at
+once), and through ``wick_contraction``, ``star_symbols`` and
+``star_elements``, on CP^0-CP^3 with fractional Gaussian entries and on
+sparse products on CP^16 and CP^1000000.  ``wick_contraction_reference``
+in ``test_symbols.py`` stays the independent check of the weights
+themselves.
 
 The last test pins down laziness: a sparse product on CP^16 must fill no
-more plan entries than the (cell, split, match) triples it visits.
+more table entries than the (cell, split, match) triples it visits.
 """
 
 import random
@@ -22,18 +27,20 @@ from math import comb, factorial, lcm
 
 import pytest
 
-from cpstar import symbols
+from cpstar import multiindex, symbols
 from cpstar.multiindex import (
+    _indices,
     _lex_rank,
     _lex_unrank,
+    _ranks,
     merge_indices,
     multiplicity,
     sorted_tuples,
     submultiset_splits,
 )
 from cpstar.scalars import GaussRational
-from cpstar.star import StarElement, star_elements
-from cpstar.symbols import SymbolTensor, _contract_into, wick_contraction
+from cpstar.star import StarElement, _star_coefficient, star_elements, star_symbols
+from cpstar.symbols import SymbolTensor, _wick_sums, wick_contraction
 
 
 def pair_cells(tensor):
@@ -117,13 +124,13 @@ def _value(rng, primes=(1, 2, 3, 5)):
     )
 
 
-def _symbol(rng, n, k, size=None):
+def _symbol(rng, n, k, size=None, primes=(1, 2, 3, 5)):
     """All ``sorted_tuples(n, k)**2`` slots filled when ``size`` is None,
     else ``size`` random ones."""
     slots = [(i, j) for i in sorted_tuples(n, k) for j in sorted_tuples(n, k)]
     if size is not None:
         slots = rng.sample(slots, min(size, len(slots)))
-    return SymbolTensor(n, k, {slot: _value(rng) for slot in slots})
+    return SymbolTensor(n, k, {slot: _value(rng, primes) for slot in slots})
 
 
 def _same(tensor, expected):
@@ -137,6 +144,19 @@ def _same(tensor, expected):
 DENSE_SLOTS = 250
 
 
+def _kernel_tensors(n, left, right, order=None, factor=1):
+    """The kernel's cells of one product, as tensors over the product of
+    the denominators, by output degree."""
+    sums = _wick_sums(n, [(left.k, left.cells, factor)], [(right.k, right.cells, 1)], order)
+    return {degree: SymbolTensor._from_cells(n, degree, left.den * right.den, cells) for degree, cells in sums.items()}
+
+
+def _oracle_tensor(n, left, right, r, scale=1):
+    expected = {}
+    contract_into_oracle(expected, pair_cells(left), pair_cells(right), left.k, right.k, r, scale)
+    return from_pair_cells(n, left.k + right.k - r, left.den * right.den, expected)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_kernel_matches_tuple_oracle(n):
     rng = random.Random(1100 + n)
@@ -148,33 +168,70 @@ def test_kernel_matches_tuple_oracle(n):
             else:
                 factors.append((_symbol(rng, n, k, 40), _symbol(rng, n, l, 40)))
             for left, right in factors:
-                den = left.den * right.den
+                every = _kernel_tensors(n, left, right)
+                assert set(every) <= {k + l - r for r in range(min(k, l) + 1)}
                 for r in range(min(k, l) + 1):
                     degree = k + l - r
+                    zero = SymbolTensor.zero(n, degree)
+                    # the |alpha| = r part is 1/r! times the r-th contraction
                     for scale in (1, 6):
-                        accum, expected = {}, {}
-                        _contract_into(accum, left.cells, right.cells, n, k, l, r, scale)
-                        contract_into_oracle(expected, pair_cells(left), pair_cells(right), k, l, r, scale)
-                        _same(
-                            SymbolTensor._from_cells(n, degree, den, accum),
-                            from_pair_cells(n, degree, den, expected),
-                        )
-                    expected = {}
-                    contract_into_oracle(expected, pair_cells(left), pair_cells(right), k, l, r, 1)
-                    _same(wick_contraction(left, right, r), from_pair_cells(n, degree, den, expected))
+                        one = _kernel_tensors(n, left, right, r, scale * factorial(r))
+                        assert set(one) <= {degree}
+                        _same(one.get(degree, zero), _oracle_tensor(n, left, right, r, scale))
+                    _same(every.get(degree, zero).scale(factorial(r)), _oracle_tensor(n, left, right, r))
+                    _same(wick_contraction(left, right, r), _oracle_tensor(n, left, right, r))
 
 
 def test_kernel_accumulates_across_shapes_like_the_oracle():
-    # star_elements adds contractions of several shapes into one dict per
-    # output degree; a second call on the same dict must add, not replace
+    # F and G are sums of tensors of several degrees, each scaled by an int;
+    # every pair of them adds into one sum per output degree
     rng = random.Random(1110)
     n = 2
     phi, psi, chi = _symbol(rng, n, 2), _symbol(rng, n, 3, 12), _symbol(rng, n, 1)
-    accum, expected = {}, {}
-    for left, right, r, scale in [(phi, psi, 1, 6), (psi, chi, 0, 1), (phi, phi, 0, 2), (psi, psi, 2, 3)]:
-        _contract_into(accum, left.cells, right.cells, n, left.k, right.k, r, scale)
-        contract_into_oracle(expected, pair_cells(left), pair_cells(right), left.k, right.k, r, scale)
-    _same(SymbolTensor._from_cells(n, 4, 5, accum), from_pair_cells(n, 4, 5, expected))
+    lefts, rights = [(phi, 6), (psi, 1), (chi, 2)], [(psi, 3), (chi, 1)]
+    d_left, d_right = lcm(*(t.den for t, _ in lefts)), lcm(*(t.den for t, _ in rights))
+    sums = _wick_sums(
+        n,
+        [(t.k, t.cells, d_left // t.den * a) for t, a in lefts],
+        [(t.k, t.cells, d_right // t.den * b) for t, b in rights],
+    )
+    top = factorial(3)
+    expected = {}
+    for left, a in lefts:
+        for right, b in rights:
+            for r in range(min(left.k, right.k) + 1):
+                weight = d_left // left.den * a * (d_right // right.den * b) * (top // factorial(r))
+                accum = expected.setdefault(left.k + right.k - r, {})
+                contract_into_oracle(accum, pair_cells(left), pair_cells(right), left.k, right.k, r, weight)
+    assert set(sums) == set(expected)
+    den = d_left * d_right
+    for degree, cells in sums.items():
+        _same(SymbolTensor._from_cells(n, degree, den, cells), from_pair_cells(n, degree, den * top, expected[degree]))
+
+
+def star_symbols_oracle(f, g):
+    """The terms of ``star_symbols`` from the tuple-keyed contraction."""
+    return [(r, _star_coefficient(f.k, g.k, r), _oracle_tensor(f.n, f, g, r)) for r in range(min(f.k, g.k) + 1)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_products_match_the_oracle_over_fractional_denominators(n):
+    # entries over denominators 1, 2, 3, 5, 7 and 11, dense and sparse
+    rng = random.Random(1140 + n)
+    primes = (1, 2, 3, 5, 7, 11)
+    for _ in range(6):
+        k, l = rng.randint(0, 3), rng.randint(0, 3)
+        size = None if comb(n + max(k, l), n) <= 6 else 5
+        f, g = (_symbol(rng, n, d, size, primes) for d in (k, l))
+        terms = star_symbols(f, g)
+        assert [(t.r, t.coefficient, t.tensor) for t in terms] == star_symbols_oracle(f, g)
+        for r in range(min(k, l) + 1):
+            _same(wick_contraction(f, g, r), _oracle_tensor(n, f, g, r))
+        a, b = (
+            StarElement(n, level, {r: _symbol(rng, n, r, 4, primes) for r in range(level + 1)})
+            for level in (rng.randint(0, 3), rng.randint(0, 3))
+        )
+        assert star_elements(a, b) == star_elements_oracle(a, b)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -209,6 +266,26 @@ def _sparse_symbol(rng, n, k, cells):
     return SymbolTensor(n, k, entries)
 
 
+def _sparse_element(rng, n, level, cells):
+    return StarElement(n, level, {r: _sparse_symbol(rng, n, r, cells if r else 1) for r in range(level + 1)})
+
+
+def test_sparse_products_on_cp_million_match_the_oracle():
+    # letters up to 10**6 - 1: the codes use the few letters the factors hold
+    n = 10**6
+    rng = random.Random(1150)
+    a, b = _sparse_element(rng, n, 3, 3), _sparse_element(rng, n, 2, 3)
+    assert star_elements(a, b) == star_elements_oracle(a, b)
+    f, g = a.components[3], b.components[2]
+    assert [(t.r, t.coefficient, t.tensor) for t in star_symbols(f, g)] == star_symbols_oracle(f, g)
+    # letters shared by both factors, so no order of the contraction is zero
+    f = SymbolTensor(n, 2, {((7, 999_999), (5, 999_999)): Fraction(2, 3), ((0, 7), (7, 999_999)): 1})
+    g = SymbolTensor(n, 2, {((7, 999_999), (3, 4)): Fraction(1, 5)})
+    for r in range(3):
+        _same(wick_contraction(f, g, r), _oracle_tensor(n, f, g, r))
+    assert wick_contraction(f, g, 1) and wick_contraction(f, g, 2)
+
+
 def _visits(left_cells, right_cells, r):
     """The (left cell, split, right match) triples of one contraction, and
     the splits of its input cells."""
@@ -223,14 +300,31 @@ def _visits(left_cells, right_cells, r):
 def test_sparse_product_fills_only_what_it_visits():
     n = 16
     rng = random.Random(1130)
-    a = StarElement(n, 3, {r: _sparse_symbol(rng, n, r, 4 if r else 1) for r in range(4)})
-    b = StarElement(n, 3, {r: _sparse_symbol(rng, n, r, 4 if r else 1) for r in range(4)})
-    for value in vars(symbols).values():
-        if callable(getattr(value, "cache_clear", None)):
-            value.cache_clear()
+    a = _sparse_element(rng, n, 3, 4)
+    b = _sparse_element(rng, n, 3, 4)
+    for module in (symbols, multiindex):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
     product = star_elements(a, b)
     # the product reads and writes cell keys only: it unranks no key
     assert sum(len(symbols._unranked(n, degree)) for degree in range(7)) == 0
+    # the tables the product filled, read back without a miss: the codes
+    # use the letters of the factors' cells, with digits of 3 bits
+    caches = (symbols._letters, symbols._splits, symbols._codes, symbols._decoded, _indices, _ranks)
+    misses = [cache.cache_info().misses for cache in caches]
+    inputs = [*a.components.values(), *b.components.values()]
+    letters = tuple(sorted({
+        letter for t in inputs for key in t.cells for rank in divmod(key, comb(n + t.k, t.k))
+        for letter in _lex_unrank(n, t.k, rank)
+    }))
+    letter_sets = sum(len(symbols._letters(n, k)) for k in range(4))
+    splits = [symbols._splits(n, k, letters, 3, right)[2] for k in range(4) for right in (False, True)]
+    codes = sum(len(symbols._codes(n, k, letters, 3)) for k in range(4))
+    decoded = len(symbols._decoded(n, letters, 3))
+    indices = sum(len(_indices(n, k)) for k in range(4))
+    ranks = sum(len(_ranks(n, k)) for k in range(7))
+    assert [cache.cache_info().misses for cache in caches] == misses
     expected = star_elements_oracle(a, b)
     assert product == expected
     # read by pair at the boundary, the output fills at most one pair per cell
@@ -241,21 +335,18 @@ def test_sparse_product_fills_only_what_it_visits():
     shapes = [(r, s, t) for r in a.components for s in b.components for t in range(min(r, s) + 1)]
     visits = [_visits(pair_cells(a.components[r]), pair_cells(b.components[s]), t) for r, s, t in shapes]
     triples = sum(v for v, _ in visits)
-    heads, rows, splits = {}, {}, 0
-    misses = symbols._contraction_plan.cache_info().misses
-    for r, s, t in shapes:
-        plan_heads, left, right = symbols._contraction_plan(n, r, s, t)
-        for row, _ in plan_heads.values():
-            heads[id(row)] = len(row)
-        for split in left.values():
-            for _, row, _, _ in split:
-                rows[id(row)] = len(row)
-        splits += sum(map(len, left.values())) + sum(map(len, right.values()))
-    assert symbols._contraction_plan.cache_info().misses == misses  # the plans the product filled
-    pairs = sum(len(symbols._unranked(n, degree)) for degree in range(7))
-    assert 0 < sum(heads.values()) <= triples
-    assert 0 < sum(rows.values()) <= triples
-    assert 0 < pairs <= triples
-    assert 0 < splits <= sum(v for _, v in visits)
+    cells = sum(len(t.cells) for t in inputs)
+    # at most one entry per input cell, or per index of one, in each table
+    # that reads input cells
+    assert 0 < letter_sets <= cells
+    assert 0 < sum(map(len, splits)) <= cells
+    assert 0 < codes <= 2 * cells
+    assert 0 < sum(len(group) for table in splits for groups in table.values() for group in groups) <= sum(
+        v for _, v in visits
+    )
+    assert 0 < indices <= 2 * cells
+    # one entry per output monomial reached, cancelled ones included
+    assert sum(len(t.cells) for t in product.components.values()) <= decoded <= triples
+    assert 0 < ranks <= 2 * decoded
     # a dense table for the level-6 output alone would have C(22, 6)**2 cells
     assert triples < 10_000 < comb(n + 6, 6) ** 2

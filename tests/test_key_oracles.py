@@ -11,7 +11,10 @@ purpose:
 * ``reduce_degree_oracle``, the old long division by x on a heap of
   index pairs;
 * ``contracted_oracle``, the old key conversion of the contraction
-  accumulator, ``{pairs[key]: cell}``.
+  accumulator, ``{pairs[key]: cell}``;
+* ``code_oracle``, the additive code of a monomial that the Wick kernel
+  keys its terms by, one digit per letter and index group, against which
+  the kernel's decoding and split tables are read.
 
 ``by_pair`` and ``by_rank`` convert between the two key formats with
 ``_lex_rank``/``_lex_unrank`` directly, so the tables under test play no
@@ -23,7 +26,7 @@ tensor, and the components of a sparse CP^16 product.
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb
+from math import comb, perm, prod
 
 import pytest
 
@@ -31,7 +34,7 @@ from cpstar import symbols
 from cpstar.multiindex import _lex_rank, _lex_unrank, merge_indices, sorted_tuples
 from cpstar.scalars import GaussRational, _normalised
 from cpstar.star import StarElement, star_elements
-from cpstar.symbols import SymbolTensor, _contract_into, _times_x, embed, reduce_degree
+from cpstar.symbols import SymbolTensor, _times_x, _wick_sums, embed, reduce_degree
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -176,8 +179,8 @@ def test_reduce_degree_matches_tuple_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_contraction_keys_are_the_converted_pairs(n):
-    # the accumulator's int keys are cell keys: the tensor built from them
-    # holds, at each pair, the cell the old conversion put there
+    # the kernel's int keys are cell keys: the tensor built from them holds,
+    # at each pair, the cell the old conversion put there
     rng = random.Random(2120 + n)
     for k in range(3):
         for l in range(3):
@@ -185,12 +188,54 @@ def test_contraction_keys_are_the_converted_pairs(n):
                 for right in _tensors(rng, n, l)[1:3]:
                     for r in range(min(k, l) + 1):
                         degree = k + l - r
-                        accum = {}
-                        _contract_into(accum, left.cells, right.cells, n, k, l, r, 5)
+                        accum = _wick_sums(n, [(k, left.cells, 5)], [(l, right.cells, 1)], r).get(degree, {})
                         den = left.den * right.den
                         tensor = SymbolTensor._from_cells(n, degree, den, accum)
                         expected = _normalised(den, contracted_oracle(n, degree, accum))
                         assert (tensor.den, by_pair(n, degree, tensor.cells)) == expected
+
+
+def code_oracle(letters, s, left, right):
+    """The code of zbar^left z^right over ``letters`` with digits of ``s``
+    bits, as the layout reads: one digit per letter and group, the
+    antiholomorphic group first."""
+    m = len(letters)
+    return sum(left.count(a) << (p * s) for p, a in enumerate(letters)) + sum(
+        right.count(a) << ((m + p) * s) for p, a in enumerate(letters)
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16])
+def test_codes_decode_to_cell_keys(n):
+    # every pair of degree up to 2**s - 1 over a set of letters decodes to
+    # its degree and its cell key, and the splits' codes add up to it
+    rng = random.Random(2140 + n)
+    for _ in range(20):
+        letters = tuple(sorted(rng.sample(range(n + 1), rng.randint(1, min(n + 1, 4)))))
+        k = rng.randint(0, 5)
+        s = max(k, 1).bit_length() + rng.randint(0, 1)
+        pick = lambda: tuple(sorted(rng.choice(letters) for _ in range(k)))
+        left, right = pick(), pick()
+        key = by_rank(n, k, {(left, right): None}).popitem()[0]
+        assert symbols._decoded(n, letters, s)[code_oracle(letters, s, left, right)] == (k, key)
+        # a left cell splits its holomorphic group J, with weight
+        # binom(J, alpha), and a right cell its antiholomorphic group P, with
+        # weight P!/(P - alpha)!; the other group's code is the table's
+        whole, hol, mask = code_oracle(letters, s, left, right), len(letters) * s, (1 << s) - 1
+        for right_side, fixed, split, weigh in ((False, left, right, comb), (True, right, left, perm)):
+            width, codes, splits = symbols._splits(n, k, letters, s, right_side)
+            assert width == comb(n + k, k)
+            other = code_oracle(letters, s, fixed, ()) << (hol if right_side else 0)
+            assert codes[_lex_rank(n, fixed)] << (hol if right_side else 0) == other
+            seen = set()
+            for size, group in enumerate(splits[_lex_rank(n, split)]):
+                for alpha, rest, weight in group:
+                    taken = [alpha >> (p * s) & mask for p in range(len(letters))]
+                    assert sum(taken) == size and alpha not in seen
+                    seen.add(alpha)
+                    assert weight == prod(weigh(split.count(a), t) for a, t in zip(letters, taken))
+                    assert other + rest + (alpha << (0 if right_side else hol)) == whole
+            assert len(seen) == prod(split.count(a) + 1 for a in set(split))
 
 
 def _sparse_symbol(rng, n, k, cells):

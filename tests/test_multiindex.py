@@ -8,7 +8,10 @@ from math import comb
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cpstar import symbols
 from cpstar.multiindex import (
+    _indices,
+    _ranks,
     _subtract_indices,
     merge_indices,
     multiplicity,
@@ -110,13 +113,16 @@ def _sparse_element(rng: random.Random, n: int, level: int, cells: int) -> StarE
 def test_index_caches_are_bounded_on_many_shapes():
     # two level-3 products on CP^16, of 4-cell and of 40-cell components,
     # meet hundreds of index tuples; every cache keeps within its bound
-    caches = (multiplicity, sorted_tuples, submultiset_splits, merge_indices)
+    caches = (
+        multiplicity, sorted_tuples, submultiset_splits, merge_indices, _indices, _ranks,
+        symbols._letters, symbols._splits, symbols._codes, symbols._decoded,
+    )
     for cache in caches:
         cache.cache_clear()
     rng = random.Random(34)
     for cells in (4, 40):
         star_elements(_sparse_element(rng, 16, 3, cells), _sparse_element(rng, 16, 3, cells))
-    assert submultiset_splits.cache_info().misses > 100
+    assert sum(len(_indices(16, k)) for k in range(4)) > 100
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, (cache.__name__, info)
