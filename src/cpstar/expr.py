@@ -177,9 +177,9 @@ product runs ``a b``.  The entry bound :data:`MAX_POWER_ENTRIES` sees only
 the size of the result, not this work.  On a 2-core x86-64 VM with Python
 3.11.7, a CP^1 product of two random level-12 elements
 (``randgen.random_element``, density 0.3, seeds 7 and 8, a bound of 2.6
-million) took 0.50 s, and one of two level-20 elements (seeds 7 and 8,
+million) took 0.54 s, and one of two level-20 elements (seeds 7 and 8,
 1005 and 950 cells, a bound of 106 million, a level-40 result of at most
-1681 entries) 21.9 s."""
+1681 entries) 18.6 s."""
 
 MAX_DISK_INDEX = 24
 """Largest basis index a star power or product of disk elements may reach,
