@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ParseError as exc:
-        print(f"cpstar: syntax error at position {exc.position}: {exc}", file=sys.stderr)
+        print(f"cpstar: syntax error at position {exc.position}: {exc.message}", file=sys.stderr)
         return 2
     except (UsageError, EvalError, StarUndefinedError, ValueError, KeyError, TypeError) as exc:
         print(f"cpstar: {exc}", file=sys.stderr)

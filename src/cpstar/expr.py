@@ -82,6 +82,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} at position {position}")
+        self.message = message
         self.position = position
 
 

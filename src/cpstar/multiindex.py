@@ -31,7 +31,6 @@ __all__ = [
     "merge_indices",
     "multiplicity",
     "sorted_tuples",
-    "submultiset_splits",
 ]
 
 Index = tuple[int, ...]
@@ -65,9 +64,11 @@ def sorted_tuples(n: int, k: int) -> tuple[Index, ...]:
 def merge_indices(left: Index, right: Index) -> Index:
     """Sorted union (with repetitions) of two sorted tuples.
 
-    Cached: the contraction, ``x``-multiplication and division kernels merge
-    the same few hundred index pairs over and over.  The bound keeps the
-    cache small however many shapes a process sees."""
+    Its caller in the package, ``symbols._times_letters``, runs once per
+    key the ``_raised`` and ``_divided`` tables fill in, and merges each of
+    the key's two indices with one letter at a time, so a cached merge
+    serves every key that shares an index.  The bound keeps the cache small
+    however many shapes a process sees."""
     return tuple(sorted(left + right))
 
 
@@ -114,42 +115,6 @@ def _lex_unrank(n: int, k: int, rank: int) -> Index:
     return tuple(out)
 
 
-def _subtract_indices(whole: Index, part: Index) -> Index:
-    """Remove the multiset ``part`` from ``whole`` (both sorted); assumes containment."""
-    out = list(whole)
-    for a in part:
-        out.remove(a)
-    return tuple(out)
-
-
-@lru_cache(maxsize=1 << 10)
-def submultiset_splits(index: Index, r: int) -> tuple[tuple[Index, Index], ...]:
-    """All distinct splits of a sorted tuple into (submultiset of size r, rest)."""
-    if r < 0 or r > len(index):
-        return ()
-    if r == 0:
-        return (((), index),)
-    letters = sorted(set(index))
-    counts = {a: index.count(a) for a in letters}
-    splits: list[tuple[Index, Index]] = []
-
-    def walk(pos: int, remaining: int, chosen: list[int]) -> None:
-        if remaining == 0:
-            alpha = tuple(chosen)
-            splits.append((alpha, _subtract_indices(index, alpha)))
-            return
-        if pos == len(letters):
-            return
-        letter = letters[pos]
-        available = counts[letter]
-        # take t copies of this letter, t from high to low keeps output sorted-stable
-        for t in range(min(available, remaining), -1, -1):
-            walk(pos + 1, remaining - t, chosen + [letter] * t)
-
-    walk(0, r, [])
-    return tuple(splits)
-
-
 MAX_WIDTH_BITS = 256
 """Largest bit length of the number W = C(n + k, k) of sorted k-tuples of a
 tensor with entries.  Ranking an index of a cell key takes 2k binomials of
@@ -171,8 +136,9 @@ def _width(n: int, k: int) -> int:
 
 class _Lazy(dict):
     """A dict that fills a missing entry from ``fill(key)`` the first time it
-    is read.  The key tables and contraction plans are made of these, so a
-    table holds only the entries some cell has needed."""
+    is read.  The key tables here and the kernel tables of
+    :mod:`cpstar.symbols` are made of these, so a table holds only the
+    entries some cell has needed."""
 
     __slots__ = ("fill",)
 

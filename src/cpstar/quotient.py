@@ -33,16 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from .linalg import matrix_rank
 from .multiindex import sorted_tuples
 from .nupoly import _pochhammer_js
 from .scalars import GAUSS_I, GaussRational
-from .star import StarElement, star_elements
+from .star import StarElement, _combined, star_elements
 from .symbols import (
     SymbolTensor,
     _add_scaled,
+    _linear,
     _times_x,
     embed,
     identity_symbol,
@@ -151,9 +152,9 @@ class IdealFactorization:
     def reconstruction(self) -> StarElement:
         if self.cofactor.is_zero():
             return self.head
-        shifted = self.cofactor.nu_shift(1)
-        scaled = self.cofactor.relevel(self.cofactor.level + 1).scale(self.alpha)
-        return self.head + (shifted - scaled)
+        level = max(self.head.level, self.cofactor.level + 1)
+        parts = ((self.head, 1), (self.cofactor.nu_shift(1), 1), (self.cofactor, -self.alpha))
+        return _combined(self.head.n, level, parts)
 
 
 def ideal_factorize(element: StarElement, alpha: Fraction | int | str) -> IdealFactorization:
@@ -168,17 +169,19 @@ def ideal_factorize(element: StarElement, alpha: Fraction | int | str) -> IdealF
     top = q if p == 1 and level > q else level
     head = StarElement(n, level, {r: t for r, t in element.components.items() if r > top})
     # tail = (nu - alpha) * cofactor reads t_r = (1 - alpha r) c_r - alpha embed(c_{r-1})
-    # on components; solve upward, with c_r = 0 from r = top on.  What is left
+    # on components; solve upward, c_r = s t_r + alpha s embed(c_{r-1}) with
+    # s = q/(q - r p) as one sum, and c_r = 0 from r = top on.  What is left
     # at component top is the tail's value at alpha up to the nonzero factor
     # nu^(top)(alpha) alpha^{level-top}, so it vanishes exactly for members.
     cofactor: dict[int, SymbolTensor] = {}
-    carry = SymbolTensor.zero(n, 0)  # alpha embed(c_{r-1})
+    below = SymbolTensor.zero(n, 0)  # embed(c_{r-1})
     for r in range(top):
-        c_r = (element.component(r) + carry).scale(Fraction(q, q - r * p))
-        if not c_r.is_zero():
+        s = Fraction(q, q - r * p)
+        c_r = _linear(n, r, ((element.component(r), s), (below, alpha * s)))
+        if c_r:
             cofactor[r] = c_r
-        carry = embed(c_r).scale(alpha)
-    if not (element.component(top) + carry).is_zero():
+        below = embed(c_r)
+    if _linear(n, top, ((element.component(top), 1), (below, alpha))):
         raise NotInIdealError(f"element does not vanish at nu = {alpha}")
     if not cofactor:
         return IdealFactorization(alpha, head, StarElement.zero(n))
@@ -258,7 +261,7 @@ def quotient_map(element: StarElement, K: int) -> QuotientOperator:
 def representative_element(operator: QuotientOperator) -> StarElement:
     """Section of :func:`quotient_map`: a level-K element mapping to the operator."""
     K = operator.K
-    tensor = operator.tensor.scale(Fraction(K ** (K - 1), factorial(K - 1)))  # 1 / nu^(K)(1/K)
+    tensor = operator.tensor.scale(Fraction(K ** (K - 1), _pochhammer_ints(K, 1, K)))  # 1 / nu^(K)(1/K)
     return StarElement(operator.n, K, {K: tensor})
 
 

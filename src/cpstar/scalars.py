@@ -436,8 +436,10 @@ def _over_lcm(parts: Mapping[Key, tuple[int, int, int, int, int]]) -> tuple[int,
     ``parts`` maps keys to nonzero weighted values ``w * (a/b + c/d i)``,
     given as ``(a, b, c, d, w)``; the result is ``(den, cells)`` with each
     value equal to ``cells[key] / den``, normalised as by :func:`_normalised`.
-    This is the one place where rationals become integer cells: symbol
-    tensors and nu-polynomial coefficients both go through it."""
+    Nu-polynomial coefficients and symbol tensors read from a ``ZPoly`` go
+    through it; the public symbol constructor and the JSON loader clear
+    their rationals in ``symbols._checked_cells``, which also adds up
+    entries at one sorted pair."""
     den = lcm(*(b for _, b, _, _, _ in parts.values()), *(d for _, _, _, d, _ in parts.values()))
     if den == 1:  # integral and nonzero already
         return 1, {key: (a * w, c * w) for key, (a, _, c, _, w) in parts.items()}

@@ -34,10 +34,14 @@ kernel of :mod:`cpstar.symbols`, on integer weights
 binom(J, alpha) P!/(P - alpha)! per pair of monomials zbar^I z^J and
 zbar^P z^Q, over additive monomial codes: one digit of s bits per letter
 the factors use and index group, so the output code of a term is the sum
-of two codes.  Elements
-are kept in this component basis: raising the level (:meth:`StarElement.relevel`)
-and finding the least one (:meth:`StarElement.minimized`) are triangular
-recurrences on the components.  Expansion into a raw power series in nu
+of two codes.
+
+Elements are kept in this component basis.  Every sum of elements, ``+``,
+``-``, raising the level (:meth:`StarElement.relevel`) and the
+reconstruction of an ideal factorisation, is one call of ``_combined``,
+which raises each part with nu^(r+1) = (1 - r nu) nu^(r) and builds each
+output degree once; finding the least level (:meth:`StarElement.minimized`)
+inverts it one level at a time.  Expansion into a raw power series in nu
 (:class:`RawNuSeries`) and the converse structure extraction
 (:func:`extract_structure`) are the plain-series view of the same elements,
 used for the ``series`` wire type and as an independent reference.
@@ -56,6 +60,7 @@ from .scalars import ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
     _add_scaled,
+    _linear,
     _times_x,
     _wick_sums,
     embed,
@@ -404,6 +409,36 @@ def _relevel_weights(r: int, m: int) -> list[int]:
     return out
 
 
+def _combined(n: int, level: int, parts: Sequence[tuple["StarElement", int | Fraction]]) -> "StarElement":
+    """The sum of ``c E`` over the ``parts`` ``(E, c)``, elements over CP^n
+    of level at most ``level`` with int or ``Fraction`` coefficients, at
+    ``level``.
+
+    Raising a level by one turns phi_r into x phi_r at degree r + 1 plus
+    r phi_r at degree r, as nu^(r+1) = (1 - r nu) nu^(r), so m steps send
+    x^j phi_r to degree r + j with weight h_{m-j}(r, r+1, ..., r+j)
+    (:func:`_relevel_weights`).  Every part's components add up on int
+    cells over the lcm of their ``den c.denominator``, and each output
+    degree is normalised once."""
+    parts = [(element, c) for element, c in parts if c]
+    den = lcm(*(tensor.den * c.denominator for element, c in parts for tensor in element.components.values()))
+    sums: dict[int, dict] = {}
+    for element, c in parts:
+        m = level - element.level
+        for r, tensor in element.components.items():
+            scale = c.numerator * (den // (tensor.den * c.denominator))
+            cells = tensor.cells
+            for j, weight in enumerate(_relevel_weights(r, m)):
+                if j:
+                    cells = _times_x(n, r + j - 1, cells)
+                if weight:
+                    _add_scaled(sums.setdefault(r + j, {}), cells, weight * scale)
+    # StarElement drops the components whose entries all cancel
+    return StarElement(
+        n, level, {degree: SymbolTensor._from_cells(n, degree, den, cells) for degree, cells in sums.items()}
+    )
+
+
 class StarElement:
     """Element of the filtered subalgebra on which the star product closes.
 
@@ -481,61 +516,30 @@ class StarElement:
         return StarElement(self.n, self.level + j, dict(self.components))
 
     def relevel(self, new_level: int) -> "StarElement":
-        """Rewrite at a higher level using nu^(r+1) = (1 - r nu) nu^(r).
-
-        One step turns phi_r into x phi_r at degree r + 1 plus r phi_r at
-        degree r, so m steps send x^j phi_r to degree r + j with weight
-        h_{m-j}(r, r+1, ..., r+j) (:func:`_relevel_weights`).  The new
-        components add up on int cells over the lcm of the component
-        denominators and are normalised once each.
-        """
+        """Rewrite at a higher level using nu^(r+1) = (1 - r nu) nu^(r):
+        the one-part sum of :func:`_combined`."""
         if new_level < self.level:
             raise ValueError("relevel only raises the level")
-        m = new_level - self.level
-        if not m:
+        if new_level == self.level:
             return self
-        n = self.n
-        den = lcm(*(tensor.den for tensor in self.components.values()))
-        sums: dict[int, dict] = {}
-        for r, tensor in self.components.items():
-            rescale = den // tensor.den
-            cells = tensor.cells
-            for j, weight in enumerate(_relevel_weights(r, m)):
-                if j:
-                    cells = _times_x(n, r + j - 1, cells)
-                if not weight:
-                    continue
-                _add_scaled(sums.setdefault(r + j, {}), cells, weight * rescale)
-        # StarElement drops the components whose entries all cancel
-        return StarElement(
-            n, new_level, {degree: SymbolTensor._from_cells(n, degree, den, cells) for degree, cells in sums.items()}
-        )
+        return _combined(self.n, new_level, ((self, 1),))
 
     def __add__(self, other: "StarElement") -> "StarElement":
-        if not isinstance(other, StarElement):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("elements over different n")
-        level = max(self.level, other.level)
-        a = self.relevel(level)
-        b = other.relevel(level)
-        components = dict(a.components)
-        for r, tensor in b.components.items():
-            total = components.get(r)
-            total = tensor if total is None else total + tensor
-            if total.is_zero():
-                components.pop(r, None)
-            else:
-                components[r] = total
-        return StarElement(self.n, level, components)
+        return self._plus(other, 1)
 
     def __neg__(self) -> "StarElement":
         return StarElement(self.n, self.level, {r: -t for r, t in self.components.items()})
 
     def __sub__(self, other: "StarElement") -> "StarElement":
+        return self._plus(other, -1)
+
+    def _plus(self, other: object, sign: int) -> "StarElement":
+        """``self + sign other`` at the higher of the two levels."""
         if not isinstance(other, StarElement):
             return NotImplemented
-        return self + (-other)
+        if self.n != other.n:
+            raise ValueError("elements over different n")
+        return _combined(self.n, max(self.level, other.level), ((self, 1), (other, sign)))
 
     # -- expansion and canonical form ---------------------------------
 
@@ -562,7 +566,7 @@ class StarElement:
             lowered: dict[int, SymbolTensor] = {}
             above = SymbolTensor.zero(self.n, current.level)
             for r in range(current.level - 1, -1, -1):
-                phi = reduce_degree(current.component(r + 1) - above.scale(r + 1))
+                phi = reduce_degree(_linear(self.n, r + 1, ((current.component(r + 1), 1), (above, -r - 1))))
                 if phi is None:
                     return current
                 if not phi.is_zero():

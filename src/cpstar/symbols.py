@@ -21,8 +21,12 @@ are in the order the JSON lists them.  Every operation reads and writes the
 cells with int arithmetic and builds its result through one normalising
 constructor, ``SymbolTensor._from_cells``:
 
-* ``+``, ``-``, :meth:`SymbolTensor.scale` and
-  :meth:`SymbolTensor.conjugate_swap`;
+* ``_linear``, the sum of int or ``Fraction`` multiples of tensors in
+  one accumulator, behind ``+``, ``-`` and the linear steps of
+  :meth:`cpstar.star.StarElement.minimized` and
+  :func:`cpstar.quotient.ideal_factorize`;
+* negation, :meth:`SymbolTensor.scale` (the one Gaussian-rational
+  scaling) and :meth:`SymbolTensor.conjugate_swap`;
 * :func:`embed` (multiplication of sigma_tilde by x) and
   :func:`reduce_degree` (exact division by x);
 * :func:`wick_contraction`, the degree-lowering contraction operator, and
@@ -84,6 +88,7 @@ independent reference for the full contraction.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import chain, product as iter_product
@@ -312,18 +317,13 @@ class SymbolTensor:
         if not isinstance(other, SymbolTensor):
             return NotImplemented
         self._require_compatible(other)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = {key: (re * a, im * a) for key, (re, im) in self.cells.items()}
-        for key, (re, im) in other.cells.items():
-            cell = out.get(key)
-            out[key] = (re * b, im * b) if cell is None else (cell[0] + re * b, cell[1] + im * b)
-        return SymbolTensor._from_cells(self.n, self.k, den, out)
+        return _linear(self.n, self.k, ((self, 1), (other, 1)))
 
     def __sub__(self, other: "SymbolTensor") -> "SymbolTensor":
         if not isinstance(other, SymbolTensor):
             return NotImplemented
-        return self + (-other)
+        self._require_compatible(other)
+        return _linear(self.n, self.k, ((self, 1), (other, -1)))
 
     def __neg__(self) -> "SymbolTensor":
         cells = {key: (-re, -im) for key, (re, im) in self.cells.items()}
@@ -458,6 +458,23 @@ def _add_scaled(accum: dict[int, list[int]], cells: Mapping[int, Sequence[int]],
         else:
             cell[0] += c_re * factor
             cell[1] += c_im * factor
+
+
+def _linear(n: int, k: int, terms: Iterable[tuple[SymbolTensor, int | Fraction]]) -> SymbolTensor:
+    """The sum of ``c T`` over the ``terms`` ``(T, c)``, degree-``k``
+    tensors on CP^n with int or ``Fraction`` coefficients.
+
+    Every term adds into one accumulator over the lcm of its ``T.den
+    c.denominator``, normalised once; a lone term with coefficient 1 is
+    returned as it is."""
+    terms = [(tensor, c) for tensor, c in terms if c and tensor.cells]
+    if len(terms) == 1 and terms[0][1] == 1:
+        return terms[0][0]
+    den = lcm(*(tensor.den * c.denominator for tensor, c in terms))
+    accum: dict[int, list[int]] = {}
+    for tensor, c in terms:
+        _add_scaled(accum, tensor.cells, c.numerator * (den // (tensor.den * c.denominator)))
+    return SymbolTensor._from_cells(n, k, den, accum)
 
 
 def embed(tensor: SymbolTensor, times: int = 1) -> SymbolTensor:

@@ -206,6 +206,12 @@ def test_eval_syntax_error_reports_position(capsys):
     assert "syntax error at position 7" in err
 
 
+def test_eval_syntax_error_names_its_position_once(capsys):
+    code, out, err = _run(capsys, ["eval", "unit * * unit"])
+    assert (code, out) == (2, "")
+    assert err == "cpstar: syntax error at position 7: unexpected '*'\n"
+
+
 def test_eval_unbound_name(capsys):
     code, _, err = _run(capsys, ["eval", "missing * unit"])
     assert code == 2

@@ -13,7 +13,10 @@ Both are compared at ``cells``/``den`` equality of the resulting tensors,
 through the kernel itself (one order, all orders, several factors at
 once), and through ``wick_contraction``, ``star_symbols`` and
 ``star_elements``, on CP^0-CP^3 with fractional Gaussian entries and on
-sparse products on CP^16 and CP^1000000.  ``wick_contraction_reference``
+sparse products on CP^16 and CP^1000000.  The oracle's split helpers,
+``submultiset_splits`` and ``_subtract_indices``, live here too, as no
+kernel of the package splits index tuples any more; ``test_multiindex.py``
+checks them.  ``wick_contraction_reference``
 in ``test_symbols.py`` stays the independent check of the weights
 themselves.
 
@@ -23,6 +26,7 @@ more table entries than the (cell, split, match) triples it visits.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm
 
 import pytest
@@ -36,7 +40,6 @@ from cpstar.multiindex import (
     merge_indices,
     multiplicity,
     sorted_tuples,
-    submultiset_splits,
 )
 from cpstar.scalars import GaussRational
 from cpstar.star import StarElement, _star_coefficient, star_elements, star_symbols
@@ -63,6 +66,41 @@ def _falling(k, r):
     for j in range(r):
         out *= k - j
     return out
+
+
+def _subtract_indices(whole, part):
+    """Remove the multiset ``part`` from ``whole`` (both sorted); assumes containment."""
+    out = list(whole)
+    for a in part:
+        out.remove(a)
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 10)
+def submultiset_splits(index, r):
+    """All distinct splits of a sorted tuple into (submultiset of size r, rest)."""
+    if r < 0 or r > len(index):
+        return ()
+    if r == 0:
+        return (((), index),)
+    letters = sorted(set(index))
+    counts = {a: index.count(a) for a in letters}
+    splits = []
+
+    def walk(pos, remaining, chosen):
+        if remaining == 0:
+            alpha = tuple(chosen)
+            splits.append((alpha, _subtract_indices(index, alpha)))
+            return
+        if pos == len(letters):
+            return
+        letter = letters[pos]
+        # take t copies of this letter, t from high to low keeps output sorted-stable
+        for t in range(min(counts[letter], remaining), -1, -1):
+            walk(pos + 1, remaining - t, chosen + [letter] * t)
+
+    walk(0, r, [])
+    return tuple(splits)
 
 
 def contract_into_oracle(accum, left_cells, right_cells, k, l, r, scale):

@@ -9,17 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpstar import symbols
-from cpstar.multiindex import (
-    _indices,
-    _ranks,
-    _subtract_indices,
-    merge_indices,
-    multiplicity,
-    sorted_tuples,
-    submultiset_splits,
-)
+from cpstar.multiindex import _indices, _ranks, merge_indices, multiplicity, sorted_tuples
 from cpstar.star import StarElement, star_elements
 from cpstar.symbols import SymbolTensor
+from test_contraction_plan_oracles import _subtract_indices, submultiset_splits
 
 indices = st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(
     lambda xs: tuple(sorted(xs))
@@ -114,7 +107,7 @@ def test_index_caches_are_bounded_on_many_shapes():
     # two level-3 products on CP^16, of 4-cell and of 40-cell components,
     # meet hundreds of index tuples; every cache keeps within its bound
     caches = (
-        multiplicity, sorted_tuples, submultiset_splits, merge_indices, _indices, _ranks,
+        multiplicity, sorted_tuples, merge_indices, _indices, _ranks,
         symbols._letters, symbols._splits, symbols._codes, symbols._decoded,
     )
     for cache in caches:
