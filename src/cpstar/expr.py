@@ -187,9 +187,11 @@ MAX_DISK_INDEX = 24
 in ``eval`` and the ``star`` and ``disk`` subcommands alike: ``e`` factors
 whose largest index (``p`` or ``q``) is ``P`` reach index ``e P``, with up to
 ``(e P + 1) ** 2`` basis functions, and two of largest indices ``P`` and
-``Q`` reach ``P + Q``.  On the VM above, powers of elements with every basis
-function up to index ``P`` that reach index 24 took 4 to 8.4 s, and index 20
-at most 3.1 s."""
+``Q`` reach ``P + Q``.  On the VM above, on the factored route, powers of
+elements with every basis function up to index ``P`` (the sum of the
+``f_{p,q}`` with ``p, q <= P``, caches cleared) that reach index 24 took
+2.3 to 5.1 s (P = 3, 4, 6, 8, 12), index 20 0.9 to 1.6 s (P = 4, 5, 10) and
+index 28 6.6 to 11.7 s (P = 4, 7, 14)."""
 
 MAX_POWER_MODES = 2_000
 """Largest number of modes a star power or product of Fourier sums may

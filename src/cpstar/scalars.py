@@ -25,7 +25,6 @@ Key = TypeVar("Key", bound=Hashable)
 __all__ = [
     "Fraction",
     "GaussRational",
-    "format_rational",
     "parse_rational",
     "to_gauss",
 ]
@@ -168,12 +167,6 @@ def _check_digits(value: int) -> None:
         digits = _decimal_digits(value)
         if digits > limit:
             raise ValueError(f"result has a number of {digits} digits, over the limit of {limit}")
-
-
-def format_rational(value: RationalLike) -> str:
-    """Render a rational as ``p/q``, omitting ``/q`` when the denominator is 1."""
-    value = Fraction(value)
-    return _format_ratio(value.numerator, value.denominator)
 
 
 def _format_ratio(num: int, den: int) -> str:

@@ -10,7 +10,17 @@ finite sum
 where ``C_r`` is the contraction operator of :func:`cpstar.symbols.wick_contraction`
 and ``nu^(k)`` the nu-Pochhammer product.  Because the coefficients are
 rational functions of the deformation parameter, products of plain symbols are
-returned term by term (:class:`StarProductTerms`).
+returned term by term (:class:`StarProductTerms`).  Since k + l - r >=
+max(k, l), ``nu^(max(k,l))`` cancels from ``nu^(k+l-r)``, and each
+coefficient reduces to
+
+    nu^r / r! * prod_{max(k,l) <= j < k+l-r} (1 - j nu)
+              / prod_{1 <= j < min(k,l)} (1 - j nu),
+
+over ``nu^(min(k,l))`` alone.  So the poles of f * g lie in
+{1/j : 1 <= j < min(k, l)}, and its power series in nu converges for
+|nu| < 1/(min(k, l) - 1), for every nu when min(k, l) <= 1: the finite
+radius behind the convergence result of Cahen, Gutt and Rawnsley (1990).
 
 Clearing denominators leads to the filtered subalgebra whose level-``k``
 elements are
@@ -55,7 +65,7 @@ from math import factorial, lcm
 from typing import Mapping, Optional, Sequence
 
 from .multiindex import _unranked
-from .nupoly import NuPolynomial, NuRationalFunction, _pochhammer_js, _weight_ints, nu_pochhammer
+from .nupoly import NuPolynomial, NuRationalFunction, _union, _weight_ints, nu_pochhammer
 from .scalars import ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
@@ -137,25 +147,44 @@ class StarProductTerms:
         )
 
     def nrf_map(self, degree: Optional[int] = None) -> dict:
-        """Entry-wise rational functions of nu at a common embedded degree.
+        """Entry-wise rational functions of nu at a common embedded degree
+        ``degree >= k + l`` (default ``k + l``).
 
-        One integer pass, reduced once per entry.  Every term's coefficient
-        lies over ``nu^(k) nu^(l)``, the product of ``1 - j nu`` over ``js``;
-        its numerator over that product is cleared to Gaussian integers
-        over ``D_t``, and the term's embedded tensor is read as its cells
-        over ``den_t``.  Each entry sums the products of the two over the lcm
-        ``D`` of every ``D_t den_t``, and ``NuRationalFunction._from_ints``
-        reduces the sum over ``D mult(I) mult(J)`` and ``js`` once.
+        One integer pass, reduced once per entry.  The entries lie over the
+        union ``js`` of the terms' own reduced factors ``1 - j nu``.  For a
+        product of :func:`star_symbols` that is ``nu^(min(k, l))``, since
+        ``nu^(max(k, l))`` cancels from the ``nu^(k+l-t)`` of each
+        coefficient ``nu^t/t! nu^(k+l-t)/(nu^(k) nu^(l))``: the poles lie
+        in {1/j : 1 <= j < min(k, l)}, and the power series of every entry
+        converges for |nu| < 1/(min(k, l) - 1).  Each coefficient's
+        numerator over ``js`` is cleared to Gaussian integers over ``D_t``,
+        and each term's cells over ``den_t`` are multiplied by x up to
+        ``degree``, unnormalised.  Each entry sums the products of the two
+        over the lcm ``D`` of every ``D_t den_t``, and
+        ``NuRationalFunction._from_ints`` reduces the sum over ``D mult(I)
+        mult(J)`` and ``js`` once.
         """
+        n, top = self.n, self.k + self.l
         if degree is None:
-            degree = self.k + self.l
-        js = tuple(sorted(_pochhammer_js(self.k) + _pochhammer_js(self.l)))  # the factors of nu^(k) nu^(l)
+            degree = top
+        elif degree < top:
+            raise ValueError(f"nrf_map needs a degree of at least k + l = {top}, got {degree}")
+        js: tuple[int, ...] = ()
+        for term in self.terms:
+            own = term.coefficient.js
+            if own != js:
+                js = _union(js, own)
         parts = []
         for term in self.terms:
-            tensor = embed(term.tensor, degree - term.tensor.k)
-            if tensor:
+            tensor = term.tensor
+            if tensor.cells and term.coefficient:
+                if tensor.k > degree:
+                    raise ValueError(f"nrf_map needs a degree of at least {tensor.k}, got {degree}")
+                cells = tensor.cells
+                for k in range(tensor.k, degree):
+                    cells = _times_x(n, k, cells)
                 den, nums = term.coefficient._numerator_ints(js)
-                parts.append((den * tensor.den, nums, tensor.cells))
+                parts.append((den * tensor.den, nums, cells))
         den = lcm(*(d for d, _, _ in parts))
         width = max((len(nums) for _, nums, _ in parts), default=0)
         sums: dict = {}
@@ -170,7 +199,7 @@ class StarProductTerms:
                     cell = acc[m]
                     cell[0] += n_re * c_re - n_im * c_im
                     cell[1] += n_re * c_im + n_im * c_re
-        unranked = _unranked(self.n, degree)
+        unranked = _unranked(n, degree)
         out = {}
         for key, acc in sums.items():
             left, right, weight = unranked[key]

@@ -34,7 +34,7 @@ from cpstar.nupoly import (
 from cpstar.randgen import random_scalar, random_symbol
 from cpstar.scalars import GAUSS_ZERO, GaussRational
 from cpstar.star import StarProductTerms, StarTerm, star_commutator, star_symbols
-from cpstar.symbols import embed
+from cpstar.symbols import SymbolTensor, embed
 
 from nu_helpers import euclid, expanded, linear, numerator_over, over_factors
 
@@ -47,7 +47,9 @@ def assert_same(value: NuRationalFunction, expected: NuRationalFunction) -> None
 
 def reference_nrf_map(terms: StarProductTerms, degree: int) -> dict:
     """Coefficient numerators times the ``entries`` view, summed entry by
-    entry in ``GaussRational`` arithmetic over ``nu^(k) nu^(l)``."""
+    entry in ``GaussRational`` arithmetic over the full ``nu^(k) nu^(l)``,
+    not the union of the coefficients' own factors that ``nrf_map`` sums
+    over, with each tensor raised by ``embed``."""
     js = (*range(1, terms.k), *range(1, terms.l))
     numerators = [numerator_over(term.coefficient, js).coeffs for term in terms]
     width = max(map(len, numerators), default=0)
@@ -83,6 +85,17 @@ def test_nrf_map_matches_the_gauss_rational_sum():
         g = random_symbol(rng, n, l, density=0.5)
         for terms in (star_symbols(f, g), star_commutator(f, g)):
             assert_nrf_map_matches(terms, k + l + rng.randint(0, 1))
+    # min(k, l) >= 3, where nu^(max(k, l)) is the most that cancels, at degrees past k + l + 1
+    for n, k, l, extra in [(1, 3, 3, 2), (1, 4, 3, 3), (2, 3, 3, 2), (1, 3, 5, 4)]:
+        f = random_symbol(rng, n, k, density=0.5)
+        g = random_symbol(rng, n, l, density=0.5)
+        for terms in (star_symbols(f, g), star_commutator(f, g)):
+            assert assert_nrf_map_matches(terms, k + l + extra)
+        # the commutator's term tensors cancel
+        assert assert_nrf_map_matches(star_commutator(f, f), k + l + extra) == {}
+        # an all-zero product
+        zero = star_symbols(f, SymbolTensor.zero(n, l))
+        assert zero.is_zero() and assert_nrf_map_matches(zero, k + l + extra) == {}
 
 
 def test_nrf_map_with_a_complex_coefficient():
@@ -98,6 +111,8 @@ def test_nrf_map_with_a_complex_coefficient():
     result = assert_nrf_map_matches(built, 3)
     assert any(not c.is_real for value in result.values() for c in value.num.coeffs)
     assert_nrf_map_matches(built, 4)
+    # the extra factor first: the sum runs over the union of every term's factors
+    assert StarProductTerms(2, 2, 1, [extra, twisted, *terms[1:]]).nrf_map(3) == result
 
 
 def test_nrf_map_entries_that_cancel_to_zero():

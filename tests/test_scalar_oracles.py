@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpstar.scalars import GaussRational, format_rational
+from cpstar.scalars import GaussRational, _format_ratio
+
+
+def format_rational(value) -> str:
+    """Render an int or ``Fraction`` as ``p/q``, omitting ``/q`` when the
+    denominator is 1: the number format of the JSON output on one rational."""
+    value = Fraction(value)
+    return _format_ratio(value.numerator, value.denominator)
 
 
 class FractionPairGauss:

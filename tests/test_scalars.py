@@ -13,10 +13,11 @@ from cpstar.scalars import (
     GAUSS_ZERO,
     GaussRational,
     _rational_parts,
-    format_rational,
     parse_rational,
     to_gauss,
 )
+
+from test_scalar_oracles import format_rational
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12

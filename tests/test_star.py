@@ -13,6 +13,8 @@ from cpstar.scalars import GaussRational
 from cpstar.star import (
     RawNuSeries,
     StarElement,
+    StarProductTerms,
+    StarTerm,
     check_power_closed_form,
     check_strong_invariance,
     extract_structure,
@@ -171,6 +173,20 @@ def test_embedding_independence_of_symbol_star():
         direct = star_symbols(f, gg).nrf_map(degree)
         grown = star_symbols(embed(f), embed(gg)).nrf_map(degree)
         assert direct == grown
+
+
+def test_nrf_map_refuses_a_degree_under_k_plus_l():
+    rng = random.Random(12)
+    terms = star_symbols(random_symbol(rng, 1, 2, density=0.8), random_symbol(rng, 1, 2, density=0.8))
+    for degree in (3, -1):
+        with pytest.raises(ValueError, match=rf"k \+ l = 4, got {degree}"):
+            terms.nrf_map(degree)
+    assert terms.nrf_map(4) == terms.nrf_map()
+    # a hand-built term above the requested degree
+    tensor = SymbolTensor.basis_entry(1, 3, (0, 0, 1), (0, 1, 1))
+    built = StarProductTerms(1, 1, 1, [StarTerm(0, NuRationalFunction.constant(1), tensor)])
+    with pytest.raises(ValueError, match="at least 3, got 2"):
+        built.nrf_map(2)
 
 
 # -- raw series --------------------------------------------------------

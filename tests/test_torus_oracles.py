@@ -38,8 +38,10 @@ from cpstar.models.torus import (
     torus_quotient,
 )
 from cpstar.randgen import random_fourier
-from cpstar.scalars import format_rational, parse_rational
+from cpstar.scalars import parse_rational
 from cpstar.serialize import canonical_dumps, fourier_from_json, fourier_to_json
+
+from test_scalar_oracles import format_rational
 
 SYMPLECTIC = [[0, 1], [-1, 0]]
 BLOCK = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 1]]

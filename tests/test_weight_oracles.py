@@ -89,6 +89,15 @@ def test_star_coefficient_matches_the_polynomial_numerator():
     assert cancelled > 100  # most weights lose factors to the numerator
 
 
+def test_star_coefficient_lies_over_the_lesser_pochhammer_product():
+    # k + l - t >= max(k, l), so nu^(max(k, l)) cancels from nu^(k+l-t) and
+    # no other factor does: every term of f * g lies over nu^(min(k, l))
+    for k in range(9):
+        for l in range(9):
+            for t in range(min(k, l) + 1):
+                assert _star_coefficient(k, l, t).js == _pochhammer_js(min(k, l))
+
+
 def test_disk_coefficient_matches_the_polynomial_numerator():
     for q in range(8):
         for r in range(8):
