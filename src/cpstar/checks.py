@@ -20,7 +20,6 @@ from .models.radial import (
     validate_radial_recurrence,
 )
 from .models.torus import (
-    FourierSum,
     check_quotient_ideal,
     moyal_product,
     torus_quotient,

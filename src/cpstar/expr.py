@@ -54,7 +54,7 @@ from .models.torus import FourierSum, moyal_product, torus_quotient
 from .nupoly import NU, NU_ONE, NuRationalFunction
 from .quotient import QuotientOperator, quotient_map, substitute
 from .scalars import GaussRational, _digit_limit
-from .star import StarElement, star_elements
+from .star import StarElement, _combined, star_elements
 from .symbols import SymbolTensor, pointwise_mul, symbol_of_matrix
 
 __all__ = [
@@ -467,11 +467,10 @@ def _scale(scalar: Value, value: Value) -> Value:
             return value.scale(scalar)
         if scalar.den != NU_ONE:
             raise EvalError("only polynomial-in-nu multiples act on filtered elements")
-        out = StarElement.zero(value.n)
-        for j, coeff in enumerate(scalar.num.coeffs):
-            if coeff:
-                out = out + value.nu_shift(j).scale(coeff)
-        return out
+        coeffs = scalar.num.coeffs
+        if not coeffs:
+            return StarElement.zero(value.n)
+        return _combined(value.n, value.level + len(coeffs) - 1, [(value.nu_shift(j), c) for j, c in enumerate(coeffs)])
     if isinstance(value, DiskElement):
         return value.scale(scalar)
     if isinstance(value, FourierSum):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from .linalg import matrix_rank
 from .multiindex import sorted_tuples
@@ -50,6 +50,7 @@ from .symbols import (
     operator_product,
     reduce_to_min,
     symbol_of_matrix,
+    wick_contraction,
 )
 
 __all__ = [
@@ -229,9 +230,11 @@ class QuotientOperator:
         return self.tensor.n
 
     def compose(self, other: "QuotientOperator") -> "QuotientOperator":
+        """The operator product: the order-K Wick contraction over (K!)^2."""
         if self.K != other.K or self.n != other.n:
             raise ValueError("operators from different quotients")
-        return QuotientOperator(self.K, operator_product(self.tensor, other.tensor))
+        product = wick_contraction(self.tensor, other.tensor, self.K)
+        return QuotientOperator(self.K, product.scale(Fraction(1, factorial(self.K) ** 2)))
 
     def is_identity(self) -> bool:
         return self.tensor == identity_symbol(self.n, self.K)

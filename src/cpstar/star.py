@@ -46,15 +46,17 @@ zbar^P z^Q, over additive monomial codes: one digit of s bits per letter
 the factors use and index group, so the output code of a term is the sum
 of two codes.
 
-Elements are kept in this component basis.  Every sum of elements, ``+``,
-``-``, raising the level (:meth:`StarElement.relevel`) and the
+Elements are kept in this component basis.  Every linear combination of
+elements, ``+``, ``-``, scaling, raising the level
+(:meth:`StarElement.relevel`), a nu-polynomial multiple in ``eval`` and the
 reconstruction of an ideal factorisation, is one call of ``_combined``,
 which raises each part with nu^(r+1) = (1 - r nu) nu^(r) and builds each
 output degree once; finding the least level (:meth:`StarElement.minimized`)
 inverts it one level at a time.  Expansion into a raw power series in nu
 (:class:`RawNuSeries`) and the converse structure extraction
 (:func:`extract_structure`) are the plain-series view of the same elements,
-used for the ``series`` wire type and as an independent reference.
+used for the ``series`` wire type and as an independent reference; every
+sum of series is one call of ``_series``, one ``_linear`` per power of nu.
 """
 
 from __future__ import annotations
@@ -62,14 +64,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .multiindex import _unranked
-from .nupoly import NuPolynomial, NuRationalFunction, _union, _weight_ints, nu_pochhammer
+from .nupoly import NuPolynomial, NuRationalFunction, _linear_ints, _pochhammer_js, _union, _weight_ints
 from .scalars import ScalarLike, to_gauss
 from .symbols import (
     SymbolTensor,
     _add_scaled,
+    _coefficient_ints,
     _linear,
     _times_x,
     _wick_sums,
@@ -357,10 +360,6 @@ class RawNuSeries:
                     raise ValueError("negative nu power")
                 self.powers[power] = tensor
 
-    @classmethod
-    def zero(cls, n: int, degree: int) -> "RawNuSeries":
-        return cls(n, degree)
-
     def is_zero(self) -> bool:
         return not self.powers
 
@@ -375,26 +374,22 @@ class RawNuSeries:
     def coefficient(self, power: int) -> SymbolTensor:
         return self.powers.get(power, SymbolTensor.zero(self.n, self.degree))
 
-    def _check_same_shape(self, other: "RawNuSeries") -> None:
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("series shapes differ")
-
     def __add__(self, other: "RawNuSeries") -> "RawNuSeries":
-        self._check_same_shape(other)
-        powers = dict(self.powers)
-        for power, tensor in other.powers.items():
-            total = powers.get(power)
-            powers[power] = tensor if total is None else total + tensor
-        return RawNuSeries(self.n, self.degree, powers)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "RawNuSeries") -> "RawNuSeries":
-        self._check_same_shape(other)
-        return self + other.scale(-1)
+        return self._plus(other, -1)
+
+    def _plus(self, other: object, sign: int) -> "RawNuSeries":
+        if not isinstance(other, RawNuSeries):
+            return NotImplemented
+        if self.n != other.n or self.degree != other.degree:
+            raise ValueError("series shapes differ")
+        parts = [(p, t, 1) for p, t in self.powers.items()] + [(p, t, sign) for p, t in other.powers.items()]
+        return _series(self.n, self.degree, parts)
 
     def scale(self, factor: ScalarLike) -> "RawNuSeries":
-        return RawNuSeries(
-            self.n, self.degree, {p: t.scale(factor) for p, t in self.powers.items()}
-        )
+        return _series(self.n, self.degree, [(p, t, factor) for p, t in self.powers.items()])
 
     def embed_to(self, degree: int) -> "RawNuSeries":
         if degree < self.degree:
@@ -406,22 +401,23 @@ class RawNuSeries:
         )
 
     def times_nupoly(self, poly: NuPolynomial) -> "RawNuSeries":
-        out: dict[int, SymbolTensor] = {}
-        for power, tensor in self.powers.items():
-            for j, c in enumerate(poly.coeffs):
-                if not c:
-                    continue
-                key = power + j
-                contrib = tensor.scale(c)
-                current = out.get(key)
-                out[key] = contrib if current is None else current + contrib
-        return RawNuSeries(self.n, self.degree, out)
+        parts = [(p + j, t, c) for p, t in self.powers.items() for j, c in enumerate(poly.coeffs)]
+        return _series(self.n, self.degree, parts)
 
     def shift_down(self) -> "RawNuSeries":
         """Divide by nu; requires a vanishing constant coefficient."""
         if 0 in self.powers:
             raise ValueError("series is not divisible by nu")
         return RawNuSeries(self.n, self.degree, {p - 1: t for p, t in self.powers.items()})
+
+
+def _series(n: int, degree: int, parts: Iterable[tuple[int, SymbolTensor, ScalarLike]]) -> RawNuSeries:
+    """The series sum of ``c nu^p T`` over the ``parts`` ``(p, T, c)``, degree-``degree``
+    tensors on CP^n: one :func:`cpstar.symbols._linear` call per power of nu."""
+    grouped: dict[int, list] = {}
+    for power, tensor, c in parts:
+        grouped.setdefault(power, []).append((tensor, c))
+    return RawNuSeries(n, degree, {power: _linear(n, degree, terms) for power, terms in grouped.items()})
 
 
 def _relevel_weights(r: int, m: int) -> list[int]:
@@ -438,30 +434,30 @@ def _relevel_weights(r: int, m: int) -> list[int]:
     return out
 
 
-def _combined(n: int, level: int, parts: Sequence[tuple["StarElement", int | Fraction]]) -> "StarElement":
+def _combined(n: int, level: int, parts: Sequence[tuple["StarElement", ScalarLike]]) -> "StarElement":
     """The sum of ``c E`` over the ``parts`` ``(E, c)``, elements over CP^n
-    of level at most ``level`` with int or ``Fraction`` coefficients, at
-    ``level``.
+    of level at most ``level`` with coefficients ``c = (p + q i) / m`` (int,
+    ``Fraction`` or ``GaussRational``), at ``level``.
 
     Raising a level by one turns phi_r into x phi_r at degree r + 1 plus
     r phi_r at degree r, as nu^(r+1) = (1 - r nu) nu^(r), so m steps send
     x^j phi_r to degree r + j with weight h_{m-j}(r, r+1, ..., r+j)
-    (:func:`_relevel_weights`).  Every part's components add up on int
-    cells over the lcm of their ``den c.denominator``, and each output
+    (:func:`_relevel_weights`).  Every part's components add up ``p + q i``
+    times their int cells over the lcm of their ``den m``, and each output
     degree is normalised once."""
-    parts = [(element, c) for element, c in parts if c]
-    den = lcm(*(tensor.den * c.denominator for element, c in parts for tensor in element.components.values()))
+    parts = [(element, _coefficient_ints(c)) for element, c in parts if c]
+    den = lcm(*(tensor.den * m for element, (_, _, m) in parts for tensor in element.components.values()))
     sums: dict[int, dict] = {}
-    for element, c in parts:
-        m = level - element.level
+    for element, (p, q, m) in parts:
+        raised = level - element.level
         for r, tensor in element.components.items():
-            scale = c.numerator * (den // (tensor.den * c.denominator))
+            scale = den // (tensor.den * m)
             cells = tensor.cells
-            for j, weight in enumerate(_relevel_weights(r, m)):
+            for j, weight in enumerate(_relevel_weights(r, raised)):
                 if j:
                     cells = _times_x(n, r + j - 1, cells)
                 if weight:
-                    _add_scaled(sums.setdefault(r + j, {}), cells, weight * scale)
+                    _add_scaled(sums.setdefault(r + j, {}), cells, weight * scale * p, weight * scale * q)
     # StarElement drops the components whose entries all cancel
     return StarElement(
         n, level, {degree: SymbolTensor._from_cells(n, degree, den, cells) for degree, cells in sums.items()}
@@ -534,9 +530,8 @@ class StarElement:
     # -- linear structure ---------------------------------------------
 
     def scale(self, factor: ScalarLike) -> "StarElement":
-        return StarElement(
-            self.n, self.level, {r: t.scale(factor) for r, t in self.components.items()}
-        )
+        """Multiply by a coefficient at the same level: the one-part sum of :func:`_combined`."""
+        return _combined(self.n, self.level, ((self, factor),))
 
     def nu_shift(self, j: int = 1) -> "StarElement":
         """Multiply by nu**j: same components, level raised by j."""
@@ -557,7 +552,7 @@ class StarElement:
         return self._plus(other, 1)
 
     def __neg__(self) -> "StarElement":
-        return StarElement(self.n, self.level, {r: -t for r, t in self.components.items()})
+        return _combined(self.n, self.level, ((self, -1),))
 
     def __sub__(self, other: "StarElement") -> "StarElement":
         return self._plus(other, -1)
@@ -573,13 +568,12 @@ class StarElement:
     # -- expansion and canonical form ---------------------------------
 
     def expand(self) -> RawNuSeries:
-        """Raw nu-power series at the element's level."""
-        series = RawNuSeries.zero(self.n, self.level)
+        """Raw nu-power series at the element's level, in one :func:`_series` sum."""
+        parts = []
         for r, tensor in self.components.items():
-            weight = nu_pochhammer(r).shift(self.level - r)
             embedded = embed(tensor, self.level - r)
-            series = series + RawNuSeries(self.n, self.level, {0: embedded}).times_nupoly(weight)
-        return series
+            parts += [(self.level - r + j, embedded, c) for j, c in enumerate(_linear_ints(_pochhammer_js(r)))]
+        return _series(self.n, self.level, parts)
 
     def minimized(self) -> "StarElement":
         """Canonical representative with the least possible level.
@@ -664,9 +658,10 @@ def extract_structure(series: RawNuSeries, level: int) -> Optional[StarElement]:
         component = embed(minimal, m - minimal.k)
         if not component.is_zero():
             components[m] = component
-            weight = nu_pochhammer(m)
-            subtract = RawNuSeries(series.n, degree, {0: embed(component, degree - m)}).times_nupoly(weight)
-            current = current - subtract
+            embedded = embed(component, degree - m)
+            parts = [(p, t, 1) for p, t in current.powers.items()]
+            parts += [(j, embedded, -c) for j, c in enumerate(_linear_ints(_pochhammer_js(m)))]
+            current = _series(series.n, degree, parts)
         if m == 0:
             if not current.is_zero():
                 return None

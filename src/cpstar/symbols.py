@@ -21,14 +21,14 @@ are in the order the JSON lists them.  Every operation reads and writes the
 cells with int arithmetic and builds its result through one normalising
 constructor, ``SymbolTensor._from_cells``:
 
-* ``_linear``, the sum of int or ``Fraction`` multiples of tensors in
-  one accumulator, behind ``+``, ``-`` and the linear steps of
+* ``_linear``, the sum of int, ``Fraction`` and ``GaussRational``
+  multiples of tensors in one accumulator, behind ``+``, ``-``, negation,
+  :meth:`SymbolTensor.scale` (the one public scaling), the sums of
+  :class:`cpstar.star.RawNuSeries` and the linear steps of
   :meth:`cpstar.star.StarElement.minimized` and
   :func:`cpstar.quotient.ideal_factorize`;
-* negation, :meth:`SymbolTensor.scale` (the one Gaussian-rational
-  scaling) and :meth:`SymbolTensor.conjugate_swap`;
-* :func:`embed` (multiplication of sigma_tilde by x) and
-  :func:`reduce_degree` (exact division by x);
+* :meth:`SymbolTensor.conjugate_swap`, :func:`embed` (multiplication of
+  sigma_tilde by x) and :func:`reduce_degree` (exact division by x);
 * :func:`wick_contraction`, the degree-lowering contraction operator, and
   :func:`pointwise_mul`, its order 0.  Both are parts of one kernel,
   ``_wick_sums``, which :func:`cpstar.star.star_elements` and
@@ -88,7 +88,6 @@ independent reference for the full contraction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import chain, product as iter_product
@@ -326,18 +325,12 @@ class SymbolTensor:
         return _linear(self.n, self.k, ((self, 1), (other, -1)))
 
     def __neg__(self) -> "SymbolTensor":
-        cells = {key: (-re, -im) for key, (re, im) in self.cells.items()}
-        return SymbolTensor._from_cells(self.n, self.k, self.den, cells)
+        return _linear(self.n, self.k, ((self, -1),))
 
     def scale(self, factor: ScalarLike) -> "SymbolTensor":
-        """Multiply by ``factor = (p + q i) / m`` as the Gaussian integer
-        ``p + q i`` over the denominator ``den * m``."""
-        if isinstance(factor, GaussRational):
-            p, q, m = factor._ints()
-        else:
-            p, q, m = factor.numerator, 0, factor.denominator
-        cells = {key: (a * p - b * q, a * q + b * p) for key, (a, b) in self.cells.items()}
-        return SymbolTensor._from_cells(self.n, self.k, self.den * m, cells)
+        """Multiply by an int, ``Fraction`` or ``GaussRational``: the
+        one-term sum of ``_linear``."""
+        return _linear(self.n, self.k, ((self, factor),))
 
     def conjugate_swap(self) -> "SymbolTensor":
         """Tensor of the complex-conjugated symbol (swap index groups, conjugate)."""
@@ -449,31 +442,41 @@ def _times_x(n: int, k: int, cells: Mapping[int, Sequence[int]]) -> dict[int, li
     return grown
 
 
-def _add_scaled(accum: dict[int, list[int]], cells: Mapping[int, Sequence[int]], factor: int) -> None:
-    """Add ``factor`` times the int cells ``cells`` into ``accum`` in place."""
+def _coefficient_ints(c: ScalarLike) -> tuple[int, int, int]:
+    """An int, ``Fraction`` or ``GaussRational`` as the ints ``(p, q, m)`` of ``(p + q i) / m``."""
+    if isinstance(c, GaussRational):
+        return c._ints()
+    return c.numerator, 0, c.denominator
+
+
+def _add_scaled(accum: dict[int, list[int]], cells: Mapping[int, Sequence[int]], p: int, q: int = 0) -> None:
+    """Add the Gaussian integer ``p + q i`` times the int cells ``cells`` into
+    ``accum`` in place; a complex factor is multiplied out first."""
+    if q:
+        cells, p = {key: (a * p - b * q, a * q + b * p) for key, (a, b) in cells.items()}, 1
     for key, (c_re, c_im) in cells.items():
         cell = accum.get(key)
         if cell is None:
-            accum[key] = [c_re * factor, c_im * factor]
+            accum[key] = [c_re * p, c_im * p]
         else:
-            cell[0] += c_re * factor
-            cell[1] += c_im * factor
+            cell[0] += c_re * p
+            cell[1] += c_im * p
 
 
-def _linear(n: int, k: int, terms: Iterable[tuple[SymbolTensor, int | Fraction]]) -> SymbolTensor:
+def _linear(n: int, k: int, terms: Iterable[tuple[SymbolTensor, ScalarLike]]) -> SymbolTensor:
     """The sum of ``c T`` over the ``terms`` ``(T, c)``, degree-``k``
-    tensors on CP^n with int or ``Fraction`` coefficients.
-
-    Every term adds into one accumulator over the lcm of its ``T.den
-    c.denominator``, normalised once; a lone term with coefficient 1 is
-    returned as it is."""
-    terms = [(tensor, c) for tensor, c in terms if c and tensor.cells]
-    if len(terms) == 1 and terms[0][1] == 1:
+    tensors on CP^n with int, ``Fraction`` or ``GaussRational``
+    coefficients ``c = (p + q i) / m``: ``p + q i`` times the cells of every
+    term add into one accumulator over the lcm of their ``T.den m``,
+    normalised once.  A lone term with coefficient 1 is returned as it is."""
+    terms = [(tensor, _coefficient_ints(c)) for tensor, c in terms if c and tensor.cells]
+    if len(terms) == 1 and terms[0][1] == (1, 0, 1):
         return terms[0][0]
-    den = lcm(*(tensor.den * c.denominator for tensor, c in terms))
+    den = lcm(*(tensor.den * m for tensor, (_, _, m) in terms))
     accum: dict[int, list[int]] = {}
-    for tensor, c in terms:
-        _add_scaled(accum, tensor.cells, c.numerator * (den // (tensor.den * c.denominator)))
+    for tensor, (p, q, m) in terms:
+        scale = den // (tensor.den * m)
+        _add_scaled(accum, tensor.cells, p * scale, q * scale)
     return SymbolTensor._from_cells(n, k, den, accum)
 
 

@@ -1,17 +1,23 @@
-"""Linear combinations of symbol tensors and filtered elements against the
-paths they replaced.
+"""Linear combinations of symbol tensors, raw series and filtered elements
+against the paths they replaced.
 
-Every sum of tensors goes through ``symbols._linear`` and every sum of
-elements through ``star._combined``: one accumulator over one common
-denominator, normalised once per output degree.  The oracles here are the
-paths those replaced, kept on purpose: ``SymbolTensor.__add__`` with its
-own accumulation and ``-`` through a negated copy, the one-pass
-``relevel``, ``StarElement.__add__`` as relevel-then-add per component,
-and ``minimized``, ``ideal_factorize`` and ``reconstruction`` as chains of
-``scale``, ``-`` and ``+``.  They are compared at ``==`` (cells and
-denominators) on elements with fractional Gaussian entries, unequal levels
-and sums that cancel to empty components, and the factorisations at a
-generic alpha and at 1/K.
+Every sum, scaling and negation of tensors goes through ``symbols._linear``,
+every sum of raw series through ``star._series`` (one ``_linear`` per power
+of nu), and every sum, scaling and negation of elements through
+``star._combined``: one accumulator over one common denominator, normalised
+once per output degree, with int, ``Fraction`` or ``GaussRational``
+coefficients.  The oracles here are the paths those replaced, kept on
+purpose: ``SymbolTensor.scale`` and ``-`` as comprehensions over the cells,
+``SymbolTensor.__add__`` with its own accumulation, the one-pass
+``relevel``, ``StarElement.scale`` and ``-`` per component,
+``StarElement.__add__`` as relevel-then-add per component, the
+``RawNuSeries`` merge loop and ``times_nupoly`` chain, ``expand`` as a
+chain of series sums, a nu-polynomial multiple in ``eval`` as a chain of
+element sums, and ``minimized``, ``ideal_factorize`` and
+``reconstruction`` as chains of ``scale``, ``-`` and ``+``.  They are
+compared at ``==`` (cells and denominators) on fractional Gaussian entries
+and coefficients, unequal levels and sums that cancel to empty powers and
+components, and the factorisations at a generic alpha and at 1/K.
 """
 
 from fractions import Fraction
@@ -21,13 +27,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpstar.expr import _scale
 from cpstar.multiindex import sorted_tuples
+from cpstar.nupoly import NuPolynomial, NuRationalFunction, nu_pochhammer
 from cpstar.quotient import IdealFactorization, NotInIdealError, ideal_factorize
 from cpstar.scalars import GaussRational
-from cpstar.star import StarElement, _combined, _relevel_weights
+from cpstar.star import RawNuSeries, StarElement, _combined, _relevel_weights, extract_structure
 from cpstar.symbols import SymbolTensor, _add_scaled, _linear, _times_x, embed, reduce_degree
 
 # -- the replaced paths -------------------------------------------------------
+
+
+def tensor_scale_oracle(tensor, factor):
+    """``factor = (p + q i) / m`` times the cells, over ``den * m``."""
+    if isinstance(factor, GaussRational):
+        p, q, m = factor._ints()
+    else:
+        p, q, m = factor.numerator, 0, factor.denominator
+    cells = {key: (a * p - b * q, a * q + b * p) for key, (a, b) in tensor.cells.items()}
+    return SymbolTensor._from_cells(tensor.n, tensor.k, tensor.den * m, cells)
+
+
+def tensor_neg_oracle(tensor):
+    cells = {key: (-re, -im) for key, (re, im) in tensor.cells.items()}
+    return SymbolTensor._from_cells(tensor.n, tensor.k, tensor.den, cells)
 
 
 def tensor_add_oracle(a, b):
@@ -44,7 +67,7 @@ def tensor_add_oracle(a, b):
 
 def tensor_sub_oracle(a, b):
     """``a - b`` as ``a + (-b)``."""
-    return tensor_add_oracle(a, -b)
+    return tensor_add_oracle(a, tensor_neg_oracle(b))
 
 
 def relevel_oracle(element, new_level):
@@ -83,8 +106,70 @@ def element_add_oracle(a, b):
     return StarElement(a.n, level, components)
 
 
+def element_scale_oracle(element, factor):
+    return StarElement(
+        element.n, element.level, {r: tensor_scale_oracle(t, factor) for r, t in element.components.items()}
+    )
+
+
+def element_neg_oracle(element):
+    return StarElement(element.n, element.level, {r: tensor_neg_oracle(t) for r, t in element.components.items()})
+
+
 def element_sub_oracle(a, b):
-    return element_add_oracle(a, -b)
+    return element_add_oracle(a, element_neg_oracle(b))
+
+
+def nu_multiple_oracle(coeffs, element):
+    """A nu-polynomial multiple in ``eval``: a chain of element sums from
+    the zero element."""
+    out = StarElement.zero(element.n)
+    for j, c in enumerate(coeffs):
+        if c:
+            out = element_add_oracle(out, element_scale_oracle(element.nu_shift(j), c))
+    return out
+
+
+def series_add_oracle(a, b):
+    """The merge loop: ``+`` per power of nu."""
+    powers = dict(a.powers)
+    for power, tensor in b.powers.items():
+        total = powers.get(power)
+        powers[power] = tensor if total is None else tensor_add_oracle(total, tensor)
+    return RawNuSeries(a.n, a.degree, powers)
+
+
+def series_scale_oracle(series, factor):
+    return RawNuSeries(series.n, series.degree, {p: tensor_scale_oracle(t, factor) for p, t in series.powers.items()})
+
+
+def series_sub_oracle(a, b):
+    return series_add_oracle(a, series_scale_oracle(b, -1))
+
+
+def times_nupoly_oracle(series, poly):
+    """A chain of scaled tensors, one ``+`` per term."""
+    out = {}
+    for power, tensor in series.powers.items():
+        for j, c in enumerate(poly.coeffs):
+            if not c:
+                continue
+            key = power + j
+            contrib = tensor_scale_oracle(tensor, c)
+            current = out.get(key)
+            out[key] = contrib if current is None else tensor_add_oracle(current, contrib)
+    return RawNuSeries(series.n, series.degree, out)
+
+
+def expand_oracle(element):
+    """A chain of series sums, one per component, with the ``GaussRational``
+    coefficients of ``nu_pochhammer(r)`` shifted to the level."""
+    series = RawNuSeries(element.n, element.level)
+    for r, tensor in element.components.items():
+        weight = nu_pochhammer(r).shift(element.level - r)
+        embedded = embed(tensor, element.level - r)
+        series = series_add_oracle(series, times_nupoly_oracle(RawNuSeries(element.n, element.level, {0: embedded}), weight))
+    return series
 
 
 def minimized_oracle(element):
@@ -94,7 +179,7 @@ def minimized_oracle(element):
         lowered = {}
         above = SymbolTensor.zero(element.n, current.level)
         for r in range(current.level - 1, -1, -1):
-            phi = reduce_degree(tensor_sub_oracle(current.component(r + 1), above.scale(r + 1)))
+            phi = reduce_degree(tensor_sub_oracle(current.component(r + 1), tensor_scale_oracle(above, r + 1)))
             if phi is None:
                 return current
             if not phi.is_zero():
@@ -116,10 +201,10 @@ def ideal_factorize_oracle(element, alpha):
     cofactor = {}
     carry = SymbolTensor.zero(n, 0)
     for r in range(top):
-        c_r = tensor_add_oracle(element.component(r), carry).scale(Fraction(q, q - r * p))
+        c_r = tensor_scale_oracle(tensor_add_oracle(element.component(r), carry), Fraction(q, q - r * p))
         if not c_r.is_zero():
             cofactor[r] = c_r
-        carry = embed(c_r).scale(alpha)
+        carry = tensor_scale_oracle(embed(c_r), alpha)
     if not tensor_add_oracle(element.component(top), carry).is_zero():
         return None
     if not cofactor:
@@ -132,14 +217,15 @@ def reconstruction_oracle(factors):
     if factors.cofactor.is_zero():
         return factors.head
     shifted = factors.cofactor.nu_shift(1)
-    scaled = relevel_oracle(factors.cofactor, factors.cofactor.level + 1).scale(factors.alpha)
+    scaled = element_scale_oracle(relevel_oracle(factors.cofactor, factors.cofactor.level + 1), factors.alpha)
     return element_add_oracle(factors.head, element_sub_oracle(shifted, scaled))
 
 
 # -- inputs -------------------------------------------------------------------
 
 parts = st.fractions(min_value=-3, max_value=3, max_denominator=12)
-coefficients = st.one_of(st.integers(-3, 3), parts)
+gaussians = st.builds(GaussRational, parts, parts)
+coefficients = st.one_of(st.integers(-3, 3), parts, gaussians)
 
 
 @st.composite
@@ -164,7 +250,7 @@ def element_pairs(draw):
     first = draw(elements(n, draw(st.integers(0, 3))))
     level = first.level + draw(st.integers(0, 2))
     components = {}
-    for r, tensor in (-relevel_oracle(first, level)).components.items():
+    for r, tensor in element_neg_oracle(relevel_oracle(first, level)).components.items():
         choice = draw(st.sampled_from(["keep", "replace", "drop"]))
         if choice == "keep":
             components[r] = tensor
@@ -195,8 +281,18 @@ def test_linear_matches_chained_scale_and_add(data):
     terms = data.draw(st.lists(st.tuples(tensors(n, k), coefficients), max_size=4))
     expected = SymbolTensor.zero(n, k)
     for tensor, c in terms:
-        expected = tensor_add_oracle(expected, tensor.scale(Fraction(c)))
+        expected = tensor_add_oracle(expected, tensor_scale_oracle(tensor, c))
     assert _linear(n, k, terms) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_tensor_scale_and_negation_match_the_replaced_comprehensions(data):
+    n, k = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    a, c = data.draw(tensors(n, k)), data.draw(coefficients)
+    assert a.scale(c) == tensor_scale_oracle(a, c)
+    assert -a == tensor_neg_oracle(a)
+    assert a.scale(0) == SymbolTensor.zero(n, k) and a.scale(1) == a
 
 
 def test_linear_of_cancelling_terms_is_empty():
@@ -224,9 +320,28 @@ def test_element_sums_and_relevel_match_the_replaced_paths(pair, extra):
 def test_combined_matches_relevel_scale_and_add(pair, cs, extra):
     (a, b), level = pair, max(pair[0].level, pair[1].level) + extra
     expected = element_add_oracle(
-        relevel_oracle(a, level).scale(Fraction(cs[0])), relevel_oracle(b, level).scale(Fraction(cs[1]))
+        element_scale_oracle(relevel_oracle(a, level), cs[0]), element_scale_oracle(relevel_oracle(b, level), cs[1])
     )
     assert _combined(a.n, level, [(a, cs[0]), (b, cs[1])]) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_pairs(), coefficients)
+def test_element_scale_and_negation_match_the_replaced_comprehensions(pair, c):
+    a, _ = pair
+    assert a.scale(c) == element_scale_oracle(a, c)
+    assert -a == element_neg_oracle(a)
+    assert a.scale(0) == StarElement(a.n, a.level)  # the level is kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_pairs(), st.lists(coefficients, max_size=4))
+def test_nu_multiples_match_the_chained_sums(pair, coeffs):
+    a, _ = pair
+    scalar = NuRationalFunction(NuPolynomial(coeffs))
+    expected = nu_multiple_oracle(scalar.num.coeffs, a)
+    assert _scale(scalar, a) == expected
+    assert expected.level == (a.level + scalar.num.degree if scalar else 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,6 +350,51 @@ def test_minimized_matches_the_replaced_chain(pair, extra):
     a, b = pair
     for element in (a.relevel(a.level + extra), a + b, b.relevel(b.level + 1) - b):
         assert element.minimized() == minimized_oracle(element)
+
+
+# -- raw series -----------------------------------------------------------------
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series of one shape, the second built from minus the first with
+    some powers kept (so they cancel in the sum), some replaced and some
+    dropped."""
+    n, degree = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    first = RawNuSeries(n, degree, {p: draw(tensors(n, degree)) for p in range(4) if draw(st.booleans())})
+    powers = {}
+    for p, tensor in first.powers.items():
+        choice = draw(st.sampled_from(["keep", "replace", "drop"]))
+        if choice == "keep":
+            powers[p] = tensor_neg_oracle(tensor)
+        elif choice == "replace":
+            powers[p] = draw(tensors(n, degree))
+    if draw(st.booleans()):
+        powers[4] = draw(tensors(n, degree))
+    second = RawNuSeries(n, degree, powers)
+    return (second, first) if draw(st.booleans()) else (first, second)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs(), coefficients, st.lists(coefficients, max_size=4))
+def test_series_arithmetic_matches_the_replaced_loops(pair, c, coeffs):
+    a, b = pair
+    assert a + b == series_add_oracle(a, b)
+    assert a - b == series_sub_oracle(a, b)
+    assert (a - a).is_zero()
+    assert a.scale(c) == series_scale_oracle(a, c)
+    poly = NuPolynomial(coeffs)
+    assert a.times_nupoly(poly) == times_nupoly_oracle(a, poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_pairs())
+def test_expand_matches_the_chained_series_sums(pair):
+    for element in (*pair, pair[0] + pair[1]):
+        series = element.expand()
+        assert series == expand_oracle(element)
+        recovered = extract_structure(series, element.level)
+        assert recovered == (element if element.components else StarElement.zero(element.n))
 
 
 # -- ideal factorisation ------------------------------------------------------
@@ -259,7 +419,7 @@ def test_ideal_factorize_and_reconstruction_match_the_replaced_chains(n, level, 
     cofactor = data.draw(elements(n, level))
     for alpha in ALPHAS:
         times_nu_minus_alpha = element_sub_oracle(
-            cofactor.nu_shift(1), relevel_oracle(cofactor, level + 1).scale(alpha)
+            cofactor.nu_shift(1), element_scale_oracle(relevel_oracle(cofactor, level + 1), alpha)
         )
         _check_factorization(times_nu_minus_alpha, alpha)
         _check_factorization(cofactor, alpha)

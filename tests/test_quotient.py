@@ -20,12 +20,14 @@ from cpstar.quotient import (
     substitute,
     unitary_generators,
 )
+from cpstar.multiindex import sorted_tuples
 from cpstar.randgen import random_element, random_symbol
 from cpstar.scalars import GaussRational
 from cpstar.star import StarElement, star_elements
 from cpstar.symbols import (
     SymbolTensor,
     identity_symbol,
+    operator_product,
     reduce_to_min,
     symbol_of_matrix,
 )
@@ -184,6 +186,30 @@ def test_quotient_map_unit_and_multiplicativity():
         b = random_element(rng, n, 1, density=0.7)
         image = quotient_map(star_elements(a, b), K)
         assert image == quotient_map(a, K).compose(quotient_map(b, K))
+
+
+def _gaussian_symbol(rng, n, k):
+    """A degree-k symbol with fractional Gaussian entries in about half the slots."""
+    slots = [(i, j) for i in sorted_tuples(n, k) for j in sorted_tuples(n, k)]
+    return SymbolTensor(
+        n,
+        k,
+        {
+            key: g(Fraction(rng.randint(-4, 4), rng.randint(1, 6)), Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
+            for key in slots
+            if rng.random() < 0.5
+        },
+    )
+
+
+def test_compose_matches_the_operator_product():
+    rng = random.Random(12)
+    for n in range(3):
+        for K in range(1, 4):
+            for _ in range(3):
+                a, b = _gaussian_symbol(rng, n, K), _gaussian_symbol(rng, n, K)
+                expected = QuotientOperator(K, operator_product(a, b))
+                assert QuotientOperator(K, a).compose(QuotientOperator(K, b)) == expected
 
 
 def test_quotient_map_section():

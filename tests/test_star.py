@@ -200,6 +200,16 @@ def test_series_shape_validation():
         RawNuSeries(1, 1, {-1: tensor})
 
 
+def test_series_sums_refuse_other_operands():
+    series = RawNuSeries(1, 1, {0: SymbolTensor.basis_entry(1, 1, (0,), (1,))})
+    for other in (1, Fraction(1, 2), g(0, 1), SymbolTensor.zero(1, 1), StarElement.unit(1)):
+        for call in (lambda: series + other, lambda: series - other, lambda: other + series, lambda: other - series):
+            with pytest.raises(TypeError):
+                call()
+    with pytest.raises(ValueError, match="^series shapes differ$"):
+        series + RawNuSeries(1, 2)
+
+
 def test_series_shift_down_requires_divisibility():
     tensor = SymbolTensor.basis_entry(1, 1, (0,), (1,))
     with pytest.raises(ValueError):
