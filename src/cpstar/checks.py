@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import matrix_rank
+from .linalg import _eliminate
 from .models.disk import DiskElement, disk_product
 from .models.radial import (
     check_scaling_consistency,
@@ -26,7 +26,6 @@ from .models.torus import (
     torus_quotient_dimension,
 )
 from .multiindex import sorted_tuples
-from .scalars import GAUSS_ZERO
 from .quotient import quotient_dimension, quotient_map
 from .randgen import (
     random_antihermitean,
@@ -153,15 +152,18 @@ def _suite_quotient(report: CheckReport, rng: random.Random, params: dict) -> No
         if image != composed:
             report.fail(reason="quotient map not multiplicative")
             return
+    # one row of int cells per basis image: a row differs from the image's
+    # entries by its ``den`` and a column by mult(I) mult(J), both nonzero
+    # scales, so the pivot count is the rank of the entries
     indices = sorted_tuples(n, K)
-    slots = [(u, v) for u in indices for v in indices]
+    width = len(indices) ** 2
     rows = []
     for left in indices:
         for right in indices:
             basis = SymbolTensor.basis_entry(n, K, left, right)
-            entries = quotient_map(StarElement.lift(basis), K).tensor.entries
-            rows.append([entries.get(slot, GAUSS_ZERO) for slot in slots])
-    rank = matrix_rank(rows)
+            cells = quotient_map(StarElement.lift(basis), K).tensor.cells
+            rows.append([cells.get(key, (0, 0)) for key in range(width)])
+    rank = len(_eliminate(rows, width))
     report.details["dimension"] = quotient_dimension(n, K)
     report.details["rank"] = rank
     if rank != quotient_dimension(n, K):

@@ -469,7 +469,7 @@ def _scale(scalar: Value, value: Value) -> Value:
             raise EvalError("only polynomial-in-nu multiples act on filtered elements")
         coeffs = scalar.num.coeffs
         if not coeffs:
-            return StarElement.zero(value.n)
+            return value.scale(0)
         return _combined(value.n, value.level + len(coeffs) - 1, [(value.nu_shift(j), c) for j, c in enumerate(coeffs)])
     if isinstance(value, DiskElement):
         return value.scale(scalar)

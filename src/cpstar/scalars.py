@@ -192,7 +192,9 @@ class GaussRational:
 
     Stored as one reduced Gaussian-integer form ``(p, q, m)``: the value is
     ``(p + q i) / m`` with ``m > 0`` and ``gcd(p, q, m) == 1``, and zero is
-    ``(0, 0, 1)``.  ``re`` and ``im`` are :class:`Fraction` views."""
+    ``(0, 0, 1)``.  ``re`` and ``im`` are :class:`Fraction` views.  A
+    ``float`` or ``complex`` part is a ``TypeError``: a binary float is not
+    the exact value it was typed as (``0.1`` is over ``2**55``)."""
 
     __slots__ = ("_form",)
 
@@ -200,6 +202,9 @@ class GaussRational:
         if type(re) is int and type(im) is int:
             _set_form(self, (re, im, 1))
             return
+        for part in (re, im):
+            if isinstance(part, (float, complex)):
+                raise TypeError(f"exact scalar parts cannot be {type(part).__name__}: {part!r}")
         a, b = (re, 1) if type(re) is int else _ratio(re)
         c, d = (im, 1) if type(im) is int else _ratio(im)
         if b == d:

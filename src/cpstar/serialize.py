@@ -14,8 +14,10 @@ Conventions, shared across all formats:
   are plain decimal strings;
 - a missing field, or a list or object of the wrong kind, is a
   ``ValueError`` that names the field;
-- ``canonical_dumps`` sorts keys and uses compact separators, making the
-  output byte-stable for golden-file comparisons.
+- ``canonical_dumps`` writes all canonical JSON through one prebuilt
+  encoder with sorted keys and compact separators, making the output
+  byte-stable for golden-file comparisons; it takes trees only, since it
+  does not track cycles.
 """
 
 from __future__ import annotations
@@ -51,9 +53,20 @@ __all__ = [
 ]
 
 
+# ``ensure_ascii`` and ``allow_nan`` keep their defaults, so the bytes are
+# those of ``json.dumps(value, sort_keys=True, separators=(",", ":"))``.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def canonical_dumps(value) -> str:
-    """Deterministic JSON text: sorted keys, compact separators."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON text: sorted keys, compact separators, written by
+    one prebuilt encoder.
+
+    The value must be a tree, as every dumper here and ``json.loads``
+    return one: the encoder does not track cycles, so a list or dict that
+    contains itself raises ``RecursionError`` from its depth guard rather
+    than ``ValueError``."""
+    return _CANONICAL.encode(value)
 
 
 def _json_int(value, what: str) -> int:

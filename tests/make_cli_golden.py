@@ -41,7 +41,9 @@ split; the same at the budget runs when it splits.  Then a symbol on
 CP^1000000 whose number of sorted index tuples is under
 ``multiindex.MAX_WIDTH_BITS`` bits runs, and one over it exits 2.  Last, an
 ``eval`` product and a disk product whose result passes
-``MAX_LOADED_DEGREE`` exit 2 before they write it.
+``MAX_LOADED_DEGREE`` exit 2 before they write it, and two ``eval``
+requests spell the same zero multiple of ``nu * unit``, by the scalar 0 and
+by the polynomial ``0 * nu``.
 """
 
 from __future__ import annotations
@@ -334,6 +336,10 @@ def edge_cases() -> list[dict]:
     add("eval-scalar-product-over-budget", ["eval", "c*c", "--input", "-"], json.dumps(session))
     disk = {"coeffs": [{"p": 1, "q": 0, **over(0, MAX_LOADED_DEGREE, True)}]}
     add("disk-product-over-budget", ["disk"], json.dumps({"left": disk, "right": disk}))
+    # a zero multiple keeps the level of the element, whether the zero is a
+    # scalar or a polynomial in nu
+    add("eval-zero-multiple", ["eval", "0 * (nu * unit)"])
+    add("eval-zero-nu-multiple", ["eval", "(0 * nu) * (nu * unit)"])
     return out
 
 

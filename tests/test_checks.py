@@ -8,6 +8,12 @@ import pytest
 from cpstar import checks
 from cpstar.checks import MAX_CHECK_WORK, CheckReport, SUITES, run_suite
 from cpstar.cli import main
+from cpstar.linalg import matrix_rank
+from cpstar.multiindex import sorted_tuples
+from cpstar.quotient import quotient_dimension, quotient_map
+from cpstar.scalars import GAUSS_ZERO
+from cpstar.star import StarElement
+from cpstar.symbols import SymbolTensor
 
 
 def test_suite_names_are_sorted_and_complete():
@@ -67,6 +73,21 @@ def test_quotient_suite_records_dimension_and_rank():
     report = run_suite("quotient", seed=0, instances=1)
     assert report.details["dimension"] == 9
     assert report.details["rank"] == 9
+
+
+@pytest.mark.parametrize("n, K", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
+def test_quotient_rank_from_cells_matches_the_rank_of_the_entries(n, K):
+    """The suite ranks int cells; the oracle is the rank of the entries
+    themselves, one ``GaussRational`` per slot, as the suite once took it."""
+    slots = [(u, v) for u in sorted_tuples(n, K) for v in sorted_tuples(n, K)]
+    rows = []
+    for left, right in slots:
+        image = quotient_map(StarElement.lift(SymbolTensor.basis_entry(n, K, left, right)), K)
+        entries = image.tensor.entries
+        rows.append([entries.get(slot, GAUSS_ZERO) for slot in slots])
+    report = run_suite("quotient", seed=0, n=n, K=K, instances=1)
+    assert report.passed
+    assert report.details["rank"] == matrix_rank(rows) == quotient_dimension(n, K)
 
 
 def test_torus_suite_records_dimension():

@@ -200,6 +200,18 @@ def test_eval_without_session(capsys):
     assert data["result"] == value_to_tagged(StarElement.unit(1).nu_shift(1))
 
 
+def test_eval_prints_one_zero_multiple_for_a_scalar_or_a_nu_polynomial(capsys):
+    outputs = []
+    for expression in ("0 * (nu * unit)", "(0 * nu) * (nu * unit)"):
+        code, out, _ = _run(capsys, ["eval", expression])
+        assert code == 0
+        echo = '"expression":' + json.dumps(expression) + ","
+        assert out.count(echo) == 1
+        outputs.append(out.replace(echo, ""))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["result"]["value"] == {"components": [None, None], "level": 1, "n": 1}
+
+
 def test_eval_syntax_error_reports_position(capsys):
     code, _, err = _run(capsys, ["eval", "sigma(A"])
     assert code == 2

@@ -122,8 +122,9 @@ def element_sub_oracle(a, b):
 
 def nu_multiple_oracle(coeffs, element):
     """A nu-polynomial multiple in ``eval``: a chain of element sums from
-    the zero element."""
-    out = StarElement.zero(element.n)
+    the zero element at the level of ``element``, which the zero polynomial
+    keeps, as the scalar 0 does."""
+    out = StarElement(element.n, element.level)
     for j, c in enumerate(coeffs):
         if c:
             out = element_add_oracle(out, element_scale_oracle(element.nu_shift(j), c))
@@ -341,7 +342,7 @@ def test_nu_multiples_match_the_chained_sums(pair, coeffs):
     scalar = NuRationalFunction(NuPolynomial(coeffs))
     expected = nu_multiple_oracle(scalar.num.coeffs, a)
     assert _scale(scalar, a) == expected
-    assert expected.level == (a.level + scalar.num.degree if scalar else 0)
+    assert expected.level == (a.level + scalar.num.degree if scalar else a.level)
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpstar.scalars import GaussRational, _format_ratio
+from cpstar.symbols import SymbolTensor
 
 
 def format_rational(value) -> str:
@@ -233,7 +234,6 @@ def test_zero_division_and_the_zero_form():
 def test_construction_accepts_what_it_accepted():
     assert GaussRational(True, False) == 1
     assert GaussRational("1/2", "-3") == GaussRational(Fraction(1, 2), -3)
-    assert GaussRational(0.5) == Fraction(1, 2)
     assert GaussRational(Fraction(4, 6), Fraction(1, 4))._ints() == (8, 3, 12)
     assert GaussRational(Fraction(1, 2), Fraction(1, 2))._ints() == (1, 1, 2)
     assert GaussRational(-7)._ints() == (-7, 0, 1)
@@ -241,6 +241,12 @@ def test_construction_accepts_what_it_accepted():
         GaussRational("1/0")
     with pytest.raises(TypeError):
         GaussRational([1])
+    with pytest.raises(TypeError, match="float"):
+        GaussRational(0.5)
+    with pytest.raises(TypeError, match="complex"):
+        GaussRational(1, 1j)
+    with pytest.raises(TypeError, match="float"):
+        SymbolTensor(1, 0, {((), ()): 0.1})
     with pytest.raises(ValueError):
         GaussRational("one")
 
