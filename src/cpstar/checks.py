@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .linalg import _eliminate
 from .models.disk import DiskElement, disk_product
@@ -40,13 +41,14 @@ from .star import (
     check_power_closed_form,
     check_strong_invariance,
     star_elements,
+    star_symbols,
 )
 from .symbols import (
     SymbolTensor,
     operator_product,
     wick_contraction,
-    wick_contraction_reference,
 )
+from .zpoly import ZPoly, wick_orders
 
 __all__ = ["CheckReport", "MAX_CHECK_WORK", "SUITES", "run_suite"]
 
@@ -240,13 +242,17 @@ def _suite_oracle(report: CheckReport, rng: random.Random, params: dict) -> None
             for l in (1, 2):
                 a = random_symbol(rng, n, k, density=0.7)
                 b = random_symbol(rng, n, l, density=0.7)
+                orders = wick_orders(a.to_zpoly(), b.to_zpoly())
+                terms = star_symbols(a, b).terms
                 for r in range(min(k, l) + 1):
                     report.count()
-                    if wick_contraction(a, b, r) != wick_contraction_reference(a, b, r):
+                    literal = SymbolTensor.from_zpoly(n, k + l - r, orders[r] if r < len(orders) else ZPoly(n))
+                    if wick_contraction(a, b, r) != literal:
                         report.fail(reason="contraction oracle mismatch", n=n, k=k, l=l, r=r)
                         return
-    from math import factorial
-
+                    if terms[r].tensor != literal:
+                        report.fail(reason="star_symbols term oracle mismatch", n=n, k=k, l=l, r=r)
+                        return
     for n in (1, 2):
         for K in (1, 2):
             report.count()

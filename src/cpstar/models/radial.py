@@ -16,9 +16,9 @@ yields the star exponential of ``x``, which must match the closed form
 
 order by order in ``alpha``.  This module also carries the scaling operator
 that sends ``x**r`` to a product of shifted linear factors, together with
-its inverse-branch product form, and a literal bidifferential oracle used
-to validate the recurrence.  A :class:`RadialPolynomial` is a combination
-of powers of ``x`` (:mod:`._combination`).
+its inverse-branch product form, and the literal Wick product, on
+``zpoly.wick_orders``, that checks the recurrence.  A :class:`RadialPolynomial`
+is a combination of powers of ``x`` (:mod:`._combination`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from ..nupoly import NU_ONE, NU_ZERO, NuPolynomial
 from ..scalars import GaussRational
-from ..zpoly import ZPoly
+from ..zpoly import ZPoly, wick_orders
 from ._combination import Combination
 from .flat import _as_lambda_poly
 
@@ -249,31 +249,14 @@ def wick_radial_power(m: int) -> RadialPolynomial:
 
 
 def wick_product_literal(left: ZPoly, right: ZPoly) -> ZPoly:
-    """Literal Wick product of polynomial functions of z and zbar.
-
-    Sums ``lam**r / r!`` times all r-fold coordinate-matched derivative
-    pairs, holomorphic on the left and antiholomorphic on the right.  The
-    coefficients must multiply with lam-polynomials; the sum terminates
-    when either side runs out of derivatives.  The coordinates are the
-    entries of the exponent vectors, ``n + 1`` of them for a ``ZPoly(n)``.
-    """
-    coords = len(next(iter(left.terms))[0]) if left.terms else 0
-
-    def matched(r_left: ZPoly, r_right: ZPoly, depth: int) -> ZPoly:
-        total = (r_left * r_right).map_coefficients(
-            lambda c: _as_lambda_poly(c).shift(depth) * Fraction(1, factorial(depth))
-        )
-        for i in range(coords):
-            dl = r_left.diff_z(i)
-            if dl.is_zero():
-                continue
-            dr = r_right.diff_zbar(i)
-            if dr.is_zero():
-                continue
-            total = total + matched(dl, dr, depth + 1)
-        return total
-
-    return matched(left, right, 0)
+    """Literal Wick product of polynomial functions of z and zbar: the sum
+    of ``lam**t / t!`` times order t of :func:`cpstar.zpoly.wick_orders`.
+    The coefficients must multiply with lam-polynomials."""
+    total = ZPoly(left.n)
+    for t, order in enumerate(wick_orders(left, right)):
+        weight = Fraction(1, factorial(t))
+        total = total + order.map_coefficients(lambda c: _as_lambda_poly(c).shift(t) * weight)
+    return total
 
 
 def radial_pullback(p: RadialPolynomial, coords: int) -> ZPoly:

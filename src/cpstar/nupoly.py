@@ -602,10 +602,29 @@ class NuRationalFunction:
         return NotImplemented
 
     def evaluate(self, alpha: ScalarLike) -> GaussRational:
-        den_value = self.den.evaluate(alpha)
-        if not den_value:
+        """The value at ``alpha = (a + b i)/m``, on the stored form: ``m^d``
+        times the numerator, d its degree, is one Gaussian-integer Horner
+        pass, and ``m^s`` times the denominator, s its number of factors, is
+        ``den`` times the product of ``m - j (a + b i)``."""
+        nums, den, js = self._form
+        if not nums:
+            return GAUSS_ZERO
+        a, b, m = to_gauss(alpha)._ints()
+        re, im = nums[-1]
+        power = 1
+        for c_re, c_im in reversed(nums[:-1]):
+            power *= m
+            re, im = re * a - im * b + c_re * power, re * b + im * a + c_im * power
+        d_re, d_im = den, 0
+        for j in js:
+            c_re, c_im = m - j * a, -j * b
+            d_re, d_im = d_re * c_re - d_im * c_im, d_re * c_im + d_im * c_re
+        norm = d_re * d_re + d_im * d_im
+        if not norm:
             raise ZeroDivisionError(f"denominator vanishes at nu = {alpha}")
-        return self.num.evaluate(alpha) / den_value
+        shift = len(js) - len(nums) + 1
+        up, down = m ** max(shift, 0), m ** max(-shift, 0)
+        return _gauss((re * d_re + im * d_im) * up, (im * d_re - re * d_im) * up, norm * down)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, NuRationalFunction):

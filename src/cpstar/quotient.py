@@ -25,8 +25,13 @@ phi_r``.  At ``alpha = p/q`` and level ``L`` every weight is an integer over
 ``q - j p`` over the factors ``1 - j nu`` of ``nu^(r)``.  Each component is
 scaled at its own degree, and the whole sum is taken on the components'
 Gaussian-integer cells over one common denominator and normalised once.
-:func:`star_at`, the numeric product of two plain symbols, is that sum
-applied to the :func:`cpstar.star.star_elements` product of their lifts.
+
+:func:`star_at`, the numeric product of two plain symbols of degrees k and
+l, evaluates the reduced closed form of their product entry by entry.  Its
+t-th coefficient nu^t/t! nu^(k+l-t)/(nu^(k) nu^(l)) reduces to a
+denominator of prod_{1 <= j < min(k, l)} (1 - j nu), so the product is
+defined off the pole set {1/j : 1 <= j < min(k, l)}, whatever degree f and
+g are written at; the entry sums can cancel more of it.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .linalg import matrix_rank
 from .multiindex import sorted_tuples
 from .nupoly import _pochhammer_js
 from .scalars import GAUSS_I, GaussRational
-from .star import StarElement, _combined, star_elements
+from .star import StarElement, _combined, star_symbols
 from .symbols import (
     SymbolTensor,
     _add_scaled,
@@ -74,7 +79,8 @@ class NotInIdealError(ValueError):
 
 
 class StarUndefinedError(ZeroDivisionError):
-    """Raised when a numeric star product hits a vanishing Pochhammer weight."""
+    """Raised when a numeric star product is asked for at a pole of its
+    reduced closed form, a point 1/j with 1 <= j < min(k, l)."""
 
 
 def _alpha(value: Fraction | int | str) -> Fraction:
@@ -190,22 +196,24 @@ def ideal_factorize(element: StarElement, alpha: Fraction | int | str) -> IdealF
 
 
 def star_at(f: SymbolTensor, g: SymbolTensor, alpha: Fraction | int | str) -> SymbolTensor:
-    """Numeric star product of plain symbols at nu = alpha.
+    """Numeric star product of plain symbols at nu = alpha, reduced to
+    minimal degree.
 
-    The lifts of f and g carry the Pochhammer weights nu^(k) and nu^(l), so
-    their product in the filtered algebra, substituted at alpha, is the
-    numeric product times nu^(k)(alpha) nu^(l)(alpha).  Defined whenever
-    that weight is nonzero; otherwise raises :class:`StarUndefinedError`.
+    Each entry of the reduced closed form, the ``nrf_map`` of
+    :func:`cpstar.star.star_symbols`, is evaluated at alpha.  The poles lie
+    in {1/j : 1 <= j < min(k, l)}; at a pole of an entry this raises
+    :class:`StarUndefinedError`.
     """
     if f.n != g.n:
         raise ValueError("star product needs matching n")
     alpha = _alpha(alpha)
-    p, q = alpha.numerator, alpha.denominator
-    weight = _pochhammer_ints(f.k, p, q) * _pochhammer_ints(g.k, p, q)
-    if not weight:
-        raise StarUndefinedError(f"star product undefined at nu = {alpha} for degrees ({f.k}, {g.k})")
-    product = star_elements(StarElement.lift(f), StarElement.lift(g))
-    return substitute(product, alpha).scale(Fraction(q ** (max(f.k - 1, 0) + max(g.k - 1, 0)), weight))
+    entries = {}
+    for key, value in star_symbols(f, g).nrf_map().items():
+        try:
+            entries[key] = value.evaluate(alpha)
+        except ZeroDivisionError:
+            raise StarUndefinedError(f"star product undefined at nu = {alpha} for degrees ({f.k}, {g.k})") from None
+    return reduce_to_min(SymbolTensor(f.n, f.k + g.k, entries))
 
 
 class QuotientOperator:

@@ -79,11 +79,11 @@ formats ``cells`` over ``den`` times the weight ``_unranked`` gives, so
 neither builds a ``GaussRational`` per entry.
 
 :func:`wick_contraction_reference` is an independent implementation of the
-contraction on purpose: literal differentiation of the expanded polynomials
-via :mod:`cpstar.zpoly`.  The test suite validates the fast path against it;
-nothing in the package trusts the combinatorial weights without that
-cross-check.  :func:`operator_product` works on the entries view and is the
-independent reference for the full contraction.
+contraction on purpose: one order of :func:`cpstar.zpoly.wick_orders`, the
+literal Wick product of the expanded polynomials.  The tests and the
+``oracle`` suite check both kernel entry points against it; nothing trusts
+the kernel's weights without that.  :func:`operator_product` works on the
+entries view and is the independent reference for the full contraction.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ from .multiindex import (
     sorted_tuples,
 )
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, ScalarLike, _divided_out, _gauss, _normalised, _over_lcm, to_gauss
-from .zpoly import ZPoly
+from .zpoly import ZPoly, wick_orders
 
 __all__ = [
     "SymbolTensor",
@@ -754,32 +754,17 @@ def wick_contraction(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolT
 def wick_contraction_reference(left: SymbolTensor, right: SymbolTensor, r: int) -> SymbolTensor:
     """Oracle for :func:`wick_contraction` by literal differentiation.
 
-    Expands both sigma_tilde polynomials, applies every r-fold derivative
-    tuple explicitly, multiplies and sums.  Independent of the stored-entry
-    combinatorics; intentionally slow and simple.
+    Expands both sigma_tilde polynomials and reads order r of their literal
+    Wick product, :func:`cpstar.zpoly.wick_orders`.  Independent of the
+    stored-entry combinatorics; intentionally slow and simple.
     """
     if left.n != right.n:
         raise ValueError("contraction needs matching n")
     k, l = left.k, right.k
     if not 0 <= r <= min(k, l):
         raise ValueError(f"contraction order r={r} outside 0..min({k}, {l})")
-    n = left.n
-    poly_left = left.to_zpoly()
-    poly_right = right.to_zpoly()
-    total = ZPoly(n)
-    for directions in iter_product(range(n + 1), repeat=r):
-        d_left = poly_left
-        for i in directions:
-            d_left = d_left.diff_z(i)
-        if d_left.is_zero():
-            continue
-        d_right = poly_right
-        for i in directions:
-            d_right = d_right.diff_zbar(i)
-        if d_right.is_zero():
-            continue
-        total = total + d_left * d_right
-    return SymbolTensor.from_zpoly(n, k + l - r, total)
+    orders = wick_orders(left.to_zpoly(), right.to_zpoly())
+    return SymbolTensor.from_zpoly(left.n, k + l - r, orders[r] if r < len(orders) else ZPoly(left.n))
 
 
 def operator_product(left: SymbolTensor, right: SymbolTensor) -> SymbolTensor:

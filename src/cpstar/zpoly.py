@@ -7,6 +7,10 @@ dict convolutions and derivatives act exponent by exponent.  The star-product
 oracle and the radial-model cross-checks are built on it precisely because it
 shares no code or conventions with the tensor fast path.
 
+:func:`wick_orders`, the one literal Wick product, is the only code that
+differentiates a ``ZPoly``: the contraction oracle, the radial literal
+product and the ``oracle`` check suite all read its orders.
+
 Coefficients only need ``+``, ``*`` and truthiness, so the same engine runs
 over Gaussian rationals and over polynomials in a formal parameter.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-__all__ = ["ZPoly"]
+__all__ = ["ZPoly", "wick_orders"]
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
@@ -144,3 +148,25 @@ class ZPoly:
 
     def __repr__(self) -> str:
         return f"ZPoly(n={self.n}, {len(self.terms)} terms)"
+
+
+def wick_orders(left: ZPoly, right: ZPoly) -> list[ZPoly]:
+    """Entry t sums, over every ordered t-tuple of the ``n + 1`` coordinates,
+    the t-fold z-derivative of ``left`` times the matching z-bar-derivative
+    of ``right``.  Depth first; a branch ends at its first vanishing
+    derivative, and the list at the last order that has a nonzero pair."""
+    orders: list[ZPoly] = []
+
+    def walk(d_left: ZPoly, d_right: ZPoly, t: int) -> None:
+        if t == len(orders):
+            orders.append(ZPoly(left.n))
+        orders[t] = orders[t] + d_left * d_right
+        for i in range(left.n + 1):
+            next_left = d_left.diff_z(i)
+            if next_left.terms:
+                next_right = d_right.diff_zbar(i)
+                if next_right.terms:
+                    walk(next_left, next_right, t + 1)
+
+    walk(left, right, 0)
+    return orders

@@ -12,7 +12,7 @@ from cpstar.linalg import matrix_rank
 from cpstar.multiindex import sorted_tuples
 from cpstar.quotient import quotient_dimension, quotient_map
 from cpstar.scalars import GAUSS_ZERO
-from cpstar.star import StarElement
+from cpstar.star import StarElement, StarTerm
 from cpstar.symbols import SymbolTensor
 
 
@@ -124,6 +124,37 @@ def test_failure_entries_carry_reproduction_commands():
     assert entry["reason"] == "synthetic"
     assert entry["instance"] == 1
     assert entry["repro"] == "cpstar check --suite assoc --seed 7"
+
+
+def _star_symbols_doubled_at_order_one(real):
+    def broken(f, g):
+        terms = real(f, g)
+        first = terms.terms[1]
+        terms.terms[1] = StarTerm(first.r, first.coefficient, first.tensor.scale(2))
+        return terms
+
+    return broken
+
+
+def _wick_contraction_doubled_at_order_one(real):
+    return lambda a, b, r: real(a, b, r).scale(2 if r == 1 else 1)
+
+
+@pytest.mark.parametrize(
+    "name, broken, reason",
+    [
+        ("star_symbols", _star_symbols_doubled_at_order_one, "star_symbols term oracle mismatch"),
+        ("wick_contraction", _wick_contraction_doubled_at_order_one, "contraction oracle mismatch"),
+    ],
+)
+def test_the_oracle_suite_sees_a_broken_kernel_entry_point(name, broken, reason, monkeypatch, capsys):
+    monkeypatch.setattr(checks, name, broken(getattr(checks, name)))
+    report = run_suite("oracle", seed=0)
+    assert report.failures == [
+        {"reason": reason, "n": 1, "k": 1, "l": 1, "r": 1, "instance": 2, "repro": "cpstar check --suite oracle --seed 0"}
+    ]
+    assert main(["check", "--suite", "oracle"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == report.failures
 
 
 def _estimate(suite, **overrides):

@@ -24,7 +24,7 @@ from cpstar.nupoly import (
 from cpstar.scalars import GaussRational
 from cpstar.serialize import disk_from_json, disk_to_json
 
-from nu_helpers import poly_divmod
+from nu_helpers import over_factors, poly_divmod
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 polys = st.builds(
@@ -179,6 +179,43 @@ def test_rational_function_evaluate():
     assert f.evaluate(Fraction(1, 3)) == GaussRational(Fraction(1, 2))
     with pytest.raises(ZeroDivisionError):
         f.evaluate(1)
+
+
+def evaluate_by_views(value: NuRationalFunction, alpha) -> GaussRational:
+    """The value through the ``num`` and ``den`` views, by Horner on each."""
+    den_value = value.den.evaluate(alpha)
+    if not den_value:
+        raise ZeroDivisionError(f"denominator vanishes at nu = {alpha}")
+    return value.num.evaluate(alpha) / den_value
+
+
+def _outcome(evaluate, value, alpha):
+    try:
+        return evaluate(value, alpha)
+    except ZeroDivisionError as exc:
+        return str(exc)
+
+
+factor_js = st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3, 5)), max_size=4)
+points = (
+    st.builds(GaussRational, small_rationals, small_rationals)
+    | st.sampled_from((-3, -2, -1, 1, 2, 3, 5)).map(lambda j: Fraction(1, j))
+    | st.integers(-4, 4)
+)
+
+
+@given(polys, factor_js, points)
+def test_evaluate_on_the_stored_form_matches_the_views(num, js, alpha):
+    value = over_factors(num, js)
+    assert _outcome(NuRationalFunction.evaluate, value, alpha) == _outcome(evaluate_by_views, value, alpha)
+
+
+def test_evaluate_at_a_pole_names_the_point():
+    value = over_factors(NuPolynomial((1, 1)), (1, 2, 2))
+    for alpha, text in ((1, "1"), (Fraction(1, 2), "1/2")):
+        with pytest.raises(ZeroDivisionError, match=f"^denominator vanishes at nu = {text}$"):
+            value.evaluate(alpha)
+    assert value.evaluate(GaussRational(0, 1)) == evaluate_by_views(value, GaussRational(0, 1))
 
 
 def test_rational_function_equality_against_polynomials():

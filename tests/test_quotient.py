@@ -23,9 +23,10 @@ from cpstar.quotient import (
 from cpstar.multiindex import sorted_tuples
 from cpstar.randgen import random_element, random_symbol
 from cpstar.scalars import GaussRational
-from cpstar.star import StarElement, star_elements
+from cpstar.star import StarElement, star_elements, star_symbols
 from cpstar.symbols import (
     SymbolTensor,
+    embed,
     identity_symbol,
     operator_product,
     reduce_to_min,
@@ -141,30 +142,93 @@ def test_star_at_identity_value():
     )
 
 
+def _star_at_by_lifts(f, g, alpha):
+    """The numeric product as the substituted product of the lifts over
+    their weights nu^(k)(alpha) nu^(l)(alpha), None where a weight is 0."""
+    alpha = Fraction(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    weight = quotient._pochhammer_ints(f.k, p, q) * quotient._pochhammer_ints(g.k, p, q)
+    if not weight:
+        return None
+    product = star_elements(StarElement.lift(f), StarElement.lift(g))
+    return substitute(product, alpha).scale(Fraction(q ** (max(f.k - 1, 0) + max(g.k - 1, 0)), weight))
+
+
+def _star_at_by_entries(f, g, alpha):
+    """The reduced closed form evaluated entry by entry, None at a pole."""
+    flat = star_symbols(f, g).nrf_map()
+    if any(1 / Fraction(alpha) in value.js for value in flat.values()):
+        return None
+    return reduce_to_min(SymbolTensor(f.n, f.k + g.k, {key: value.evaluate(alpha) for key, value in flat.items()}))
+
+
+ALPHAS = (1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(-3, 5), 3)
+
+
+def _star_at_or_none(f, g, alpha):
+    try:
+        return star_at(f, g, alpha)
+    except StarUndefinedError:
+        return None
+
+
 def test_star_at_degenerate_degrees_raise():
     rng = random.Random(7)
     high = random_symbol(rng, 1, 3, density=0.9)
     low = random_symbol(rng, 1, 1, density=0.9)
-    with pytest.raises(StarUndefinedError):
-        star_at(high, low, Fraction(1, 2))
+    # (3, 1) has no pole: min(k, l) = 1 leaves no factor 1 - j nu
+    assert star_at(high, low, Fraction(1, 2)) == _star_at_by_entries(high, low, Fraction(1, 2))
+    # (3, 3) has its poles at 1 and 1/2
+    other = random_symbol(rng, 1, 3, density=0.9)
+    for alpha in (1, Fraction(1, 2)):
+        with pytest.raises(StarUndefinedError, match=r"^star product undefined at nu = 1(/2)? for degrees \(3, 3\)$"):
+            star_at(high, other, alpha)
     # degree 2 at alpha = 1/2 is still fine: the weight (1 - nu) is nonzero
     mid = random_symbol(rng, 1, 2, density=0.9)
     star_at(mid, low, Fraction(1, 2))
 
 
-def test_star_at_matches_formal_product():
-    from cpstar.star import star_symbols
+@pytest.mark.parametrize("n", [1, 2])
+def test_star_at_agrees_with_the_product_of_lifts_wherever_that_is_defined(n):
+    rng = random.Random(40 + n)
+    gained = 0
+    degrees = range(6 - n)
+    for k in degrees:
+        for l in degrees:
+            f = random_symbol(rng, n, k, density=0.9)
+            gg = random_symbol(rng, n, l, density=0.9)
+            for alpha in ALPHAS:
+                value = _star_at_or_none(f, gg, alpha)
+                assert value == _star_at_by_entries(f, gg, alpha), (n, k, l, alpha)
+                if value is None:
+                    # only a pole of the reduced form, 1/j with j < min(k, l)
+                    assert 1 / Fraction(alpha) in range(1, min(k, l)), (n, k, l, alpha)
+                old = _star_at_by_lifts(f, gg, alpha)
+                if old is not None:
+                    assert value == old, (n, k, l, alpha)
+                elif value is not None:
+                    gained += 1
+    assert gained
 
+
+@pytest.mark.parametrize("n, k, l, m", [(1, 1, 3, 2), (1, 2, 2, 1), (1, 3, 1, 2), (2, 1, 2, 2), (2, 2, 1, 1)])
+def test_star_at_does_not_depend_on_the_degree_a_function_is_written_at(n, k, l, m):
+    rng = random.Random(10 * k + l)
+    f = random_symbol(rng, n, k, density=0.9)
+    gg = random_symbol(rng, n, l, density=0.9)
+    for alpha in ALPHAS + (Fraction(1, 4), Fraction(1, 5)):
+        value = _star_at_or_none(f, gg, alpha)
+        assert _star_at_or_none(embed(f, m), gg, alpha) == value, (alpha, "left")
+        assert _star_at_or_none(f, embed(gg, m), alpha) == value, (alpha, "right")
+
+
+def test_star_at_matches_formal_product():
     rng = random.Random(8)
     for n, k, l in [(1, 2, 2), (1, 0, 3), (1, 3, 1), (1, 3, 3), (2, 1, 2), (2, 2, 2)]:
         f = random_symbol(rng, n, k, density=0.8)
         gg = random_symbol(rng, n, l, density=0.8)
-        flat = star_symbols(f, gg).nrf_map()
         for alpha in (Fraction(1, 7), Fraction(-2, 5), Fraction(3)):
-            direct = SymbolTensor(
-                f.n, f.k + gg.k, {key: value.evaluate(alpha) for key, value in flat.items()}
-            )
-            assert star_at(f, gg, alpha) == reduce_to_min(direct)
+            assert star_at(f, gg, alpha) == _star_at_by_entries(f, gg, alpha)
 
 
 def test_quotient_operator_validation():
