@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .linalg import _eliminate
 from .models.disk import DiskElement, disk_product
 from .models.radial import (
     check_scaling_consistency,
@@ -27,7 +26,7 @@ from .models.torus import (
     torus_quotient_dimension,
 )
 from .multiindex import sorted_tuples
-from .quotient import quotient_dimension, quotient_map
+from .quotient import _tensor_rank, quotient_dimension, quotient_map
 from .randgen import (
     random_antihermitean,
     random_disk,
@@ -154,18 +153,14 @@ def _suite_quotient(report: CheckReport, rng: random.Random, params: dict) -> No
         if image != composed:
             report.fail(reason="quotient map not multiplicative")
             return
-    # one row of int cells per basis image: a row differs from the image's
-    # entries by its ``den`` and a column by mult(I) mult(J), both nonzero
-    # scales, so the pivot count is the rank of the entries
     indices = sorted_tuples(n, K)
-    width = len(indices) ** 2
-    rows = []
-    for left in indices:
-        for right in indices:
-            basis = SymbolTensor.basis_entry(n, K, left, right)
-            cells = quotient_map(StarElement.lift(basis), K).tensor.cells
-            rows.append([cells.get(key, (0, 0)) for key in range(width)])
-    rank = len(_eliminate(rows, width))
+    rank = _tensor_rank(
+        [
+            [quotient_map(StarElement.lift(SymbolTensor.basis_entry(n, K, left, right)), K).tensor]
+            for left in indices
+            for right in indices
+        ]
+    )
     report.details["dimension"] = quotient_dimension(n, K)
     report.details["rank"] = rank
     if rank != quotient_dimension(n, K):

@@ -6,39 +6,36 @@ products of a monomial in z and zbar with an exponential
     e_(a, b) : z |-> exp(a . z + b . zbar)
 
 for complex vectors a, b.  The Wick product of two pure exponentials picks
-up the scalar factor ``exp(lam a . b')`` and adds the frequency vectors;
-with polynomial prefactors P and Q, each contraction index i contributes
-the commuting operator
+up the scalar factor ``exp(lam a . b')`` and adds the frequency vectors.
+With polynomial prefactors, d_z acts on ``P e_(a, b)`` as ``d + a`` and
+dbar_z on ``Q e_(a', b')`` as ``dbar + b'``, so the product is
 
-    a_i dbar_i(Q) + b'_i d_i(P) + d_i(P) dbar_i(Q)
+    exp(lam a . b') e_(a + a', b + b') (P(z + lam b', zbar) * Q(z, zbar + lam a))
 
-whose exponential terminates because every application lowers the degree
-of P or Q.  Elements therefore stay inside the class, with coefficients
-that are polynomials in lam times a formal factor ``exp(lam . slope)``
-recorded through the rational slope in each term key.  An
-:class:`ExpPolyFunction` is a combination of such terms (:mod:`._combination`).
+with ``*`` the literal Wick product of polynomials,
+:func:`cpstar.models.radial.wick_product_literal`.  Elements therefore stay
+inside the class, with coefficients that are polynomials in lam times a
+formal factor ``exp(lam . slope)`` recorded through the rational slope in
+each term key.  An :class:`ExpPolyFunction` is a combination of such terms
+(:mod:`._combination`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb
 from typing import Mapping
 
-from ..nupoly import NU_ZERO, NuPolynomial
-from ..scalars import GAUSS_ZERO, GaussRational, to_gauss
+from ..nupoly import NuPolynomial
+from ..scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, to_gauss
+from ..zpoly import ZPoly
 from ._combination import Combination
+from .radial import _as_lambda_poly, wick_product_literal
 
 __all__ = ["ExpPolyFunction", "wick_product_flat"]
 
 Exponents = tuple[int, ...]
 Frequencies = tuple[GaussRational, ...]
 TermKey = tuple[Exponents, Exponents, Frequencies, Frequencies, GaussRational]
-
-
-def _as_lambda_poly(value) -> NuPolynomial:
-    if isinstance(value, NuPolynomial):
-        return value
-    return NuPolynomial.constant(value)
 
 
 def _freq_vector(values, coords: int) -> Frequencies:
@@ -128,69 +125,44 @@ class ExpPolyFunction(Combination):
         return f"ExpPolyFunction(coords={self.coords}, terms={len(self.coeffs)})"
 
 
-PairKey = tuple[Exponents, Exponents, Exponents, Exponents]
-
-
-def _apply_contraction(
-    state: dict[PairKey, NuPolynomial],
-    i: int,
-    a_i: GaussRational,
-    bp_i: GaussRational,
-) -> dict[PairKey, NuPolynomial]:
-    """One application of the i-th contraction operator to a pair state."""
-    out: dict[PairKey, NuPolynomial] = {}
-
-    def bump(key: PairKey, poly: NuPolynomial) -> None:
-        if poly:
-            out[key] = out.get(key, NU_ZERO) + poly
-
-    for (pz, pzb, qz, qzb), poly in state.items():
-        if a_i and qzb[i] > 0:
-            lowered = qzb[:i] + (qzb[i] - 1,) + qzb[i + 1 :]
-            bump((pz, pzb, qz, lowered), poly * (a_i * qzb[i]))
-        if bp_i and pz[i] > 0:
-            lowered = pz[:i] + (pz[i] - 1,) + pz[i + 1 :]
-            bump((lowered, pzb, qz, qzb), poly * (bp_i * pz[i]))
-        if pz[i] > 0 and qzb[i] > 0:
-            pl = pz[:i] + (pz[i] - 1,) + pz[i + 1 :]
-            ql = qzb[:i] + (qzb[i] - 1,) + qzb[i + 1 :]
-            bump((pl, pzb, qz, ql), poly * (pz[i] * qzb[i]))
-    return out
+def _translated(exps: Exponents, shift: Frequencies) -> dict[Exponents, NuPolynomial]:
+    """The monomial with exponents ``exps``, each variable v_i moved to
+    ``v_i + lam shift_i`` and expanded binomially: a lam-monomial per
+    exponent vector."""
+    terms = [((), GAUSS_ONE, 0)]
+    for e, c in zip(exps, shift):
+        powers = [GAUSS_ONE]
+        if c:
+            for _ in range(e):
+                powers.append(powers[-1] * c)
+        terms = [
+            (kept + (e - m,), value * powers[m] * comb(e, m), t + m)
+            for kept, value, t in terms
+            for m in range(len(powers))
+        ]
+    return {kept: NuPolynomial.nu_power(t, value) for kept, value, t in terms}
 
 
 def wick_product_flat(left: ExpPolyFunction, right: ExpPolyFunction) -> ExpPolyFunction:
     """Wick product of two exponential-polynomial functions, exactly.
 
     Bilinear over terms.  For a pair of terms, the scalar part of the
-    contraction exponential goes into the slope; the nilpotent part is
-    expanded until it kills both monomials, each application carrying one
-    factor of lam.
+    contraction goes into the slope, and the monomials, translated by lam
+    times the other term's frequency, take the literal Wick product.
     """
     left._compatible(right)
-    coords = left.coords
+    n = left.coords - 1
     result: list[tuple[TermKey, NuPolynomial]] = []
     for (pz, pzb, a, b, s), cl in left.coeffs.items():
         for (qz, qzb, a2, b2, s2), cr in right.coeffs.items():
-            slope = s + s2 + _dot(a, b2)
-            a_new = tuple(u + v for u, v in zip(a, a2))
-            b_new = tuple(u + v for u, v in zip(b, b2))
-            state: dict[PairKey, NuPolynomial] = {(pz, pzb, qz, qzb): cl * cr}
-            for i in range(coords):
-                total = dict(state)
-                current = state
-                j = 0
-                while current:
-                    j += 1
-                    current = {
-                        key: poly.shift(1) * Fraction(1, j)
-                        for key, poly in _apply_contraction(current, i, a[i], b2[i]).items()
-                    }
-                    for key, poly in current.items():
-                        total[key] = total.get(key, NU_ZERO) + poly
-                state = {k: p for k, p in total.items() if p}
-            for (rz, rzb, tz, tzb), poly in state.items():
-                mono_z = tuple(u + v for u, v in zip(rz, tz))
-                mono_zbar = tuple(u + v for u, v in zip(rzb, tzb))
-                result.append(((mono_z, mono_zbar, a_new, b_new, slope), poly))
+            p = ZPoly(n, {(pzb, z): lam for z, lam in _translated(pz, b2).items()})
+            q = ZPoly(n, {(zbar, qz): lam for zbar, lam in _translated(qzb, a).items()})
+            frequencies = (
+                tuple(u + v for u, v in zip(a, a2)),
+                tuple(u + v for u, v in zip(b, b2)),
+                s + s2 + _dot(a, b2),
+            )
+            coeff = cl * cr
+            product = wick_product_literal(p, q)
+            result.extend(((z, zbar) + frequencies, poly * coeff) for (zbar, z), poly in product.terms.items())
     return left._built(left._key(), result)
-

@@ -32,7 +32,6 @@ from ..nupoly import NU_ONE, NU_ZERO, NuPolynomial
 from ..scalars import GaussRational
 from ..zpoly import ZPoly, wick_orders
 from ._combination import Combination
-from .flat import _as_lambda_poly
 
 __all__ = [
     "RadialPolynomial",
@@ -49,6 +48,12 @@ __all__ = [
     "closed_exponential_series",
     "check_star_exponential",
 ]
+
+
+def _as_lambda_poly(value) -> NuPolynomial:
+    if isinstance(value, NuPolynomial):
+        return value
+    return NuPolynomial.constant(value)
 
 
 class RadialPolynomial(Combination):
@@ -96,6 +101,8 @@ class RadialPolynomial(Combination):
         return self._built((), ((p + 1, a) for p, a in self.coeffs.items()))
 
     def times_lambda(self, j: int = 1) -> "RadialPolynomial":
+        if j < 0:
+            raise ValueError("times_lambda requires a nonnegative exponent")
         return self._built((), ((p, a.shift(j)) for p, a in self.coeffs.items()))
 
     def derivative(self) -> "RadialPolynomial":

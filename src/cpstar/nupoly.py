@@ -141,7 +141,9 @@ class NuPolynomial:
     __rmul__ = __mul__
 
     def shift(self, j: int) -> "NuPolynomial":
-        """Multiply by ``nu**j``."""
+        """Multiply by ``nu**j``, ``j`` nonnegative."""
+        if j < 0:
+            raise ValueError("shift requires a nonnegative exponent")
         if not self.coeffs:
             return self
         return NuPolynomial((GAUSS_ZERO,) * j + self.coeffs)
@@ -174,6 +176,9 @@ class NuPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its scalar, so it hashes as the scalar
+        if len(self.coeffs) < 2:
+            return hash(self.coeffs[0] if self.coeffs else GAUSS_ZERO)
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
@@ -634,6 +639,9 @@ class NuRationalFunction:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a polynomial value equals its numerator, so it hashes as that
+        if self.js == ():
+            return hash(self.num)
         return hash(self._form)
 
     def __repr__(self) -> str:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .linalg import matrix_rank
+from .linalg import _eliminate
 from .multiindex import sorted_tuples
 from .nupoly import _pochhammer_js
 from .scalars import GAUSS_I, GaussRational
@@ -52,7 +52,6 @@ from .symbols import (
     _times_x,
     embed,
     identity_symbol,
-    operator_product,
     reduce_to_min,
     symbol_of_matrix,
     wick_contraction,
@@ -308,31 +307,39 @@ def unitary_generators(n: int) -> list[list[list[GaussRational]]]:
     return out
 
 
+def _tensor_rank(rows: list[list[SymbolTensor]]) -> int:
+    """Rank of ``rows``, each tensors of one shape side by side, on int
+    cells: a row over the lcm of its tensors' ``den`` and a column over
+    mult(I) mult(J) are nonzero scales of the entries."""
+    cell_rows = []
+    for tensors in rows:
+        den = lcm(*(tensor.den for tensor in tensors))
+        row = []
+        for tensor in tensors:
+            scale, cells = den // tensor.den, tensor.cells
+            width = comb(tensor.n + tensor.k, tensor.k) ** 2
+            row += [(re * scale, im * scale) for re, im in (cells.get(key, (0, 0)) for key in range(width))]
+        cell_rows.append(row)
+    return len(_eliminate(cell_rows, len(cell_rows[0])))
+
+
 def check_irreducible(n: int, K: int) -> bool:
     """Commutant test for the quotient representation of u(n+1).
 
-    Embeds each generator's symbol as an operator on degree-K polynomials and
-    writes, exactly, the linear conditions for a tensor to commute with all
-    of them.  The identity meets them, so the representation is irreducible
-    iff their rank is one less than the number of unknowns: only scalar
-    multiples of the identity remain.
+    Each basis operator X on degree-K polynomials gives one row: its
+    commutators [g, X] with the generators' symbols, side by side, on the
+    Wick kernel as :meth:`QuotientOperator.compose` takes products (the
+    (K!)^2 it drops does not change a rank).  The identity must commute
+    with every g; then the representation is irreducible iff the rank is
+    one less than the number of rows: only multiples of the identity remain.
     """
-    pairs = [(i, j) for i in sorted_tuples(n, K) for j in sorted_tuples(n, K)]
     images = [embed(symbol_of_matrix(g), K - 1) for g in unitary_generators(n)]
-    rows: list[list[GaussRational]] = []
-    zero = GaussRational(0)
-    for image in images:
-        columns: list[dict[tuple, GaussRational]] = []
-        for left, right in pairs:
-            basis = SymbolTensor.basis_entry(n, K, left, right)
-            commuted = operator_product(image, basis) - operator_product(basis, image)
-            columns.append(commuted.entries)
-        for out_pair in pairs:
-            row = [column.get(out_pair, zero) for column in columns]
-            if any(row):
-                rows.append(row)
-    identity = identity_symbol(n, K).entries
-    on_identity = [(p, identity[pair]) for p, pair in enumerate(pairs) if pair in identity]
-    if any(sum((row[p] * value for p, value in on_identity), zero) for row in rows):
+
+    def commutators(x: SymbolTensor) -> list[SymbolTensor]:
+        return [wick_contraction(g, x, K) - wick_contraction(x, g, K) for g in images]
+
+    if any(commutators(identity_symbol(n, K))):
         return False
-    return matrix_rank(rows) == len(pairs) - 1
+    indices = sorted_tuples(n, K)
+    rows = [commutators(SymbolTensor.basis_entry(n, K, i, j)) for i in indices for j in indices]
+    return _tensor_rank(rows) == len(rows) - 1

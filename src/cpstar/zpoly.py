@@ -9,7 +9,8 @@ shares no code or conventions with the tensor fast path.
 
 :func:`wick_orders`, the one literal Wick product, is the only code that
 differentiates a ``ZPoly``: the contraction oracle, the radial literal
-product and the ``oracle`` check suite all read its orders.
+product (and through it the flat product of the translated polynomial
+parts) and the ``oracle`` check suite all read its orders.
 
 Coefficients only need ``+``, ``*`` and truthiness, so the same engine runs
 over Gaussian rationals and over polynomials in a formal parameter.

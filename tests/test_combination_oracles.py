@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpstar.models.disk import DiskElement, _as_coefficient
-from cpstar.models.flat import ExpPolyFunction, _as_lambda_poly, wick_product_flat
-from cpstar.models.radial import RadialPolynomial
+from cpstar.models.flat import ExpPolyFunction, wick_product_flat
+from cpstar.models.radial import RadialPolynomial, _as_lambda_poly
 from cpstar.models.torus import FourierSum
 from cpstar.nupoly import NRF_ZERO, NU_ZERO, NuPolynomial, NuRationalFunction
 from cpstar.scalars import GAUSS_ZERO, GaussRational

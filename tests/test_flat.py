@@ -1,14 +1,23 @@
-"""Flat model: polynomial-times-exponential functions under the Wick product."""
+"""Flat model: polynomial-times-exponential functions under the Wick product.
+
+``wick_product_flat`` translates the polynomial parts and calls the literal
+Wick product; the nilpotent-exponential engine it replaced
+(``flat_helpers``) is its oracle, and the literal product on ``zpoly`` is
+that engine's.
+"""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpstar.models.flat import ExpPolyFunction, wick_product_flat
 from cpstar.models.radial import wick_product_literal
 from cpstar.nupoly import NuPolynomial
 from cpstar.scalars import GaussRational
 from cpstar.zpoly import ZPoly
+from flat_helpers import nilpotent_flat_product
 
 
 def g(re, im=0):
@@ -96,6 +105,8 @@ def test_polynomial_products_match_literal_wick_expansion():
 
 
 def test_polynomial_products_against_zpoly_oracle():
+    # the replaced engine against the literal product: the flat product
+    # calls the literal product itself, so it is checked against the engine
     cases = [
         _from_monomials(2, ((1, 0), (0, 1), 2), ((0, 1), (0, 0), g(0, 1))),
         _from_monomials(2, ((2, 0), (1, 0), 1)),
@@ -103,7 +114,7 @@ def test_polynomial_products_against_zpoly_oracle():
     ]
     for left in cases:
         for right in cases:
-            product = wick_product_flat(left, right)
+            product = nilpotent_flat_product(left, right)
             assert _to_zpoly(product) == wick_product_literal(
                 _to_zpoly(left), _to_zpoly(right)
             )
@@ -141,3 +152,42 @@ def test_substitute_lambda_collapses_coefficients():
 def test_coordinate_mismatch_raises():
     with pytest.raises(ValueError):
         wick_product_flat(ExpPolyFunction.one(1), ExpPolyFunction.one(2))
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+gauss = st.builds(GaussRational, small, small)
+lam_polys = st.lists(small, min_size=1, max_size=3).map(NuPolynomial)
+
+
+def functions(coords: int):
+    """Sums of up to two terms of degree at most 3 in z and in zbar; most
+    carry nonzero frequencies and slopes."""
+    exps = st.tuples(*[st.integers(0, 2)] * coords).filter(lambda e: sum(e) <= 3)
+    freqs = st.tuples(*[gauss] * coords)
+    keys = st.tuples(exps, exps, freqs, freqs, gauss)
+    return st.dictionaries(keys, lam_polys, max_size=2).map(lambda c: ExpPolyFunction(coords, c))
+
+
+pairs = st.integers(1, 3).flatmap(lambda coords: st.tuples(functions(coords), functions(coords)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(pairs)
+def test_translation_product_matches_the_nilpotent_engine(pair):
+    left, right = pair
+    assert wick_product_flat(left, right).coeffs == nilpotent_flat_product(left, right).coeffs
+
+
+def test_translation_of_a_monomial_with_frequencies():
+    # z^2 zbar e_(1, 0) * z zbar^2 e_(0, 2) on one coordinate: the left z
+    # moves by 2 lam, the right zbar by lam
+    left = ExpPolyFunction(1, {((2,), (1,), (g(1),), (g(0),), g(0)): 1})
+    right = ExpPolyFunction(1, {((1,), (2,), (g(0),), (g(2),), g(0)): 1})
+    product = wick_product_flat(left, right)
+    assert product == nilpotent_flat_product(left, right)
+    assert {key[4] for key in product.coeffs} == {g(2)}
+    frequencies = ((g(1),), (g(2),), g(2))
+    assert product.coeffs[((3,), (3,)) + frequencies] == NuPolynomial((1,))
+    # z^2 zbar^3 only from the order-0 term of (z + 2 lam)^2 zbar times
+    # z zbar^2: binomial 2 times the shift 2 lam
+    assert product.coeffs[((2,), (3,)) + frequencies] == NuPolynomial((0, 4))

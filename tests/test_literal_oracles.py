@@ -27,8 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpstar.models.flat import _as_lambda_poly
-from cpstar.models.radial import RadialPolynomial, radial_pullback, wick_product_literal
+from cpstar.models.radial import RadialPolynomial, _as_lambda_poly, radial_pullback, wick_product_literal
 from cpstar.nupoly import NuPolynomial
 from cpstar.scalars import GaussRational
 from cpstar.zpoly import ZPoly, wick_orders

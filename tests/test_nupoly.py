@@ -21,7 +21,7 @@ from cpstar.nupoly import (
     NuRationalFunction,
     nu_pochhammer,
 )
-from cpstar.scalars import GaussRational
+from cpstar.scalars import GaussRational, to_gauss
 from cpstar.serialize import disk_from_json, disk_to_json
 
 from nu_helpers import over_factors, poly_divmod
@@ -64,6 +64,12 @@ def test_shift_multiplies_by_nu_powers():
     assert p.shift(2) == NuPolynomial((0, 0, 2, 3))
     assert p.shift(0) == p
     assert NU_ZERO.shift(5) == NU_ZERO
+
+
+def test_negative_shifts_are_refused():
+    for value in (NuPolynomial((1, 2)), NU_ZERO):
+        with pytest.raises(ValueError, match="^shift requires a nonnegative exponent$"):
+            value.shift(-1)
 
 
 def test_evaluate_horner():
@@ -222,6 +228,56 @@ def test_rational_function_equality_against_polynomials():
     assert NuRationalFunction(NU) == NU
     assert NRF_ONE == 1
     assert NuRationalFunction(NU, NuPolynomial((2,))) != NU
+
+
+def test_equal_constants_and_polynomials_hash_equal():
+    assert NuPolynomial((1,)) == 1 and hash(NuPolynomial((1,))) == hash(1)
+    assert NU_ZERO == 0 and hash(NU_ZERO) == hash(0)
+    assert NuRationalFunction(NU) == NU and hash(NuRationalFunction(NU)) == hash(NU)
+    assert NRF_ONE == 1 and hash(NRF_ONE) == hash(1)
+
+
+scalar_values = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    st.builds(GaussRational, st.fractions(min_value=-2, max_value=2, max_denominator=2), st.sampled_from([0, Fraction(1, 2)])),
+)
+short_polys = st.lists(scalar_values, max_size=3).map(NuPolynomial)
+
+
+def _forms(value):
+    """Every form of ``value`` in the five types that can hold it."""
+    if isinstance(value, NuRationalFunction):
+        return [value, NuRationalFunction(value.num, value.den)]
+    if isinstance(value, NuPolynomial):
+        forms = [value, NuRationalFunction(value)]
+        forms += [over_factors(value * NuPolynomial((1, -j)), [j]) for j in (1, -2)]
+        if value.degree < 1:
+            forms += _forms(value.coeffs[0] if value.coeffs else 0)[:3]
+        return forms
+    gauss = to_gauss(value)
+    forms = [gauss, NuPolynomial.constant(value), NuRationalFunction.constant(value)]
+    if not gauss.im:
+        forms += [Fraction(gauss.re)]
+        if gauss.re.denominator == 1:
+            forms += [int(gauss.re)]
+    return forms
+
+
+values = st.one_of(
+    scalar_values,
+    short_polys,
+    st.builds(over_factors, short_polys, st.lists(st.sampled_from([-1, 1, 2]), max_size=2)),
+)
+
+
+@given(st.lists(values, min_size=1, max_size=4))
+def test_values_that_compare_equal_hash_equal(drawn):
+    everything = [form for value in drawn for form in _forms(value)]
+    for a in everything:
+        for b in everything:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
 
 
 def test_json_round_trips():

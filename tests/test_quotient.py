@@ -1,16 +1,20 @@
 """Substitution at numeric parameter values, ideals, matrix-algebra quotients."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cpstar import quotient
+from cpstar.linalg import matrix_rank
 from cpstar.nupoly import nu_pochhammer
 from cpstar.quotient import (
     NotInIdealError,
     QuotientOperator,
     StarUndefinedError,
+    _tensor_rank,
     check_irreducible,
     ideal_factorize,
     quotient_dimension,
@@ -302,9 +306,61 @@ def test_unitary_generators_span():
                     assert matrix[i][j] == -matrix[j][i].conjugate()
 
 
+def irreducible_by_operator_product(n, K, generators):
+    """The replaced ``check_irreducible``: one row per generator and output
+    slot, one column per basis operator, each commutator on the entries
+    view through ``operator_product``, ranked by ``matrix_rank``."""
+    pairs = [(i, j) for i in sorted_tuples(n, K) for j in sorted_tuples(n, K)]
+    images = [embed(symbol_of_matrix(m), K - 1) for m in generators]
+    rows = []
+    zero = GaussRational(0)
+    for image in images:
+        columns = []
+        for left, right in pairs:
+            basis = SymbolTensor.basis_entry(n, K, left, right)
+            commuted = operator_product(image, basis) - operator_product(basis, image)
+            columns.append(commuted.entries)
+        for out_pair in pairs:
+            row = [column.get(out_pair, zero) for column in columns]
+            if any(row):
+                rows.append(row)
+    identity = identity_symbol(n, K).entries
+    on_identity = [(p, identity[pair]) for p, pair in enumerate(pairs) if pair in identity]
+    if any(sum((row[p] * value for p, value in on_identity), zero) for row in rows):
+        return False
+    return matrix_rank(rows) == len(pairs) - 1
+
+
+IRREDUCIBLE = [(0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+
+
 def test_quotient_representation_is_irreducible():
-    for n, K in [(0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]:
+    for n, K in IRREDUCIBLE:
         assert check_irreducible(n, K), (n, K)
+
+
+@pytest.mark.parametrize("n, K", IRREDUCIBLE + [(2, 3)])
+def test_commutant_on_the_kernel_matches_the_operator_product_oracle(n, K):
+    assert check_irreducible(n, K) is irreducible_by_operator_product(n, K, unitary_generators(n)) is True
+
+
+def test_tensor_rank_scales_each_tensor_to_its_row_denominator():
+    # the second row is twice the first; unscaled cells would read rank 2
+    one, half, two = (SymbolTensor.constant(0, c) for c in (1, Fraction(1, 2), 2))
+    assert _tensor_rank([[one, half], [two, one]]) == 1
+
+
+def test_tensor_rank_matches_the_rank_of_the_entries_side_by_side():
+    rng = random.Random(30)
+    for n, k in [(0, 2), (1, 1), (1, 2), (2, 1)]:
+        slots = [(u, v) for u in sorted_tuples(n, k) for v in sorted_tuples(n, k)]
+        for _ in range(3):
+            first = [_gaussian_symbol(rng, n, k) for _ in range(2)]
+            second = [_gaussian_symbol(rng, n, k) for _ in range(2)]
+            third = [a.scale(Fraction(1, 3)) - b for a, b in zip(first, second)]
+            rows = [first, second, third]
+            entries = [[t.entries.get(slot, GaussRational(0)) for t in row for slot in slots] for row in rows]
+            assert _tensor_rank(rows) == matrix_rank(entries) <= 2
 
 
 def test_diagonal_generators_alone_act_reducibly(monkeypatch):
@@ -313,6 +369,7 @@ def test_diagonal_generators_alone_act_reducibly(monkeypatch):
     monkeypatch.setattr(quotient, "unitary_generators", lambda n: unitary_generators(n)[: n + 1])
     for n, K in [(1, 1), (1, 2), (2, 1)]:
         assert not check_irreducible(n, K), (n, K)
+        assert not irreducible_by_operator_product(n, K, quotient.unitary_generators(n)), (n, K)
 
 
 def test_representative_weight():
@@ -321,3 +378,43 @@ def test_representative_weight():
     element = representative_element(operator)
     weight = nu_pochhammer(2).evaluate(Fraction(1, 2))
     assert element.component(2).scale(weight) == identity_symbol(1, 2)
+
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "cpstar"
+# the oracle suite and the package surface name it; ``bench/tracer.py`` traces it
+NAMES_OPERATOR_PRODUCT = {"symbols.py", "checks.py", "__init__.py"}
+
+
+def _operator_product_lines(tree):
+    """Lines of every definition, name, attribute or import of ``operator_product``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "operator_product":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "operator_product":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "operator_product":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "operator_product" for alias in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.rglob("*.py")), ids=lambda path: str(path.relative_to(SOURCE)))
+def test_only_the_oracle_suite_names_operator_product(path):
+    lines = _operator_product_lines(ast.parse(path.read_text(), filename=str(path)))
+    if path.parent == SOURCE and path.name in NAMES_OPERATOR_PRODUCT:
+        assert lines, f"{path.name} no longer names operator_product: update the allowed set"
+    else:
+        assert not lines, f"{path.name} names operator_product on lines {lines}"
+
+
+def test_the_guard_sees_every_form_of_the_name():
+    tree = ast.parse(
+        "from cpstar.symbols import operator_product\n"
+        "symbols.operator_product(a, b)\n"
+        "f = operator_product\n"
+        "operator_product_like(a)\n"
+        "def operator_product(a, b): pass\n"
+    )
+    assert _operator_product_lines(tree) == [1, 2, 3, 5]

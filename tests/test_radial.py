@@ -47,6 +47,12 @@ def test_radial_polynomial_arithmetic():
     assert p.degree == 1
 
 
+def test_negative_powers_of_lambda_are_refused():
+    for p in (RadialPolynomial({1: lam_poly(2)}), RadialPolynomial.zero()):
+        with pytest.raises(ValueError, match="^times_lambda requires a nonnegative exponent$"):
+            p.times_lambda(-1)
+
+
 def test_radial_polynomial_evaluation():
     p = RadialPolynomial({2: lam_poly(1), 0: lam_poly(0, 0, 3)})  # x^2 + 3 lam^2
     assert p.evaluate(Fraction(2), Fraction(1, 2)) == Fraction(19, 4)
