@@ -1,10 +1,12 @@
 """Exact linear algebra over the Gaussian rationals.
 
-One fraction-free Gauss–Jordan elimination (Bareiss 1968, Math. Comp. 22)
-on rows of Gaussian integers, each row cleared of its own denominators,
-serves the quotient rank and commutant checks and the torus nondegeneracy
-check.  Every division is exact in Z[i], and ``GaussRational`` values are
-built only for the results returned.
+One fraction-free Gauss–Jordan elimination, ``_eliminate`` (Bareiss 1968,
+Math. Comp. 22), on rows of Gaussian integers, each row cleared of its own
+denominators.  The quotient rank and commutant checks and the torus
+nondegeneracy check run it on int cells; :func:`linear_solve` and
+:func:`matrix_rank` run it on ``GaussRational`` matrices.  Every division
+is exact in Z[i], and ``GaussRational`` values are built only for the
+results returned.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
 
-from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, _gauss, to_gauss
+from .scalars import GAUSS_ZERO, GaussRational, _gauss, to_gauss
 
-__all__ = ["LinearSolveResult", "linear_solve", "matrix_rank", "nullspace"]
+__all__ = ["LinearSolveResult", "linear_solve", "matrix_rank"]
 
 Cell = tuple[int, int]  # the Gaussian integer re + im i
 
@@ -32,10 +34,6 @@ class LinearSolveResult:
     kind: str
     solution: Optional[tuple[GaussRational, ...]]
     free_columns: tuple[int, ...] = ()
-
-    @property
-    def solvable(self) -> bool:
-        return self.kind != "inconsistent"
 
 
 def _integer_row(row: Sequence[GaussRational]) -> list[Cell]:
@@ -120,20 +118,3 @@ def matrix_rank(matrix: Sequence[Sequence[GaussRational]]) -> int:
     if not matrix:
         return 0
     return len(_eliminate([_integer_row(row) for row in matrix], len(matrix[0])))
-
-
-def nullspace(matrix: Sequence[Sequence[GaussRational]]) -> list[tuple[GaussRational, ...]]:
-    """Exact basis of the right nullspace of a matrix over Q(i)."""
-    if not matrix:
-        return []
-    rows = [_integer_row(row) for row in matrix]
-    n_cols = len(rows[0])
-    pivots = _eliminate(rows, n_cols)
-    basis = []
-    for free in sorted(set(range(n_cols)) - set(pivots)):
-        vec = [GAUSS_ZERO] * n_cols
-        vec[free] = GAUSS_ONE
-        for row, col in zip(rows, pivots):
-            vec[col] = -_quotient(row[free], row[col])
-        basis.append(tuple(vec))
-    return basis

@@ -30,6 +30,7 @@ from typing import Mapping
 
 from ..nupoly import (
     NRF_ZERO,
+    IntForm,
     NuPolynomial,
     NuRationalFunction,
     _linear_ints,
@@ -100,7 +101,7 @@ class DiskElement(Combination):
         return f"DiskElement({inner})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def disk_basis_coefficient(q: int, r: int, s: int, m: int) -> NuRationalFunction:
     """Weight of the m-th contraction in a product of two basis functions."""
     return NuRationalFunction._from_ints(*_weight_ints(q, s, m, -1, perm(q, m) * perm(r, m)))
@@ -112,17 +113,21 @@ def disk_product(left: DiskElement, right: DiskElement) -> DiskElement:
     The contributions are grouped by output basis function.  Each is the
     integer product of the two coefficients and the basis weight, and each
     group is summed over the lcm of their denominators and reduced once
-    (``nupoly._sum``).
+    (``nupoly._sum``).  Each weight is read from the bounded cache once per
+    product, so a product that needs more weights than the cache holds
+    does not cycle it.
     """
     rights = [(r, s, b._ints()) for (r, s), b in right.coeffs.items()]
+    weights: dict[tuple[int, int, int, int], IntForm] = {}
     groups: dict[tuple[int, int], list] = {}
     for (p, q), a in left.coeffs.items():
         a_ints = a._ints()
         for r, s, b_ints in rights:
             pair = _times(a_ints, b_ints)
             for m in range(min(q, r) + 1):
-                groups.setdefault((p + r - m, q + s - m), []).append((pair, (q, r, s, m)))
-    out = []
-    for key, group in groups.items():
-        out.append((key, _sum(_times(pair, disk_basis_coefficient(*qrsm)._ints()) for pair, qrsm in group)))
+                weight = weights.get((q, r, s, m))
+                if weight is None:
+                    weight = weights[q, r, s, m] = disk_basis_coefficient(q, r, s, m)._ints()
+                groups.setdefault((p + r - m, q + s - m), []).append((pair, weight))
+    out = [(key, _sum(_times(pair, weight) for pair, weight in group)) for key, group in groups.items()]
     return DiskElement._built((), out)

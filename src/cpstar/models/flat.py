@@ -26,7 +26,7 @@ from math import comb
 from typing import Mapping
 
 from ..nupoly import NuPolynomial
-from ..scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational, to_gauss
+from ..scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational
 from ..zpoly import ZPoly
 from ._combination import Combination
 from .radial import _as_lambda_poly, wick_product_literal
@@ -36,13 +36,6 @@ __all__ = ["ExpPolyFunction", "wick_product_flat"]
 Exponents = tuple[int, ...]
 Frequencies = tuple[GaussRational, ...]
 TermKey = tuple[Exponents, Exponents, Frequencies, Frequencies, GaussRational]
-
-
-def _freq_vector(values, coords: int) -> Frequencies:
-    out = tuple(to_gauss(v) for v in values)
-    if len(out) != coords:
-        raise ValueError(f"frequency vector must have length {coords}")
-    return out
 
 
 def _dot(left: Frequencies, right: Frequencies) -> GaussRational:
@@ -99,17 +92,6 @@ class ExpPolyFunction(Combination):
     ) -> "ExpPolyFunction":
         zero_freq = (GAUSS_ZERO,) * coords
         key = (tuple(z_exps), tuple(zbar_exps), zero_freq, zero_freq, GAUSS_ZERO)
-        return cls(coords, {key: _as_lambda_poly(coeff)})
-
-    @classmethod
-    def exponential(cls, coords: int, a, b, coeff: object = 1) -> "ExpPolyFunction":
-        key = (
-            (0,) * coords,
-            (0,) * coords,
-            _freq_vector(a, coords),
-            _freq_vector(b, coords),
-            GAUSS_ZERO,
-        )
         return cls(coords, {key: _as_lambda_poly(coeff)})
 
     # -- ring operations -----------------------------------------------

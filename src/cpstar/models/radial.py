@@ -108,10 +108,6 @@ class RadialPolynomial(Combination):
     def derivative(self) -> "RadialPolynomial":
         return self._built((), ((p - 1, a * p) for p, a in self.coeffs.items() if p > 0))
 
-    def at_lambda(self, alpha) -> "RadialPolynomial":
-        """Substitute a number for lam, leaving a plain polynomial in x."""
-        return self._built((), ((p, NuPolynomial.constant(a.evaluate(alpha))) for p, a in self.coeffs.items()))
-
     def evaluate(self, x_value, lambda_value) -> GaussRational:
         total = GaussRational(0)
         for power, poly in self.coeffs.items():
@@ -152,26 +148,12 @@ class ScaledMonomial:
     """Image of a power of x under the radial scaling operator.
 
     The value is ``x**power`` times a product of factors ``(1 + c lam/x)``
-    raised to ``exponent`` in {+1, -1}.  The positive branch expands to an
-    honest :class:`RadialPolynomial`; the negative branch is kept as an
-    unexpanded product, with a truncated series expansion in ``lam/x`` on
-    demand.
+    raised to ``exponent`` in {+1, -1}, kept as an unexpanded product, with
+    a truncated series expansion in ``lam/x`` on demand.
     """
 
     power: int
     factors: tuple[tuple[Fraction, int], ...]
-
-    def expand(self) -> RadialPolynomial:
-        if any(exponent != 1 for _, exponent in self.factors):
-            raise ValueError("only the positive branch expands to a polynomial")
-        if self.power < len(self.factors):
-            raise ValueError("expansion would produce negative powers of x")
-        # x**power prod (1 + c lam/x) = x**(power - #factors) prod (x + c lam)
-        result = RadialPolynomial.x_power(self.power - len(self.factors))
-        for c, _ in self.factors:
-            linear = RadialPolynomial({1: NU_ONE, 0: NuPolynomial((0, c))})
-            result = result * linear
-        return result
 
     def series(self, order: int) -> list[Fraction]:
         """Coefficients of the factor product as a series in t = lam/x."""
@@ -227,14 +209,13 @@ def truncated_reciprocal(series: Sequence[Fraction], order: int) -> list[Fractio
 
 
 def check_scaling_consistency(r: int) -> bool:
-    """Expanded image times its formal reciprocal returns x**r mod lam**(r+1)."""
-    forward = s_on_monomial(r).series(r)
-    backward = truncated_reciprocal(forward, r)
-    for j in range(r + 1):
-        acc = sum((forward[m] * backward[j - m] for m in range(j + 1)), Fraction(0))
-        if acc != (1 if j == 0 else 0):
-            return False
-    return True
+    """The inverse branch on ``x**r`` read two ways, mod ``t**(r+1)`` for
+    ``t = lam/x``: the division loop of :meth:`ScaledMonomial.series` on
+    ``s_on_monomial(r, inverse=True)`` against :func:`truncated_reciprocal`
+    of the multiplication loop on the factors ``(1 + k t)``, k = 1..r."""
+    divided = s_on_monomial(r, inverse=True).series(r)
+    factors = tuple((Fraction(k), 1) for k in range(1, r + 1))
+    return divided == truncated_reciprocal(ScaledMonomial(r, factors).series(r), r)
 
 
 # -- Wick star powers of x --------------------------------------------

@@ -132,10 +132,6 @@ class PhaseSum:
     def __mul__(self, other: "PhaseSum") -> "PhaseSum":
         return self._times(other, 0, 1)
 
-    def rotate(self, phase) -> "PhaseSum":
-        """Multiply by a unit phase factor."""
-        return self._times(PHASE_ONE, *_ratio(phase))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseSum):
             return NotImplemented

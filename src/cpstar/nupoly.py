@@ -96,11 +96,6 @@ class NuPolynomial:
             return self.coeffs[j]
         return GAUSS_ZERO
 
-    def leading(self) -> GaussRational:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "NuPolynomial") -> "NuPolynomial":

@@ -218,7 +218,7 @@ class StarProductTerms:
         return f"StarProductTerms(n={self.n}, k={self.k}, l={self.l}, {len(self.terms)} terms)"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _star_coefficient(k: int, l: int, r: int) -> NuRationalFunction:
     """``nu^r / r! * nu^(k+l-r) / (nu^(k) nu^(l))``, with its denominator factored."""
     return NuRationalFunction._from_ints(*_weight_ints(k, l, r))
@@ -399,10 +399,6 @@ class RawNuSeries:
         return RawNuSeries(
             self.n, degree, {p: embed(t, degree - self.degree) for p, t in self.powers.items()}
         )
-
-    def times_nupoly(self, poly: NuPolynomial) -> "RawNuSeries":
-        parts = [(p + j, t, c) for p, t in self.powers.items() for j, c in enumerate(poly.coeffs)]
-        return _series(self.n, self.degree, parts)
 
     def shift_down(self) -> "RawNuSeries":
         """Divide by nu; requires a vanishing constant coefficient."""

@@ -27,8 +27,8 @@ constructor, ``SymbolTensor._from_cells``:
   :class:`cpstar.star.RawNuSeries` and the linear steps of
   :meth:`cpstar.star.StarElement.minimized` and
   :func:`cpstar.quotient.ideal_factorize`;
-* :meth:`SymbolTensor.conjugate_swap`, :func:`embed` (multiplication of
-  sigma_tilde by x) and :func:`reduce_degree` (exact division by x);
+* :func:`embed` (multiplication of sigma_tilde by x) and
+  :func:`reduce_degree` (exact division by x);
 * :func:`wick_contraction`, the degree-lowering contraction operator, and
   :func:`pointwise_mul`, its order 0.  Both are parts of one kernel,
   ``_wick_sums``, which :func:`cpstar.star.star_elements` and
@@ -331,15 +331,6 @@ class SymbolTensor:
         """Multiply by an int, ``Fraction`` or ``GaussRational``: the
         one-term sum of ``_linear``."""
         return _linear(self.n, self.k, ((self, factor),))
-
-    def conjugate_swap(self) -> "SymbolTensor":
-        """Tensor of the complex-conjugated symbol (swap index groups, conjugate)."""
-        width = comb(self.n + self.k, self.k)
-        cells = {}
-        for key, (re, im) in self.cells.items():
-            left, right = divmod(key, width)
-            cells[right * width + left] = (re, -im)
-        return SymbolTensor._from_cells(self.n, self.k, self.den, cells)
 
     # -- polynomial view ----------------------------------------------
 

@@ -10,16 +10,26 @@ whose exponential terminates because every application lowers the degree
 of P or Q; each application carries one factor of lam.  The engine expands
 that exponential one coordinate at a time, on the exponent vectors
 themselves, and shares no code with the literal Wick product.
+
+``exponential`` builds the pure exponentials the flat tests multiply.
 """
 
 from fractions import Fraction
 
 from cpstar.models.flat import ExpPolyFunction
 from cpstar.nupoly import NU_ZERO, NuPolynomial
-from cpstar.scalars import GAUSS_ZERO, GaussRational
+from cpstar.scalars import GAUSS_ZERO, GaussRational, to_gauss
 
 Exponents = tuple[int, ...]
 PairKey = tuple[Exponents, Exponents, Exponents, Exponents]
+
+
+def exponential(coords: int, a, b, coeff: object = 1) -> ExpPolyFunction:
+    """``coeff e_(a, b)`` on flat ``coords``-space, for frequency vectors
+    ``a`` and ``b`` of numbers; the constructor checks their lengths."""
+    zero = (0,) * coords
+    key = (zero, zero, tuple(map(to_gauss, a)), tuple(map(to_gauss, b)), GAUSS_ZERO)
+    return ExpPolyFunction(coords, {key: coeff})
 
 
 def _apply_contraction(

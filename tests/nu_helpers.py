@@ -73,7 +73,7 @@ def euclid(num: NuPolynomial, den: NuPolynomial) -> Euclid:
         return Euclid(NU_ZERO, NU_ONE)
     common = poly_gcd(num, den)
     num, den = poly_divmod(num, common)[0], poly_divmod(den, common)[0]
-    inv = GAUSS_ONE / den.leading()
+    inv = GAUSS_ONE / den.coeffs[-1]
     return Euclid(num * inv, den * inv)
 
 

@@ -1,6 +1,7 @@
 """Check suites: every suite passes, reports are stable and informative."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from cpstar import checks
 from cpstar.checks import MAX_CHECK_WORK, CheckReport, SUITES, run_suite
 from cpstar.cli import main
 from cpstar.linalg import matrix_rank
+from cpstar.models import radial
 from cpstar.multiindex import sorted_tuples
 from cpstar.quotient import quotient_dimension, quotient_map
 from cpstar.scalars import GAUSS_ZERO
@@ -155,6 +157,43 @@ def test_the_oracle_suite_sees_a_broken_kernel_entry_point(name, broken, reason,
     ]
     assert main(["check", "--suite", "oracle"]) == 1
     assert json.loads(capsys.readouterr().out)["failures"] == report.failures
+
+
+def _series_dividing_one_step_short(self, order):
+    """``ScaledMonomial.series`` with an off-by-one in its division loop."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for c, exponent in self.factors:
+        if exponent == 1:
+            for j in range(order, 0, -1):
+                out[j] = out[j] + c * out[j - 1]
+        else:
+            series = [Fraction(0)] * (order + 1)
+            for j in range(order):
+                series[j] = out[j] - (c * series[j - 1] if j else 0)
+            out = series
+    return out
+
+
+def _s_on_monomial_with_other_factors(r, inverse=False):
+    """``s_on_monomial`` whose inverse branch divides by ``1 + (7k + 3)/5 t``."""
+    return radial.ScaledMonomial(-r, tuple((Fraction(7 * k + 3, 5), -1) for k in range(1, r + 1)))
+
+
+@pytest.mark.parametrize(
+    "owner, name, broken",
+    [
+        (radial.ScaledMonomial, "series", _series_dividing_one_step_short),
+        (radial, "s_on_monomial", _s_on_monomial_with_other_factors),
+    ],
+)
+def test_the_starexp_suite_sees_a_broken_scaling_operator(owner, name, broken, monkeypatch, capsys):
+    monkeypatch.setattr(owner, name, broken)
+    report = run_suite("starexp", seed=0, order=4)
+    assert report.failures == [
+        {"reason": "scaling operator reciprocal check failed", "r": 1, "instance": 4, "repro": "cpstar check --suite starexp --seed 0"}
+    ]
+    assert main(["check", "--suite", "starexp"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"][0]["reason"] == "scaling operator reciprocal check failed"
 
 
 def _estimate(suite, **overrides):

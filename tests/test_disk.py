@@ -1,9 +1,11 @@
 """Disk model: basis products with negated-parameter Pochhammer weights."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from cpstar.models import disk
 from cpstar.models.disk import (
     DiskElement,
     disk_basis_coefficient,
@@ -11,6 +13,7 @@ from cpstar.models.disk import (
     neg_nu_pochhammer,
 )
 from cpstar.nupoly import NuPolynomial, NuRationalFunction
+from cpstar.star import _star_coefficient
 
 
 def nrf(num, den=(1,)):
@@ -98,3 +101,17 @@ def test_associativity_with_rational_weights():
     g = DiskElement({(2, 1): Fraction(1, 2), (0, 1): nrf((0, 1), (1, 2))})
     h = DiskElement({(1, 1): 1, (2, 0): nrf((3,))})
     assert disk_product(disk_product(f, g), h) == disk_product(f, disk_product(g, h))
+
+
+def test_weight_caches_are_bounded_on_a_large_product():
+    # every q against all f_{r,s} with r, s <= 12 meets the 10,647 weights
+    # (q, r, s, m) of the square of all f_{p,q} with p, q <= 12
+    left = DiskElement({(0, q): 1 for q in range(13)})
+    right = DiskElement({(r, s): 1 for r in range(13) for s in range(13)})
+    disk_basis_coefficient.cache_clear()
+    product = disk_product(left, right)
+    info = disk_basis_coefficient.cache_info()
+    assert info.misses == 10_647 > info.maxsize >= info.currsize
+    assert _star_coefficient.cache_info().maxsize == info.maxsize
+    with mock.patch.object(disk, "disk_basis_coefficient", disk_basis_coefficient.__wrapped__):
+        assert disk_product(left, right) == product

@@ -17,7 +17,7 @@ from cpstar.models.radial import wick_product_literal
 from cpstar.nupoly import NuPolynomial
 from cpstar.scalars import GaussRational
 from cpstar.zpoly import ZPoly
-from flat_helpers import nilpotent_flat_product
+from flat_helpers import exponential, nilpotent_flat_product
 
 
 def g(re, im=0):
@@ -73,8 +73,8 @@ def test_unit_for_the_product():
 
 def test_product_of_pure_exponentials_accumulates_slope():
     # e_(a,b) * e_(a',b') = exp(lam a.b') e_(a+a', b+b')
-    left = ExpPolyFunction.exponential(1, (g(2),), (g(3),))
-    right = ExpPolyFunction.exponential(1, (g(5),), (g(7),))
+    left = exponential(1, (g(2),), (g(3),))
+    right = exponential(1, (g(5),), (g(7),))
     product = wick_product_flat(left, right)
     assert len(product.coeffs) == 1
     ((z_exps, zbar_exps, a, b, slope),) = product.coeffs
@@ -85,8 +85,8 @@ def test_product_of_pure_exponentials_accumulates_slope():
 
 
 def test_slope_is_order_sensitive():
-    left = ExpPolyFunction.exponential(1, (g(2),), (g(3),))
-    right = ExpPolyFunction.exponential(1, (g(5),), (g(7),))
+    left = exponential(1, (g(2),), (g(3),))
+    right = exponential(1, (g(5),), (g(7),))
     forward = wick_product_flat(left, right)
     backward = wick_product_flat(right, left)
     assert next(iter(forward.coeffs))[4] == g(14)
@@ -121,9 +121,9 @@ def test_polynomial_products_against_zpoly_oracle():
 
 
 def test_mixed_exponential_polynomial_associativity():
-    a = ExpPolyFunction.exponential(1, (g(1),), (g(0),))
+    a = exponential(1, (g(1),), (g(0),))
     b = ExpPolyFunction.monomial(1, (2,), (1,))
-    c = ExpPolyFunction.exponential(1, (g(0),), (g(1),)) + ExpPolyFunction.monomial(
+    c = exponential(1, (g(0),), (g(1),)) + ExpPolyFunction.monomial(
         1, (0,), (1,)
     )
     left = wick_product_flat(wick_product_flat(a, b), c)
@@ -134,7 +134,7 @@ def test_mixed_exponential_polynomial_associativity():
 def test_product_is_bilinear():
     a = ExpPolyFunction.monomial(1, (1,), (0,))
     b = ExpPolyFunction.monomial(1, (0,), (1,))
-    c = ExpPolyFunction.exponential(1, (g(1),), (g(2),))
+    c = exponential(1, (g(1),), (g(2),))
     direct = wick_product_flat(a + b, c)
     split = wick_product_flat(a, c) + wick_product_flat(b, c)
     assert direct == split

@@ -4,8 +4,9 @@
 components of a filtered element.  Each is compared here with the plain
 nu-series view of the same element: ``expand`` followed by
 ``extract_structure``, substitution, and multiplication by ``(nu - alpha)``
-through ``times_nupoly``.  ``relevel``, which raises the level in one pass,
-is compared with the one-level-at-a-time recurrence it replaced.
+through ``times_nupoly`` of ``test_linear_oracles``.  ``relevel``, which
+raises the level in one pass, is compared with the one-level-at-a-time
+recurrence it replaced.
 """
 
 import random
@@ -27,6 +28,8 @@ from cpstar.randgen import random_element, random_symbol
 from cpstar.scalars import GaussRational
 from cpstar.star import StarElement, extract_structure
 from cpstar.symbols import SymbolTensor, embed, identity_symbol
+
+from test_linear_oracles import times_nupoly
 
 # (n, level, extra levels added by relevel); every element stays at level <= 5
 SHAPES = [(1, 0, 2), (1, 1, 2), (1, 2, 3), (1, 3, 2), (1, 5, 0), (2, 1, 2), (2, 2, 1), (2, 3, 0)]
@@ -61,7 +64,7 @@ def _check_factorization(member, alpha):
     factors = ideal_factorize(member, alpha)
     level = member.level
     linear = NuPolynomial((GaussRational(-alpha), GaussRational(1)))
-    rebuilt = factors.head.expand() + factors.cofactor.relevel(level).expand().times_nupoly(linear)
+    rebuilt = factors.head.expand() + times_nupoly(factors.cofactor.relevel(level).expand(), linear)
     assert rebuilt == member.expand()
     assert factors.reconstruction() == member
     return factors

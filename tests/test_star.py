@@ -31,6 +31,8 @@ from cpstar.symbols import (
     wick_contraction_reference,
 )
 
+from test_linear_oracles import times_nupoly
+
 
 def g(re, im=0):
     return GaussRational(Fraction(re), Fraction(im))
@@ -345,9 +347,7 @@ def test_nu_shift_raises_level():
     assert shifted.level == 4
     assert shifted.components == a.components
     # the expansion picks up exactly a nu^2 factor
-    assert shifted.expand() == a.expand().embed_to(4).times_nupoly(
-        NuPolynomial((0, 0, 1))
-    )
+    assert shifted.expand() == times_nupoly(a.expand().embed_to(4), NuPolynomial((0, 0, 1)))
     with pytest.raises(ValueError):
         a.nu_shift(-1)
 

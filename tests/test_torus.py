@@ -22,7 +22,7 @@ from cpstar.models.torus import (
 from cpstar.models.torus import _check_matrix
 from cpstar.scalars import GaussRational
 from cpstar.serialize import fourier_from_json
-from test_torus_oracles import moyal_modes
+from test_torus_oracles import moyal_modes, rotate
 
 SYMPLECTIC = [[0, 1], [-1, 0]]
 
@@ -90,7 +90,7 @@ def test_phase_sum_multiplication_adds_phases():
 
 def test_phase_sum_rotate_and_pairs():
     mixed = PhaseSum({F(0): F(1), F(1, 2): F(-2)})
-    rotated = mixed.rotate(F(1, 2))
+    rotated = rotate(mixed, F(1, 2))
     assert rotated == PhaseSum({F(1, 2): F(1), F(0): F(-2)})
     assert mixed.to_pairs() == [(F(1), F(0)), (F(-2), F(1, 2))]
 
