@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def neg_nu_pochhammer(k: int) -> NuPolynomial:
     """The Pochhammer product with the parameter negated: (1 + nu)(1 + 2 nu)..."""
     return NuPolynomial(_linear_ints(_pochhammer_js(k, -1)))

@@ -235,7 +235,7 @@ def _pochhammer_js(k: int, sign: int = 1) -> tuple[int, ...]:
     return tuple(range(sign, sign * k, sign))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def nu_pochhammer(k: int) -> NuPolynomial:
     """The product ``(1 - nu)(1 - 2 nu) ... (1 - (k-1) nu)``, empty for k in {0, 1}."""
     return NuPolynomial(_linear_ints(_pochhammer_js(k)))

@@ -54,10 +54,11 @@ bit length of the largest output degree:
 No output digit reaches 2^s, so the code of a term is the code of the
 left cell's rest zbar^I z^(J - alpha) plus that of the right cell's rest
 zbar^(P - alpha) z^Q: one int addition.  The right factor is indexed once
-by alpha, each left cell walks its sub-multisets alpha once, and each
-output code is decoded once to its degree and cell key.  The code width
-follows the factors, not n, so a sparse product on CP^1000000 has short
-codes.
+by alpha and each left cell walks its sub-multisets alpha once, each side
+stopping at |alpha| = the other side's top degree, since a longer alpha
+has no partner; each output code is decoded once to its degree and cell
+key.  The code width follows the factors, not n, so a sparse product on
+CP^1000000 has short codes.
 
 The kernels never see an index pair.  Each reads the keys through a table
 per shape, filled in as cells need it and bounded like every cache here:
@@ -661,15 +662,26 @@ def _wick_sums(n: int, lefts: Sequence[Factor], rights: Sequence[Factor], order:
     """The Wick product at hbar = 1 of F, the sum of the ``lefts``, and G,
     the sum of the ``rights`` (see the module docstring), or only its
     |alpha| = ``order`` part: int cells per output degree, over the product
-    of the denominators the factors' ints bring their cells to."""
+    of the denominators the factors' ints bring their cells to.
+
+    A split alpha of one side meets only the splits of the other side with
+    the same alpha, so the right splits are indexed only up to |alpha| =
+    the left side's top degree and each left cell walks its splits only up
+    to the right side's top degree."""
     used: set[int] = set()
     for k, cells, _ in (*lefts, *rights):
         used.update(chain.from_iterable(map(_letters(n, k).__getitem__, cells)))
     letters = tuple(sorted(used))
-    s = (max(k for k, _, _ in lefts) + max(k for k, _, _ in rights)).bit_length()
+    top_left = max(k for k, _, _ in lefts)
+    top_right = max(k for k, _, _ in rights)
+    s = (top_left + top_right).bit_length()
     hol = len(letters) * s
-    pick = slice(None) if order is None else slice(order, order + 1)
+    if order is None:
+        pick_right, pick_left = slice(top_left + 1), slice(top_right + 1)
+    else:
+        pick_right = pick_left = slice(order, order + 1)
     by_alpha: dict[int, list[tuple[int, int, int]]] = {}
+    matches_of = by_alpha.get
     for l, cells, factor in rights:
         width, codes, splits = _splits(n, l, letters, s, True)
         for key, (b_re, b_im) in cells.items():
@@ -677,15 +689,16 @@ def _wick_sums(n: int, lefts: Sequence[Factor], rights: Sequence[Factor], order:
             fixed = codes[q] << hol
             b_re *= factor
             b_im *= factor
-            for group in splits[p][pick]:
+            for group in splits[p][pick_right]:
                 for alpha, rest, w in group:
                     entry = fixed + rest, b_re * w, b_im * w
-                    matches = by_alpha.get(alpha)
+                    matches = matches_of(alpha)
                     if matches is None:
                         by_alpha[alpha] = [entry]
                     else:
                         matches.append(entry)
     accum: dict[int, list[int]] = {}
+    cell_of = accum.get
     for k, cells, factor in lefts:
         width, codes, splits = _splits(n, k, letters, s, False)
         for key, (va_re, va_im) in cells.items():
@@ -693,9 +706,9 @@ def _wick_sums(n: int, lefts: Sequence[Factor], rights: Sequence[Factor], order:
             fixed = codes[i]
             va_re *= factor
             va_im *= factor
-            for group in splits[j][pick]:
+            for group in splits[j][pick_left]:
                 for alpha, rest, w in group:
-                    matches = by_alpha.get(alpha)
+                    matches = matches_of(alpha)
                     if matches is None:
                         continue
                     head = fixed + rest
@@ -703,14 +716,12 @@ def _wick_sums(n: int, lefts: Sequence[Factor], rights: Sequence[Factor], order:
                     a_im = va_im * w
                     for tail, b_re, b_im in matches:
                         code = head + tail
-                        c_re = a_re * b_re - a_im * b_im
-                        c_im = a_re * b_im + a_im * b_re
-                        cell = accum.get(code)
+                        cell = cell_of(code)
                         if cell is None:
-                            accum[code] = [c_re, c_im]
+                            accum[code] = [a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re]
                         else:
-                            cell[0] += c_re
-                            cell[1] += c_im
+                            cell[0] += a_re * b_re - a_im * b_im
+                            cell[1] += a_re * b_im + a_im * b_re
     decoded = _decoded(n, letters, s)
     sums: list[dict[int, list[int]]] = [{} for _ in range(1 << s)]
     for code, cell in accum.items():

@@ -11,7 +11,8 @@ keys by ``(I, J)`` tuples.  It reads the tensors' cells by pair through
 ``_unranked``, and its result goes back to cell keys through ``_ranks``.
 Both are compared at ``cells``/``den`` equality of the resulting tensors,
 through the kernel itself (one order, all orders, several factors at
-once), and through ``wick_contraction``, ``star_symbols`` and
+once, on Hypothesis sides whose degrees may not overlap), and through
+``wick_contraction``, ``star_symbols`` and
 ``star_elements``, on CP^0-CP^3 with fractional Gaussian entries and on
 sparse products on CP^16 and CP^1000000.  The oracle's split helpers,
 ``submultiset_splits`` and ``_subtract_indices``, live here too, as no
@@ -30,6 +31,8 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpstar import multiindex, symbols
 from cpstar.multiindex import (
@@ -220,6 +223,36 @@ def test_kernel_matches_tuple_oracle(n):
                     _same(wick_contraction(left, right, r), _oracle_tensor(n, left, right, r))
 
 
+def _oracle_sums(n, lefts, rights, order=None):
+    """``_wick_sums`` of ``(tensor, int)`` factors from the tuple-keyed
+    contraction, summed over the factor pairs: tensors by output degree
+    over the product of the denominators the factors are brought to."""
+    d_left, d_right = lcm(*(t.den for t, _ in lefts)), lcm(*(t.den for t, _ in rights))
+    top = factorial(min(max(t.k for t, _ in lefts), max(t.k for t, _ in rights)))
+    expected = {}
+    for left, a in lefts:
+        for right, b in rights:
+            for r in range(min(left.k, right.k) + 1):
+                if order not in (None, r):
+                    continue
+                weight = d_left // left.den * a * (d_right // right.den * b) * (top // factorial(r))
+                accum = expected.setdefault(left.k + right.k - r, {})
+                contract_into_oracle(accum, pair_cells(left), pair_cells(right), left.k, right.k, r, weight)
+    return {degree: from_pair_cells(n, degree, d_left * d_right * top, cells) for degree, cells in expected.items()}
+
+
+def _kernel_sums(n, lefts, rights, order=None):
+    """``_wick_sums`` of the same factors, as tensors by output degree."""
+    d_left, d_right = lcm(*(t.den for t, _ in lefts)), lcm(*(t.den for t, _ in rights))
+    sums = _wick_sums(
+        n,
+        [(t.k, t.cells, d_left // t.den * a) for t, a in lefts],
+        [(t.k, t.cells, d_right // t.den * b) for t, b in rights],
+        order,
+    )
+    return {degree: SymbolTensor._from_cells(n, degree, d_left * d_right, cells) for degree, cells in sums.items()}
+
+
 def test_kernel_accumulates_across_shapes_like_the_oracle():
     # F and G are sums of tensors of several degrees, each scaled by an int;
     # every pair of them adds into one sum per output degree
@@ -227,24 +260,61 @@ def test_kernel_accumulates_across_shapes_like_the_oracle():
     n = 2
     phi, psi, chi = _symbol(rng, n, 2), _symbol(rng, n, 3, 12), _symbol(rng, n, 1)
     lefts, rights = [(phi, 6), (psi, 1), (chi, 2)], [(psi, 3), (chi, 1)]
-    d_left, d_right = lcm(*(t.den for t, _ in lefts)), lcm(*(t.den for t, _ in rights))
-    sums = _wick_sums(
-        n,
-        [(t.k, t.cells, d_left // t.den * a) for t, a in lefts],
-        [(t.k, t.cells, d_right // t.den * b) for t, b in rights],
-    )
-    top = factorial(3)
-    expected = {}
-    for left, a in lefts:
-        for right, b in rights:
-            for r in range(min(left.k, right.k) + 1):
-                weight = d_left // left.den * a * (d_right // right.den * b) * (top // factorial(r))
-                accum = expected.setdefault(left.k + right.k - r, {})
-                contract_into_oracle(accum, pair_cells(left), pair_cells(right), left.k, right.k, r, weight)
+    sums, expected = _kernel_sums(n, lefts, rights), _oracle_sums(n, lefts, rights)
     assert set(sums) == set(expected)
-    den = d_left * d_right
-    for degree, cells in sums.items():
-        _same(SymbolTensor._from_cells(n, degree, den, cells), from_pair_cells(n, degree, den * top, expected[degree]))
+    for degree, tensor in sums.items():
+        _same(tensor, expected[degree])
+
+
+@st.composite
+def _sparse_tensors(draw, n, k):
+    """Up to four cells of a degree-``k`` tensor on CP^n over denominators 1-5."""
+    index = st.lists(st.integers(0, n), min_size=k, max_size=k).map(lambda letters: tuple(sorted(letters)))
+    part = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 5))
+    keys = draw(st.lists(st.tuples(index, index), min_size=1, max_size=4, unique=True))
+    return SymbolTensor(n, k, {key: GaussRational(draw(part), draw(part)) for key in keys})
+
+
+@st.composite
+def _wick_inputs(draw):
+    """``(n, lefts, rights, order)``: each side 1-3 ``(tensor, int)``
+    factors of degree 0-4, one side's degrees often all below the other's
+    (a side of degree 0 only among them), and ``order`` None or an r up to
+    the smaller top degree."""
+    n = draw(st.integers(1, 3))
+    low, high = st.integers(0, 4), st.integers(0, 4)
+    below = draw(st.sampled_from([None, "left", "right"]))
+    if below is not None:
+        cut = draw(st.integers(1, 4))
+        low, high = st.integers(0, cut - 1), st.integers(cut, 4)
+    sides = []
+    for degrees in (low, high) if below != "right" else (high, low):
+        degree_list = draw(st.lists(degrees, min_size=1, max_size=3))
+        sides.append([(draw(_sparse_tensors(n, k)), draw(st.integers(-4, 4))) for k in degree_list])
+    lefts, rights = sides
+    smaller = min(max(t.k for t, _ in lefts), max(t.k for t, _ in rights))
+    order = draw(st.one_of(st.none(), st.integers(0, smaller)))
+    return n, lefts, rights, order
+
+
+_CONSTANT = SymbolTensor(2, 0, {((), ()): GaussRational(Fraction(2, 3), Fraction(-1, 5))})
+_QUADRATIC = SymbolTensor(2, 2, {((0, 2), (1, 2)): Fraction(3, 4), ((1, 1), (0, 0)): GaussRational(0, Fraction(1, 2))})
+_CUBIC = SymbolTensor(2, 3, {((0, 1, 2), (2, 2, 2)): Fraction(-2, 5)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wick_inputs())
+@example((2, [(_CONSTANT, 3)], [(_QUADRATIC, 1), (_CUBIC, -2)], None))
+@example((2, [(_QUADRATIC, 1), (_CUBIC, 2)], [(_CONSTANT, -1)], None))
+@example((2, [(_QUADRATIC, 2)], [(_CUBIC, 1), (_QUADRATIC, 1)], 2))
+def test_kernel_on_sides_of_any_degrees_matches_the_oracle(inputs):
+    # each side walks its splits only up to the other side's top degree;
+    # the splits it skips have no partner, so every sum is the oracle's
+    n, lefts, rights, order = inputs
+    sums, expected = _kernel_sums(n, lefts, rights, order), _oracle_sums(n, lefts, rights, order)
+    assert set(sums) <= set(expected)
+    for degree, tensor in expected.items():
+        _same(sums.get(degree, SymbolTensor.zero(n, degree)), tensor)
 
 
 def star_symbols_oracle(f, g):
@@ -322,6 +392,17 @@ def test_sparse_products_on_cp_million_match_the_oracle():
     for r in range(3):
         _same(wick_contraction(f, g, r), _oracle_tensor(n, f, g, r))
     assert wick_contraction(f, g, 1) and wick_contraction(f, g, 2)
+
+
+def test_sparse_cp16_pair_of_levels_three_and_one_matches_the_oracle():
+    # one side's top degree is three times the other's, in both orders
+    n = 16
+    rng = random.Random(1162)
+    a, b = _sparse_element(rng, n, 3, 4), _sparse_element(rng, n, 1, 4)
+    assert all(wick_contraction(a.components[r], b.components[1], 1) for r in (1, 2, 3))
+    assert all(wick_contraction(b.components[1], a.components[r], 1) for r in (1, 2, 3))
+    assert star_elements(a, b) == star_elements_oracle(a, b)
+    assert star_elements(b, a) == star_elements_oracle(b, a)
 
 
 def _visits(left_cells, right_cells, r):
