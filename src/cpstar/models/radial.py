@@ -243,7 +243,8 @@ def wick_product_literal(left: ZPoly, right: ZPoly) -> ZPoly:
     total = ZPoly(left.n)
     for t, order in enumerate(wick_orders(left, right)):
         weight = Fraction(1, factorial(t))
-        total = total + order.map_coefficients(lambda c: _as_lambda_poly(c).shift(t) * weight)
+        for key, c in order.terms.items():
+            total.add_term(key, _as_lambda_poly(c).shift(t) * weight)
     return total
 
 
@@ -251,17 +252,15 @@ def radial_pullback(p: RadialPolynomial, coords: int) -> ZPoly:
     """Rewrite a radial polynomial as a polynomial in ``coords`` variables z
     and their conjugates, a ``ZPoly(coords - 1)``."""
     n = coords - 1
-    x = ZPoly.zero(n)
-    for i in range(coords):
-        unit = [0] * coords
-        unit[i] = 1
-        x = x + ZPoly.monomial(n, tuple(unit), tuple(unit), NU_ONE)
-    result = ZPoly.zero(n)
+    units = [tuple(int(j == i) for j in range(coords)) for i in range(coords)]
+    x = ZPoly(n, {(unit, unit): NU_ONE for unit in units})
+    result = ZPoly(n)
     for power, poly in p.coeffs.items():
         term = ZPoly.monomial(n, (0,) * coords, (0,) * coords, poly)
         for _ in range(power):
             term = term * x
-        result = result + term
+        for key, c in term.terms.items():
+            result.add_term(key, c)
     return result
 
 

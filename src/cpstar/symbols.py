@@ -337,29 +337,33 @@ class SymbolTensor:
 
     def to_zpoly(self) -> ZPoly:
         """Expand sigma_tilde into an explicit polynomial in z and z-bar."""
-        out = ZPoly(self.n)
         width = self.n + 1
-        for (left, right), coeff in self.poly_items():
-            bar = [0] * width
-            for a in left:
-                bar[a] += 1
-            hol = [0] * width
-            for a in right:
-                hol[a] += 1
-            out.add_term((tuple(bar), tuple(hol)), coeff)
-        return out
+
+        def exponents(index: Index) -> tuple[int, ...]:
+            counts = [0] * width
+            for a in index:
+                counts[a] += 1
+            return tuple(counts)
+
+        return ZPoly(self.n, {(exponents(left), exponents(right)): coeff for (left, right), coeff in self.poly_items()})
 
     @classmethod
     def from_zpoly(cls, n: int, k: int, poly: ZPoly) -> "SymbolTensor":
+        """The degree-``k`` tensor whose sigma_tilde is ``poly``, a
+        ``ZPoly(n)`` bihomogeneous of degree ``(k, k)``.  Each exponent
+        vector is checked and ranked once per call, however many terms
+        share it."""
+        if poly.n != n:
+            raise ValueError(f"a symbol on CP^{n} is read from a ZPoly({n}), not a ZPoly({poly.n})")
         ranks, width = _ranks(n, k), _width(n, k) if poly.terms else 0
+        vectors = {exponents for key in poly.terms for exponents in key}
+        if any(sum(exponents) != k for exponents in vectors):
+            raise ValueError(f"polynomial is not bihomogeneous of degree ({k}, {k})")
+        rank = {exponents: ranks[tuple(a for a, e in enumerate(exponents) for _ in range(e))] for exponents in vectors}
         parts: dict[int, tuple[int, int, int, int, int]] = {}
         for (bar, hol), coeff in poly.terms.items():
-            if sum(bar) != k or sum(hol) != k:
-                raise ValueError(f"polynomial is not bihomogeneous of degree ({k}, {k})")
-            left = tuple(a for a in range(n + 1) for _ in range(bar[a]))
-            right = tuple(a for a in range(n + 1) for _ in range(hol[a]))
             p, q, m = to_gauss(coeff)._ints()
-            parts[ranks[left] * width + ranks[right]] = (p, m, q, m, 1)
+            parts[rank[bar] * width + rank[hol]] = (p, m, q, m, 1)
         return cls._from_cells(n, k, *_over_lcm(parts))
 
 

@@ -16,6 +16,7 @@ from cpstar.quotient import quotient_dimension, quotient_map
 from cpstar.scalars import GAUSS_ZERO
 from cpstar.star import StarElement, StarTerm
 from cpstar.symbols import SymbolTensor
+from cpstar.zpoly import ZPoly
 
 
 def test_suite_names_are_sorted_and_complete():
@@ -154,6 +155,54 @@ def test_the_oracle_suite_sees_a_broken_kernel_entry_point(name, broken, reason,
     report = run_suite("oracle", seed=0)
     assert report.failures == [
         {"reason": reason, "n": 1, "k": 1, "l": 1, "r": 1, "instance": 2, "repro": "cpstar check --suite oracle --seed 0"}
+    ]
+    assert main(["check", "--suite", "oracle"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == report.failures
+
+
+def _wick_orders_losing_a_tuple_at_order_one(real):
+    """Order 1 without the pair of the first coordinate that has one."""
+
+    def broken(left, right):
+        orders = real(left, right)
+        for i in range(left.n + 1):
+            lost = left.diff_z(i) * right.diff_zbar(i)
+            if lost.terms:
+                orders[1] = orders[1] - lost
+                break
+        return orders
+
+    return broken
+
+
+def _from_zpoly_dropping_a_term(real):
+    def broken(cls, n, k, poly):
+        kept = dict(list(poly.terms.items())[1:])
+        return real(n, k, ZPoly(poly.n, kept))
+
+    return classmethod(broken)
+
+
+@pytest.mark.parametrize(
+    "owner, name, broken, r, instance",
+    [
+        (checks, "wick_orders", _wick_orders_losing_a_tuple_at_order_one, 1, 2),
+        (SymbolTensor, "from_zpoly", _from_zpoly_dropping_a_term, 0, 1),
+    ],
+)
+def test_the_oracle_suite_sees_a_broken_literal_side(owner, name, broken, r, instance, monkeypatch, capsys):
+    monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
+    report = run_suite("oracle", seed=0)
+    assert report.failures == [
+        {
+            "reason": "contraction oracle mismatch",
+            "n": 1,
+            "k": 1,
+            "l": 1,
+            "r": r,
+            "instance": instance,
+            "repro": "cpstar check --suite oracle --seed 0",
+        }
     ]
     assert main(["check", "--suite", "oracle"]) == 1
     assert json.loads(capsys.readouterr().out)["failures"] == report.failures
