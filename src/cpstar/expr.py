@@ -156,7 +156,8 @@ MAX_EXPONENT = 8
 """Largest ``^`` exponent :func:`evaluate` computes, for every base.  A power
 repeats its product that many times, and disk powers grow fastest: on a
 2-core x86-64 VM with Python 3.11, the 8th power of the sum of the 16 disk
-basis functions of index up to 3 took 4.0 s."""
+basis functions of index up to 3 took 1.1 s (2.7 s with the f-basis product
+that came before the Weyl-basis one, timed one after the other)."""
 
 MAX_POWER_ENTRIES = 10_000
 """Largest tensor a star power, star product or fold of symbols or filtered
@@ -188,11 +189,14 @@ MAX_DISK_INDEX = 24
 in ``eval`` and the ``star`` and ``disk`` subcommands alike: ``e`` factors
 whose largest index (``p`` or ``q``) is ``P`` reach index ``e P``, with up to
 ``(e P + 1) ** 2`` basis functions, and two of largest indices ``P`` and
-``Q`` reach ``P + Q``.  On the VM above, on the factored route, powers of
-elements with every basis function up to index ``P`` (the sum of the
-``f_{p,q}`` with ``p, q <= P``, caches cleared) that reach index 24 took
-2.3 to 5.1 s (P = 3, 4, 6, 8, 12), index 20 0.9 to 1.6 s (P = 4, 5, 10) and
-index 28 6.6 to 11.7 s (P = 4, 7, 14)."""
+``Q`` reach ``P + Q``.  On the VM above, with the Weyl-basis product,
+powers of elements with every basis function up to index ``P`` (the sum of
+the ``f_{p,q}`` with ``p, q <= P``, each in a fresh process) that reach
+index 24 took 0.5 to 2.0 s (P = 3, 4, 6, 8, 12; 2.7 to 6.4 s with the
+f-basis product before it), index 20 0.2 to 0.8 s (P = 4, 5, 10) and
+index 28 1.4 to 5.2 s (P = 4, 7, 14).  The bound stays at 24 because
+:data:`cpstar.nupoly.MAX_LOADED_DEGREE` is sized for the coefficients that
+index 24 reaches."""
 
 MAX_POWER_MODES = 2_000
 """Largest number of modes a star power or product of Fourier sums may

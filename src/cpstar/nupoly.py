@@ -11,10 +11,11 @@ The central special family is the nu-Pochhammer product
     nu^(0) = nu^(1) = 1,     nu^(k) = (1 - nu)(1 - 2 nu) ... (1 - (k-1) nu)
 
 with the recurrence ``nu^(k+1) = (1 - k nu) nu^(k)``; evaluated at ``1/K``
-it vanishes exactly when ``k >= K + 1``.  Every coefficient the star
-products build is ``nu^t / t! nu^(k+l-t) / (nu^(k) nu^(l))`` at ``nu`` or,
-on the disk, at ``-nu`` (:func:`_weight_ints`), and every product of factors
-``1 - j nu`` is multiplied out by one routine, :func:`_linear_ints`.
+it vanishes exactly when ``k >= K + 1``.  Every coefficient the CP^n star
+products build is ``nu^t / t! nu^(k+l-t) / (nu^(k) nu^(l))``
+(:func:`_weight_ints`, which also gives the disk's weight in its ``f``
+basis, with the Pochhammer products at ``-nu``), and every product of
+factors ``1 - j nu`` is multiplied out by one routine, :func:`_linear_ints`.
 
 A rational function stores one value: its canonical integer form
 ``(nums, den, js)``, the value ``nums / (den prod(1 - j nu))`` with
@@ -22,9 +23,11 @@ Gaussian-integer ``nums`` and a positive int ``den``.  It is reduced in one
 place, :func:`_reduced`, which cancels each root ``1/j`` by integer
 synthetic division and divides out one gcd.  Sums, products and scalar
 multiples, the per-entry sums of
-:meth:`cpstar.star.StarProductTerms.nrf_map` and the per-key sums of
-:func:`cpstar.models.disk.disk_product` are all built in that form and
-reduced once, and values compare as ints.  Their ``num`` and ``den``
+:meth:`cpstar.star.StarProductTerms.nrf_map` and the per-output sums of
+:func:`cpstar.models.disk.disk_product`, which runs in the Weyl basis with
+int weights (:func:`_gauss_mul`, :func:`_union`, :func:`_difference`,
+:func:`_widen_into`), are all built in that form and reduced once, and
+values compare as ints.  Their ``num`` and ``den``
 polynomials are views, built only for output and evaluation.  The
 constructor, and so the JSON loader, splits a denominator into factors
 over integer j (:func:`_split_js`) and refuses one that does not split,

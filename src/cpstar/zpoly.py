@@ -97,14 +97,6 @@ class ZPoly:
         _mul_into(acc, self.terms, other.terms)
         return _nonzero(n, acc)
 
-    def scale(self, factor: object) -> "ZPoly":
-        out = ZPoly(self.n)
-        if not factor:
-            return out
-        for key, value in self.terms.items():
-            out.add_term(key, value * factor)
-        return out
-
     # -- differentiation ----------------------------------------------
     #
     # Lowering one exponent maps distinct terms to distinct terms, and a
